@@ -1,11 +1,13 @@
-"""Vectorized kernels over packed Pauli-sum arrays (N <= 64 qubits).
+"""Vectorized kernels over packed Pauli-sum arrays: the one implementation of
+dressing, ranking statistics, energy and gradient.
 
 A packed sum is three parallel arrays: x and z masks as uint64 and float64
-coefficients, lexsorted by (x, z) with exact duplicates merged.  The kernels
-reproduce the dict-based reference implementations bit for bit where a key
-receives at most two float contributions (addition is commutative in IEEE
-754), and deterministically everywhere else because the merge order is the
-canonical sorted order.
+coefficients, lexsorted by (x, z) with exact duplicates merged.  The uint64
+masks bound the envelope at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack``
+rejects wider sums with :class:`CapacityError`.  Dressing reproduces the
+scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
+bit for bit, because every output key receives at most two float
+contributions and addition is commutative in IEEE 754.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import numpy as np
 
 from .errors import HermiticityError
 from .pauli import PauliWord
-from .pauli_sum import PauliSum, ReferenceState
-
-PACKED_QUBIT_LIMIT = 64
+from .pauli_sum import PauliSum, ReferenceState, check_qubit_bound
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -52,8 +52,7 @@ def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> Pa
 
 
 def pack(h: PauliSum) -> PackedSum:
-    if h.n_qubits > PACKED_QUBIT_LIMIT:
-        raise ValueError(f"packed path limited to {PACKED_QUBIT_LIMIT} qubits")
+    check_qubit_bound(h.n_qubits)
     m = len(h._terms)
     x = np.empty(m, dtype=np.uint64)
     z = np.empty(m, dtype=np.uint64)
@@ -74,7 +73,7 @@ def unpack(p: PackedSum) -> PauliSum:
 
 
 def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
-    """Vectorized counterpart of pauli_sum.dress on packed arrays."""
+    """pauli_sum.dress on packed arrays: conjugation by exp(-i t_opt T / 2)."""
     if t_opt == 0.0 or len(p) == 0:
         return p
     tx = np.uint64(t_gen.x)

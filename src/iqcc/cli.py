@@ -15,6 +15,7 @@ import datetime
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -34,21 +35,21 @@ from .mapping import SpinPenalty, jordan_wigner, reference_state, spin_operators
 from .optimizer import OptimizationConfig
 from .pauli_sum import from_json_dict, to_json_dict
 
-_CONFIG_KEYS = {
-    "generators_per_iteration": int,
-    "max_iterations": int,
-    "energy_convergence": float,
-    "prune_threshold": float,
-    "mu": float,
-    "spin": float,
-    "enable_pt": bool,
-    "memory_budget_terms": int,
-    "importance_measure": str,
-    "rank_on_bare": bool,
-    "gradient_tolerance": float,
-    "max_evaluations": int,
-    "memory_depth": int,
-}
+# IqccConfig fields that are nested sections; their fields are flat config
+# keys, the penalty's as mu/spin
+_SECTIONS = ("penalty", "optimizer")
+_OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizationConfig))
+
+
+def _flat_config(cfg: IqccConfig) -> dict:
+    flat = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _SECTIONS}
+    flat.update(mu=cfg.penalty.mu, spin=cfg.penalty.s)
+    flat.update({key: getattr(cfg.optimizer, key) for key in _OPTIMIZER_KEYS})
+    return flat
+
+
+_DEFAULTS = _flat_config(IqccConfig())
+_CONFIG_KEYS = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 def _sha256(path: Path) -> str:
@@ -71,21 +72,7 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(config_path: str | None, overrides: dict) -> dict:
-    resolved = {
-        "generators_per_iteration": 8,
-        "max_iterations": 100,
-        "energy_convergence": 1e-5,
-        "prune_threshold": 1e-10,
-        "mu": 0.0,
-        "spin": 0.0,
-        "enable_pt": True,
-        "memory_budget_terms": 50_000_000,
-        "importance_measure": "amplitude",
-        "rank_on_bare": False,
-        "gradient_tolerance": 1e-8,
-        "max_evaluations": 200,
-        "memory_depth": 10,
-    }
+    resolved = dict(_DEFAULTS)
     resolved.update(_load_config_file(config_path))
     resolved.update({k: v for k, v in overrides.items() if v is not None})
     return resolved
@@ -93,20 +80,9 @@ def _resolve_config(config_path: str | None, overrides: dict) -> dict:
 
 def _iqcc_config(resolved: dict) -> IqccConfig:
     return IqccConfig(
-        generators_per_iteration=resolved["generators_per_iteration"],
-        max_iterations=resolved["max_iterations"],
-        energy_convergence=resolved["energy_convergence"],
-        prune_threshold=resolved["prune_threshold"],
+        **{f.name: resolved[f.name] for f in fields(IqccConfig) if f.name not in _SECTIONS},
         penalty=SpinPenalty(mu=resolved["mu"], s=resolved["spin"]),
-        enable_pt=resolved["enable_pt"],
-        memory_budget_terms=resolved["memory_budget_terms"],
-        importance_measure=resolved["importance_measure"],
-        rank_on_bare=resolved["rank_on_bare"],
-        optimizer=OptimizationConfig(
-            gradient_tolerance=resolved["gradient_tolerance"],
-            max_evaluations=resolved["max_evaluations"],
-            memory_depth=resolved["memory_depth"],
-        ),
+        optimizer=OptimizationConfig(**{key: resolved[key] for key in _OPTIMIZER_KEYS}),
     )
 
 

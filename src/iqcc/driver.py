@@ -76,6 +76,9 @@ class IterationRecord:
     term_count: int
     dropped_weight: float
     wall_time: float
+    # L-BFGS met its gradient tolerance; kept out of the trajectory CSV and
+    # the numeric digest
+    optimizer_converged: bool
     selected_generators: tuple[RankedGenerator, ...] = ()
     optimizer_evaluations: int = 0
 
@@ -89,6 +92,7 @@ class IterationRecord:
             "dropped_weight": self.dropped_weight,
             "selected_generators": [g.to_json_dict() for g in self.selected_generators],
             "optimizer_evaluations": self.optimizer_evaluations,
+            "optimizer_converged": self.optimizer_converged,
             "wall_time_s": self.wall_time,
         }
 
@@ -216,6 +220,7 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
                 term_count=len(h),
                 dropped_weight=dropped,
                 wall_time=time.perf_counter() - started,
+                optimizer_converged=opt.converged,
                 selected_generators=tuple(selected),
                 optimizer_evaluations=opt.evaluations,
             )

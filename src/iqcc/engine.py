@@ -27,20 +27,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _packed
 from .errors import CapacityError, InvalidGeneratorError
 from .pauli import PauliWord, render_word
-from .pauli_sum import (
-    IsingDecomposition,
-    PauliSum,
-    ReferenceState,
-    diagonal_expectation,
-    dress_sequence,
-    expectation,
-    ising_decompose,
-)
+from .pauli_sum import PauliSum, ReferenceState
 
 MAX_GENERATORS = 16
-_PACKED_LIMIT = 64  # qubit bound of the vectorized path
 
 
 @dataclass(frozen=True)
@@ -113,35 +105,6 @@ def derive_canonical_generator(x_string: PauliWord) -> PauliWord:
     return PauliWord(x_string.x, jmin_bit, x_string.n_qubits)
 
 
-def compute_omega(
-    decomp: IsingDecomposition, block_index: int, ref: ReferenceState
-) -> tuple[float, float]:
-    """(omega, omega_signed) for one block: omega = |<0|I_k|0>|.
-
-    The signed value carries the sign of Im <0| H T_k |0> = dE/dt(0), i.e. the
-    block expectation times the reference z-eigenvalue at the substituted
-    qubit.
-    """
-    block = decomp.blocks[block_index]
-    val = diagonal_expectation(block.iz_factor, ref)
-    jmin = (block.x_string.x & -block.x_string.x).bit_length() - 1
-    signed = ref.sign(jmin) * val
-    return abs(signed), signed
-
-
-def compute_d(h: PauliSum, t_gen: PauliWord, ref: ReferenceState) -> float:
-    """<0| T H T - H |0> = -2 sum of diagonal terms anticommuting with T."""
-    if t_gen.y_count() % 2 == 0:
-        raise InvalidGeneratorError(f"generator {render_word(t_gen)} has even y-count")
-    tx = t_gen.x
-    occ = ref.occupation
-    total = 0.0
-    for (x, z), c in h.raw_items():
-        if x == 0 and (z & tx).bit_count() % 2:
-            total += -c if (z & occ).bit_count() % 2 else c
-    return -2.0 * total
-
-
 def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
     """Global minimizer of E(t) = E0 + w sin t + D (1 - cos t)/2 and its lowering.
 
@@ -163,18 +126,8 @@ def block_ranking_data(
     h: PauliSum, ref: ReferenceState
 ) -> list[tuple[int, float, float]]:
     """(x-support, omega_signed, D) per Ising block, deterministic order."""
-    if h.n_qubits <= _PACKED_LIMIT:
-        from . import _packed
-
-        xs, omega_signed, d_vals = _packed.block_statistics(_packed.pack(h), ref)
-        return list(zip(xs.tolist(), omega_signed.tolist(), d_vals.tolist()))
-    decomp = ising_decompose(h)
-    out = []
-    for idx, block in enumerate(decomp.blocks):
-        _omega, omega_signed = compute_omega(decomp, idx, ref)
-        gen = derive_canonical_generator(block.x_string)
-        out.append((block.x_string.x, omega_signed, compute_d(h, gen, ref)))
-    return out
+    xs, omega_signed, d_vals = _packed.block_statistics(_packed.pack(h), ref)
+    return list(zip(xs.tolist(), omega_signed.tolist(), d_vals.tolist()))
 
 
 def rank_generators(
@@ -211,12 +164,8 @@ def rank_generators(
 
 def qcc_energy(h: PauliSum, ansatz: Ansatz, ref: ReferenceState) -> float:
     """<0| U^dag H U |0> by dressing H through the Ansatz, then projecting."""
-    if h.n_qubits <= _PACKED_LIMIT:
-        from . import _packed
-
-        chain = _packed.dress_chain(_packed.pack(h), list(ansatz))
-        return _packed.expectation_packed(chain, ref)
-    return expectation(dress_sequence(h, ansatz), ref)
+    chain = _packed.dress_chain(_packed.pack(h), list(ansatz))
+    return _packed.expectation_packed(chain, ref)
 
 
 def qcc_energy_and_gradient(
@@ -229,45 +178,6 @@ def qcc_energy_and_gradient(
     through entries j+1..L of the chain.
     """
     pairs = list(ansatz)
-    if h.n_qubits <= _PACKED_LIMIT:
-        return _packed_energy_and_gradient(h, pairs, ref)
-    dressed = dress_sequence(h, pairs)
-    energy = expectation(dressed, ref)
-
-    by_x: dict[int, list[tuple[int, float]]] = {}
-    for (x, z), c in dressed.raw_items():
-        by_x.setdefault(x, []).append((z, c))
-
-    occ = ref.occupation
-    grad = []
-    for j, (gen, _t) in enumerate(pairs):
-        tilde = dress_sequence(
-            PauliSum(h.n_qubits, [(gen, 1.0)]), pairs[j + 1 :]
-        )
-        gj = 0.0
-        for (wx, wz), cw in tilde.raw_items():
-            matches = by_x.get(wx)
-            if not matches:
-                continue
-            yw = (wx & wz).bit_count()
-            for pz, cp in matches:
-                # phase of P * W: the product is diagonal, so Im(i^k) = +-1
-                k = ((wx & pz).bit_count() + yw + 2 * (pz & wx).bit_count()) % 4
-                if k % 2 == 0:
-                    continue
-                val = cp * cw if k == 1 else -cp * cw
-                if ((pz ^ wz) & occ).bit_count() % 2:
-                    val = -val
-                gj += val
-        grad.append(gj)
-    return energy, grad
-
-
-def _packed_energy_and_gradient(
-    h: PauliSum, pairs: list[tuple[PauliWord, float]], ref: ReferenceState
-) -> tuple[float, list[float]]:
-    from . import _packed
-
     chain = _packed.dress_chain(_packed.pack(h), pairs)
     energy = _packed.expectation_packed(chain, ref)
     occ = np.uint64(ref.occupation)
@@ -284,6 +194,7 @@ def _packed_energy_and_gradient(
             pz = chain.z[lo:hi]
             pc = chain.c[lo:hi]
             yw = (wx & wz).bit_count()
+            # phase of P * W: the product is diagonal, so Im(i^k) = +-1
             m = np.bitwise_count(pz & np.uint64(wx)).astype(np.int64)
             k = (3 * m + yw) % 4
             val = np.where(k == 1, pc, -pc)

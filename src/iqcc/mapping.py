@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
 from .pauli import PauliWord, raw_multiply, render_word
-from .pauli_sum import PauliSum, ReferenceState
+from .pauli_sum import MAX_QUBITS, PauliSum, ReferenceState
 
 _PHASE = (1.0, 1j, -1.0, -1j)
 
@@ -97,8 +97,10 @@ def jordan_wigner(mi: MolecularIntegrals) -> PauliSum:
                  + 1/2 sum_pqrs (pq|rs) sum_st a^dag_ps a^dag_rt a_st a_qs
     over spin-orbitals, with (pq|rs) the chemists' two-electron integral.
     """
-    if mi.n_spatial > 32:
-        raise CapacityError(f"{mi.n_spatial} spatial orbitals exceeds the 32-orbital bound")
+    if 2 * mi.n_spatial > MAX_QUBITS:
+        raise CapacityError(
+            f"{mi.n_spatial} spatial orbitals exceeds the {MAX_QUBITS // 2}-orbital bound"
+        )
     if not np.all(np.isfinite(mi.h1)) or not np.all(np.isfinite(mi.g2)):
         raise ValueError("non-finite integral values")
     n_qubits = 2 * mi.n_spatial

@@ -4,6 +4,9 @@ Coefficients are in Hartree throughout.  A sum is held as a mapping from the
 canonical (phase-free) word, keyed by its raw ``(x, z)`` masks, to a float.
 Zero coefficients are removed on construction; insertion order is whatever
 order the terms were produced in, which the pipeline keeps deterministic.
+Sums over more than ``MAX_QUBITS`` (64) qubits can be built but not dressed,
+ranked or optimized; ``from_json_dict`` rejects them at load with
+:class:`CapacityError`.
 
 The interesting operations:
 
@@ -12,7 +15,9 @@ The interesting operations:
 * ``dress`` conjugates a sum by exp(-i t T / 2) for a purely imaginary word
   T, exactly, term by term.  Words commuting with T pass through; a word P
   anticommuting with T keeps cos(t) of its coefficient and spawns the single
-  product direction i*P*T with a sin(t)-weighted real coefficient.
+  product direction i*P*T with a sin(t)-weighted real coefficient.  It runs
+  on the vectorized kernels of ``_packed``; the scalar reference it is
+  tested against is ``reference_dress`` in ``tests/helpers.py``.
 * ``prune`` drops small terms and reports the dropped absolute weight, an
   upper bound on the spectral-norm perturbation.
 """
@@ -24,8 +29,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionError, HermiticityError, InvalidGeneratorError
+from .errors import CapacityError, DimensionError, HermiticityError, InvalidGeneratorError
 from .pauli import PauliWord, parse_word, render_word
+
+MAX_QUBITS = 64  # width of the uint64 masks of the packed kernels
+
+
+def check_qubit_bound(n_qubits: int) -> None:
+    """Reject sums wider than the packed kernels' masks."""
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit bound")
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,88 +292,38 @@ def expectation(h: PauliSum, ref: ReferenceState) -> float:
 # -- dressing --------------------------------------------------------------
 
 
-def _require_generator(t_gen: PauliWord) -> None:
-    if t_gen.y_count() % 2 == 0:
-        raise InvalidGeneratorError(
-            f"generator {render_word(t_gen)} has even y-count (not purely imaginary)"
-        )
-
-
-_PACKED_MIN_TERMS = 64
-
-
 def dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
     """Exact unitary conjugation of h by exp(-i t_opt T / 2).
 
     Equal to h - (i/2) sin(t) [h, T] + ((1-cos t)/2) (T h T - h).  Words
     commuting with T are untouched; a word P anticommuting with T scales by
     cos(t) and spawns -i sin(t) P*T, whose phase collapses to a real sign.
-    Large sums over at most 64 qubits take a vectorized path with identical
-    results (every output key receives at most two float contributions).
     """
-    if h.n_qubits != t_gen.n_qubits:
-        raise DimensionError("sum and generator qubit counts differ")
-    _require_generator(t_gen)
-    if not math.isfinite(t_opt):
-        raise ValueError(f"non-finite amplitude {t_opt!r}")
-    if t_opt == 0.0:
-        return h
-    if h.n_qubits <= 64 and len(h._terms) >= _PACKED_MIN_TERMS:
-        from . import _packed
-
-        return _packed.unpack(_packed.dress_packed(_packed.pack(h), t_gen, t_opt))
-    tx, tz = t_gen.x, t_gen.z
-    yt = (tx & tz).bit_count()
-    cos_t = math.cos(t_opt)
-    sin_t = math.sin(t_opt)
-    out: dict[tuple[int, int], float] = {}
-    for key, c in h._terms.items():
-        px, pz = key
-        if ((px & tz).bit_count() + (pz & tx).bit_count()) % 2 == 0:
-            out[key] = out.get(key, 0.0) + c
-            continue
-        out[key] = out.get(key, 0.0) + c * cos_t
-        nx = px ^ tx
-        nz = pz ^ tz
-        # P*T = i^k C with k odd here; the spawned coefficient -i sin(t) i^k
-        # is real: +sin(t) for k == 1, -sin(t) for k == 3.
-        k = (
-            (px & pz).bit_count()
-            + yt
-            - (nx & nz).bit_count()
-            + 2 * (pz & tx).bit_count()
-        ) % 4
-        new = c * sin_t if k == 1 else -c * sin_t
-        nkey = (nx, nz)
-        out[nkey] = out.get(nkey, 0.0) + new
-    return PauliSum._from_raw(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
+    return dress_sequence(h, [(t_gen, t_opt)])
 
 
 def dress_sequence(h: PauliSum, gens: Iterable[tuple[PauliWord, float]]) -> PauliSum:
     """Apply ``dress`` for each (generator, amplitude) pair in Ansatz order.
 
     Conjugation nests outward, so for U = prod_j exp(-i t_j T_j / 2) the
-    first pair ends up innermost: the result is U^dagger h U.  Large sums
-    stay in packed-array form across the whole chain.
+    first pair ends up innermost: the result is U^dagger h U.  The sum stays
+    in packed-array form across the whole chain.
     """
-    gens = list(gens)
-    if (
-        h.n_qubits <= 64
-        and len(h._terms) >= _PACKED_MIN_TERMS
-        and len(gens) > 1
-    ):
-        for t_gen, t_opt in gens:
-            _require_generator(t_gen)
-            if h.n_qubits != t_gen.n_qubits:
-                raise DimensionError("sum and generator qubit counts differ")
-            if not math.isfinite(t_opt):
-                raise ValueError(f"non-finite amplitude {t_opt!r}")
-        from . import _packed
+    pairs = list(gens)
+    for t_gen, t_opt in pairs:
+        if h.n_qubits != t_gen.n_qubits:
+            raise DimensionError("sum and generator qubit counts differ")
+        if t_gen.y_count() % 2 == 0:
+            raise InvalidGeneratorError(
+                f"generator {render_word(t_gen)} has even y-count (not purely imaginary)"
+            )
+        if not math.isfinite(t_opt):
+            raise ValueError(f"non-finite amplitude {t_opt!r}")
+    if all(t_opt == 0.0 for _, t_opt in pairs):
+        return h
+    from . import _packed  # _packed builds on this module
 
-        return _packed.unpack(_packed.dress_chain(_packed.pack(h), gens))
-    for t_gen, t_opt in gens:
-        h = dress(h, t_gen, t_opt)
-    return h
+    return _packed.unpack(_packed.dress_chain(_packed.pack(h), pairs))
 
 
 def prune(h: PauliSum, threshold: float) -> tuple[PauliSum, float]:
@@ -407,6 +370,7 @@ def to_json(h: PauliSum) -> str:
 
 def from_json_dict(data: dict) -> PauliSum:
     n = int(data["n_qubits"])
+    check_qubit_bound(n)
     return PauliSum(
         n, [(parse_word(t["word"], n), float(t["coeff"])) for t in data["terms"]]
     )

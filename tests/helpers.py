@@ -1,4 +1,7 @@
-"""Shared test utilities: random operators and an independent fermionic oracle."""
+"""Shared test utilities: random operators, the scalar dressing reference and
+an independent fermionic oracle."""
+
+import math
 
 import numpy as np
 
@@ -28,6 +31,38 @@ def random_generator(n_qubits: int, rng) -> PauliWord:
         z = int(rng.integers(1 << n_qubits))
         if (x & z).bit_count() % 2 == 1:
             return PauliWord(x, z, n_qubits)
+
+
+def reference_dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
+    """Scalar term-by-term conjugation of h by exp(-i t_opt T / 2).
+
+    The reference the packed ``dress`` must match bit for bit: a word P
+    anticommuting with T keeps cos(t) of its coefficient and spawns
+    -i sin(t) P*T, whose phase collapses to a real sign.
+    """
+    tx, tz = t_gen.x, t_gen.z
+    yt = (tx & tz).bit_count()
+    cos_t = math.cos(t_opt)
+    sin_t = math.sin(t_opt)
+    out: dict[tuple[int, int], float] = {}
+    for (px, pz), c in h.raw_items():
+        if ((px & tz).bit_count() + (pz & tx).bit_count()) % 2 == 0:
+            out[(px, pz)] = out.get((px, pz), 0.0) + c
+            continue
+        out[(px, pz)] = out.get((px, pz), 0.0) + c * cos_t
+        nx = px ^ tx
+        nz = pz ^ tz
+        # P*T = i^k C with k odd here; the spawned coefficient -i sin(t) i^k
+        # is real: +sin(t) for k == 1, -sin(t) for k == 3.
+        k = (
+            (px & pz).bit_count()
+            + yt
+            - (nx & nz).bit_count()
+            + 2 * (pz & tx).bit_count()
+        ) % 4
+        new = c * sin_t if k == 1 else -c * sin_t
+        out[(nx, nz)] = out.get((nx, nz), 0.0) + new
+    return PauliSum._from_raw(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
 
 
 def dense_ladder_operators(n_modes: int) -> list[np.ndarray]:

@@ -1,0 +1,36 @@
+"""The benchmark's tracer patches iqcc functions by name; every name it lists
+must resolve, or ``bench/run.py --trace 1`` breaks."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+@pytest.mark.parametrize(
+    "name, home, attr, namespaces, _hook", spans.PATCHES, ids=[p[0] for p in spans.PATCHES]
+)
+def test_patch_target_resolves(name, home, attr, namespaces, _hook):
+    target = getattr(importlib.import_module(home), attr)
+    assert callable(target), name
+    for ns in namespaces:
+        # the name the caller looks up is the function the span wraps
+        assert getattr(importlib.import_module(ns), attr) is target, (name, ns)
+
+
+@pytest.mark.parametrize("name, home, attr", spans.COUNTED, ids=[c[0] for c in spans.COUNTED])
+def test_counted_target_resolves(name, home, attr):
+    assert callable(getattr(importlib.import_module(home), attr)), name

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from iqcc.cli import main
+from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
+from iqcc.driver import IqccConfig
+from iqcc.pauli import parse_word
 from iqcc.pauli_sum import PauliSum, to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +113,15 @@ class TestRun:
         result = runner.invoke(main, ["run", str(ham)])
         assert result.exit_code == 2
 
+    def test_qubit_json_over_64_qubits_rejected(self, runner, tmp_path):
+        ham = tmp_path / "wide.json"
+        wide = PauliSum(65, [(parse_word("Z0", 65), 0.5), (parse_word("X0 X64", 65), 0.2)])
+        ham.write_text(to_json(wide))
+        result = runner.invoke(main, ["run", str(ham), "--n-electrons", "2"])
+        assert result.exit_code == 1  # domain error, raised at load
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "error: 65 qubits exceeds the 64-qubit bound" in result.output
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"generators_per_iteration": 2, "mu": 0.1}))
@@ -132,6 +143,49 @@ class TestRun:
             main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
         )
         assert result.exit_code == 2
+
+
+    def test_unconverged_optimizer_recorded(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_evaluations": 1}))
+        out = tmp_path / "run.json"
+        csv = tmp_path / "traj.csv"
+        result = runner.invoke(
+            main,
+            ["run", str(FIXTURES / "h4.fcidump"), "--generators", "4",
+             "--max-iterations", "3", "--config", str(cfg),
+             "-o", str(out), "--csv", str(csv)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        iterations = report["result"]["iterations"]
+        assert [it["optimizer_converged"] for it in iterations] == [False] * 3
+        assert "converged" not in csv.read_text().splitlines()[0]
+        # the flag stays out of the digest: the value from before it was recorded
+        digest = report["manifest"]["determinism"]["numeric_digest"]
+        assert digest.startswith("0907c698d76516cf")
+
+
+class TestConfigDefaults:
+    def test_defaults_build_the_default_config(self):
+        assert _iqcc_config(_resolve_config(None, {})) == IqccConfig()
+
+    def test_config_keys(self):
+        assert _CONFIG_KEYS == {
+            "generators_per_iteration": int,
+            "max_iterations": int,
+            "energy_convergence": float,
+            "prune_threshold": float,
+            "mu": float,
+            "spin": float,
+            "enable_pt": bool,
+            "memory_budget_terms": int,
+            "importance_measure": str,
+            "rank_on_bare": bool,
+            "gradient_tolerance": float,
+            "max_evaluations": int,
+            "memory_depth": int,
+        }
 
 
 class TestGap:

@@ -4,8 +4,7 @@ import pytest
 from iqcc.errors import CapacityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
-    compute_d,
-    compute_omega,
+    block_ranking_data,
     derive_canonical_generator,
     estimate_amplitude,
     qcc_energy,
@@ -44,16 +43,19 @@ class TestCanonicalGenerator:
             derive_canonical_generator(PauliWord.identity(2))
 
 
+def _blocks(h, ref):
+    """{x-support: (omega_signed, D)} from the ranking statistics."""
+    return {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
+
+
 class TestOmega:
     def test_identity_factor_sign_convention(self):
         # block (X0, c * identity): omega_signed = sign(qubit 0) * c
         c = 0.7
         h = PauliSum(1, [(parse_word("X0", 1), c)])
-        decomp = ising_decompose(h)
         for occ, sign in ((0b0, 1.0), (0b1, -1.0)):
-            ref = ReferenceState(occ, 1)
-            omega, omega_signed = compute_omega(decomp, 0, ref)
-            assert omega == abs(c)
+            omega_signed, _ = _blocks(h, ReferenceState(occ, 1))[0b1]
+            assert abs(omega_signed) == abs(c)
             assert omega_signed == sign * c
 
     def test_cancelling_factor_gives_zero(self):
@@ -66,53 +68,52 @@ class TestOmega:
                 (PauliWord(0b11, 0b11, 2), 1.0),  # Y0 Y1, same x-support
             ],
         )
-        ref = ReferenceState(0b00, 2)
-        decomp = ising_decompose(h)
-        omega, omega_signed = compute_omega(decomp, 0, ref)
-        assert omega == 0.0 and omega_signed == 0.0
+        omega_signed, _ = _blocks(h, ReferenceState(0b00, 2))[0b11]
+        assert omega_signed == 0.0
 
     def test_matches_dense_matrix_element(self, h2_problem):
         _, h, ref = h2_problem
-        decomp = ising_decompose(h)
+        blocks = _blocks(h, ref)
+        # one entry per X-string block of the Ising decomposition
+        assert sorted(blocks) == sorted(b.x_string.x for b in ising_decompose(h).blocks)
         hm = to_matrix(h)
         v = reference_vector(ref)
-        for idx, block in enumerate(decomp.blocks):
-            omega, omega_signed = compute_omega(decomp, idx, ref)
-            gen = derive_canonical_generator(block.x_string)
+        for x, (omega_signed, _) in blocks.items():
+            gen = derive_canonical_generator(PauliWord(x, 0, 4))
             tm = to_matrix(PauliSum(4, [(gen, 1.0)]))
             bracket = np.vdot(v, hm @ tm @ v)
-            assert abs(omega - abs(bracket)) < 1e-12
+            assert abs(abs(omega_signed) - abs(bracket)) < 1e-12
             assert abs(omega_signed - bracket.imag) < 1e-12
 
 
 class TestComputeD:
+    """D = <0|T H T - H|0> for each block's canonical generator T."""
+
     def test_commuting_diagonal_gives_zero(self):
-        h = PauliSum(2, [(parse_word("Z1", 2), 0.8)])
-        assert compute_d(h, parse_word("Y0", 2), ReferenceState(0, 2)) == 0.0
+        # Z1 commutes with the canonical generator Y0 of the X0 block
+        h = PauliSum(2, [(parse_word("Z1", 2), 0.8), (parse_word("X0", 2), 0.3)])
+        _, d = _blocks(h, ReferenceState(0, 2))[0b01]
+        assert d == 0.0
 
     def test_single_anticommuting_term(self):
-        # h = c Z0, T = Y0, qubit 0 occupied: D = (+c) - (-c) = 2c
+        # h = c Z0 (+ the X0 block), T = Y0, qubit 0 occupied: D = (+c) - (-c) = 2c
         c = 0.45
-        h = PauliSum(1, [(parse_word("Z0", 1), c)])
-        d = compute_d(h, parse_word("Y0", 1), ReferenceState(0b1, 1))
+        h = PauliSum(1, [(parse_word("Z0", 1), c), (parse_word("X0", 1), 0.2)])
+        _, d = _blocks(h, ReferenceState(0b1, 1))[0b1]
         assert abs(d - 2 * c) < 1e-15
 
     def test_random_vs_dense(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             h = random_hermitian_sum(6, 30, rng)
-            gen = random_generator(6, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            tm = to_matrix(PauliSum(6, [(gen, 1.0)]))
             hm = to_matrix(h)
             v = reference_vector(ref)
-            dense = np.vdot(v, (tm @ hm @ tm - hm) @ v).real
-            assert abs(compute_d(h, gen, ref) - dense) < 1e-12
-
-    def test_rejects_even_y(self):
-        h = PauliSum(2, [(parse_word("Z0", 2), 1.0)])
-        with pytest.raises(InvalidGeneratorError):
-            compute_d(h, parse_word("X0 X1", 2), ReferenceState(0, 2))
+            for x, (_, d) in _blocks(h, ref).items():
+                gen = derive_canonical_generator(PauliWord(x, 0, 6))
+                tm = to_matrix(PauliSum(6, [(gen, 1.0)]))
+                dense = np.vdot(v, (tm @ hm @ tm - hm) @ v).real
+                assert abs(d - dense) < 1e-12
 
 
 class TestEstimateAmplitude:

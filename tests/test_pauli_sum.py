@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqcc.errors import DimensionError, HermiticityError, InvalidGeneratorError
+from iqcc.errors import (
+    CapacityError,
+    DimensionError,
+    HermiticityError,
+    InvalidGeneratorError,
+)
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import (
     PauliSum,
@@ -14,6 +19,7 @@ from iqcc.pauli_sum import (
     dress_sequence,
     expectation,
     from_json,
+    from_json_dict,
     ising_decompose,
     prune,
     sum_add,
@@ -24,7 +30,7 @@ from iqcc.pauli_sum import (
 from iqcc import _packed
 from iqcc.oracle import ansatz_unitary, to_matrix
 
-from helpers import random_generator, random_hermitian_sum
+from helpers import random_generator, random_hermitian_sum, reference_dress
 
 
 def hermitian_sums(n_qubits=4, max_terms=12):
@@ -228,27 +234,15 @@ class TestDressSequence:
 
 class TestPackedEquivalence:
     def test_dress_bitwise_identical(self):
+        # every size from 1 to 80 terms, small sums included
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = int(rng.integers(3, 9))
-            h = random_hermitian_sum(n, int(rng.integers(4, 80)), rng)
+        for n_terms in range(1, 81):
+            n = int(rng.integers(max(3, n_terms.bit_length()), 9))
+            h = random_hermitian_sum(n, n_terms, rng)
+            assert len(h) == n_terms
             gen = random_generator(n, rng)
             t = float(rng.normal())
-            via_packed = _packed.unpack(_packed.dress_packed(_packed.pack(h), gen, t))
-            # force the dict path by rebuilding below the dispatch threshold
-            chunks = list(h.items())
-            dict_result = None
-            small = PauliSum(n, chunks)
-            # dict reference: run the scalar implementation manually
-            from iqcc import pauli_sum as ps
-
-            saved = ps._PACKED_MIN_TERMS
-            ps._PACKED_MIN_TERMS = 10**9
-            try:
-                dict_result = dress(small, gen, t)
-            finally:
-                ps._PACKED_MIN_TERMS = saved
-            assert via_packed == dict_result
+            assert dress(h, gen, t) == reference_dress(h, gen, t)
 
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(12)
@@ -292,6 +286,23 @@ class TestPrune:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prune(PauliSum(1), -1.0)
+
+
+class TestQubitEnvelope:
+    def test_pack_rejects_65_qubits(self):
+        h = PauliSum(65, [(parse_word("Z64", 65), 1.0)])
+        with pytest.raises(CapacityError):
+            _packed.pack(h)
+
+    def test_json_bound_checked_before_terms(self):
+        with pytest.raises(CapacityError):
+            from_json_dict({"n_qubits": 65, "terms": [{"word": "not a word"}]})
+
+    def test_64_qubit_json_loads(self):
+        h = PauliSum(64, [(parse_word("X0 Z63", 64), 0.5), (parse_word("Y1 Y63", 64), -0.25)])
+        loaded = from_json(to_json(h))
+        assert loaded == h
+        assert _packed.unpack(_packed.pack(loaded)) == h
 
 
 class TestJson:
