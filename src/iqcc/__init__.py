@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from ._packed import PackedSum, pack, unpack
 from .driver import (
     GapResult,
     IqccConfig,
@@ -18,7 +19,6 @@ from .engine import (
     derive_canonical_generator,
     estimate_amplitude,
     qcc_energy,
-    qcc_gradient,
     rank_generators,
 )
 from .errors import IqccError

@@ -50,6 +50,8 @@ def _flat_config(cfg: IqccConfig) -> dict:
 
 _DEFAULTS = _flat_config(IqccConfig())
 _CONFIG_KEYS = {key: type(value) for key, value in _DEFAULTS.items()}
+# JSON types a config-file value may have; a JSON bool only for a bool key
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 
 
 def _sha256(path: Path) -> str:
@@ -68,6 +70,10 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = _CONFIG_KEYS[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise click.UsageError(f"config key {key!r} needs a JSON {kind.__name__}: {value!r}")
     return {k: _CONFIG_KEYS[k](v) for k, v in data.items()}
 
 

@@ -6,7 +6,8 @@ closed-form estimates, minimizes the QCC energy, folds the optimized Ansatz
 into the Hamiltonian by exact dressing, prunes numerically dead terms, and
 (optionally) adds a perturbative estimate of the energy still recoverable
 from the generators that were not selected.  The reference state never
-changes.
+changes.  The Hamiltonian is packed once on entry and stays a ``PackedSum``
+through every stage and into ``RunResult.final_hamiltonian``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
@@ -20,10 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _packed
 from .engine import (
     MAX_GENERATORS,
     Ansatz,
     RankedGenerator,
+    block_ranking_data,
     estimate_amplitude,
     qcc_energy_and_gradient,
     rank_generators,
@@ -76,9 +79,11 @@ class IterationRecord:
     term_count: int
     dropped_weight: float
     wall_time: float
-    # L-BFGS met its gradient tolerance; kept out of the trajectory CSV and
-    # the numeric digest
+    # L-BFGS status: gradient tolerance met, gradient inf-norm at the returned
+    # point, scipy's stop message; kept out of the trajectory CSV and digest
     optimizer_converged: bool
+    optimizer_gradient_norm: float
+    optimizer_message: str
     selected_generators: tuple[RankedGenerator, ...] = ()
     optimizer_evaluations: int = 0
 
@@ -93,6 +98,8 @@ class IterationRecord:
             "selected_generators": [g.to_json_dict() for g in self.selected_generators],
             "optimizer_evaluations": self.optimizer_evaluations,
             "optimizer_converged": self.optimizer_converged,
+            "optimizer_gradient_norm": self.optimizer_gradient_norm,
+            "optimizer_message": self.optimizer_message,
             "wall_time_s": self.wall_time,
         }
 
@@ -106,7 +113,7 @@ class RunResult:
     final_energy_with_pt: float
     converged: bool
     reference: ReferenceState
-    final_hamiltonian: PauliSum
+    final_hamiltonian: _packed.PackedSum
 
     @property
     def total_dropped_weight(self) -> float:
@@ -128,7 +135,7 @@ class RunResult:
 
 
 def pt_correction(
-    h: PauliSum, remainder: list[RankedGenerator], ref: ReferenceState
+    h: _packed.PackedSum, remainder: list[RankedGenerator], ref: ReferenceState
 ) -> float:
     """Sum of exact per-generator lowerings over non-selected generators.
 
@@ -137,8 +144,6 @@ def pt_correction(
     """
     if not remainder:
         return 0.0
-    from .engine import block_ranking_data
-
     stats = {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
     total = 0.0
     for gen in remainder:
@@ -157,11 +162,12 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     partial trajectory.
     """
     h = penalize(h0, cfg.penalty) if cfg.penalty.mu > 0 else h0
-    # optional parallel bare copy when ranking is decoupled from the penalty
-    track_bare = cfg.rank_on_bare and cfg.penalty.mu > 0
-    h_bare = h0 if track_bare else None
     e_prev = expectation(h, ref)
     initial_energy = e_prev
+    h = _packed.pack(h)
+    # optional parallel bare copy when ranking is decoupled from the penalty
+    track_bare = cfg.rank_on_bare and cfg.penalty.mu > 0
+    h_bare = _packed.pack(h0) if track_bare else None
     records: list[IterationRecord] = []
     history: list[Ansatz] = []
     converged = False
@@ -221,6 +227,8 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
                 dropped_weight=dropped,
                 wall_time=time.perf_counter() - started,
                 optimizer_converged=opt.converged,
+                optimizer_gradient_norm=opt.gradient_norm,
+                optimizer_message=opt.message,
                 selected_generators=tuple(selected),
                 optimizer_evaluations=opt.evaluations,
             )

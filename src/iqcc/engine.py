@@ -28,9 +28,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _packed
+from ._packed import PackedSum
 from .errors import CapacityError, InvalidGeneratorError
 from .pauli import PauliWord, render_word
-from .pauli_sum import PauliSum, ReferenceState
+from .pauli_sum import ReferenceState
 
 MAX_GENERATORS = 16
 
@@ -123,15 +124,15 @@ def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
 
 
 def block_ranking_data(
-    h: PauliSum, ref: ReferenceState
+    h: PackedSum, ref: ReferenceState
 ) -> list[tuple[int, float, float]]:
     """(x-support, omega_signed, D) per Ising block, deterministic order."""
-    xs, omega_signed, d_vals = _packed.block_statistics(_packed.pack(h), ref)
+    xs, omega_signed, d_vals = _packed.block_statistics(h, ref)
     return list(zip(xs.tolist(), omega_signed.tolist(), d_vals.tolist()))
 
 
 def rank_generators(
-    h: PauliSum,
+    h: PackedSum,
     ref: ReferenceState,
     top_l: int,
     measure: str = "amplitude",
@@ -162,14 +163,14 @@ def rank_generators(
     return ranked[:top_l], ranked[top_l:]
 
 
-def qcc_energy(h: PauliSum, ansatz: Ansatz, ref: ReferenceState) -> float:
+def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
     """<0| U^dag H U |0> by dressing H through the Ansatz, then projecting."""
-    chain = _packed.dress_chain(_packed.pack(h), list(ansatz))
+    chain = _packed.dress_chain(h, list(ansatz))
     return _packed.expectation_packed(chain, ref)
 
 
 def qcc_energy_and_gradient(
-    h: PauliSum, ansatz: Ansatz, ref: ReferenceState
+    h: PackedSum, ansatz: Ansatz, ref: ReferenceState
 ) -> tuple[float, list[float]]:
     """Energy and exact analytic gradient in one pass.
 
@@ -178,14 +179,14 @@ def qcc_energy_and_gradient(
     through entries j+1..L of the chain.
     """
     pairs = list(ansatz)
-    chain = _packed.dress_chain(_packed.pack(h), pairs)
+    chain = _packed.dress_chain(h, pairs)
     energy = _packed.expectation_packed(chain, ref)
     occ = np.uint64(ref.occupation)
     grad = []
     for j, (gen, _t) in enumerate(pairs):
-        tilde = _packed.dress_chain(
-            _packed.pack(PauliSum(h.n_qubits, [(gen, 1.0)])), pairs[j + 1 :]
-        )
+        # the one-term sum 1.0 * gen is already canonical
+        seed = PackedSum(h.n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1))
+        tilde = _packed.dress_chain(seed, pairs[j + 1 :])
         gj = 0.0
         for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
             lo, hi = _packed.x_group_slice(chain, wx)
@@ -205,6 +206,3 @@ def qcc_energy_and_gradient(
         grad.append(gj)
     return energy, grad
 
-
-def qcc_gradient(h: PauliSum, ansatz: Ansatz, ref: ReferenceState) -> list[float]:
-    return qcc_energy_and_gradient(h, ansatz, ref)[1]

@@ -33,6 +33,8 @@ class OptimizationResult:
     energy: float
     evaluations: int
     converged: bool
+    gradient_norm: float  # infinity-norm at t_opt
+    message: str  # scipy's reason for stopping
 
 
 def minimize(
@@ -84,4 +86,6 @@ def minimize(
         energy=float(res.fun),
         evaluations=int(res.nfev),
         converged=grad_norm <= cfg.gradient_tolerance,
+        gradient_norm=grad_norm,
+        message=str(res.message),
     )

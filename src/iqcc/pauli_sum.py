@@ -12,25 +12,27 @@ The interesting operations:
 
 * ``ising_decompose`` regroups a hermitian sum into a z-only diagonal part
   plus blocks of z-only prefactors attached to distinct X-strings.
-* ``dress`` conjugates a sum by exp(-i t T / 2) for a purely imaginary word
-  T, exactly, term by term.  Words commuting with T pass through; a word P
-  anticommuting with T keeps cos(t) of its coefficient and spawns the single
-  product direction i*P*T with a sin(t)-weighted real coefficient.  It runs
-  on the vectorized kernels of ``_packed``; the scalar reference it is
-  tested against is ``reference_dress`` in ``tests/helpers.py``.
-* ``prune`` drops small terms and reports the dropped absolute weight, an
-  upper bound on the spectral-norm perturbation.
+* ``dress_sequence`` conjugates a packed sum by exp(-i t T / 2) for each
+  purely imaginary word T of an Ansatz, exactly.  A word P anticommuting with
+  T keeps cos(t) of its coefficient and spawns i*P*T with a sin(t)-weighted
+  real coefficient.  ``dress`` is its one-generator form on a ``PauliSum``,
+  tested against the scalar ``reference_dress`` in ``tests/helpers.py``.
+* ``prune`` drops small terms of a packed sum and reports the dropped
+  absolute weight, an upper bound on the spectral-norm perturbation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import CapacityError, DimensionError, HermiticityError, InvalidGeneratorError
 from .pauli import PauliWord, parse_word, render_word
+
+if TYPE_CHECKING:  # _packed builds on this module
+    from ._packed import PackedSum
 
 MAX_QUBITS = 64  # width of the uint64 masks of the packed kernels
 
@@ -131,9 +133,6 @@ class PauliSum:
 
     def coefficient(self, word: PauliWord) -> float:
         return self._terms.get((word.x, word.z), 0.0)
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
 
     def is_diagonal(self) -> bool:
         return all(x == 0 for (x, _z) in self._terms)
@@ -299,19 +298,21 @@ def dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
     commuting with T are untouched; a word P anticommuting with T scales by
     cos(t) and spawns -i sin(t) P*T, whose phase collapses to a real sign.
     """
-    return dress_sequence(h, [(t_gen, t_opt)])
+    from . import _packed
+
+    return _packed.unpack(dress_sequence(_packed.pack(h), [(t_gen, t_opt)]))
 
 
-def dress_sequence(h: PauliSum, gens: Iterable[tuple[PauliWord, float]]) -> PauliSum:
-    """Apply ``dress`` for each (generator, amplitude) pair in Ansatz order.
+def dress_sequence(p: PackedSum, gens: Iterable[tuple[PauliWord, float]]) -> PackedSum:
+    """Conjugate the packed sum ``p`` by each (generator, amplitude) pair in
+    Ansatz order; returns a packed sum, ``p`` itself when every amplitude is 0.
 
     Conjugation nests outward, so for U = prod_j exp(-i t_j T_j / 2) the
-    first pair ends up innermost: the result is U^dagger h U.  The sum stays
-    in packed-array form across the whole chain.
+    first pair ends up innermost: the result is U^dagger p U.
     """
     pairs = list(gens)
     for t_gen, t_opt in pairs:
-        if h.n_qubits != t_gen.n_qubits:
+        if p.n_qubits != t_gen.n_qubits:
             raise DimensionError("sum and generator qubit counts differ")
         if t_gen.y_count() % 2 == 0:
             raise InvalidGeneratorError(
@@ -320,26 +321,24 @@ def dress_sequence(h: PauliSum, gens: Iterable[tuple[PauliWord, float]]) -> Paul
         if not math.isfinite(t_opt):
             raise ValueError(f"non-finite amplitude {t_opt!r}")
     if all(t_opt == 0.0 for _, t_opt in pairs):
-        return h
-    from . import _packed  # _packed builds on this module
+        return p
+    from . import _packed
 
-    return _packed.unpack(_packed.dress_chain(_packed.pack(h), pairs))
+    return _packed.dress_chain(p, pairs)
 
 
-def prune(h: PauliSum, threshold: float) -> tuple[PauliSum, float]:
+def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
     """Drop terms with |coefficient| < threshold; report dropped weight."""
     if threshold < 0:
         raise ValueError("prune threshold must be >= 0")
     if threshold == 0.0:
-        return h, 0.0
-    kept: dict[tuple[int, int], float] = {}
-    dropped = 0.0
-    for key, c in h._terms.items():
-        if abs(c) < threshold:
-            dropped += abs(c)
-        else:
-            kept[key] = c
-    return PauliSum._from_raw(h.n_qubits, kept), dropped
+        return p, 0.0
+    mag = abs(p.c)
+    keep = mag >= threshold
+    dropped = 0.0  # plain left-to-right sum: the CSV and digest hold its last bits
+    for m in mag[~keep].tolist():
+        dropped += m
+    return replace(p, x=p.x[keep], z=p.z[keep], c=p.c[keep]), dropped
 
 
 # -- serialization ---------------------------------------------------------

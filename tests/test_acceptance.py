@@ -175,7 +175,7 @@ class TestAcceptance:
         count = 0
         for _ in range(100):
             n = int(rng.integers(3, 9))
-            h = random_hermitian_sum(n, int(rng.integers(8, 40)), rng)
+            h = iqcc.pack(random_hermitian_sum(n, int(rng.integers(8, 40)), rng))
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             L = int(rng.integers(1, 5))
             pairs = [

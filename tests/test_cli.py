@@ -136,6 +136,24 @@ class TestRun:
         assert manifest["config"]["generators_per_iteration"] == 1  # flag wins
         assert manifest["config"]["mu"] == 0.1
 
+    @pytest.mark.parametrize(
+        "data", [{"enable_pt": "false"}, {"max_evaluations": 1.7}], ids=["bool", "int"]
+    )
+    def test_config_value_of_wrong_json_type(self, runner, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 2
+        assert f"config key {next(iter(data))!r}" in result.output
+
+    def test_config_int_for_float_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prune_threshold": 0}))
+        value = _resolve_config(str(cfg), {})["prune_threshold"]
+        assert value == 0.0 and isinstance(value, float)
+
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -160,6 +178,10 @@ class TestRun:
         report = json.loads(out.read_text())
         iterations = report["result"]["iterations"]
         assert [it["optimizer_converged"] for it in iterations] == [False] * 3
+        # why each stopped: gradient still above the 1e-8 tolerance, and
+        # scipy's message (the evaluation cap here)
+        assert all(it["optimizer_gradient_norm"] > 1e-8 for it in iterations)
+        assert all(it["optimizer_message"] for it in iterations)
         assert "converged" not in csv.read_text().splitlines()[0]
         # the flag stays out of the digest: the value from before it was recorded
         digest = report["manifest"]["determinism"]["numeric_digest"]

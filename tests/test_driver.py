@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqcc import _packed
 from iqcc.driver import (
     HARTREE_TO_EV,
     IqccConfig,
@@ -106,24 +107,58 @@ class TestRunIqcc:
         assert abs(dense - res.final_energy) < 1e-9
 
 
+class TestOneRepresentation:
+    @pytest.mark.parametrize(
+        "penalty, rank_on_bare, packs",
+        [(SpinPenalty(), False, 1), (SpinPenalty(mu=0.25), True, 2)],
+    )
+    def test_packed_once_never_unpacked(
+        self, h4_problem, monkeypatch, penalty, rank_on_bare, packs
+    ):
+        # the Hamiltonian (and the bare copy ranked against) is packed on
+        # entry and stays packed through every evaluation, dress and prune
+        _, h, ref = h4_problem
+        calls = {"pack": 0, "unpack": 0}
+
+        def counted(name):
+            real = getattr(_packed, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(_packed, "pack", counted("pack"))
+        monkeypatch.setattr(_packed, "unpack", counted("unpack"))
+        cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
+                         energy_convergence=1e-12, penalty=penalty,
+                         rank_on_bare=rank_on_bare)
+        res = run_iqcc(h, ref, cfg)
+        assert len(res.records) == 3
+        assert calls == {"pack": packs, "unpack": 0}
+        assert isinstance(res.final_hamiltonian, _packed.PackedSum)
+
+
 class TestPtCorrection:
     def test_empty_remainder(self, h2_problem):
         _, h, ref = h2_problem
-        assert pt_correction(h, [], ref) == 0.0
+        assert pt_correction(_packed.pack(h), [], ref) == 0.0
 
     def test_zero_omega_contributes_nothing(self):
         rng = np.random.default_rng(0)
         h = random_hermitian_sum(5, 25, rng)
         ref = ReferenceState(0b00111, 5)
-        _, remainder = rank_generators(h, ref, 1)
+        _, remainder = rank_generators(_packed.pack(h), ref, 1)
         # against a Hamiltonian with no off-diagonal blocks every omega is 0
-        diag = PauliSum(5, [(parse_word("Z0", 5), 1.0)])
+        diag = _packed.pack(PauliSum(5, [(parse_word("Z0", 5), 1.0)]))
         assert pt_correction(diag, remainder, ref) == 0.0
 
     def test_total_is_nonpositive(self, h4_problem):
         _, h, ref = h4_problem
-        _, remainder = rank_generators(h, ref, 4)
-        assert pt_correction(h, remainder, ref) <= 0.0
+        p = _packed.pack(h)
+        _, remainder = rank_generators(p, ref, 4)
+        assert pt_correction(p, remainder, ref) <= 0.0
 
     def test_h4_pt_improves_final_energy(self, h4_problem, reference_values):
         # expected behavior for this system (not asserted as universal)

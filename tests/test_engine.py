@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqcc import _packed
 from iqcc.errors import CapacityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
@@ -9,7 +10,6 @@ from iqcc.engine import (
     estimate_amplitude,
     qcc_energy,
     qcc_energy_and_gradient,
-    qcc_gradient,
     rank_generators,
 )
 from iqcc.oracle import ansatz_unitary, reference_vector, to_matrix
@@ -45,7 +45,7 @@ class TestCanonicalGenerator:
 
 def _blocks(h, ref):
     """{x-support: (omega_signed, D)} from the ranking statistics."""
-    return {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
+    return {x: (w, d) for x, w, d in block_ranking_data(_packed.pack(h), ref)}
 
 
 class TestOmega:
@@ -147,18 +147,18 @@ class TestEstimateAmplitude:
 class TestRanking:
     def test_diagonal_hamiltonian(self):
         h = PauliSum(3, [(parse_word("Z0 Z2", 3), 1.0)])
-        selected, remainder = rank_generators(h, ReferenceState(0, 3), 4)
+        selected, remainder = rank_generators(_packed.pack(h), ReferenceState(0, 3), 4)
         assert selected == [] and remainder == []
 
     def test_single_block(self):
         h = PauliSum(2, [(parse_word("X0 X1", 2), 0.5), (parse_word("Z0", 2), 1.0)])
-        selected, remainder = rank_generators(h, ReferenceState(0b11, 2), 4)
+        selected, remainder = rank_generators(_packed.pack(h), ReferenceState(0b11, 2), 4)
         assert len(selected) == 1 and remainder == []
         assert selected[0].generator == parse_word("Y0 X1", 2)
 
     def test_h2_top_generator_has_best_lowering(self, h2_problem):
         _, h, ref = h2_problem
-        selected, remainder = rank_generators(h, ref, 1)
+        selected, remainder = rank_generators(_packed.pack(h), ref, 1)
         top = selected[0]
         assert render_word(top.generator) == "Y0 X1 X2 X3"
         assert all(top.importance >= r.importance for r in remainder)
@@ -172,7 +172,7 @@ class TestRanking:
         for _ in range(10):
             h = random_hermitian_sum(6, 40, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, rem = rank_generators(h, ref, 16)
+            sel, rem = rank_generators(_packed.pack(h), ref, 16)
             for r in sel + rem:
                 _, de = estimate_amplitude(r.omega_signed, r.d_value)
                 assert de <= 0.0
@@ -182,36 +182,36 @@ class TestRanking:
 
     def test_determinism(self, h4_problem):
         _, h, ref = h4_problem
-        a = rank_generators(h, ref, 8)
-        b = rank_generators(h, ref, 8)
+        a = rank_generators(_packed.pack(h), ref, 8)
+        b = rank_generators(_packed.pack(h), ref, 8)
         assert a == b
 
     def test_gradient_measure_option(self, h2_problem):
         _, h, ref = h2_problem
-        sel_a, _ = rank_generators(h, ref, 2, measure="amplitude")
-        sel_g, _ = rank_generators(h, ref, 2, measure="gradient")
+        sel_a, _ = rank_generators(_packed.pack(h), ref, 2, measure="amplitude")
+        sel_g, _ = rank_generators(_packed.pack(h), ref, 2, measure="gradient")
         for r in sel_g:
             assert r.importance == r.omega
 
     def test_top_l_capacity(self, h2_problem):
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):
-            rank_generators(h, ref, 17)
+            rank_generators(_packed.pack(h), ref, 17)
 
 
 class TestQccEnergy:
     def test_zero_amplitudes(self, h2_problem):
         _, h, ref = h2_problem
-        sel, _ = rank_generators(h, ref, 2)
+        sel, _ = rank_generators(_packed.pack(h), ref, 2)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
-        assert abs(qcc_energy(h, ansatz, ref) - expectation(h, ref)) < 1e-14
+        assert abs(qcc_energy(_packed.pack(h), ansatz, ref) - expectation(h, ref)) < 1e-14
 
     def test_single_generator_closed_form(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             h = random_hermitian_sum(5, 20, rng)
             ref = ReferenceState(int(rng.integers(32)), 5)
-            sel, _ = rank_generators(h, ref, 1)
+            sel, _ = rank_generators(_packed.pack(h), ref, 1)
             if not sel:
                 continue
             r = sel[0]
@@ -223,7 +223,7 @@ class TestQccEnergy:
                     + r.omega_signed * np.sin(t)
                     + r.d_value * (1 - np.cos(t)) / 2
                 )
-                assert abs(qcc_energy(h, ansatz, ref) - closed) < 1e-12
+                assert abs(qcc_energy(_packed.pack(h), ansatz, ref) - closed) < 1e-12
 
     def test_top_one_at_estimate_realizes_lowering(self):
         # E(t_estimate) == <0|H|0> + delta_e, exactly
@@ -231,12 +231,12 @@ class TestQccEnergy:
         for _ in range(10):
             h = random_hermitian_sum(6, 30, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, _ = rank_generators(h, ref, 1)
+            sel, _ = rank_generators(_packed.pack(h), ref, 1)
             if not sel or sel[0].omega == 0.0:
                 continue
             r = sel[0]
             _, delta_e = estimate_amplitude(r.omega_signed, r.d_value)
-            e = qcc_energy(h, Ansatz([(r.generator, r.t_estimate)]), ref)
+            e = qcc_energy(_packed.pack(h), Ansatz([(r.generator, r.t_estimate)]), ref)
             assert abs(e - (expectation(h, ref) + delta_e)) < 1e-12
 
     def test_matches_dense_conjugation(self):
@@ -248,7 +248,7 @@ class TestQccEnergy:
             u = ansatz_unitary(pairs, 6)
             v = u @ reference_vector(ref)
             dense = float(np.real(np.vdot(v, to_matrix(h) @ v)))
-            assert abs(qcc_energy(h, Ansatz(pairs), ref) - dense) < 1e-10
+            assert abs(qcc_energy(_packed.pack(h), Ansatz(pairs), ref) - dense) < 1e-10
 
     def test_ansatz_capacity(self):
         gen = parse_word("Y0", 1)
@@ -260,9 +260,9 @@ class TestQccGradient:
     def test_zero_amplitude_equals_signed_omega(self, h2_problem):
         # dE/dt_j at t=0 is +omega_signed under the documented convention
         _, h, ref = h2_problem
-        sel, _ = rank_generators(h, ref, 3)
+        sel, _ = rank_generators(_packed.pack(h), ref, 3)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
-        grad = qcc_gradient(h, ansatz, ref)
+        _, grad = qcc_energy_and_gradient(_packed.pack(h), ansatz, ref)
         for g, r in zip(grad, sel):
             assert abs(g - r.omega_signed) < 1e-12
 
@@ -271,7 +271,7 @@ class TestQccGradient:
         gen = parse_word("Y1", 2)  # disjoint support: commutes with h
         ref = ReferenceState(0b01, 2)
         for t in (0.0, 0.3, -1.2):
-            grad = qcc_gradient(h, Ansatz([(gen, t)]), ref)
+            _, grad = qcc_energy_and_gradient(_packed.pack(h), Ansatz([(gen, t)]), ref)
             assert abs(grad[0]) < 1e-14
 
     def test_finite_difference_agreement(self):
@@ -279,7 +279,7 @@ class TestQccGradient:
         step = 1e-5
         for _ in range(20):
             n = int(rng.integers(3, 8))
-            h = random_hermitian_sum(n, 25, rng)
+            h = _packed.pack(random_hermitian_sum(n, 25, rng))
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             L = int(rng.integers(1, 5))
             pairs = [(random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)]

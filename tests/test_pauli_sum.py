@@ -202,24 +202,35 @@ class TestDress:
             dress(h, parse_word("Y0", 1), float("nan"))
 
 
+def _dress_sequence(h, pairs):
+    """dress_sequence on the packed form of a PauliSum, unpacked again."""
+    return _packed.unpack(dress_sequence(_packed.pack(h), pairs))
+
+
+def _prune(h, threshold):
+    """prune on the packed form of a PauliSum; the kept terms unpacked."""
+    out, dropped = prune(_packed.pack(h), threshold)
+    return _packed.unpack(out), dropped
+
+
 class TestDressSequence:
     def test_empty(self):
         rng = np.random.default_rng(7)
-        h = random_hermitian_sum(4, 10, rng)
-        assert dress_sequence(h, []) == h
+        p = _packed.pack(random_hermitian_sum(4, 10, rng))
+        assert dress_sequence(p, []) is p
 
     def test_single_equals_dress(self):
         rng = np.random.default_rng(8)
         h = random_hermitian_sum(4, 10, rng)
         gen = random_generator(4, rng)
-        assert dress_sequence(h, [(gen, 0.21)]) == dress(h, gen, 0.21)
+        assert _dress_sequence(h, [(gen, 0.21)]) == dress(h, gen, 0.21)
 
     def test_two_step_spectrum(self):
         rng = np.random.default_rng(9)
         h = random_hermitian_sum(6, 30, rng)
         pairs = [(random_generator(6, rng), 0.4), (random_generator(6, rng), -0.2)]
         e0 = np.linalg.eigvalsh(to_matrix(h))
-        e1 = np.linalg.eigvalsh(to_matrix(dress_sequence(h, pairs)))
+        e1 = np.linalg.eigvalsh(to_matrix(_dress_sequence(h, pairs)))
         assert np.max(np.abs(e0 - e1)) < 1e-10
 
     def test_matches_dense_product_order(self):
@@ -228,7 +239,7 @@ class TestDressSequence:
         pairs = [(random_generator(5, rng), 0.3), (random_generator(5, rng), 0.5)]
         u = ansatz_unitary(pairs, 5)
         assert np.allclose(
-            to_matrix(dress_sequence(h, pairs)), u.conj().T @ to_matrix(h) @ u, atol=1e-11
+            to_matrix(_dress_sequence(h, pairs)), u.conj().T @ to_matrix(h) @ u, atol=1e-11
         )
 
 
@@ -254,12 +265,12 @@ class TestPrune:
     def test_zero_threshold(self):
         rng = np.random.default_rng(13)
         h = random_hermitian_sum(4, 12, rng)
-        out, dropped = prune(h, 0.0)
+        out, dropped = _prune(h, 0.0)
         assert out == h and dropped == 0.0
 
     def test_all_above(self):
         h = PauliSum(2, [(parse_word("Z0", 2), 1.0), (parse_word("X0 X1", 2), 0.5)])
-        out, dropped = prune(h, 0.1)
+        out, dropped = _prune(h, 0.1)
         assert out == h and dropped == 0.0
 
     def test_dropped_weight_accounting(self):
@@ -271,21 +282,34 @@ class TestPrune:
                 (parse_word("X0 X1", 2), -2e-12),
             ],
         )
-        out, dropped = prune(h, 1e-10)
+        out, dropped = _prune(h, 1e-10)
         assert len(out) == 1
         assert abs(dropped - 3e-12) < 1e-25
 
     def test_spectral_norm_bound(self):
         rng = np.random.default_rng(14)
         h = random_hermitian_sum(5, 25, rng)
-        out, dropped = prune(h, 0.5)
+        out, dropped = _prune(h, 0.5)
         diff = to_matrix(h) - to_matrix(out)
         norm = np.linalg.norm(diff, ord=2)
         assert norm <= dropped + 1e-12
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            prune(PauliSum(1), -1.0)
+            _prune(PauliSum(1), -1.0)
+
+    def test_dropped_weight_summed_left_to_right(self):
+        # more than 8 dropped terms: a pairwise np.sum would group them
+        # differently and change the last bits of the weight
+        rng = np.random.default_rng(16)
+        p = _packed.pack(random_hermitian_sum(7, 40, rng))
+        out, dropped = prune(p, 0.5)
+        expected = 0.0
+        for _, c in _packed.unpack(p).items():
+            if abs(c) < 0.5:
+                expected += abs(c)
+        assert len(p) - len(out) > 8
+        assert dropped == expected
 
 
 class TestQubitEnvelope:
