@@ -27,13 +27,10 @@ from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin
 from .optimizer import OptimizationConfig, OptimizationResult, minimize
 from .pauli import PauliWord, commutes, multiply, parse_word, render_word
 from .pauli_sum import (
-    IsingDecomposition,
     PauliSum,
     ReferenceState,
-    diagonal_expectation,
     dress,
     dress_sequence,
     expectation,
-    ising_decompose,
     prune,
 )

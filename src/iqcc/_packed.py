@@ -7,7 +7,9 @@ masks bound the envelope at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack``
 rejects wider sums with :class:`CapacityError`.  Dressing reproduces the
 scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
 bit for bit, because every output key receives at most two float
-contributions and addition is commutative in IEEE 754.
+contributions and addition is commutative in IEEE 754.  With x the primary
+key each x-group is one slice, which ``block_statistics`` reduces over and
+``chain_gradient`` finds by binary search.
 """
 
 from __future__ import annotations
@@ -128,6 +130,39 @@ def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
     lo = int(np.searchsorted(p.x, wx, side="left"))
     hi = int(np.searchsorted(p.x, wx, side="right"))
     return lo, hi
+
+
+def chain_gradient(chain: PackedSum, pairs, ref: ReferenceState) -> list[float]:
+    """dE/dt_j = Im <0| H_L T~_j |0> for each (generator, amplitude) pair.
+
+    ``chain`` is H_L, the sum dressed through every pair; T~_j is generator j
+    dressed through pairs j+1..L.  Each word of T~_j meets only the x-group of
+    H_L with the same x mask, because only a diagonal product survives <0|.|0>.
+    """
+    occ = np.uint64(ref.occupation)
+    grad = []
+    for j, (gen, _t) in enumerate(pairs):
+        # the one-term sum 1.0 * gen is already canonical
+        seed = PackedSum(chain.n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1))
+        tilde = dress_chain(seed, pairs[j + 1 :])
+        gj = 0.0
+        for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
+            lo, hi = x_group_slice(chain, wx)
+            if lo == hi:
+                continue
+            pz = chain.z[lo:hi]
+            pc = chain.c[lo:hi]
+            yw = (wx & wz).bit_count()
+            # phase of P * W: the product is diagonal, so Im(i^k) = +-1
+            m = _popcount(pz & np.uint64(wx))
+            k = (3 * m + yw) % 4
+            val = np.where(k == 1, pc, -pc)
+            val = np.where(k % 2 == 1, val, 0.0)
+            parity = _popcount((pz ^ np.uint64(wz)) & occ) % 2
+            val = np.where(parity == 1, -val, val)
+            gj += cw * float(np.sum(val))
+        grad.append(gj)
+    return grad
 
 
 def block_statistics(

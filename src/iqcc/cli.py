@@ -25,6 +25,7 @@ from .driver import (
     GapResult,
     IqccConfig,
     RunResult,
+    resource_estimate,
     run_iqcc,
     singlet_triplet_gap,
     trajectory_csv,
@@ -33,7 +34,8 @@ from .errors import IqccError, IterationAbort
 from .fcidump import CASWindow, load_fcidump, select_cas
 from .mapping import SpinPenalty, jordan_wigner, reference_state, spin_operators
 from .optimizer import OptimizationConfig
-from .pauli_sum import from_json_dict, to_json_dict
+from .pauli import parse_word
+from .pauli_sum import MAX_QUBITS, from_json_dict, to_json_dict
 
 # IqccConfig fields that are nested sections; their fields are flat config
 # keys, the penalty's as mu/spin
@@ -335,18 +337,14 @@ def estimate(report, output):
         if "singlet" in result
         else [result]
     )
-    cnot = rz = entanglers = 0
-    for run_data in runs:
-        for it in run_data.get("iterations", []):
-            for gen in it.get("selected_generators", []):
-                word = gen["word"].strip()
-                w = 0 if word in ("", "I") else len(word.split())
-                cnot += 2 * (w - 1)
-                rz += 1
-                entanglers += 1
-    _write_json(
-        {"cnot_count": cnot, "rz_count": rz, "entangler_count": entanglers}, output
-    )
+    # one ansatz per iteration; resource_estimate reads only the generators
+    history = [
+        [(parse_word(gen["word"], MAX_QUBITS), 0.0) for gen in it.get("selected_generators", [])]
+        for run_data in runs
+        for it in run_data.get("iterations", [])
+    ]
+    cnot, rz = resource_estimate(history)
+    _write_json({"cnot_count": cnot, "rz_count": rz, "entangler_count": rz}, output)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ with omega and D recomputed against the freshly dressed Hamiltonian.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -60,10 +61,11 @@ class IqccConfig:
             raise CapacityError(
                 f"generators_per_iteration outside 1..{MAX_GENERATORS}"
             )
-        if self.energy_convergence <= 0:
-            raise ValueError("energy_convergence must be positive")
-        if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be >= 0")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not 0 < self.energy_convergence < math.inf:
+            raise ValueError("energy_convergence must be positive and finite")
+        if not 0 <= self.prune_threshold < math.inf:
+            raise ValueError("prune_threshold must be finite and >= 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.memory_budget_terms <= 0:
@@ -147,7 +149,7 @@ def pt_correction(
     stats = {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
     total = 0.0
     for gen in remainder:
-        signed, d_val = stats.get(gen.source_x_string.x, (0.0, 0.0))
+        signed, d_val = stats.get(gen.generator.x, (0.0, 0.0))
         _, delta_e = estimate_amplitude(signed, d_val)
         total += delta_e
     return total
@@ -190,11 +192,7 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
 
         try:
             opt: OptimizationResult = minimize(
-                None,
-                None,
-                np.array(base.amplitudes),
-                cfg.optimizer,
-                value_and_gradient=value_and_gradient,
+                value_and_gradient, np.array(base.amplitudes), cfg.optimizer
             )
         except OptimizationError as exc:
             raise IterationAbort(

@@ -16,7 +16,9 @@ Energies of the full Ansatz are evaluated by exact symbolic conjugation
 (dressing) of the Hamiltonian; gradients use the conjugation chain pushed
 onto the generators:  dE/dt_j = Im <0| H_L T~_j |0>  with H_L the fully
 dressed Hamiltonian and T~_j the generator dressed through the later chain
-entries.
+entries.  The array work (the block statistics of the ranking, dressing and
+the gradient contraction) is done by the kernels in ``_packed``; this module
+works on words and scalars.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from . import _packed
 from ._packed import PackedSum
@@ -41,7 +41,6 @@ class RankedGenerator:
     """A canonical generator with its ranking data."""
 
     generator: PauliWord
-    source_x_string: PauliWord
     omega: float
     omega_signed: float
     d_value: float
@@ -150,14 +149,11 @@ def rank_generators(
     n = h.n_qubits
     ranked = []
     for x_support, omega_signed, d_val in block_ranking_data(h, ref):
-        x_string = PauliWord(x_support, 0, n)
-        gen = PauliWord(x_support, x_support & -x_support, n)
+        gen = derive_canonical_generator(PauliWord(x_support, 0, n))
         t_est, _ = estimate_amplitude(omega_signed, d_val)
         importance = abs(t_est) if measure == "amplitude" else abs(omega_signed)
         ranked.append(
-            RankedGenerator(
-                gen, x_string, abs(omega_signed), omega_signed, d_val, t_est, importance
-            )
+            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, importance)
         )
     ranked.sort(key=lambda r: (-r.importance, r.generator.sort_key()))
     return ranked[:top_l], ranked[top_l:]
@@ -180,29 +176,4 @@ def qcc_energy_and_gradient(
     """
     pairs = list(ansatz)
     chain = _packed.dress_chain(h, pairs)
-    energy = _packed.expectation_packed(chain, ref)
-    occ = np.uint64(ref.occupation)
-    grad = []
-    for j, (gen, _t) in enumerate(pairs):
-        # the one-term sum 1.0 * gen is already canonical
-        seed = PackedSum(h.n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1))
-        tilde = _packed.dress_chain(seed, pairs[j + 1 :])
-        gj = 0.0
-        for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
-            lo, hi = _packed.x_group_slice(chain, wx)
-            if lo == hi:
-                continue
-            pz = chain.z[lo:hi]
-            pc = chain.c[lo:hi]
-            yw = (wx & wz).bit_count()
-            # phase of P * W: the product is diagonal, so Im(i^k) = +-1
-            m = np.bitwise_count(pz & np.uint64(wx)).astype(np.int64)
-            k = (3 * m + yw) % 4
-            val = np.where(k == 1, pc, -pc)
-            val = np.where(k % 2 == 1, val, 0.0)
-            parity = np.bitwise_count((pz ^ np.uint64(wz)) & occ).astype(np.int64) % 2
-            val = np.where(parity == 1, -val, val)
-            gj += cw * float(np.sum(val))
-        grad.append(gj)
-    return energy, grad
-
+    return _packed.expectation_packed(chain, ref), _packed.chain_gradient(chain, pairs, ref)

@@ -18,6 +18,7 @@ part signals inconsistent input and raises.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +207,10 @@ class SpinPenalty:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("penalty strength must be >= 0")
+        if not 0 <= self.mu < math.inf:  # False for NaN
+            raise ValueError("penalty strength must be finite and >= 0")
+        if not math.isfinite(self.s):
+            raise ValueError("spin must be finite")
 
 
 def penalize(h: PauliSum, p: SpinPenalty) -> PauliSum:

@@ -8,6 +8,7 @@ periodic per coordinate; no bounds are imposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ class OptimizationConfig:
     memory_depth: int = 10
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0 or self.max_evaluations <= 0 or self.memory_depth <= 0:
-            raise ValueError("optimization settings must be positive")
+        tol_ok = 0 < self.gradient_tolerance < math.inf  # False for NaN
+        if not tol_ok or self.max_evaluations <= 0 or self.memory_depth <= 0:
+            raise ValueError("optimization settings must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -38,18 +40,13 @@ class OptimizationResult:
 
 
 def minimize(
-    objective,
-    gradient,
-    t0,
-    cfg: OptimizationConfig | None = None,
-    *,
-    value_and_gradient=None,
+    value_and_gradient, t0, cfg: OptimizationConfig | None = None
 ) -> OptimizationResult:
-    """L-BFGS from t0; either (objective, gradient) or a fused callable.
+    """L-BFGS from t0 on ``value_and_gradient(v) -> (float, array)``.
 
-    ``value_and_gradient(v) -> (float, array)`` lets callers share work
-    between the two evaluations.  Non-finite objective values abort with the
-    offending point attached.
+    One fused callable lets the objective and its gradient share work (the
+    QCC energy and gradient come from the same dressed Hamiltonian).
+    Non-finite objective values abort with the offending point attached.
     """
     cfg = cfg or OptimizationConfig()
     t0 = np.asarray(t0, dtype=float)
@@ -57,10 +54,6 @@ def minimize(
         raise ValueError("empty amplitude vector")
     if not np.all(np.isfinite(t0)):
         raise OptimizationError("non-finite starting point", point=t0)
-
-    if value_and_gradient is None:
-        def value_and_gradient(v):
-            return objective(v), np.asarray(gradient(v), dtype=float)
 
     def fused(v):
         e, g = value_and_gradient(v)

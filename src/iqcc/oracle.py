@@ -98,10 +98,6 @@ def ground_state(h: PauliSum) -> tuple[float, np.ndarray]:
     return energy, vec
 
 
-def expectation_matrix(op: np.ndarray, vec: np.ndarray) -> float:
-    return float(np.real(np.vdot(vec, op @ vec)))
-
-
 def spin_resolved_spectrum(
     h: PauliSum,
     s_squared: PauliSum,

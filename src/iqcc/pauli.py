@@ -127,14 +127,6 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
-def y_count(w: PauliWord) -> int:
-    return w.y_count()
-
-
-def is_x_string(w: PauliWord) -> bool:
-    return w.is_x_string()
-
-
 def render_word(w: PauliWord) -> str:
     """Render as e.g. ``"X0 Z3 Y7"`` (qubit indices ascending); identity -> ``"I"``."""
     parts = []

@@ -10,8 +10,8 @@ ranked or optimized; ``from_json_dict`` rejects them at load with
 
 The interesting operations:
 
-* ``ising_decompose`` regroups a hermitian sum into a z-only diagonal part
-  plus blocks of z-only prefactors attached to distinct X-strings.
+* ``expectation`` is <0|h|0> on the reference state: only diagonal words
+  contribute.  The driver takes its initial energy from it, before packing.
 * ``dress_sequence`` conjugates a packed sum by exp(-i t T / 2) for each
   purely imaginary word T of an Ansatz, exactly.  A word P anticommuting with
   T keeps cos(t) of its coefficient and spawns i*P*T with a sin(t)-weighted
@@ -19,6 +19,10 @@ The interesting operations:
   tested against the scalar ``reference_dress`` in ``tests/helpers.py``.
 * ``prune`` drops small terms of a packed sum and reports the dropped
   absolute weight, an upper bound on the spectral-norm perturbation.
+
+The Ising decomposition that ranking needs (one block per X-string) is
+computed on packed arrays by ``_packed.block_statistics``; no per-block sums
+are built.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import CapacityError, DimensionError, HermiticityError, InvalidGeneratorError
+from .errors import CapacityError, DimensionError, InvalidGeneratorError
 from .pauli import PauliWord, parse_word, render_word
 
 if TYPE_CHECKING:  # _packed builds on this module
@@ -124,18 +128,11 @@ class PauliSum:
     def sorted_items(self) -> list[tuple[PauliWord, float]]:
         return sorted(self.items(), key=lambda wc: wc[0].sort_key())
 
-    @property
-    def terms(self) -> dict[PauliWord, float]:
-        return dict(self.items())
-
     def raw_items(self):
         return self._terms.items()
 
     def coefficient(self, word: PauliWord) -> float:
         return self._terms.get((word.x, word.z), 0.0)
-
-    def is_diagonal(self) -> bool:
-        return all(x == 0 for (x, _z) in self._terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,93 +184,7 @@ def sum_scale(a: PauliSum, c: float) -> PauliSum:
     return PauliSum._from_raw(a.n_qubits, {k: c * v for k, v in a._terms.items()})
 
 
-# -- Ising decomposition --------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class IsingBlock:
-    x_string: PauliWord
-    iz_factor: PauliSum
-
-
-@dataclass(frozen=True, slots=True)
-class IsingDecomposition:
-    """Split of a hermitian sum into a diagonal part and X-string blocks.
-
-    The y factors of the source words are folded into the iz coefficients as
-    signs, so ``i0 + sum_k iz_factor_k * x_string_k`` recomposes the source
-    exactly.
-    """
-
-    i0: PauliSum
-    blocks: tuple[IsingBlock, ...]
-    n_qubits: int
-
-    def recompose(self) -> PauliSum:
-        raw: dict[tuple[int, int], float] = dict(self.i0._terms)
-        for block in self.blocks:
-            bx = block.x_string.x
-            for (_, z), c in block.iz_factor._terms.items():
-                # iz word * x-string: i^y from commuting Z^z past X^x restores
-                # the original coefficient of the canonical word (x, z).
-                y = (bx & z).bit_count()
-                coeff = c if y % 4 == 0 else -c
-                key = (bx, z)
-                raw[key] = raw.get(key, 0.0) + coeff
-        return PauliSum._from_raw(self.n_qubits, {k: c for k, c in raw.items() if c != 0.0})
-
-
-def ising_decompose(h: PauliSum) -> IsingDecomposition:
-    """Group words by x-support; empty x-support goes to the diagonal part.
-
-    Raises :class:`HermiticityError` on any odd-y word.
-    """
-    n = h.n_qubits
-    i0_raw: dict[tuple[int, int], float] = {}
-    by_x: dict[int, dict[tuple[int, int], float]] = {}
-    for (x, z), c in h._terms.items():
-        y = (x & z).bit_count()
-        if y % 2:
-            raise HermiticityError(
-                f"odd y-count word {render_word(PauliWord(x, z, n))} in operator"
-            )
-        if x == 0:
-            i0_raw[(0, z)] = c
-        else:
-            # canonical word = i^y X^x Z^z = i^(-y) Z^z X^x; with y even the
-            # z-only prefactor coefficient is c * (-1)^(y/2).
-            coeff = c if y % 4 == 0 else -c
-            by_x.setdefault(x, {})[(0, z)] = coeff
-    blocks = tuple(
-        IsingBlock(PauliWord(x, 0, n), PauliSum._from_raw(n, zraw))
-        for x, zraw in sorted(
-            by_x.items(), key=lambda item: (item[0].bit_count(), item[0])
-        )
-    )
-    return IsingDecomposition(PauliSum._from_raw(n, i0_raw), blocks, n)
-
-
 # -- expectation values ---------------------------------------------------
-
-
-def diagonal_expectation(iz: PauliSum, ref: ReferenceState) -> float:
-    """<0|iz|0> for a sum of z/identity words only.
-
-    Each word contributes its coefficient times the product of z-eigenvalues
-    (-1 for occupied qubits) over its support.
-    """
-    if iz.n_qubits != ref.n_qubits:
-        raise DimensionError("sum and reference state qubit counts differ")
-    occ = ref.occupation
-    total = 0.0
-    for (x, z), c in iz._terms.items():
-        if x != 0:
-            raise ValueError(
-                f"non-diagonal word {render_word(PauliWord(x, z, iz.n_qubits))} "
-                "in diagonal expectation"
-            )
-        total += -c if (z & occ).bit_count() % 2 else c
-    return total
 
 
 def expectation(h: PauliSum, ref: ReferenceState) -> float:

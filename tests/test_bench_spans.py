@@ -3,11 +3,14 @@ must resolve, or ``bench/run.py --trace 1`` breaks."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _load_spans():
@@ -34,3 +37,14 @@ def test_patch_target_resolves(name, home, attr, namespaces, _hook):
 @pytest.mark.parametrize("name, home, attr", spans.COUNTED, ids=[c[0] for c in spans.COUNTED])
 def test_counted_target_resolves(name, home, attr):
     assert callable(getattr(importlib.import_module(home), attr)), name
+
+
+def test_selftest_passes():
+    # a name that resolves can still break a traced run, e.g. a call whose
+    # arguments a hook reads; the harness's self-test runs every workload traced
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "selftest ok" in result.stdout

@@ -154,6 +154,26 @@ class TestRun:
         value = _resolve_config(str(cfg), {})["prune_threshold"]
         assert value == 0.0 and isinstance(value, float)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--prune-threshold", "nan"), ("--prune-threshold", "inf"),
+         ("--energy-convergence", "nan"), ("--mu", "nan"), ("--spin", "-inf")],
+    )
+    def test_non_finite_flag_rejected(self, runner, flag, value):
+        result = runner.invoke(main, ["run", str(FIXTURES / "h2.fcidump"), flag, value])
+        assert result.exit_code == 1
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("key", ["prune_threshold", "gradient_tolerance", "mu"])
+    def test_non_finite_config_value_rejected(self, runner, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": NaN}}')
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 1
+        assert "finite" in result.output
+
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -299,6 +319,32 @@ class TestEstimate:
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data == {"cnot_count": 0, "rz_count": 0, "entangler_count": 0}
+
+
+    def test_from_gap_report(self, runner, tmp_path):
+        out = tmp_path / "gap.json"
+        runner.invoke(
+            main,
+            ["gap", str(FIXTURES / "h2.fcidump"), "--generators", "2", "-o", str(out)],
+        )
+        result = runner.invoke(main, ["estimate", str(out)])
+        assert result.exit_code == 0
+        gap = json.loads(out.read_text())["result"]
+        blocks = [gap[state]["resource_estimate"] for state in ("singlet", "triplet")]
+        rz = sum(b["rz_count"] for b in blocks)
+        assert json.loads(result.output) == {
+            "cnot_count": sum(b["cnot_count"] for b in blocks),
+            "rz_count": rz,
+            "entangler_count": rz,
+        }
+
+    def test_malformed_word(self, runner, tmp_path):
+        report = tmp_path / "bad.json"
+        iteration = {"selected_generators": [{"word": "Q0 X1"}]}
+        report.write_text(json.dumps({"result": {"iterations": [iteration]}}))
+        result = runner.invoke(main, ["estimate", str(report)])
+        assert result.exit_code == 1
+        assert "unparseable Pauli word" in result.output
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iqcc import _packed
-from iqcc.errors import CapacityError, InvalidGeneratorError
+from iqcc.errors import CapacityError, HermiticityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
     block_ranking_data,
@@ -18,7 +18,6 @@ from iqcc.pauli_sum import (
     PauliSum,
     ReferenceState,
     expectation,
-    ising_decompose,
 )
 
 from helpers import random_generator, random_hermitian_sum
@@ -72,18 +71,21 @@ class TestOmega:
         assert omega_signed == 0.0
 
     def test_matches_dense_matrix_element(self, h2_problem):
-        _, h, ref = h2_problem
-        blocks = _blocks(h, ref)
-        # one entry per X-string block of the Ising decomposition
-        assert sorted(blocks) == sorted(b.x_string.x for b in ising_decompose(h).blocks)
-        hm = to_matrix(h)
-        v = reference_vector(ref)
-        for x, (omega_signed, _) in blocks.items():
-            gen = derive_canonical_generator(PauliWord(x, 0, 4))
-            tm = to_matrix(PauliSum(4, [(gen, 1.0)]))
-            bracket = np.vdot(v, hm @ tm @ v)
-            assert abs(abs(omega_signed) - abs(bracket)) < 1e-12
-            assert abs(omega_signed - bracket.imag) < 1e-12
+        _, h2, ref2 = h2_problem
+        rng = np.random.default_rng(3)
+        h5 = random_hermitian_sum(5, 25, rng)
+        for h, ref in ((h2, ref2), (h5, ReferenceState(int(rng.integers(32)), 5))):
+            xs, omegas, _ = _packed.block_statistics(_packed.pack(h), ref)
+            # one entry per distinct non-empty x-support, none twice
+            assert xs.tolist() == sorted({x for (x, _), _ in h.raw_items() if x})
+            hm = to_matrix(h)
+            v = reference_vector(ref)
+            for x, omega_signed in zip(xs.tolist(), omegas.tolist()):
+                gen = derive_canonical_generator(PauliWord(x, 0, h.n_qubits))
+                tm = to_matrix(PauliSum(h.n_qubits, [(gen, 1.0)]))
+                bracket = np.vdot(v, hm @ tm @ v)
+                assert abs(abs(omega_signed) - abs(bracket)) < 1e-12
+                assert abs(omega_signed - bracket.imag) < 1e-12
 
 
 class TestComputeD:
@@ -145,6 +147,11 @@ class TestEstimateAmplitude:
 
 
 class TestRanking:
+    def test_rejects_odd_y(self):
+        h = PauliSum(2, [(parse_word("Y0", 2), 1.0)])
+        with pytest.raises(HermiticityError):
+            rank_generators(_packed.pack(h), ReferenceState(0, 2), 4)
+
     def test_diagonal_hamiltonian(self):
         h = PauliSum(3, [(parse_word("Z0 Z2", 3), 1.0)])
         selected, remainder = rank_generators(_packed.pack(h), ReferenceState(0, 3), 4)

@@ -17,13 +17,13 @@ def quadratic_grad(v):
 
 class TestMinimize:
     def test_quadratic_bowl(self):
-        res = minimize(quadratic, quadratic_grad, np.zeros(3))
+        res = minimize(lambda v: (quadratic(v), quadratic_grad(v)), np.zeros(3))
         assert res.converged
         assert np.max(np.abs(res.t_opt - 1.0)) < 1e-8
         assert res.energy < 1e-14
 
     def test_already_optimal(self):
-        res = minimize(quadratic, quadratic_grad, np.ones(2))
+        res = minimize(lambda v: (quadratic(v), quadratic_grad(v)), np.ones(2))
         assert res.converged
         assert res.evaluations <= 2
         assert np.array_equal(res.t_opt, np.ones(2))
@@ -46,14 +46,14 @@ class TestMinimize:
         )
         energies = [f(np.zeros(4))] + seen
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-        ours = minimize(f, g, np.zeros(4))
+        ours = minimize(lambda v: (f(v), g(v)), np.zeros(4))
         assert ours.energy <= f(np.zeros(4))
 
     def test_returned_energy_not_above_start(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             t0 = rng.normal(size=3)
-            res = minimize(quadratic, quadratic_grad, t0)
+            res = minimize(lambda v: (quadratic(v), quadratic_grad(v)), t0)
             assert res.energy <= quadratic(t0) + 1e-12
 
     def test_non_finite_objective(self):
@@ -64,7 +64,7 @@ class TestMinimize:
             return np.zeros_like(v)
 
         with pytest.raises(OptimizationError) as err:
-            minimize(bad, bad_grad, np.zeros(2))
+            minimize(lambda v: (bad(v), bad_grad(v)), np.zeros(2))
         assert err.value.point is not None
 
     def test_evaluation_budget_respected(self):
@@ -78,7 +78,7 @@ class TestMinimize:
             return -3 * np.sin(3 * v) + 0.02 * v
 
         cfg = OptimizationConfig(max_evaluations=5)
-        minimize(f, g, np.full(4, 0.7), cfg)
+        minimize(lambda v: (f(v), g(v)), np.full(4, 0.7), cfg)
         assert len(calls) <= 7  # maxfun plus scipy's final polish evaluations
 
     def test_config_validation(self):
@@ -91,7 +91,7 @@ class TestMinimize:
         def vag(v):
             return quadratic(v), quadratic_grad(v)
 
-        res = minimize(None, None, np.zeros(2), value_and_gradient=vag)
+        res = minimize(vag, np.zeros(2))
         assert np.max(np.abs(res.t_opt - 1.0)) < 1e-8
 
 
@@ -109,7 +109,7 @@ class TestOnQccProblem:
             e, g = qcc_energy_and_gradient(h, base.with_amplitudes(v), ref)
             return e, np.asarray(g)
 
-        res = minimize(None, None, np.array([r.t_estimate]), value_and_gradient=vag)
+        res = minimize(vag, np.array([r.t_estimate]))
         t_closed, _ = estimate_amplitude(r.omega_signed, r.d_value)
         assert abs(res.t_opt[0] - t_closed) < 1e-8
         assert res.converged

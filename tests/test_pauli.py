@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iqcc.errors import DimensionError
-from iqcc.pauli import PauliWord, commutes, is_x_string, multiply, parse_word, render_word, y_count
+from iqcc.pauli import PauliWord, commutes, multiply, parse_word, render_word
 from iqcc.oracle import word_matrix
 
 
@@ -89,24 +89,24 @@ class TestCommutes:
 
 class TestYCount:
     def test_identity(self):
-        assert y_count(PauliWord.identity(4)) == 0
+        assert PauliWord.identity(4).y_count() == 0
 
     def test_two_ys(self):
-        assert y_count(parse_word("Y0 Y1", 2)) == 2
+        assert parse_word("Y0 Y1", 2).y_count() == 2
 
     def test_one_overlap_bit(self):
-        assert y_count(parse_word("Y0 X1 Z2", 3)) == 1
+        assert parse_word("Y0 X1 Z2", 3).y_count() == 1
 
 
 class TestIsXString:
     def test_pure_x(self):
-        assert is_x_string(parse_word("X0 X3", 4))
+        assert parse_word("X0 X3", 4).is_x_string()
 
     def test_with_y(self):
-        assert not is_x_string(parse_word("X0 Y3", 4))
+        assert not parse_word("X0 Y3", 4).is_x_string()
 
     def test_identity_excluded(self):
-        assert not is_x_string(PauliWord.identity(4))
+        assert not PauliWord.identity(4).is_x_string()
 
 
 class TestWordOrder:

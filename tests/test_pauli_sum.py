@@ -2,25 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from iqcc.errors import (
     CapacityError,
     DimensionError,
-    HermiticityError,
     InvalidGeneratorError,
 )
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import (
     PauliSum,
     ReferenceState,
-    diagonal_expectation,
     dress,
     dress_sequence,
     expectation,
     from_json,
     from_json_dict,
-    ising_decompose,
     prune,
     sum_add,
     sum_scale,
@@ -31,17 +27,6 @@ from iqcc import _packed
 from iqcc.oracle import ansatz_unitary, to_matrix
 
 from helpers import random_generator, random_hermitian_sum, reference_dress
-
-
-def hermitian_sums(n_qubits=4, max_terms=12):
-    masks = st.integers(min_value=0, max_value=(1 << n_qubits) - 1)
-    pair = st.tuples(masks, masks).filter(lambda xz: (xz[0] & xz[1]).bit_count() % 2 == 0)
-    coeff = st.floats(min_value=-3, max_value=3, allow_nan=False).filter(lambda c: c != 0)
-    return st.lists(st.tuples(pair, coeff), max_size=max_terms).map(
-        lambda items: PauliSum(
-            n_qubits, [(PauliWord(x, z, n_qubits), c) for (x, z), c in items]
-        )
-    )
 
 
 class TestArithmetic:
@@ -70,65 +55,21 @@ class TestArithmetic:
             PauliSum(2, [(PauliWord(1, 0, 2, phase_exp=1), 1.0)])
 
 
-class TestIsingDecomposition:
-    def test_diagonal_only(self):
-        h = PauliSum(2, [(parse_word("Z0 Z1", 2), 0.7)])
-        d = ising_decompose(h)
-        assert d.i0 == h and d.blocks == ()
-
-    def test_single_x_block(self):
-        h = PauliSum(1, [(parse_word("X0", 1), 0.7)])
-        d = ising_decompose(h)
-        assert len(d.i0) == 0 and len(d.blocks) == 1
-        block = d.blocks[0]
-        assert block.x_string == parse_word("X0", 1)
-        assert block.iz_factor.coefficient(PauliWord.identity(1)) == 0.7
-
-    def test_block_contents_are_diagonal_and_unique(self):
-        rng = np.random.default_rng(1)
-        h = random_hermitian_sum(5, 25, rng)
-        d = ising_decompose(h)
-        xs = [b.x_string for b in d.blocks]
-        assert len(set(xs)) == len(xs)
-        for b in d.blocks:
-            assert b.x_string.is_x_string()
-            assert b.iz_factor.is_diagonal()
-
-    def test_h2_roundtrip(self, h2_problem):
-        _, h, _ = h2_problem
-        assert ising_decompose(h).recompose() == h
-
-    @settings(max_examples=60)
-    @given(hermitian_sums(n_qubits=10, max_terms=24))
-    def test_recompose_property(self, h):
-        assert ising_decompose(h).recompose() == h
-
-    def test_rejects_odd_y(self):
-        h = PauliSum(2, [(parse_word("Y0", 2), 1.0)])
-        with pytest.raises(HermiticityError):
-            ising_decompose(h)
-
-
 class TestExpectations:
     def test_z_on_occupied(self):
         ref = ReferenceState(0b1, 1)
-        assert diagonal_expectation(PauliSum(1, [(parse_word("Z0", 1), 1.0)]), ref) == -1.0
+        assert expectation(PauliSum(1, [(parse_word("Z0", 1), 1.0)]), ref) == -1.0
 
     def test_identity(self):
         ref = ReferenceState(0b10, 2)
-        assert diagonal_expectation(PauliSum.identity(2, 0.25), ref) == 0.25
+        assert expectation(PauliSum.identity(2, 0.25), ref) == 0.25
 
     def test_x_strings_vanish(self):
         ref = ReferenceState(0b01, 2)
         h = PauliSum(2, [(parse_word("X0 X1", 2), 2.0), (parse_word("Z0", 2), 0.5)])
-        assert expectation(h, ref) == diagonal_expectation(
+        assert expectation(h, ref) == expectation(
             PauliSum(2, [(parse_word("Z0", 2), 0.5)]), ref
         )
-
-    def test_rejects_off_diagonal(self):
-        ref = ReferenceState(0, 2)
-        with pytest.raises(ValueError):
-            diagonal_expectation(PauliSum(2, [(parse_word("X0", 2), 1.0)]), ref)
 
     def test_matches_matrix_element(self):
         rng = np.random.default_rng(2)
