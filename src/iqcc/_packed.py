@@ -10,6 +10,21 @@ bit for bit, because every output key receives at most two float
 contributions and addition is commutative in IEEE 754.  With x the primary
 key each x-group is one slice, which ``block_statistics`` reduces over and
 ``chain_gradient`` finds by binary search.
+
+Dressing comes in two forms.  ``dress_packed``/``dress_chain`` dress a sum
+once: each step lexsorts the grown rows and merges them (``_canonical``).
+An optimizer evaluates the same chain of generators at many amplitudes, so
+``plan_chain`` does that sorting once per generator set and records, per
+layer, where each row and each spawned row lands; ``run_plan`` then dresses
+by scatter alone, with no sort and no search.  Each key still receives at
+most one base and one spawn contribution, summed in the same order, and the
+exact zeros that the one-shot form drops after every step are dropped once
+at the end, so ``run_plan`` returns the arrays of ``dress_chain`` exactly.
+``span_filter`` narrows the plan's input to the rows whose x mask lies in
+the GF(2) span of the generators' x masks: a generator only XORs its x mask
+into a word, so no other row reaches the diagonal (the energy) or an x-group
+that ``chain_gradient`` contracts against.  The one-shot form stays for the
+end-of-iteration dressing of the full sum and for the gradient seeds.
 """
 
 from __future__ import annotations
@@ -38,16 +53,21 @@ class PackedSum:
         return len(self.c)
 
 
+def _sorted_keys(x: np.ndarray, z: np.ndarray):
+    """Stable (x, z) lexsort: (order, sorted x, sorted z, first-of-key mask)."""
+    order = np.lexsort((z, x))  # stable: x primary, z secondary
+    x, z = x[order], z[order]
+    boundary = np.ones(len(x), dtype=bool)
+    np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=boundary[1:])
+    return order, x, z, boundary
+
+
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
     if len(c) == 0:
         return PackedSum(n_qubits, x, z, c)
-    order = np.lexsort((z, x))  # stable: x primary, z secondary
-    x, z, c = x[order], z[order], c[order]
-    boundary = np.empty(len(x), dtype=bool)
-    boundary[0] = True
-    np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=boundary[1:])
+    order, x, z, boundary = _sorted_keys(x, z)
     starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(c, starts)
+    summed = np.add.reduceat(c[order], starts)
     xs, zs = x[starts], z[starts]
     keep = summed != 0.0
     return PackedSum(n_qubits, xs[keep], zs[keep], summed[keep])
@@ -74,30 +94,39 @@ def unpack(p: PackedSum) -> PauliSum:
     return PauliSum._from_raw(p.n_qubits, raw)
 
 
+def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
+    """Rows anticommuting with T, their products with T and each product's sign.
+
+    Returns (anti mask, spawned x, spawned z, k == 1 mask): a spawned row gets
+    +sin(t) of its parent's coefficient where the mask is set, -sin(t) elsewhere.
+    """
+    tx = np.uint64(t_gen.x)
+    tz = np.uint64(t_gen.z)
+    anti = (_popcount(x & tz) + _popcount(z & tx)) % 2 == 1
+    ax, az = x[anti], z[anti]
+    nx = ax ^ tx
+    nz = az ^ tz
+    k = (
+        _popcount(ax & az)
+        + int(t_gen.y_count())
+        - _popcount(nx & nz)
+        + 2 * _popcount(az & tx)
+    ) % 4
+    return anti, nx, nz, k == 1
+
+
 def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
     """pauli_sum.dress on packed arrays: conjugation by exp(-i t_opt T / 2)."""
     if t_opt == 0.0 or len(p) == 0:
         return p
-    tx = np.uint64(t_gen.x)
-    tz = np.uint64(t_gen.z)
-    yt = int(t_gen.y_count())
-    anti = (_popcount(p.x & tz) + _popcount(p.z & tx)) % 2 == 1
+    anti, nx, nz, pos = _spawn(p.x, p.z, t_gen)
     if not np.any(anti):
         return p
     cos_t = np.cos(t_opt)
     sin_t = np.sin(t_opt)
     base_c = np.where(anti, p.c * cos_t, p.c)
-
-    ax, az, ac = p.x[anti], p.z[anti], p.c[anti]
-    nx = ax ^ tx
-    nz = az ^ tz
-    k = (
-        _popcount(ax & az)
-        + yt
-        - _popcount(nx & nz)
-        + 2 * _popcount(az & tx)
-    ) % 4
-    spawn_c = np.where(k == 1, ac * sin_t, -ac * sin_t)
+    ac = p.c[anti]
+    spawn_c = np.where(pos, ac * sin_t, -ac * sin_t)
 
     return _canonical(
         p.n_qubits,
@@ -111,6 +140,105 @@ def dress_chain(p: PackedSum, pairs) -> PackedSum:
     for gen, t in pairs:
         p = dress_packed(p, gen, t)
     return p
+
+
+def span_filter(p: PackedSum, generators) -> PackedSum:
+    """The rows of ``p`` whose x mask lies in the GF(2) span of the generators'.
+
+    The kept rows stay in order, so the result is canonical too.
+    """
+    basis: list[int] = []  # echelon form: distinct top bits, descending
+    for gen in generators:
+        v = gen.x
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    r = p.x.copy()
+    for b in basis:  # descending top bits: clear each one from every row
+        top = np.uint64(1 << (b.bit_length() - 1))
+        np.bitwise_xor(r, np.uint64(b), out=r, where=(r & top) != 0)
+    keep = r == 0
+    return PackedSum(p.n_qubits, p.x[keep], p.z[keep], p.c[keep])
+
+
+@dataclass(frozen=True)
+class PlanLayer:
+    """Row structure of one dressing step: rows in, where they land, rows out.
+
+    Indices are intp: numpy converts any other index type on every use.
+    """
+
+    anti: np.ndarray  # input rows anticommuting with the generator, ascending
+    pos: np.ndarray  # bool per spawned row: k == 1, i.e. it gets +sin(t)
+    base_dest: np.ndarray  # per input row: its row in the next layer
+    spawn_dest: np.ndarray  # per spawned row: its row in the next layer
+    n_out: int
+
+
+@dataclass(frozen=True)
+class DressPlan:
+    """``dress_chain`` of a fixed sum by fixed generators, at any amplitudes.
+
+    ``x``/``z`` are the keys of the last layer, every key any amplitude can
+    reach.  ``len`` is the number of input rows.
+    """
+
+    n_qubits: int
+    generators: tuple[PauliWord, ...]
+    c: np.ndarray  # float64 input coefficients
+    layers: tuple[PlanLayer, ...]
+    x: np.ndarray
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+
+def plan_chain(p: PackedSum, generators) -> DressPlan:
+    """Sort each layer of the chain once: the plan ``run_plan`` replays.
+
+    No row is dropped along the way, so every layer holds all keys that some
+    amplitudes reach; base and spawned keys are each unique, so a key gets at
+    most one of each.
+    """
+    generators = tuple(generators)
+    x, z = p.x, p.z
+    layers = []
+    for gen in generators:
+        anti, nx, nz, pos = _spawn(x, z, gen)
+        order, x, z, boundary = _sorted_keys(
+            np.concatenate([x, nx]), np.concatenate([z, nz])
+        )
+        dest = np.empty(len(order), dtype=np.intp)
+        dest[order] = np.cumsum(boundary) - 1
+        n_base = len(anti)
+        x, z = x[boundary], z[boundary]
+        layers.append(
+            PlanLayer(np.flatnonzero(anti), pos, dest[:n_base], dest[n_base:], len(x))
+        )
+    return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+
+
+def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
+    """The sum of ``plan`` dressed at ``amplitudes``: ``dress_chain`` bit for bit.
+
+    A base row keeps c or takes c*cos(t), a spawned row adds +-c*sin(t) to
+    its key; -(c*s) and c*(-s) are the same double, so the sign rides on s.
+    """
+    c = plan.c
+    for layer, t in zip(plan.layers, amplitudes, strict=True):
+        cos_t = np.cos(t)
+        sin_t = np.sin(t)
+        ac = c[layer.anti]
+        out = np.zeros(layer.n_out)
+        out[layer.base_dest] = c
+        out[layer.base_dest[layer.anti]] = ac * cos_t
+        out[layer.spawn_dest] += ac * np.where(layer.pos, sin_t, -sin_t)
+        c = out
+    keep = c != 0.0
+    return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
 
 
 def expectation_packed(p: PackedSum, ref: ReferenceState) -> float:

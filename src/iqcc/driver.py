@@ -2,7 +2,9 @@
 
 Each iteration decomposes the current Hamiltonian, ranks one canonical
 generator per X-string block, warm-starts the top L amplitudes from the
-closed-form estimates, minimizes the QCC energy, folds the optimized Ansatz
+closed-form estimates, minimizes the QCC energy on a dressing plan of the
+rows those generators can reach (built once per iteration and freed after
+the optimizer returns), folds the optimized Ansatz
 into the Hamiltonian by exact dressing, prunes numerically dead terms, and
 (optionally) adds a perturbative estimate of the energy still recoverable
 from the generators that were not selected.  The reference state never
@@ -28,6 +30,7 @@ from .engine import (
     Ansatz,
     RankedGenerator,
     block_ranking_data,
+    coset_plan,
     estimate_amplitude,
     qcc_energy_and_gradient,
     rank_generators,
@@ -88,6 +91,8 @@ class IterationRecord:
     optimizer_message: str
     selected_generators: tuple[RankedGenerator, ...] = ()
     optimizer_evaluations: int = 0
+    # rows of the sum the optimizer dressed, after the coset filter
+    optimized_terms: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,6 +104,7 @@ class IterationRecord:
             "dropped_weight": self.dropped_weight,
             "selected_generators": [g.to_json_dict() for g in self.selected_generators],
             "optimizer_evaluations": self.optimizer_evaluations,
+            "optimized_terms": self.optimized_terms,
             "optimizer_converged": self.optimizer_converged,
             "optimizer_gradient_norm": self.optimizer_gradient_norm,
             "optimizer_message": self.optimizer_message,
@@ -155,6 +161,24 @@ def pt_correction(
     return total
 
 
+def _optimize(
+    h: _packed.PackedSum, base: Ansatz, ref: ReferenceState, cfg: OptimizationConfig
+) -> tuple[OptimizationResult, int]:
+    """L-BFGS over the amplitudes of ``base``, started at its own; also
+    returns the number of rows of ``h`` the optimizer dressed.
+
+    The dressing plan is built once for ``base``'s generators and lives only
+    for this call, so it is freed before the caller dresses the full sum.
+    """
+    plan = coset_plan(h, base.generators)
+
+    def value_and_gradient(t):
+        e, g = qcc_energy_and_gradient(plan, base.with_amplitudes(t), ref)
+        return e, np.asarray(g)
+
+    return minimize(value_and_gradient, np.array(base.amplitudes), cfg), len(plan)
+
+
 def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
@@ -185,15 +209,8 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
             break
 
         base = Ansatz([(g.generator, g.t_estimate) for g in selected])
-
-        def value_and_gradient(t, _h=h, _base=base):
-            e, g = qcc_energy_and_gradient(_h, _base.with_amplitudes(t), ref)
-            return e, np.asarray(g)
-
         try:
-            opt: OptimizationResult = minimize(
-                value_and_gradient, np.array(base.amplitudes), cfg.optimizer
-            )
+            opt, optimized_terms = _optimize(h, base, ref, cfg.optimizer)
         except OptimizationError as exc:
             raise IterationAbort(
                 f"optimizer failed at iteration {index}: {exc}", records=records
@@ -229,6 +246,7 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
                 optimizer_message=opt.message,
                 selected_generators=tuple(selected),
                 optimizer_evaluations=opt.evaluations,
+                optimized_terms=optimized_terms,
             )
         )
         if abs(energy - e_prev) <= cfg.energy_convergence:

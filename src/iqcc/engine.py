@@ -16,9 +16,12 @@ Energies of the full Ansatz are evaluated by exact symbolic conjugation
 (dressing) of the Hamiltonian; gradients use the conjugation chain pushed
 onto the generators:  dE/dt_j = Im <0| H_L T~_j |0>  with H_L the fully
 dressed Hamiltonian and T~_j the generator dressed through the later chain
-entries.  The array work (the block statistics of the ranking, dressing and
-the gradient contraction) is done by the kernels in ``_packed``; this module
-works on words and scalars.
+entries.  An optimizer evaluates one set of generators at many amplitudes,
+so the Hamiltonian is first narrowed to the rows those generators can bring
+to the diagonal and planned once (``coset_plan``); each evaluation then
+replays the plan.  The array work (the block statistics of the ranking,
+dressing and the gradient contraction) is done by the kernels in
+``_packed``; this module works on words and scalars.
 """
 
 from __future__ import annotations
@@ -159,21 +162,30 @@ def rank_generators(
     return ranked[:top_l], ranked[top_l:]
 
 
+def coset_plan(h: PackedSum, generators: Sequence[PauliWord]) -> _packed.DressPlan:
+    """The dressing plan of the part of ``h`` that can reach the energy or
+    the gradient under ``generators`` (their x-mask coset, ``span_filter``)."""
+    return _packed.plan_chain(_packed.span_filter(h, generators), generators)
+
+
 def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
     """<0| U^dag H U |0> by dressing H through the Ansatz, then projecting."""
-    chain = _packed.dress_chain(h, list(ansatz))
+    chain = _packed.run_plan(coset_plan(h, ansatz.generators), ansatz.amplitudes)
     return _packed.expectation_packed(chain, ref)
 
 
 def qcc_energy_and_gradient(
-    h: PackedSum, ansatz: Ansatz, ref: ReferenceState
+    plan: _packed.DressPlan, ansatz: Ansatz, ref: ReferenceState
 ) -> tuple[float, list[float]]:
     """Energy and exact analytic gradient in one pass.
 
-    The fully dressed H_L serves both: E = <0|H_L|0> and
-    dE/dt_j = Im <0| H_L T~_j |0>, where T~_j is generator j conjugated
-    through entries j+1..L of the chain.
+    ``plan`` is the Hamiltonian planned for the Ansatz's generators
+    (``coset_plan``); only the amplitudes are read from ``ansatz``.  The fully
+    dressed H_L serves both: E = <0|H_L|0> and dE/dt_j = Im <0| H_L T~_j |0>,
+    where T~_j is generator j conjugated through entries j+1..L of the chain.
     """
+    if ansatz.generators != plan.generators:
+        raise ValueError("the Ansatz's generators differ from the dressing plan's")
     pairs = list(ansatz)
-    chain = _packed.dress_chain(h, pairs)
+    chain = _packed.run_plan(plan, ansatz.amplitudes)
     return _packed.expectation_packed(chain, ref), _packed.chain_gradient(chain, pairs, ref)

@@ -21,7 +21,14 @@ from iqcc.driver import (
     run_iqcc,
     singlet_triplet_gap,
 )
-from iqcc.engine import Ansatz, MAX_GENERATORS, estimate_amplitude, qcc_energy, qcc_energy_and_gradient
+from iqcc.engine import (
+    Ansatz,
+    MAX_GENERATORS,
+    coset_plan,
+    estimate_amplitude,
+    qcc_energy,
+    qcc_energy_and_gradient,
+)
 from iqcc.errors import CapacityError
 from iqcc.mapping import SpinPenalty, reference_state
 from iqcc.oracle import to_matrix
@@ -182,7 +189,7 @@ class TestAcceptance:
                 (random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)
             ]
             ansatz = Ansatz(pairs)
-            _, grad = qcc_energy_and_gradient(h, ansatz, ref)
+            _, grad = qcc_energy_and_gradient(coset_plan(h, ansatz.generators), ansatz, ref)
             fd = []
             for j in range(L):
                 up = list(ansatz.amplitudes)

@@ -5,7 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
+from iqcc._packed import pack
 from iqcc.driver import IqccConfig
+from iqcc.fcidump import load_fcidump
+from iqcc.mapping import jordan_wigner
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import PauliSum, to_json
 
@@ -202,10 +205,33 @@ class TestRun:
         # scipy's message (the evaluation cap here)
         assert all(it["optimizer_gradient_norm"] > 1e-8 for it in iterations)
         assert all(it["optimizer_message"] for it in iterations)
-        assert "converged" not in csv.read_text().splitlines()[0]
-        # the flag stays out of the digest: the value from before it was recorded
+        header = csv.read_text().splitlines()[0]
+        assert "converged" not in header and "optimized" not in header
+        # rows the optimizer saw after the coset filter: some, and never more
+        # than the sum entering the iteration
+        entering = [len(pack(jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump"))))]
+        entering += [it["term_count"] for it in iterations[:-1]]
+        assert all(0 < it["optimized_terms"] <= n for it, n in zip(iterations, entering))
+        # the flags stay out of the digest: the value from before they were recorded
         digest = report["manifest"]["determinism"]["numeric_digest"]
         assert digest.startswith("0907c698d76516cf")
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["run", "lih.fcidump", "--generators", "8", "--energy-convergence", "1e-6",
+              "--max-iterations", "4"], "30a85213206505f6"),
+            (["gap", "h4.fcidump", "--generators", "4"], "d4ac26764c5b24ca"),
+        ],
+    )
+    def test_benchmark_command_digest(self, runner, tmp_path, argv, prefix):
+        # the lih_ground and h4_gap benchmark commands keep their trajectories
+        out = tmp_path / "report.json"
+        argv = [argv[0], str(FIXTURES / argv[1])] + argv[2:] + ["-o", str(out)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        digest = json.loads(out.read_text())["manifest"]["determinism"]["numeric_digest"]
+        assert digest.startswith(prefix)
 
 
 class TestConfigDefaults:

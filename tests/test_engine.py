@@ -6,6 +6,7 @@ from iqcc.errors import CapacityError, HermiticityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
     block_ranking_data,
+    coset_plan,
     derive_canonical_generator,
     estimate_amplitude,
     qcc_energy,
@@ -269,7 +270,8 @@ class TestQccGradient:
         _, h, ref = h2_problem
         sel, _ = rank_generators(_packed.pack(h), ref, 3)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
-        _, grad = qcc_energy_and_gradient(_packed.pack(h), ansatz, ref)
+        plan = coset_plan(_packed.pack(h), ansatz.generators)
+        _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
         for g, r in zip(grad, sel):
             assert abs(g - r.omega_signed) < 1e-12
 
@@ -278,7 +280,8 @@ class TestQccGradient:
         gen = parse_word("Y1", 2)  # disjoint support: commutes with h
         ref = ReferenceState(0b01, 2)
         for t in (0.0, 0.3, -1.2):
-            _, grad = qcc_energy_and_gradient(_packed.pack(h), Ansatz([(gen, t)]), ref)
+            ansatz = Ansatz([(gen, t)])
+            _, grad = qcc_energy_and_gradient(coset_plan(_packed.pack(h), [gen]), ansatz, ref)
             assert abs(grad[0]) < 1e-14
 
     def test_finite_difference_agreement(self):
@@ -291,7 +294,7 @@ class TestQccGradient:
             L = int(rng.integers(1, 5))
             pairs = [(random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)]
             ansatz = Ansatz(pairs)
-            energy, grad = qcc_energy_and_gradient(h, ansatz, ref)
+            energy, grad = qcc_energy_and_gradient(coset_plan(h, ansatz.generators), ansatz, ref)
             fd = []
             for j in range(L):
                 up = list(ansatz.amplitudes)

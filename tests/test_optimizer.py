@@ -97,16 +97,17 @@ class TestMinimize:
 
 class TestOnQccProblem:
     def test_h2_single_amplitude_matches_closed_form(self, h2_problem):
-        from iqcc.engine import qcc_energy_and_gradient
+        from iqcc.engine import coset_plan, qcc_energy_and_gradient
 
         _, h, ref = h2_problem
         h = _packed.pack(h)
         sel, _ = rank_generators(h, ref, 1)
         r = sel[0]
         base = Ansatz([(r.generator, 0.0)])
+        plan = coset_plan(h, base.generators)
 
         def vag(v):
-            e, g = qcc_energy_and_gradient(h, base.with_amplitudes(v), ref)
+            e, g = qcc_energy_and_gradient(plan, base.with_amplitudes(v), ref)
             return e, np.asarray(g)
 
         res = minimize(vag, np.array([r.t_estimate]))

@@ -1,0 +1,152 @@
+"""The per-iteration dressing plan and the coset filter against one-shot dressing."""
+
+import numpy as np
+import pytest
+
+from iqcc import _packed
+from iqcc.engine import Ansatz, coset_plan, qcc_energy_and_gradient
+from iqcc.pauli import parse_word
+from iqcc.pauli_sum import PauliSum, ReferenceState
+
+from helpers import random_generator, random_hermitian_sum, reference_dress
+
+
+def _assert_same(a: _packed.PackedSum, b: _packed.PackedSum):
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.c, b.c)
+
+
+def _reference_chain(h: PauliSum, gens, ts) -> _packed.PackedSum:
+    for gen, t in zip(gens, ts):
+        h = reference_dress(h, gen, t)
+    return _packed.pack(h)
+
+
+def _cases(seed: int, zero_amplitude: bool):
+    rng = np.random.default_rng(seed)
+    for n_layers in range(1, 9):
+        for _ in range(4):
+            n = int(rng.integers(2, 9))
+            h = random_hermitian_sum(n, int(rng.integers(1, 50)), rng)
+            gens = [random_generator(n, rng) for _ in range(n_layers)]
+            ts = [float(rng.normal()) for _ in range(n_layers)]
+            if zero_amplitude:
+                ts[int(rng.integers(n_layers))] = 0.0
+            yield h, gens, ts
+
+
+class TestRunPlan:
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_bit_equal_to_one_shot_dressing(self, zero_amplitude):
+        for h, gens, ts in _cases(31 + zero_amplitude, zero_amplitude):
+            p = _packed.pack(h)
+            planned = _packed.run_plan(_packed.plan_chain(p, gens), ts)
+            _assert_same(planned, _packed.dress_chain(p, list(zip(gens, ts))))
+            _assert_same(planned, _reference_chain(h, gens, ts))
+
+    def test_exact_cancellation_on_64_qubits(self):
+        n = 64
+        gen = parse_word("Y0 X63", n)
+        words = ("Z0", "Z63", "X0", "X63")  # the last two lie outside the span
+        h = PauliSum(n, [(parse_word(w, n), 1.0) for w in words])
+        in_span = PauliSum(n, [(parse_word(w, n), 1.0) for w in words[:2]])
+        kept = _packed.span_filter(_packed.pack(h), [gen])
+        assert sorted(kept.x.tolist()) == [0, 0]
+        plan = _packed.plan_chain(kept, [gen, gen])
+        assert len(plan) == 2 and len(plan.x) == 4
+        ts = [0.3, -0.3]
+        out = _packed.run_plan(plan, ts)
+        assert len(out) == 2  # the spawned X0 X63 and Y0 Y63 cancel exactly
+        _assert_same(out, _packed.dress_chain(kept, [(gen, t) for t in ts]))
+        _assert_same(out, _reference_chain(in_span, [gen, gen], ts))
+
+    def test_destinations_unique_per_layer(self):
+        for h, gens, _ts in _cases(33, False):
+            plan = _packed.plan_chain(_packed.pack(h), gens)
+            for layer in plan.layers:
+                assert len(np.unique(layer.base_dest)) == len(layer.base_dest)
+                assert len(np.unique(layer.spawn_dest)) == len(layer.spawn_dest)
+                assert len(layer.spawn_dest) == len(layer.anti) == len(layer.pos)
+
+    def test_amplitude_count_must_match(self):
+        rng = np.random.default_rng(34)
+        plan = _packed.plan_chain(_packed.pack(random_hermitian_sum(3, 10, rng)),
+                                  [random_generator(3, rng)])
+        with pytest.raises(ValueError):
+            _packed.run_plan(plan, [0.1, 0.2])
+
+
+class TestSpanFilter:
+    def test_keeps_exactly_the_span(self):
+        rng = np.random.default_rng(35)
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            p = _packed.pack(random_hermitian_sum(n, 60, rng))
+            gens = [random_generator(n, rng) for _ in range(int(rng.integers(1, 5)))]
+            span = {0}
+            for gen in gens:
+                span |= {s ^ gen.x for s in span}
+            kept = _packed.span_filter(p, gens)
+            want = np.array([x in span for x in p.x.tolist()], dtype=bool)
+            _assert_same(kept, _packed.PackedSum(n, p.x[want], p.z[want], p.c[want]))
+
+
+class TestFilteredEvaluation:
+    def _check(self, h, gens, ts, ref):
+        ansatz = Ansatz(list(zip(gens, ts)))
+        p = _packed.pack(h)
+        filtered = qcc_energy_and_gradient(coset_plan(p, gens), ansatz, ref)
+        unfiltered = qcc_energy_and_gradient(_packed.plan_chain(p, gens), ansatz, ref)
+        assert filtered == unfiltered
+
+    def test_energy_and_gradient_equal_unfiltered(self):
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            h = random_hermitian_sum(n, 50, rng)
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            n_layers = int(rng.integers(1, 6))
+            gens = [random_generator(n, rng) for _ in range(n_layers)]
+            self._check(h, gens, [float(rng.normal()) for _ in gens], ref)
+
+    def test_span_of_every_mask_keeps_every_row(self):
+        rng = np.random.default_rng(37)
+        n = 5
+        h = random_hermitian_sum(n, 60, rng)
+        gens = [parse_word(f"Y{j}", n) for j in range(n)]
+        p = _packed.pack(h)
+        assert len(coset_plan(p, gens)) == len(p)
+        self._check(h, gens, [float(rng.normal()) for _ in gens], ReferenceState(0b00111, n))
+
+    def test_generator_mismatch_rejected(self):
+        rng = np.random.default_rng(38)
+        n = 4
+        p = _packed.pack(random_hermitian_sum(n, 20, rng))
+        gens = [parse_word("Y0 X1", n), parse_word("X2 Y3", n)]
+        plan = coset_plan(p, gens)
+        ref = ReferenceState(0b0011, n)
+        qcc_energy_and_gradient(plan, Ansatz([(g, 0.2) for g in gens]), ref)
+        with pytest.raises(ValueError):
+            qcc_energy_and_gradient(plan, Ansatz([(g, 0.2) for g in reversed(gens)]), ref)
+        with pytest.raises(ValueError):
+            qcc_energy_and_gradient(plan, Ansatz([(gens[0], 0.2)]), ref)
+
+    def test_evaluation_dresses_only_gradient_seeds(self, monkeypatch):
+        # the Hamiltonian goes through the plan; one-shot dressing (and its
+        # sort) sees only the one-row generator seeds of the gradient
+        rng = np.random.default_rng(39)
+        n = 6
+        gens = [random_generator(n, rng) for _ in range(4)]
+        plan = coset_plan(_packed.pack(random_hermitian_sum(n, 60, rng)), gens)
+        seen = []
+        one_shot = _packed.dress_chain
+
+        def recording(p, pairs):
+            seen.append(len(p))
+            return one_shot(p, pairs)
+
+        monkeypatch.setattr(_packed, "dress_chain", recording)
+        ansatz = Ansatz([(g, float(rng.normal())) for g in gens])
+        qcc_energy_and_gradient(plan, ansatz, ReferenceState(0b000111, n))
+        assert seen == [1] * len(gens)
