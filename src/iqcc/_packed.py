@@ -9,10 +9,13 @@ scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
 bit for bit, because every output key receives at most two float
 contributions and addition is commutative in IEEE 754.  With x the primary
 key each x-group is one slice, which ``block_statistics`` reduces over and
-``chain_gradient`` finds by binary search.
+``chain_gradient`` finds by binary search.  Up to 32 qubits ``_sorted_keys``
+orders rows by one uint64 key, x shifted above z, which one stable argsort
+sorts faster than ``lexsort`` sorts the pair; wider masks no longer fit one
+word and fall back to ``lexsort``.  Both give the same permutation.
 
 Dressing comes in two forms.  ``dress_packed``/``dress_chain`` dress a sum
-once: each step lexsorts the grown rows and merges them (``_canonical``).
+once: each step sorts the grown rows and merges them (``_canonical``).
 An optimizer evaluates the same chain of generators at many amplitudes, so
 ``plan_chain`` does that sorting once per generator set and records, per
 layer, where each row and each spawned row lands; ``run_plan`` then dresses
@@ -23,8 +26,10 @@ at the end, so ``run_plan`` returns the arrays of ``dress_chain`` exactly.
 ``span_filter`` narrows the plan's input to the rows whose x mask lies in
 the GF(2) span of the generators' x masks: a generator only XORs its x mask
 into a word, so no other row reaches the diagonal (the energy) or an x-group
-that ``chain_gradient`` contracts against.  The one-shot form stays for the
-end-of-iteration dressing of the full sum and for the gradient seeds.
+that ``chain_gradient`` contracts against.  The gradient seeds T~_j are
+planned too (``plan_seeds``), so an evaluation sorts nothing.  The one-shot
+form serves only the end-of-iteration dressing of the full sum
+(``pauli_sum.dress_sequence``), and ``_canonical`` also serves ``pack``.
 """
 
 from __future__ import annotations
@@ -53,9 +58,16 @@ class PackedSum:
         return len(self.c)
 
 
-def _sorted_keys(x: np.ndarray, z: np.ndarray):
-    """Stable (x, z) lexsort: (order, sorted x, sorted z, first-of-key mask)."""
-    order = np.lexsort((z, x))  # stable: x primary, z secondary
+def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
+    """Stable (x, z) sort: (order, sorted x, sorted z, first-of-key mask).
+
+    Up to 32 qubits both masks fit one uint64 key, x in the high bits, and
+    one stable argsort of it gives the permutation of ``lexsort((z, x))``.
+    """
+    if n_qubits <= 32:
+        order = np.argsort((x << np.uint64(n_qubits)) | z, kind="stable")
+    else:
+        order = np.lexsort((z, x))  # stable: x primary, z secondary
     x, z = x[order], z[order]
     boundary = np.ones(len(x), dtype=bool)
     np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=boundary[1:])
@@ -65,7 +77,7 @@ def _sorted_keys(x: np.ndarray, z: np.ndarray):
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
     if len(c) == 0:
         return PackedSum(n_qubits, x, z, c)
-    order, x, z, boundary = _sorted_keys(x, z)
+    order, x, z, boundary = _sorted_keys(n_qubits, x, z)
     starts = np.flatnonzero(boundary)
     summed = np.add.reduceat(c[order], starts)
     xs, zs = x[starts], z[starts]
@@ -182,7 +194,8 @@ class DressPlan:
     """``dress_chain`` of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer, every key any amplitude can
-    reach.  ``len`` is the number of input rows.
+    reach.  ``len`` is the number of input rows.  ``seeds`` holds, for a plan
+    an optimizer evaluates, the plan of each gradient seed (``plan_seeds``).
     """
 
     n_qubits: int
@@ -191,6 +204,7 @@ class DressPlan:
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
     z: np.ndarray
+    seeds: tuple["DressPlan", ...] = ()
 
     def __len__(self) -> int:
         return len(self.c)
@@ -209,7 +223,7 @@ def plan_chain(p: PackedSum, generators) -> DressPlan:
     for gen in generators:
         anti, nx, nz, pos = _spawn(x, z, gen)
         order, x, z, boundary = _sorted_keys(
-            np.concatenate([x, nx]), np.concatenate([z, nz])
+            p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz])
         )
         dest = np.empty(len(order), dtype=np.intp)
         dest[order] = np.cumsum(boundary) - 1
@@ -219,6 +233,20 @@ def plan_chain(p: PackedSum, generators) -> DressPlan:
             PlanLayer(np.flatnonzero(anti), pos, dest[:n_base], dest[n_base:], len(x))
         )
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+
+
+def plan_seeds(n_qubits: int, generators) -> tuple[DressPlan, ...]:
+    """The plan of each gradient seed T~_j: generator j alone, through
+    generators j+1..L."""
+    generators = tuple(generators)
+    return tuple(
+        # the one-term sum 1.0 * gen is already canonical
+        plan_chain(
+            PackedSum(n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1)),
+            generators[j + 1 :],
+        )
+        for j, gen in enumerate(generators)
+    )
 
 
 def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
@@ -260,8 +288,8 @@ def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
     return lo, hi
 
 
-def chain_gradient(chain: PackedSum, pairs, ref: ReferenceState) -> list[float]:
-    """dE/dt_j = Im <0| H_L T~_j |0> for each (generator, amplitude) pair.
+def chain_gradient(chain: PackedSum, tildes, ref: ReferenceState) -> list[float]:
+    """dE/dt_j = Im <0| H_L T~_j |0> for each gradient seed T~_j in ``tildes``.
 
     ``chain`` is H_L, the sum dressed through every pair; T~_j is generator j
     dressed through pairs j+1..L.  Each word of T~_j meets only the x-group of
@@ -269,10 +297,7 @@ def chain_gradient(chain: PackedSum, pairs, ref: ReferenceState) -> list[float]:
     """
     occ = np.uint64(ref.occupation)
     grad = []
-    for j, (gen, _t) in enumerate(pairs):
-        # the one-term sum 1.0 * gen is already canonical
-        seed = PackedSum(chain.n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1))
-        tilde = dress_chain(seed, pairs[j + 1 :])
+    for tilde in tildes:
         gj = 0.0
         for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
             lo, hi = x_group_slice(chain, wx)

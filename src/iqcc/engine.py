@@ -18,8 +18,9 @@ onto the generators:  dE/dt_j = Im <0| H_L T~_j |0>  with H_L the fully
 dressed Hamiltonian and T~_j the generator dressed through the later chain
 entries.  An optimizer evaluates one set of generators at many amplitudes,
 so the Hamiltonian is first narrowed to the rows those generators can bring
-to the diagonal and planned once (``coset_plan``); each evaluation then
-replays the plan.  The array work (the block statistics of the ranking,
+to the diagonal and planned once (``coset_plan``), together with the
+gradient seeds T~_j; each evaluation then replays the plans and sorts
+nothing.  The array work (the block statistics of the ranking,
 dressing and the gradient contraction) is done by the kernels in
 ``_packed``; this module works on words and scalars.
 """
@@ -27,7 +28,7 @@ dressing and the gradient contraction) is done by the kernels in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from . import _packed
@@ -164,8 +165,10 @@ def rank_generators(
 
 def coset_plan(h: PackedSum, generators: Sequence[PauliWord]) -> _packed.DressPlan:
     """The dressing plan of the part of ``h`` that can reach the energy or
-    the gradient under ``generators`` (their x-mask coset, ``span_filter``)."""
-    return _packed.plan_chain(_packed.span_filter(h, generators), generators)
+    the gradient under ``generators`` (their x-mask coset, ``span_filter``),
+    with the plans of the gradient seeds (``plan_seeds``)."""
+    plan = _packed.plan_chain(_packed.span_filter(h, generators), generators)
+    return replace(plan, seeds=_packed.plan_seeds(h.n_qubits, generators))
 
 
 def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
@@ -182,10 +185,16 @@ def qcc_energy_and_gradient(
     ``plan`` is the Hamiltonian planned for the Ansatz's generators
     (``coset_plan``); only the amplitudes are read from ``ansatz``.  The fully
     dressed H_L serves both: E = <0|H_L|0> and dE/dt_j = Im <0| H_L T~_j |0>,
-    where T~_j is generator j conjugated through entries j+1..L of the chain.
+    where T~_j is generator j conjugated through entries j+1..L of the chain,
+    replayed from its seed plan.  No sort runs here.
     """
     if ansatz.generators != plan.generators:
         raise ValueError("the Ansatz's generators differ from the dressing plan's")
-    pairs = list(ansatz)
-    chain = _packed.run_plan(plan, ansatz.amplitudes)
-    return _packed.expectation_packed(chain, ref), _packed.chain_gradient(chain, pairs, ref)
+    if len(plan.seeds) != len(plan.generators):
+        raise ValueError("the dressing plan has no gradient seeds; build it with coset_plan")
+    amplitudes = ansatz.amplitudes
+    chain = _packed.run_plan(plan, amplitudes)
+    tildes = (
+        _packed.run_plan(seed, amplitudes[j + 1 :]) for j, seed in enumerate(plan.seeds)
+    )
+    return _packed.expectation_packed(chain, ref), _packed.chain_gradient(chain, tildes, ref)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import OptimizationError
 
@@ -47,7 +46,10 @@ def minimize(
     One fused callable lets the objective and its gradient share work (the
     QCC energy and gradient come from the same dressed Hamiltonian).
     Non-finite objective values abort with the offending point attached.
+    scipy is imported here, so that importing the package does not load it.
     """
+    from scipy.optimize import minimize as scipy_minimize
+
     cfg = cfg or OptimizationConfig()
     t0 = np.asarray(t0, dtype=float)
     if t0.size == 0:
@@ -61,7 +63,7 @@ def minimize(
             raise OptimizationError(f"non-finite objective at {v!r}", point=v.copy())
         return e, np.asarray(g, dtype=float)
 
-    res = _scipy_minimize(
+    res = scipy_minimize(
         fused,
         t0,
         jac=True,

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CapacityError, IqccError
-from .pauli import PauliWord, multiply
+from .pauli import PauliWord
 from .pauli_sum import PauliSum, ReferenceState
 
 DENSE_QUBIT_LIMIT = 12
@@ -170,10 +170,3 @@ def ansatz_unitary(entanglers, n_qubits: int) -> np.ndarray:
         u = u @ (np.cos(t_val / 2) * np.eye(dim) - 1j * np.sin(t_val / 2) * tm)
     return u
 
-
-def multiplication_check(a: PauliWord, b: PauliWord) -> bool:
-    """matrix(a) @ matrix(b) == i^k matrix(c) with (c, k) = multiply(a, b)."""
-    c, k = multiply(a, b)
-    lhs = word_matrix(a) @ word_matrix(b)
-    rhs = _I_POW[k] * word_matrix(c)
-    return bool(np.allclose(lhs, rhs, atol=1e-12))

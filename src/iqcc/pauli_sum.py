@@ -66,14 +66,6 @@ class ReferenceState:
     def n_occupied(self) -> int:
         return self.occupation.bit_count()
 
-    def sign(self, qubit: int) -> int:
-        """z-eigenvalue of the given qubit: -1 if occupied, +1 otherwise."""
-        return -1 if (self.occupation >> qubit) & 1 else 1
-
-    def parity_sign(self, z_mask: int) -> int:
-        """Product of z-eigenvalues over the mask."""
-        return -1 if (z_mask & self.occupation).bit_count() % 2 else 1
-
     def basis_index(self) -> int:
         """Index of this state in the oracle's basis (qubit 0 = LSB)."""
         return self.occupation
@@ -130,9 +122,6 @@ class PauliSum:
 
     def raw_items(self):
         return self._terms.items()
-
-    def coefficient(self, word: PauliWord) -> float:
-        return self._terms.get((word.x, word.z), 0.0)
 
     def __eq__(self, other) -> bool:
         return (

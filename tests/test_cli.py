@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import iqcc
 from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
@@ -254,6 +258,18 @@ class TestConfigDefaults:
             "max_evaluations": int,
             "memory_depth": int,
         }
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # the optimizer imports scipy.optimize when it runs, not at import
+        package_root = str(Path(iqcc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = "import sys, iqcc.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGap:

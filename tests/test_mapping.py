@@ -22,7 +22,7 @@ class TestJordanWigner:
         mi = MolecularIntegrals(0.5, np.zeros((1, 1)), np.zeros((1, 1, 1, 1)), 0, 1)
         h = jordan_wigner(mi)
         assert len(h) == 1
-        assert h.coefficient(PauliWord.identity(2)) == 0.5
+        assert dict(h.raw_items())[(0, 0)] == 0.5
 
     def test_number_operator_form(self):
         mi = MolecularIntegrals(0.0, np.array([[0.3]]), np.zeros((1, 1, 1, 1)), 2, 1)

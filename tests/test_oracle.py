@@ -6,14 +6,13 @@ from iqcc.mapping import spin_operators
 from iqcc.oracle import (
     ansatz_unitary,
     ground_state,
-    multiplication_check,
     reference_vector,
     spin_resolved_spectrum,
     to_matrix,
     to_sparse,
     word_matrix,
 )
-from iqcc.pauli import PauliWord, parse_word
+from iqcc.pauli import PauliWord, multiply, parse_word
 from iqcc.pauli_sum import PauliSum, ReferenceState, dress, expectation
 
 from helpers import random_generator, random_hermitian_sum
@@ -57,7 +56,10 @@ class TestToMatrix:
         words = [PauliWord(x, z, 2) for x in range(4) for z in range(4)]
         for a in words:
             for b in words:
-                assert multiplication_check(a, b)
+                # matrix(a) @ matrix(b) == i^k matrix(c) with (c, k) = multiply(a, b)
+                c, k = multiply(a, b)
+                rhs = (1, 1j, -1, -1j)[k] * word_matrix(c)
+                assert np.allclose(word_matrix(a) @ word_matrix(b), rhs, atol=1e-12)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(2)

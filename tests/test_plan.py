@@ -1,5 +1,7 @@
 """The per-iteration dressing plan and the coset filter against one-shot dressing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,9 @@ class TestFilteredEvaluation:
         ansatz = Ansatz(list(zip(gens, ts)))
         p = _packed.pack(h)
         filtered = qcc_energy_and_gradient(coset_plan(p, gens), ansatz, ref)
-        unfiltered = qcc_energy_and_gradient(_packed.plan_chain(p, gens), ansatz, ref)
+        unfiltered_plan = replace(_packed.plan_chain(p, gens),
+                                  seeds=_packed.plan_seeds(p.n_qubits, gens))
+        unfiltered = qcc_energy_and_gradient(unfiltered_plan, ansatz, ref)
         assert filtered == unfiltered
 
     def test_energy_and_gradient_equal_unfiltered(self):
@@ -131,22 +135,70 @@ class TestFilteredEvaluation:
             qcc_energy_and_gradient(plan, Ansatz([(g, 0.2) for g in reversed(gens)]), ref)
         with pytest.raises(ValueError):
             qcc_energy_and_gradient(plan, Ansatz([(gens[0], 0.2)]), ref)
+        with pytest.raises(ValueError):  # no gradient seeds
+            qcc_energy_and_gradient(_packed.plan_chain(p, gens),
+                                    Ansatz([(g, 0.2) for g in gens]), ref)
 
-    def test_evaluation_dresses_only_gradient_seeds(self, monkeypatch):
-        # the Hamiltonian goes through the plan; one-shot dressing (and its
-        # sort) sees only the one-row generator seeds of the gradient
+    def test_evaluation_sorts_nothing(self, monkeypatch):
+        # the Hamiltonian and the gradient seeds are planned by coset_plan;
+        # an evaluation only replays the plans
         rng = np.random.default_rng(39)
         n = 6
         gens = [random_generator(n, rng) for _ in range(4)]
         plan = coset_plan(_packed.pack(random_hermitian_sum(n, 60, rng)), gens)
-        seen = []
-        one_shot = _packed.dress_chain
 
-        def recording(p, pairs):
-            seen.append(len(p))
-            return one_shot(p, pairs)
+        def no_sort(*args):
+            raise AssertionError("an evaluation sorted keys")
 
-        monkeypatch.setattr(_packed, "dress_chain", recording)
+        monkeypatch.setattr(_packed, "_sorted_keys", no_sort)
         ansatz = Ansatz([(g, float(rng.normal())) for g in gens])
-        qcc_energy_and_gradient(plan, ansatz, ReferenceState(0b000111, n))
-        assert seen == [1] * len(gens)
+        _, grad = qcc_energy_and_gradient(plan, ansatz, ReferenceState(0b000111, n))
+        assert len(grad) == len(gens)
+
+
+class TestPlannedSeeds:
+    def test_gradient_equals_one_shot_seeds(self):
+        # reference: every T~_j dressed one-shot by dress_chain, then the same
+        # contraction; == per component, with and without a zero amplitude
+        rng = np.random.default_rng(40)
+        for zero_amplitude in (False, True):
+            for h, gens, ts in _cases(41 + zero_amplitude, zero_amplitude):
+                n = h.n_qubits
+                ref = ReferenceState(int(rng.integers(1 << n)), n)
+                pairs = list(zip(gens, ts))
+                plan = coset_plan(_packed.pack(h), gens)
+                _, grad = qcc_energy_and_gradient(plan, Ansatz(pairs), ref)
+                seeds = [_packed.PackedSum(n, np.uint64([g.x]), np.uint64([g.z]), np.ones(1))
+                         for g in gens]
+                tildes = [_packed.dress_chain(s, pairs[j + 1 :]) for j, s in enumerate(seeds)]
+                want = _packed.chain_gradient(_packed.run_plan(plan, ts), tildes, ref)
+                assert len(grad) == len(gens)
+                assert all(a == b for a, b in zip(grad, want, strict=True))
+
+
+class TestSortedKeys:
+    @pytest.mark.parametrize("n", [1, 5, 12, 31, 32, 33, 63, 64])
+    def test_same_permutation_as_lexsort(self, n):
+        rng = np.random.default_rng(n)
+        top = np.uint64(1 << (n - 1))
+        full = np.uint64((1 << n) - 1)
+
+        def masks(m):
+            # seeded masks over n bits, with the top bit set in about half
+            low = rng.integers(0, 1 << 64, size=m, dtype=np.uint64) & full
+            return np.where(rng.random(m) < 0.5, low | top, low & ~top)
+
+        edge = np.array([full, full, 0, top, full, 0], dtype=np.uint64)
+        x = np.concatenate([masks(200), edge])
+        z = np.concatenate([masks(200), edge[::-1]])
+        dup = rng.integers(0, len(x), size=150)  # exact duplicates of (x, z) rows
+        x = np.concatenate([x, x[dup], x[:50]])
+        z = np.concatenate([z, z[dup], masks(50)])  # same x, other z
+        perm = rng.permutation(len(x))
+        x, z = x[perm], z[perm]
+        order, xs, zs, boundary = _packed._sorted_keys(n, x, z)
+        want = np.lexsort((z, x))
+        assert np.array_equal(order, want)
+        assert np.array_equal(xs, x[want]) and np.array_equal(zs, z[want])
+        distinct = len({(a, b) for a, b in zip(x.tolist(), z.tolist())})
+        assert int(boundary.sum()) == distinct < len(x)
