@@ -237,6 +237,19 @@ class TestRun:
         digest = json.loads(out.read_text())["manifest"]["determinism"]["numeric_digest"]
         assert digest.startswith(prefix)
 
+    @pytest.mark.parametrize(
+        "fixture, n_terms, prefix",
+        [("lih.fcidump", 631, "4db72b1b01d706fe"), ("h4.fcidump", 185, "e68e6be5505215d2")],
+    )
+    def test_transform_digest(self, runner, tmp_path, fixture, n_terms, prefix):
+        # the Jordan-Wigner output, word by word and coefficient by coefficient
+        out = tmp_path / "h.json"
+        result = runner.invoke(main, ["transform", str(FIXTURES / fixture), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        data = json.loads(out.read_text())
+        assert len(data["terms"]) == n_terms
+        assert data["manifest"]["determinism"]["numeric_digest"].startswith(prefix)
+
 
 class TestConfigDefaults:
     def test_defaults_build_the_default_config(self):
