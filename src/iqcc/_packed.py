@@ -114,16 +114,18 @@ def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
     """
     tx = np.uint64(t_gen.x)
     tz = np.uint64(t_gen.z)
-    anti = (_popcount(x & tz) + _popcount(z & tx)) % 2 == 1
+    # the parity of a sum of popcounts is the parity of the XOR's popcount
+    anti = (np.bitwise_count((x & tz) ^ (z & tx)) & 1).astype(bool)
     ax, az = x[anti], z[anti]
     nx = ax ^ tx
     nz = az ^ tz
+    # uint8 wraps mod 256, which keeps the phase exponent right mod 4
     k = (
-        _popcount(ax & az)
-        + int(t_gen.y_count())
-        - _popcount(nx & nz)
-        + 2 * _popcount(az & tx)
-    ) % 4
+        np.bitwise_count(ax & az)
+        + np.uint8(t_gen.y_count())
+        - np.bitwise_count(nx & nz)
+        + 2 * np.bitwise_count(az & tx)
+    ) & 3
     return anti, nx, nz, k == 1
 
 

@@ -10,85 +10,141 @@ words (correct by construction for any size): mode j carries
     a_j       = Z_0 .. Z_{j-1} (X_j + i Y_j) / 2
     a_j^dag   = Z_0 .. Z_{j-1} (X_j - i Y_j) / 2
 
-and products are expanded with exact mod-4 phase tracking.  Real molecular
-integrals always leave a real, even-y-count Pauli sum; a residual imaginary
-part signals inconsistent input and raises.
+so a product of F ladder factors expands into 2**F Pauli products, one per
+choice of the X or the Y half of each factor.  ``_ladder_rows`` expands
+``_BLOCK`` ladder products at a time in numpy: the x and z masks of each
+product, its mod-4 phase (integer arithmetic, as in ``pauli.raw_multiply``)
+and its coefficient v * 0.5**F times that power of i.  The block bounds the
+temporaries whatever the number of integrals.
+
+``_accumulate`` adds the rows into one table of keys, kept in order of first
+occurrence, with ``np.add.at``, which adds each key's rows one by one in the
+order they come.  That generation order is: the core energy, then h1 in
+``np.nonzero`` order times spin, then g2 in ``np.nonzero`` order times the
+(sigma, tau) spin pattern, and each ladder product's Pauli products in
+``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
+``tests/helpers.py``).  Float addition is not associative, so the order fixes
+every coefficient's bits.  The key order matters too: it is the order of the
+returned ``PauliSum``, in which ``expectation`` (the driver's initial energy)
+and ``sum_add`` (the spin penalty) sum.
+
+Real molecular integrals always leave a real, even-y-count Pauli sum; a
+residual imaginary part signals inconsistent input and raises.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._packed import _sorted_keys
 from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
-from .pauli import PauliWord, raw_multiply, render_word
+from .pauli import PauliWord, render_word
 from .pauli_sum import MAX_QUBITS, PauliSum, ReferenceState
 
-_PHASE = (1.0, 1j, -1.0, -1j)
+# Ladder products expanded at once, 2**F Pauli rows each: the block bounds
+# the temporaries; larger blocks raised the benchmark's peak RSS.
+_BLOCK = 512
+_PHASE = np.array([1.0, 1j, -1.0, -1j])  # i**k
+
+# Spin of each ladder factor, one row per spin pattern: a^dag_ps a_qs for h1,
+# a^dag_p(sigma) a^dag_r(tau) a_s(tau) a_q(sigma) for g2.
+_ONE_BODY_SPINS = np.array([[0, 0], [1, 1]])
+_TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
 
 
-class _Accumulator:
-    """Complex-coefficient Pauli accumulator for intermediate fermion algebra."""
+def _ladder_rows(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
+    """Pauli rows (x, z, complex c) of ladder products, ``_BLOCK`` at a time.
 
-    __slots__ = ("n_qubits", "terms")
+    Product (i, s) is values[i] times the factors a_j, j = 2 * orbitals[f][i]
+    + spins[s, f], with a^dag where ``dagger[f]``, left to right; products run
+    i-major, and each expands into its Pauli products in ``itertools.product``
+    order (the X half of a factor before its Y half, the first factor slowest).
+    """
+    n_spin, n_fac = spins.shape
+    # per Pauli product and factor: 1 where it takes the Y half
+    half = (np.arange(1 << n_fac)[:, None] >> np.arange(n_fac - 1, -1, -1)) & 1
+    # the Y half carries +i/2 (a) or -i/2 (a^dag): that power of i
+    y_phase = [(half[:, f] * (3 if dagger[f] else 1)).astype(np.uint8) for f in range(n_fac)]
+    half = half.astype(bool)
+    one = np.uint64(1)
+    n_products = len(values) * n_spin
+    for start in range(0, n_products, _BLOCK):
+        i, s = np.divmod(np.arange(start, min(start + _BLOCK, n_products)), n_spin)
+        x = np.zeros((len(i), 1 << n_fac), dtype=np.uint64)
+        z = np.zeros_like(x)
+        k = np.zeros(x.shape, dtype=np.uint8)  # wraps mod 256, so stays right mod 4
+        m = values[i]
+        for f in range(n_fac):
+            bit = one << (2 * orbitals[f][i] + spins[s, f]).astype(np.uint64)[:, None]
+            wz = np.where(half[:, f], (bit - one) | bit, bit - one)
+            # (x, z) * (bit, wz) = i**k' (x ^ bit, z ^ wz), k' as in
+            # pauli.raw_multiply; the Y half adds its own power of i
+            k += np.bitwise_count(x & z)
+            k += np.bitwise_count(bit & wz)
+            k += 2 * np.bitwise_count(z & bit)
+            k += y_phase[f]
+            x ^= bit
+            z ^= wz
+            k -= np.bitwise_count(x & z)
+            m = m * 0.5
+        c = _PHASE[k & 3]
+        c *= m[:, None]
+        yield x.ravel(), z.ravel(), c.ravel()
 
-    def __init__(self, n_qubits: int):
-        self.n_qubits = n_qubits
-        self.terms: dict[tuple[int, int], complex] = {}
 
-    def add(self, x: int, z: int, coeff: complex) -> None:
-        key = (x, z)
-        self.terms[key] = self.terms.get(key, 0.0) + coeff
+def _accumulate(n_qubits: int, blocks):
+    """Sum row blocks (x, z, c) into one key table: (x, z, c) per key, keys
+    in order of first occurrence, each c the left-to-right sum of its rows."""
+    x = z = np.zeros(0, dtype=np.uint64)
+    c = np.zeros(0, dtype=np.complex128)
+    # the keys in (x, z) order and each one's row of the table
+    sx, sz, srow = x, z, np.zeros(0, dtype=np.intp)
+    for bx, bz, bc in blocks:
+        n_old = len(c)
+        order, kx, kz, boundary = _sorted_keys(
+            n_qubits, np.concatenate([sx, bx]), np.concatenate([sz, bz])
+        )
+        # the stable sort puts a key's table entry before its new rows
+        first = order[boundary]
+        new = first >= n_old
+        row = np.empty(len(first), dtype=np.intp)
+        row[~new] = srow[first[~new]]
+        appended = np.flatnonzero(new)[np.argsort(first[new])]
+        row[appended] = np.arange(n_old, n_old + len(appended))
+        dest = np.empty(len(order), dtype=np.intp)
+        dest[order] = row[np.cumsum(boundary) - 1]
+        sx, sz, srow = kx[boundary], kz[boundary], row
+        x = np.concatenate([x, sx[appended]])
+        z = np.concatenate([z, sz[appended]])
+        c = np.concatenate([c, np.zeros(len(appended), dtype=np.complex128)])
+        np.add.at(c, dest[n_old:], bc)
+    return x, z, c
 
-    def add_ladder_product(self, modes: list[tuple[int, bool]], coeff: complex) -> None:
-        """Accumulate coeff * prod of a/a^dag factors, left to right.
 
-        ``modes`` lists (mode index, is_creation) pairs.
-        """
-        factors = []
-        for j, dagger in modes:
-            parity = (1 << j) - 1
-            xj = 1 << j
-            y_coeff = -0.5j if dagger else 0.5j
-            factors.append((((xj, parity), 0.5), ((xj, parity | xj), y_coeff)))
-        for combo in itertools.product(*factors):
-            x = z = 0
-            c = coeff
-            for (wx, wz), wc in combo:
-                x, z, k = raw_multiply(x, z, wx, wz)
-                c *= wc * _PHASE[k]
-            self.add(x, z, c)
+def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10):
+    """The real sum's keys and values; only cancellation dust may be discarded.
 
-    def to_real_sum(self, tol: float = 1e-10) -> PauliSum:
-        """Collapse to a real sum; only cancellation dust may be discarded.
-
-        Real input integrals leave odd-y words with exactly cancelling
-        coefficients up to float addition order, so anything beyond ``tol``
-        times the coefficient scale is a genuine hermiticity violation.
-        """
-        scale = max(max((abs(c) for c in self.terms.values()), default=1.0), 1.0)
-        raw: dict[tuple[int, int], float] = {}
-        for (x, z), c in self.terms.items():
-            word_is_imaginary = (x & z).bit_count() % 2 == 1
-            if word_is_imaginary:
-                if abs(c) > tol * scale:
-                    raise HermiticityError(
-                        f"odd y-count word {render_word(PauliWord(x, z, self.n_qubits))} "
-                        f"with coefficient {c:.3e}"
-                    )
-                continue
-            if abs(c.imag) > tol * scale:
-                raise HermiticityError(
-                    f"imaginary coefficient {c:.3e} on "
-                    f"{render_word(PauliWord(x, z, self.n_qubits))}"
-                )
-            if c.real != 0.0:
-                raw[(x, z)] = c.real
-        return PauliSum._from_raw(self.n_qubits, raw)
+    Real input integrals leave odd-y words with exactly cancelling
+    coefficients up to float addition order, so anything beyond ``tol``
+    times the coefficient scale is a genuine hermiticity violation.
+    """
+    mag = np.abs(c)
+    scale = float(np.max(mag, initial=1.0))
+    odd = (np.bitwise_count(x & z) & 1).astype(bool)
+    bad = np.where(odd, mag, np.abs(c.imag)) > tol * scale
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        word = render_word(PauliWord(int(x[i]), int(z[i]), n_qubits))
+        ci = complex(c[i])
+        if odd[i]:
+            raise HermiticityError(f"odd y-count word {word} with coefficient {ci:.3e}")
+        raise HermiticityError(f"imaginary coefficient {ci:.3e} on {word}")
+    keep = ~odd & (c.real != 0.0)
+    return list(zip(x[keep].tolist(), z[keep].tolist())), c.real[keep]
 
 
 def jordan_wigner(mi: MolecularIntegrals) -> PauliSum:
@@ -105,29 +161,22 @@ def jordan_wigner(mi: MolecularIntegrals) -> PauliSum:
     if not np.all(np.isfinite(mi.h1)) or not np.all(np.isfinite(mi.g2)):
         raise ValueError("non-finite integral values")
     n_qubits = 2 * mi.n_spatial
-    acc = _Accumulator(n_qubits)
-    acc.add(0, 0, complex(mi.core_energy))
 
-    for p, q in zip(*np.nonzero(mi.h1)):
-        v = mi.h1[p, q]
-        for spin in (0, 1):
-            acc.add_ladder_product(
-                [(2 * int(p) + spin, True), (2 * int(q) + spin, False)], v
-            )
+    def rows():
+        identity = np.zeros(1, dtype=np.uint64)
+        yield identity, identity, np.array([complex(mi.core_energy)])
+        one = np.nonzero(mi.h1)
+        yield from _ladder_rows(one, _ONE_BODY_SPINS, (True, False), mi.h1[one])
+        two = np.nonzero(mi.g2)
+        p, q, r, s = two
+        yield from _ladder_rows(
+            (p, r, s, q), _TWO_BODY_SPINS, (True, True, False, False), 0.5 * mi.g2[two]
+        )
 
-    for p, q, r, s in zip(*np.nonzero(mi.g2)):
-        v = 0.5 * mi.g2[p, q, r, s]
-        for sig, tau in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            acc.add_ladder_product(
-                [
-                    (2 * int(p) + sig, True),
-                    (2 * int(r) + tau, True),
-                    (2 * int(s) + tau, False),
-                    (2 * int(q) + sig, False),
-                ],
-                v,
-            )
-    return acc.to_real_sum()
+    keys, values = _collapse(n_qubits, *_accumulate(n_qubits, rows()))
+    # numpy float64 coefficients, the type of the integrals' elements: a run
+    # digest holds the repr of the initial energy, which shows that type
+    return PauliSum._from_raw(n_qubits, dict(zip(keys, values)))
 
 
 def reference_state(n_e: int, n_qubits: int, ms2: int | None = None) -> ReferenceState:
@@ -173,26 +222,27 @@ def spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
         sz_terms.append((PauliWord.single("Z", 2 * p, n_qubits), -0.25))
     s_z = PauliSum(n_qubits, sz_terms)
 
-    acc = _Accumulator(n_qubits)
-    # S_z^2 (products of diagonal words) plus S_z.
-    for (ax, az), ac in s_z.raw_items():
-        acc.add(ax, az, ac)
-        for (bx, bz), bc in s_z.raw_items():
-            x, z, k = raw_multiply(ax, az, bx, bz)
-            acc.add(x, z, ac * bc * _PHASE[k])
+    # S_z^2 + S_z: each S_z word, then its products with every S_z word (all
+    # diagonal, so the products are phase-free).
+    az = np.array([wz for (_, wz), _ in s_z.raw_items()], dtype=np.uint64)
+    ac = np.array([wc for _, wc in s_z.raw_items()])
+    sz_z = np.empty((len(az), len(az) + 1), dtype=np.uint64)
+    sz_z[:, 0] = az
+    sz_z[:, 1:] = az[:, None] ^ az
+    sz_c = np.empty(sz_z.shape)
+    sz_c[:, 0] = ac
+    sz_c[:, 1:] = ac[:, None] * ac
     # S_- S_+ = sum_pq b^dag_p a_p a^dag_q b_q  (a: alpha mode, b: beta mode).
-    for p in range(n_orb):
-        for q in range(n_orb):
-            acc.add_ladder_product(
-                [
-                    (2 * p + 1, True),
-                    (2 * p, False),
-                    (2 * q, True),
-                    (2 * q + 1, False),
-                ],
-                1.0,
-            )
-    return acc.to_real_sum(), s_z
+    p, q = np.divmod(np.arange(n_orb * n_orb), n_orb)
+
+    def rows():
+        yield np.zeros(sz_z.size, dtype=np.uint64), sz_z.ravel(), sz_c.ravel().astype(complex)
+        yield from _ladder_rows(
+            (p, p, q, q), np.array([[1, 0, 0, 1]]), (True, False, True, False), np.ones(len(p))
+        )
+
+    keys, values = _collapse(n_qubits, *_accumulate(n_qubits, rows()))
+    return PauliSum._from_raw(n_qubits, dict(zip(keys, values.tolist()))), s_z
 
 
 @dataclass(frozen=True)

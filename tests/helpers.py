@@ -1,11 +1,13 @@
-"""Shared test utilities: random operators, the scalar dressing reference and
-an independent fermionic oracle."""
+"""Shared test utilities: random operators, the scalar dressing and
+Jordan-Wigner references and an independent fermionic oracle."""
 
+import itertools
 import math
 
 import numpy as np
 
-from iqcc.pauli import PauliWord
+from iqcc.errors import HermiticityError
+from iqcc.pauli import PauliWord, raw_multiply, render_word
 from iqcc.pauli_sum import PauliSum
 
 
@@ -63,6 +65,104 @@ def reference_dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
         new = c * sin_t if k == 1 else -c * sin_t
         out[(nx, nz)] = out.get((nx, nz), 0.0) + new
     return PauliSum._from_raw(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
+
+
+_PHASE = (1.0, 1j, -1.0, -1j)
+
+
+class _ScalarAccumulator:
+    """Complex-coefficient Pauli dict, one ``raw_multiply`` per factor."""
+
+    def __init__(self, n_qubits: int):
+        self.n_qubits = n_qubits
+        self.terms: dict[tuple[int, int], complex] = {}
+
+    def add(self, x: int, z: int, coeff: complex) -> None:
+        key = (x, z)
+        self.terms[key] = self.terms.get(key, 0.0) + coeff
+
+    def add_ladder_product(self, modes: list[tuple[int, bool]], coeff: complex) -> None:
+        """Accumulate coeff * prod of a/a^dag factors, left to right.
+
+        ``modes`` lists (mode index, is_creation) pairs.
+        """
+        factors = []
+        for j, dagger in modes:
+            parity = (1 << j) - 1
+            xj = 1 << j
+            y_coeff = -0.5j if dagger else 0.5j
+            factors.append((((xj, parity), 0.5), ((xj, parity | xj), y_coeff)))
+        for combo in itertools.product(*factors):
+            x = z = 0
+            c = coeff
+            for (wx, wz), wc in combo:
+                x, z, k = raw_multiply(x, z, wx, wz)
+                c *= wc * _PHASE[k]
+            self.add(x, z, c)
+
+    def to_real_sum(self, tol: float = 1e-10) -> PauliSum:
+        scale = max(max((abs(c) for c in self.terms.values()), default=1.0), 1.0)
+        raw: dict[tuple[int, int], float] = {}
+        for (x, z), c in self.terms.items():
+            word = PauliWord(x, z, self.n_qubits)
+            if (x & z).bit_count() % 2 == 1:
+                if abs(c) > tol * scale:
+                    raise HermiticityError(
+                        f"odd y-count word {render_word(word)} with coefficient {c:.3e}"
+                    )
+                continue
+            if abs(c.imag) > tol * scale:
+                raise HermiticityError(f"imaginary coefficient {c:.3e} on {render_word(word)}")
+            if c.real != 0.0:
+                raw[(x, z)] = c.real
+        return PauliSum._from_raw(self.n_qubits, raw)
+
+
+def reference_jordan_wigner(mi) -> PauliSum:
+    """Scalar Jordan-Wigner expansion, one integral and one Pauli product at a
+    time: the reference ``mapping.jordan_wigner`` must match bit for bit, in
+    values and in key order."""
+    acc = _ScalarAccumulator(2 * mi.n_spatial)
+    acc.add(0, 0, complex(mi.core_energy))
+    for p, q in zip(*np.nonzero(mi.h1)):
+        v = mi.h1[p, q]
+        for spin in (0, 1):
+            acc.add_ladder_product([(2 * int(p) + spin, True), (2 * int(q) + spin, False)], v)
+    for p, q, r, s in zip(*np.nonzero(mi.g2)):
+        v = 0.5 * mi.g2[p, q, r, s]
+        for sig, tau in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            acc.add_ladder_product(
+                [
+                    (2 * int(p) + sig, True),
+                    (2 * int(r) + tau, True),
+                    (2 * int(s) + tau, False),
+                    (2 * int(q) + sig, False),
+                ],
+                v,
+            )
+    return acc.to_real_sum()
+
+
+def reference_spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
+    """Scalar (S^2, S_z), the reference for ``mapping.spin_operators``."""
+    n_orb = n_qubits // 2
+    sz_terms = []
+    for p in range(n_orb):
+        sz_terms.append((PauliWord.single("Z", 2 * p + 1, n_qubits), 0.25))
+        sz_terms.append((PauliWord.single("Z", 2 * p, n_qubits), -0.25))
+    s_z = PauliSum(n_qubits, sz_terms)
+    acc = _ScalarAccumulator(n_qubits)
+    for (ax, az), ac in s_z.raw_items():
+        acc.add(ax, az, ac)
+        for (bx, bz), bc in s_z.raw_items():
+            x, z, k = raw_multiply(ax, az, bx, bz)
+            acc.add(x, z, ac * bc * _PHASE[k])
+    for p in range(n_orb):
+        for q in range(n_orb):
+            acc.add_ladder_product(
+                [(2 * p + 1, True), (2 * p, False), (2 * q, True), (2 * q + 1, False)], 1.0
+            )
+    return acc.to_real_sum(), s_z
 
 
 def dense_ladder_operators(n_modes: int) -> list[np.ndarray]:

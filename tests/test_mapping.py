@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from iqcc.errors import CapacityError
+from iqcc import mapping
+from iqcc.errors import CapacityError, HermiticityError
 from iqcc.fcidump import CASWindow, MolecularIntegrals, load_fcidump, select_cas
 from iqcc.mapping import (
     SpinPenalty,
@@ -14,7 +15,36 @@ from iqcc.oracle import ground_state, to_matrix
 from iqcc.pauli import PauliWord
 from iqcc.pauli_sum import PauliSum, expectation
 
-from helpers import dense_fermionic_hamiltonian, random_symmetric_integrals
+from helpers import (
+    dense_fermionic_hamiltonian,
+    random_symmetric_integrals,
+    reference_jordan_wigner,
+    reference_spin_operators,
+)
+
+
+def assert_bitwise_equal(a: PauliSum, b: PauliSum):
+    """Same keys in the same order, and the same bits and scalar type (numpy
+    or Python float, which a run digest's repr shows) in every coefficient."""
+    assert a.n_qubits == b.n_qubits
+    assert [k for k, _ in a.raw_items()] == [k for k, _ in b.raw_items()]
+    assert [(type(c), c.hex()) for _, c in a.raw_items()] == [
+        (type(c), c.hex()) for _, c in b.raw_items()
+    ]
+
+
+def sparse_wide_integrals(n_spatial: int) -> MolecularIntegrals:
+    """A few symmetric integrals reaching the last orbital: wide, cheap masks."""
+    h1 = np.zeros((n_spatial, n_spatial))
+    h1[np.arange(n_spatial), np.arange(n_spatial)] = -1.0 + 0.01 * np.arange(n_spatial)
+    top = n_spatial - 1
+    for p, q, v in ((0, top, 0.125), (3, top - 2, -0.0625)):
+        h1[p, q] = h1[q, p] = v
+    g2 = np.zeros((n_spatial,) * 4)
+    for (p, q, r, s), v in (((0, top, 1, top - 1), 0.03125), ((2, 2, top, top), 0.5)):
+        for a, b, c, d in ((p, q, r, s), (r, s, p, q)):
+            g2[a, b, c, d] = g2[b, a, c, d] = g2[a, b, d, c] = g2[b, a, d, c] = v
+    return MolecularIntegrals(0.75, h1, g2, 2, n_spatial)
 
 
 class TestJordanWigner:
@@ -67,6 +97,64 @@ class TestJordanWigner:
         for w, c in h.items():
             assert w.y_count() % 2 == 0
             assert isinstance(c, float)
+
+
+class TestAgainstScalarReference:
+    """The blocked numpy expansion against the scalar one, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
+    def test_fixtures(self, fixture_dir, name):
+        mi = load_fcidump(fixture_dir / f"{name}.fcidump")
+        assert_bitwise_equal(jordan_wigner(mi), reference_jordan_wigner(mi))
+
+    @pytest.mark.parametrize("n_spatial", [1, 2, 3, 4])
+    def test_random_integrals(self, n_spatial):
+        mi = random_symmetric_integrals(n_spatial, np.random.default_rng(n_spatial), core=-0.3)
+        assert_bitwise_equal(jordan_wigner(mi), reference_jordan_wigner(mi))
+
+    def test_wider_than_32_qubits(self):
+        # 36 qubits: keys no longer fit one composite sort word (lexsort path)
+        mi = sparse_wide_integrals(18)
+        h = jordan_wigner(mi)
+        assert max(x | z for x, z in (k for k, _ in h.raw_items())) >> 32
+        assert_bitwise_equal(h, reference_jordan_wigner(mi))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_invariance(self, fixture_dir, monkeypatch, block):
+        mi = load_fcidump(fixture_dir / "h4.fcidump")
+        expected = reference_jordan_wigner(mi)
+        s2_expected = reference_spin_operators(8)[0]
+        monkeypatch.setattr(mapping, "_BLOCK", block)
+        assert_bitwise_equal(jordan_wigner(mi), expected)
+        assert_bitwise_equal(spin_operators(8)[0], s2_expected)
+
+    @pytest.mark.parametrize("n_qubits", [4, 8, 12, 24])
+    def test_spin_operators(self, n_qubits):
+        s2, sz = spin_operators(n_qubits)
+        s2_ref, sz_ref = reference_spin_operators(n_qubits)
+        assert_bitwise_equal(s2, s2_ref)
+        assert_bitwise_equal(sz, sz_ref)
+
+
+class TestHermiticityErrors:
+    def test_asymmetric_h1_leaves_odd_y_word(self):
+        mi = MolecularIntegrals(0.0, np.array([[0.0, 0.1], [0.1, 0.0]]), np.zeros((2,) * 4), 2, 2)
+        mi.h1[1, 0] = 0.3  # past the constructor's symmetry check
+        with pytest.raises(HermiticityError, match="odd y-count word Y0 Z1 X2 ") as err:
+            jordan_wigner(mi)
+        with pytest.raises(HermiticityError) as ref_err:
+            reference_jordan_wigner(mi)
+        assert str(err.value) == str(ref_err.value)
+
+    def test_complex_h1_leaves_imaginary_coefficient(self):
+        # real integrals give every even-y word a real coefficient, term by
+        # term, so only complex input reaches this check
+        mi = MolecularIntegrals(0.0, np.array([[0.3j]]), np.zeros((1,) * 4), 1, 1)
+        with pytest.raises(HermiticityError, match="imaginary coefficient .* on I$") as err:
+            jordan_wigner(mi)
+        with pytest.raises(HermiticityError) as ref_err:
+            reference_jordan_wigner(mi)
+        assert str(err.value) == str(ref_err.value)
 
 
 class TestReferenceState:
