@@ -35,8 +35,7 @@ def assert_bitwise_equal(a: PauliSum, b: PauliSum):
 
 def sparse_wide_integrals(n_spatial: int) -> MolecularIntegrals:
     """A few symmetric integrals reaching the last orbital: wide, cheap masks."""
-    h1 = np.zeros((n_spatial, n_spatial))
-    h1[np.arange(n_spatial), np.arange(n_spatial)] = -1.0 + 0.01 * np.arange(n_spatial)
+    h1 = np.diag(-1.0 + 0.01 * np.arange(n_spatial))
     top = n_spatial - 1
     for p, q, v in ((0, top, 0.125), (3, top - 2, -0.0625)):
         h1[p, q] = h1[q, p] = v
@@ -116,7 +115,7 @@ class TestAgainstScalarReference:
         # 36 qubits: keys no longer fit one composite sort word (lexsort path)
         mi = sparse_wide_integrals(18)
         h = jordan_wigner(mi)
-        assert max(x | z for x, z in (k for k, _ in h.raw_items())) >> 32
+        assert max(x | z for (x, z), _ in h.raw_items()) >> 32
         assert_bitwise_equal(h, reference_jordan_wigner(mi))
 
     @pytest.mark.parametrize("block", [1, 3])
