@@ -14,22 +14,21 @@ orders rows by one uint64 key, x shifted above z, which one stable argsort
 sorts faster than ``lexsort`` sorts the pair; wider masks no longer fit one
 word and fall back to ``lexsort``.  Both give the same permutation.
 
-Dressing comes in two forms.  ``dress_packed``/``dress_chain`` dress a sum
-once: each step sorts the grown rows and merges them (``_canonical``).
-An optimizer evaluates the same chain of generators at many amplitudes, so
-``plan_chain`` does that sorting once per generator set and records, per
-layer, where each row and each spawned row lands; ``run_plan`` then dresses
-by scatter alone, with no sort and no search.  Each key still receives at
-most one base and one spawn contribution, summed in the same order, and the
-exact zeros that the one-shot form drops after every step are dropped once
-at the end, so ``run_plan`` returns the arrays of ``dress_chain`` exactly.
+Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
+generators once and records, per layer, where each row and each spawned row
+lands; ``run_plan`` then dresses by scatter alone, with no sort and no
+search.  Each key receives at most one base and one spawn contribution, and
+the exact zeros are dropped once at the end.  An optimizer evaluates the
+same chain at many amplitudes, so it builds the plan once per generator set.
+The end-of-iteration dressing of the full sum (``pauli_sum.dress_sequence``)
+goes one generator at a time through ``dress_packed``, the one-layer plan
+replayed once, so only one layer's index arrays are alive at a time.
 ``span_filter`` narrows the plan's input to the rows whose x mask lies in
 the GF(2) span of the generators' x masks: a generator only XORs its x mask
 into a word, so no other row reaches the diagonal (the energy) or an x-group
 that ``chain_gradient`` contracts against.  The gradient seeds T~_j are
-planned too (``plan_seeds``), so an evaluation sorts nothing.  The one-shot
-form serves only the end-of-iteration dressing of the full sum
-(``pauli_sum.dress_sequence``), and ``_canonical`` also serves ``pack``.
+planned too (``plan_seeds``), so an evaluation sorts nothing.  Only ``pack``
+sorts and merges with ``_canonical``.
 """
 
 from __future__ import annotations
@@ -129,33 +128,6 @@ def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
     return anti, nx, nz, k == 1
 
 
-def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
-    """pauli_sum.dress on packed arrays: conjugation by exp(-i t_opt T / 2)."""
-    if t_opt == 0.0 or len(p) == 0:
-        return p
-    anti, nx, nz, pos = _spawn(p.x, p.z, t_gen)
-    if not np.any(anti):
-        return p
-    cos_t = np.cos(t_opt)
-    sin_t = np.sin(t_opt)
-    base_c = np.where(anti, p.c * cos_t, p.c)
-    ac = p.c[anti]
-    spawn_c = np.where(pos, ac * sin_t, -ac * sin_t)
-
-    return _canonical(
-        p.n_qubits,
-        np.concatenate([p.x, nx]),
-        np.concatenate([p.z, nz]),
-        np.concatenate([base_c, spawn_c]),
-    )
-
-
-def dress_chain(p: PackedSum, pairs) -> PackedSum:
-    for gen, t in pairs:
-        p = dress_packed(p, gen, t)
-    return p
-
-
 def span_filter(p: PackedSum, generators) -> PackedSum:
     """The rows of ``p`` whose x mask lies in the GF(2) span of the generators'.
 
@@ -193,7 +165,7 @@ class PlanLayer:
 
 @dataclass(frozen=True)
 class DressPlan:
-    """``dress_chain`` of a fixed sum by fixed generators, at any amplitudes.
+    """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer, every key any amplitude can
     reach.  ``len`` is the number of input rows.  ``seeds`` holds, for a plan
@@ -252,7 +224,11 @@ def plan_seeds(n_qubits: int, generators) -> tuple[DressPlan, ...]:
 
 
 def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
-    """The sum of ``plan`` dressed at ``amplitudes``: ``dress_chain`` bit for bit.
+    """The sum of ``plan`` dressed at ``amplitudes``.
+
+    Bit for bit what ``dress_packed`` gives one generator at a time: a key's
+    base and spawn contributions are summed in the same order, and an exact
+    zero kept between layers only ever adds zero to another key.
 
     A base row keeps c or takes c*cos(t), a spawned row adds +-c*sin(t) to
     its key; -(c*s) and c*(-s) are the same double, so the sign rides on s.
@@ -269,6 +245,14 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
         c = out
     keep = c != 0.0
     return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
+
+
+def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
+    """pauli_sum.dress on packed arrays: conjugation by exp(-i t_opt T / 2),
+    the one-layer plan of ``p`` replayed at ``t_opt``."""
+    if t_opt == 0.0 or len(p) == 0:
+        return p
+    return run_plan(plan_chain(p, (t_gen,)), (t_opt,))
 
 
 def expectation_packed(p: PackedSum, ref: ReferenceState) -> float:

@@ -65,10 +65,6 @@ class PauliWord:
         """True iff the word is a nonempty product of x factors only."""
         return self.z == 0 and self.x != 0
 
-    def is_diagonal(self) -> bool:
-        """True iff the word contains only z factors (or is the identity)."""
-        return self.x == 0
-
     def canonical(self) -> tuple["PauliWord", int]:
         """Split off the stored phase: returns (phase-free word, phase_exp)."""
         if self.phase_exp == 0:

@@ -1,5 +1,6 @@
 """The benchmark's tracer patches iqcc functions by name; every name it lists
-must resolve, or ``bench/run.py --trace 1`` breaks."""
+must resolve, or ``bench/run.py --trace 1`` breaks, and must be the one its
+caller looks up, or the traced run misses its calls."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from iqcc.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"
@@ -48,3 +52,20 @@ def test_selftest_passes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest ok" in result.stdout
+
+
+def test_traced_run_sees_every_kernel(tmp_path):
+    # a kernel bound under another name (say, imported into its caller's
+    # namespace) still resolves above but runs untraced; a traced run shows it
+    fixture = Path(__file__).parent / "fixtures" / "h4.fcidump"
+    tracer = spans.Tracer()
+    with tracer.install():
+        result = CliRunner().invoke(
+            main, ["run", str(fixture), "--generators", "4", "-o", str(tmp_path / "run.json")]
+        )
+    assert result.exit_code == 0, result.output
+    calls = tracer.calls()
+    for name in ("pauli_sum.dress_sequence", "packed.dress_packed", "packed.pack",
+                 "packed.canonical", "engine.eval", "engine.rank"):
+        assert calls[name] >= 1, name
+    assert tracer.counts["packed.x_group_slice_calls"] >= 1

@@ -14,7 +14,7 @@ from iqcc.driver import IqccConfig
 from iqcc.fcidump import load_fcidump
 from iqcc.mapping import jordan_wigner
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import PauliSum, to_json
+from iqcc.pauli_sum import PauliSum, to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -116,14 +116,14 @@ class TestRun:
 
     def test_qubit_json_input_needs_electrons(self, runner, tmp_path):
         ham = tmp_path / "h.json"
-        ham.write_text(to_json(PauliSum.identity(2, 1.0)))
+        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, 1.0))))
         result = runner.invoke(main, ["run", str(ham)])
         assert result.exit_code == 2
 
     def test_qubit_json_over_64_qubits_rejected(self, runner, tmp_path):
         ham = tmp_path / "wide.json"
         wide = PauliSum(65, [(parse_word("Z0", 65), 0.5), (parse_word("X0 X64", 65), 0.2)])
-        ham.write_text(to_json(wide))
+        ham.write_text(json.dumps(to_json_dict(wide)))
         result = runner.invoke(main, ["run", str(ham), "--n-electrons", "2"])
         assert result.exit_code == 1  # domain error, raised at load
         assert isinstance(result.exception, SystemExit)  # no traceback
@@ -313,7 +313,7 @@ class TestGap:
 class TestOracle:
     def test_identity_hamiltonian(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(to_json(PauliSum.identity(2, -0.25)))
+        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, -0.25))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["energy"] == pytest.approx(-0.25, abs=1e-12)
@@ -340,13 +340,13 @@ class TestOracle:
 
     def test_capacity_error(self, runner, tmp_path):
         ham = tmp_path / "big.json"
-        ham.write_text(to_json(PauliSum.identity(20, 1.0)))
+        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(20, 1.0))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 1
 
     def test_bad_sector_usage(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(to_json(PauliSum.identity(2, 1.0)))
+        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, 1.0))))
         result = runner.invoke(main, ["oracle", str(ham), "--sector", "banana"])
         assert result.exit_code == 2
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,12 +16,10 @@ from iqcc.pauli_sum import (
     dress,
     dress_sequence,
     expectation,
-    from_json,
     from_json_dict,
     prune,
     sum_add,
     sum_scale,
-    to_json,
     to_json_dict,
 )
 from iqcc import _packed
@@ -267,7 +266,7 @@ class TestQubitEnvelope:
 
     def test_64_qubit_json_loads(self):
         h = PauliSum(64, [(parse_word("X0 Z63", 64), 0.5), (parse_word("Y1 Y63", 64), -0.25)])
-        loaded = from_json(to_json(h))
+        loaded = from_json_dict(json.loads(json.dumps(to_json_dict(h))))
         assert loaded == h
         assert _packed.unpack(_packed.pack(loaded)) == h
 
@@ -276,7 +275,7 @@ class TestJson:
     def test_roundtrip_lossless(self):
         rng = np.random.default_rng(15)
         h = random_hermitian_sum(6, 40, rng)
-        assert from_json(to_json(h)) == h
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(h)))) == h
 
     def test_schema(self):
         h = PauliSum(8, [(parse_word("X0 Z3", 8), -0.0123)])
@@ -287,4 +286,4 @@ class TestJson:
     def test_deterministic_ordering(self):
         a = PauliSum(2, [(parse_word("Z1", 2), 1.0), (parse_word("Z0", 2), 2.0)])
         b = PauliSum(2, [(parse_word("Z0", 2), 2.0), (parse_word("Z1", 2), 1.0)])
-        assert to_json(a) == to_json(b)
+        assert to_json_dict(a) == to_json_dict(b)
