@@ -18,22 +18,25 @@ Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row
 lands; ``run_plan`` then dresses by scatter alone, with no sort and no
 search.  Each key receives at most one base and one spawn contribution, and
-the exact zeros are dropped once at the end.  An optimizer evaluates the
-same chain at many amplitudes, so it builds the plan once per generator set.
-The end-of-iteration dressing of the full sum (``pauli_sum.dress_sequence``)
-goes one generator at a time through ``dress_packed``, the one-layer plan
-replayed once, so only one layer's index arrays are alive at a time.
-``span_filter`` narrows the plan's input to the rows whose x mask lies in
-the GF(2) span of the generators' x masks: a generator only XORs its x mask
-into a word, so no other row reaches the diagonal (the energy) or an x-group
-that ``chain_gradient`` contracts against.  The gradient seeds T~_j are
-planned too (``plan_seeds``), so an evaluation sorts nothing.  Only ``pack``
-sorts and merges with ``_canonical``.
+the exact zeros are dropped once at the end.  A generator only XORs its x
+mask into a word, so dressing keeps every row in its coset of the GF(2)
+span of the generators' x masks; ``span_split`` cuts a sum into the rows in
+the span and the others.  An iteration plans the rows in the span once: its
+optimizer replays the plan at many amplitudes, and its final dressing
+replays it once at the optimum.  The other rows reach neither the diagonal
+(the energy) nor an x-group that ``chain_gradient`` contracts against, so
+they are dressed only at the end, by ``pauli_sum.dress_sequence``, one
+generator at a time through ``dress_packed`` (the one-layer plan replayed
+once, so only one layer's index arrays are alive at a time), and ``merge``
+sorts the two disjoint parts into one sum.  ``live_plan`` cuts the plan an
+evaluation replays to the rows that reach the diagonal or such an x-group.
+The gradient seeds T~_j are planned too (``plan_seeds``), so an evaluation
+sorts nothing.  Only ``pack`` merges duplicate keys (``_canonical``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,10 +131,11 @@ def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
     return anti, nx, nz, k == 1
 
 
-def span_filter(p: PackedSum, generators) -> PackedSum:
-    """The rows of ``p`` whose x mask lies in the GF(2) span of the generators'.
+def span_split(p: PackedSum, generators) -> tuple[PackedSum, PackedSum]:
+    """The rows of ``p`` whose x mask lies in the GF(2) span of the
+    generators', and the other rows.
 
-    The kept rows stay in order, so the result is canonical too.
+    Both parts keep the order of ``p``, so each is canonical too.
     """
     basis: list[int] = []  # echelon form: distinct top bits, descending
     for gen in generators:
@@ -145,20 +149,38 @@ def span_filter(p: PackedSum, generators) -> PackedSum:
     for b in basis:  # descending top bits: clear each one from every row
         top = np.uint64(1 << (b.bit_length() - 1))
         np.bitwise_xor(r, np.uint64(b), out=r, where=(r & top) != 0)
-    keep = r == 0
-    return PackedSum(p.n_qubits, p.x[keep], p.z[keep], p.c[keep])
+    inside = r == 0
+    outside = ~inside
+    return (
+        PackedSum(p.n_qubits, p.x[inside], p.z[inside], p.c[inside]),
+        PackedSum(p.n_qubits, p.x[outside], p.z[outside], p.c[outside]),
+    )
+
+
+def merge(a: PackedSum, b: PackedSum) -> PackedSum:
+    """``a + b`` for two canonical sums with no key in common."""
+    order, x, z, _ = _sorted_keys(
+        a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z])
+    )
+    return PackedSum(a.n_qubits, x, z, np.concatenate([a.c, b.c])[order])
 
 
 @dataclass(frozen=True)
 class PlanLayer:
     """Row structure of one dressing step: rows in, where they land, rows out.
 
-    Indices are intp: numpy converts any other index type on every use.
+    In a plan from ``plan_chain`` every input row has a base row, ``src`` is
+    ``slice(None)`` and ``spawn_src`` is ``anti``; ``live_plan`` cuts each
+    array to the rows that reach a kept row.  Indices are intp: numpy
+    converts any other index type on every use.
     """
 
-    anti: np.ndarray  # input rows anticommuting with the generator, ascending
+    src: np.ndarray | slice  # input rows with a base row, ascending
+    base_dest: np.ndarray  # per ``src`` row: its base row in the next layer
+    anti: np.ndarray  # anticommuting input rows with a base row, ascending
+    anti_dest: np.ndarray  # per ``anti`` row: its base row, which takes c*cos(t)
+    spawn_src: np.ndarray  # anticommuting input rows with a spawned row, ascending
     pos: np.ndarray  # bool per spawned row: k == 1, i.e. it gets +sin(t)
-    base_dest: np.ndarray  # per input row: its row in the next layer
     spawn_dest: np.ndarray  # per spawned row: its row in the next layer
     n_out: int
 
@@ -167,9 +189,10 @@ class PlanLayer:
 class DressPlan:
     """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
-    ``x``/``z`` are the keys of the last layer, every key any amplitude can
-    reach.  ``len`` is the number of input rows.  ``seeds`` holds, for a plan
-    an optimizer evaluates, the plan of each gradient seed (``plan_seeds``).
+    ``x``/``z`` are the keys of the last layer: every key any amplitude can
+    reach, or in a ``live_plan`` cut the ones an evaluation reads.  ``len``
+    is the number of input rows.  ``seeds`` holds, for a plan an optimizer
+    evaluates, the plan of each gradient seed (``plan_seeds``).
     """
 
     n_qubits: int
@@ -201,11 +224,12 @@ def plan_chain(p: PackedSum, generators) -> DressPlan:
         )
         dest = np.empty(len(order), dtype=np.intp)
         dest[order] = np.cumsum(boundary) - 1
-        n_base = len(anti)
+        base_dest, spawn_dest = dest[: len(anti)], dest[len(anti) :]
+        rows = np.flatnonzero(anti)
         x, z = x[boundary], z[boundary]
-        layers.append(
-            PlanLayer(np.flatnonzero(anti), pos, dest[:n_base], dest[n_base:], len(x))
-        )
+        layers.append(PlanLayer(
+            slice(None), base_dest, rows, base_dest[rows], rows, pos, spawn_dest, len(x)
+        ))
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
 
 
@@ -223,6 +247,55 @@ def plan_seeds(n_qubits: int, generators) -> tuple[DressPlan, ...]:
     )
 
 
+def _cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
+    """``layer`` cut to the contributions that land in a ``live_out`` row,
+    renumbered in order; also the mask of the input rows that still
+    contribute."""
+    src = np.arange(n_in)[layer.src]
+    keep_base = live_out[layer.base_dest]
+    keep_anti = live_out[layer.anti_dest]
+    keep_spawn = live_out[layer.spawn_dest]
+    live_in = np.zeros(n_in, dtype=bool)
+    live_in[src[keep_base]] = True
+    live_in[layer.spawn_src[keep_spawn]] = True  # an anti row's base row is a src row
+    row_in = np.cumsum(live_in, dtype=np.intp) - 1
+    row_out = np.cumsum(live_out, dtype=np.intp) - 1
+    kept_src = row_in[src[keep_base]]
+    cut = PlanLayer(
+        # ascending and distinct, so every live row when there are as many
+        slice(None) if len(kept_src) == np.count_nonzero(live_in) else kept_src,
+        row_out[layer.base_dest[keep_base]],
+        row_in[layer.anti[keep_anti]],
+        row_out[layer.anti_dest[keep_anti]],
+        row_in[layer.spawn_src[keep_spawn]],
+        layer.pos[keep_spawn],
+        row_out[layer.spawn_dest[keep_spawn]],
+        int(np.count_nonzero(live_out)),
+    )
+    return cut, live_in
+
+
+def live_plan(plan: DressPlan) -> DressPlan:
+    """``plan`` cut to the rows an optimizer evaluation reads.
+
+    A last-layer row is read if it is diagonal (the energy) or its x mask is
+    the x mask of a key of some gradient seed (the x-group ``chain_gradient``
+    contracts against); an earlier row is live if its base row or its
+    spawned row is.  Every layer keeps its live rows in order, so
+    ``run_plan`` gives the diagonal and each read x-group with the same rows,
+    in the same order and with the same values as from ``plan``.
+    """
+    read_x = np.concatenate([np.zeros(1, dtype=np.uint64)] + [s.x for s in plan.seeds])
+    live = np.isin(plan.x, read_x)
+    x, z = plan.x[live], plan.z[live]
+    n_in = [len(plan.c)] + [layer.n_out for layer in plan.layers[:-1]]
+    layers = []
+    for layer, n in zip(reversed(plan.layers), reversed(n_in)):
+        layer, live = _cut_layer(layer, n, live)
+        layers.append(layer)
+    return replace(plan, c=plan.c[live], layers=tuple(reversed(layers)), x=x, z=z)
+
+
 def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
     """The sum of ``plan`` dressed at ``amplitudes``.
 
@@ -235,13 +308,11 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
     """
     c = plan.c
     for layer, t in zip(plan.layers, amplitudes, strict=True):
-        cos_t = np.cos(t)
         sin_t = np.sin(t)
-        ac = c[layer.anti]
         out = np.zeros(layer.n_out)
-        out[layer.base_dest] = c
-        out[layer.base_dest[layer.anti]] = ac * cos_t
-        out[layer.spawn_dest] += ac * np.where(layer.pos, sin_t, -sin_t)
+        out[layer.base_dest] = c[layer.src]
+        out[layer.anti_dest] = c[layer.anti] * np.cos(t)
+        out[layer.spawn_dest] += c[layer.spawn_src] * np.where(layer.pos, sin_t, -sin_t)
         c = out
     keep = c != 0.0
     return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])

@@ -2,14 +2,16 @@
 
 Each iteration decomposes the current Hamiltonian, ranks one canonical
 generator per X-string block, warm-starts the top L amplitudes from the
-closed-form estimates, minimizes the QCC energy on a dressing plan of the
-rows those generators can reach (built once per iteration and freed after
-the optimizer returns), folds the optimized Ansatz
-into the Hamiltonian by exact dressing, prunes numerically dead terms, and
-(optionally) adds a perturbative estimate of the energy still recoverable
-from the generators that were not selected.  The reference state never
-changes.  The Hamiltonian is packed once on entry and stays a ``PackedSum``
-through every stage and into ``RunResult.final_hamiltonian``.
+closed-form estimates, and plans the dressing of the rows in the span of
+those generators' x masks (``coset_plan``).  It minimizes the QCC energy on
+that plan, cut to the rows an evaluation reads (``live_plan``), then folds
+the optimized Ansatz into the Hamiltonian by exact dressing: the plan
+replayed once at the optimum, merged with the dressing of the rows outside
+the span, which no evaluation needed.  It then prunes numerically dead
+terms and (optionally) adds a perturbative estimate of the energy still
+recoverable from the generators that were not selected.  The reference
+state never changes.  The Hamiltonian is packed once on entry and stays a
+``PackedSum`` through every stage and into ``RunResult.final_hamiltonian``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
@@ -91,8 +93,10 @@ class IterationRecord:
     optimizer_message: str
     selected_generators: tuple[RankedGenerator, ...] = ()
     optimizer_evaluations: int = 0
-    # rows of the sum the optimizer dressed, after the coset filter
+    # rows of the sum in the generators' coset, which the iteration planned
     optimized_terms: int = 0
+    # of those, the rows an optimizer evaluation replays (``live_plan``)
+    evaluated_terms: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,6 +109,7 @@ class IterationRecord:
             "selected_generators": [g.to_json_dict() for g in self.selected_generators],
             "optimizer_evaluations": self.optimizer_evaluations,
             "optimized_terms": self.optimized_terms,
+            "evaluated_terms": self.evaluated_terms,
             "optimizer_converged": self.optimizer_converged,
             "optimizer_gradient_norm": self.optimizer_gradient_norm,
             "optimizer_message": self.optimizer_message,
@@ -162,21 +167,22 @@ def pt_correction(
 
 
 def _optimize(
-    h: _packed.PackedSum, base: Ansatz, ref: ReferenceState, cfg: OptimizationConfig
+    plan: _packed.DressPlan, base: Ansatz, ref: ReferenceState, cfg: OptimizationConfig
 ) -> tuple[OptimizationResult, int]:
     """L-BFGS over the amplitudes of ``base``, started at its own; also
-    returns the number of rows of ``h`` the optimizer dressed.
+    returns the number of input rows an evaluation replays.
 
-    The dressing plan is built once for ``base``'s generators and lives only
-    for this call, so it is freed before the caller dresses the full sum.
+    Each evaluation replays ``plan`` cut to the rows it reads
+    (``live_plan``), which gives the same numbers as ``plan`` itself.  The
+    cut lives only for this call.
     """
-    plan = coset_plan(h, base.generators)
+    live = _packed.live_plan(plan)
 
     def value_and_gradient(t):
-        e, g = qcc_energy_and_gradient(plan, base.with_amplitudes(t), ref)
+        e, g = qcc_energy_and_gradient(live, base.with_amplitudes(t), ref)
         return e, np.asarray(g)
 
-    return minimize(value_and_gradient, np.array(base.amplitudes), cfg), len(plan)
+    return minimize(value_and_gradient, np.array(base.amplitudes), cfg), len(live)
 
 
 def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
@@ -209,15 +215,23 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
             break
 
         base = Ansatz([(g.generator, g.t_estimate) for g in selected])
+        plan, outside = coset_plan(h, base.generators)
+        optimized_terms = len(plan)
         try:
-            opt, optimized_terms = _optimize(h, base, ref, cfg.optimizer)
+            opt, evaluated_terms = _optimize(plan, base, ref, cfg.optimizer)
         except OptimizationError as exc:
             raise IterationAbort(
                 f"optimizer failed at iteration {index}: {exc}", records=records
             ) from exc
 
         ansatz = base.with_amplitudes(opt.t_opt)
-        h = dress_sequence(h, ansatz)
+        # the coset's dressing is the plan's replay; the plan is freed before
+        # the rows outside the coset are dressed one generator at a time, and
+        # both parts once they are merged
+        coset = _packed.run_plan(plan, ansatz.amplitudes)
+        del plan
+        h = _packed.merge(coset, dress_sequence(outside, ansatz))
+        del coset, outside
         if len(h) > cfg.memory_budget_terms:
             raise IterationAbort(
                 f"term count {len(h)} exceeds budget {cfg.memory_budget_terms} "
@@ -247,6 +261,7 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
                 selected_generators=tuple(selected),
                 optimizer_evaluations=opt.evaluations,
                 optimized_terms=optimized_terms,
+                evaluated_terms=evaluated_terms,
             )
         )
         if abs(energy - e_prev) <= cfg.energy_convergence:

@@ -17,10 +17,12 @@ Energies of the full Ansatz are evaluated by exact symbolic conjugation
 onto the generators:  dE/dt_j = Im <0| H_L T~_j |0>  with H_L the fully
 dressed Hamiltonian and T~_j the generator dressed through the later chain
 entries.  An optimizer evaluates one set of generators at many amplitudes,
-so the Hamiltonian is first narrowed to the rows those generators can bring
-to the diagonal and planned once (``coset_plan``), together with the
-gradient seeds T~_j; each evaluation then replays the plans and sorts
-nothing.  The array work (the block statistics of the ranking,
+so the Hamiltonian is first split into the rows those generators can bring
+to the diagonal and the rest, and the former are planned once
+(``coset_plan``), together with the gradient seeds T~_j; each evaluation
+then replays the plans, cut to the rows it reads, and sorts nothing.  The
+same plan, replayed once at the optimum, dresses those rows into the next
+Hamiltonian.  The array work (the block statistics of the ranking,
 dressing and the gradient contraction) is done by the kernels in
 ``_packed``; this module works on words and scalars.
 """
@@ -163,18 +165,26 @@ def rank_generators(
     return ranked[:top_l], ranked[top_l:]
 
 
-def coset_plan(h: PackedSum, generators: Sequence[PauliWord]) -> _packed.DressPlan:
-    """The dressing plan of the part of ``h`` that can reach the energy or
-    the gradient under ``generators`` (their x-mask coset, ``span_filter``),
-    with the plans of the gradient seeds (``plan_seeds``)."""
-    plan = _packed.plan_chain(_packed.span_filter(h, generators), generators)
-    return replace(plan, seeds=_packed.plan_seeds(h.n_qubits, generators))
+def coset_plan(
+    h: PackedSum, generators: Sequence[PauliWord]
+) -> tuple[_packed.DressPlan, PackedSum]:
+    """Split ``h`` on the span of the generators' x masks (``span_split``):
+    the dressing plan of the rows inside it, with the plans of the gradient
+    seeds (``plan_seeds``), and the rows outside it.
+
+    A generator only XORs its x mask into a word, so dressing keeps every row
+    in its coset: only the plan's rows reach the energy or the gradient, and
+    the dressed ``h`` is the plan's replay plus the other rows' dressing.
+    """
+    inside, outside = _packed.span_split(h, generators)
+    plan = _packed.plan_chain(inside, generators)
+    return replace(plan, seeds=_packed.plan_seeds(h.n_qubits, generators)), outside
 
 
 def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
     """<0| U^dag H U |0> by dressing H through the Ansatz, then projecting."""
-    chain = _packed.run_plan(coset_plan(h, ansatz.generators), ansatz.amplitudes)
-    return _packed.expectation_packed(chain, ref)
+    plan, _ = coset_plan(h, ansatz.generators)
+    return _packed.expectation_packed(_packed.run_plan(plan, ansatz.amplitudes), ref)
 
 
 def qcc_energy_and_gradient(
@@ -183,7 +193,9 @@ def qcc_energy_and_gradient(
     """Energy and exact analytic gradient in one pass.
 
     ``plan`` is the Hamiltonian planned for the Ansatz's generators
-    (``coset_plan``); only the amplitudes are read from ``ansatz``.  The fully
+    (``coset_plan``), or its cut to the rows an evaluation reads
+    (``_packed.live_plan``), which gives the same numbers; only the
+    amplitudes are read from ``ansatz``.  The fully
     dressed H_L serves both: E = <0|H_L|0> and dE/dt_j = Im <0| H_L T~_j |0>,
     where T~_j is generator j conjugated through entries j+1..L of the chain,
     replayed from its seed plan.  No sort runs here.

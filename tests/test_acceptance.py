@@ -189,7 +189,8 @@ class TestAcceptance:
                 (random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)
             ]
             ansatz = Ansatz(pairs)
-            _, grad = qcc_energy_and_gradient(coset_plan(h, ansatz.generators), ansatz, ref)
+            plan, _ = coset_plan(h, ansatz.generators)
+            _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
             fd = []
             for j in range(L):
                 up = list(ansatz.amplitudes)

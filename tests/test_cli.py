@@ -216,6 +216,8 @@ class TestRun:
         entering = [len(pack(jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump"))))]
         entering += [it["term_count"] for it in iterations[:-1]]
         assert all(0 < it["optimized_terms"] <= n for it, n in zip(iterations, entering))
+        # of those, the rows an evaluation replays after the live cut
+        assert all(0 < it["evaluated_terms"] <= it["optimized_terms"] for it in iterations)
         # the flags stay out of the digest: the value from before they were recorded
         digest = report["manifest"]["determinism"]["numeric_digest"]
         assert digest.startswith("0907c698d76516cf")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,32 @@ class TestRunIqcc:
         v = u @ reference_vector(ref)
         dense = float(np.real(np.vdot(v, to_matrix(h) @ v)))
         assert abs(dense - res.final_energy) < 1e-9
+
+
+class TestFinalHamiltonianPinned:
+    """The dressed sum itself, not only the energies: its length and a
+    sha256 prefix of its x, z and c bytes."""
+
+    @staticmethod
+    def _digest(p: _packed.PackedSum) -> str:
+        return hashlib.sha256(p.x.tobytes() + p.z.tobytes() + p.c.tobytes()).hexdigest()[:16]
+
+    def test_lih_four_iterations(self, lih_problem):
+        _, h, ref = lih_problem
+        cfg = IqccConfig(generators_per_iteration=8, energy_convergence=1e-6,
+                         max_iterations=4)
+        res = run_iqcc(h, ref, cfg)
+        assert len(res.records) == 4
+        assert len(res.final_hamiltonian) == 109_371
+        assert self._digest(res.final_hamiltonian) == "1e1b55ff221dee3e"
+
+    def test_h4_to_convergence(self, h4_problem):
+        _, h, ref = h4_problem
+        res = run_iqcc(h, ref, IqccConfig(generators_per_iteration=4,
+                                          energy_convergence=1e-5))
+        assert len(res.records) == 9
+        assert len(res.final_hamiltonian) == 3_926
+        assert self._digest(res.final_hamiltonian) == "4cb053f29603e085"
 
 
 class TestOneRepresentation:

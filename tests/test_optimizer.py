@@ -104,7 +104,7 @@ class TestOnQccProblem:
         sel, _ = rank_generators(h, ref, 1)
         r = sel[0]
         base = Ansatz([(r.generator, 0.0)])
-        plan = coset_plan(h, base.generators)
+        plan, _ = coset_plan(h, base.generators)
 
         def vag(v):
             e, g = qcc_energy_and_gradient(plan, base.with_amplitudes(v), ref)

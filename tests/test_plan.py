@@ -8,7 +8,7 @@ import pytest
 from iqcc import _packed
 from iqcc.engine import Ansatz, coset_plan, qcc_energy_and_gradient
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import PauliSum, ReferenceState
+from iqcc.pauli_sum import PauliSum, ReferenceState, dress_sequence
 
 from helpers import random_generator, random_hermitian_sum, reference_dress
 
@@ -52,8 +52,9 @@ class TestRunPlan:
         words = ("Z0", "Z63", "X0", "X63")  # the last two lie outside the span
         h = PauliSum(n, [(parse_word(w, n), 1.0) for w in words])
         in_span = PauliSum(n, [(parse_word(w, n), 1.0) for w in words[:2]])
-        kept = _packed.span_filter(_packed.pack(h), [gen])
+        kept, rest = _packed.span_split(_packed.pack(h), [gen])
         assert sorted(kept.x.tolist()) == [0, 0]
+        assert sorted(rest.x.tolist()) == [1, 1 << 63]
         plan = _packed.plan_chain(kept, [gen, gen])
         assert len(plan) == 2 and len(plan.x) == 4
         ts = [0.3, -0.3]
@@ -87,16 +88,18 @@ class TestSpanFilter:
             span = {0}
             for gen in gens:
                 span |= {s ^ gen.x for s in span}
-            kept = _packed.span_filter(p, gens)
+            kept, rest = _packed.span_split(p, gens)
             want = np.array([x in span for x in p.x.tolist()], dtype=bool)
             _assert_same(kept, _packed.PackedSum(n, p.x[want], p.z[want], p.c[want]))
+            _assert_same(rest, _packed.PackedSum(n, p.x[~want], p.z[~want], p.c[~want]))
 
 
 class TestFilteredEvaluation:
     def _check(self, h, gens, ts, ref):
         ansatz = Ansatz(list(zip(gens, ts)))
         p = _packed.pack(h)
-        filtered = qcc_energy_and_gradient(coset_plan(p, gens), ansatz, ref)
+        plan, _ = coset_plan(p, gens)
+        filtered = qcc_energy_and_gradient(plan, ansatz, ref)
         unfiltered_plan = replace(_packed.plan_chain(p, gens),
                                   seeds=_packed.plan_seeds(p.n_qubits, gens))
         unfiltered = qcc_energy_and_gradient(unfiltered_plan, ansatz, ref)
@@ -118,7 +121,8 @@ class TestFilteredEvaluation:
         h = random_hermitian_sum(n, 60, rng)
         gens = [parse_word(f"Y{j}", n) for j in range(n)]
         p = _packed.pack(h)
-        assert len(coset_plan(p, gens)) == len(p)
+        plan, rest = coset_plan(p, gens)
+        assert len(plan) == len(p) and len(rest) == 0
         self._check(h, gens, [float(rng.normal()) for _ in gens], ReferenceState(0b00111, n))
 
     def test_generator_mismatch_rejected(self):
@@ -126,7 +130,7 @@ class TestFilteredEvaluation:
         n = 4
         p = _packed.pack(random_hermitian_sum(n, 20, rng))
         gens = [parse_word("Y0 X1", n), parse_word("X2 Y3", n)]
-        plan = coset_plan(p, gens)
+        plan, _ = coset_plan(p, gens)
         ref = ReferenceState(0b0011, n)
         qcc_energy_and_gradient(plan, Ansatz([(g, 0.2) for g in gens]), ref)
         with pytest.raises(ValueError):
@@ -138,20 +142,22 @@ class TestFilteredEvaluation:
                                     Ansatz([(g, 0.2) for g in gens]), ref)
 
     def test_evaluation_sorts_nothing(self, monkeypatch):
-        # the Hamiltonian and the gradient seeds are planned by coset_plan;
-        # an evaluation only replays the plans
+        # the Hamiltonian and the gradient seeds are planned by coset_plan
+        # and cut by live_plan; an evaluation only replays the plans
         rng = np.random.default_rng(39)
         n = 6
         gens = [random_generator(n, rng) for _ in range(4)]
-        plan = coset_plan(_packed.pack(random_hermitian_sum(n, 60, rng)), gens)
+        plan, _ = coset_plan(_packed.pack(random_hermitian_sum(n, 60, rng)), gens)
+        live = _packed.live_plan(plan)
 
         def no_sort(*args):
             raise AssertionError("an evaluation sorted keys")
 
         monkeypatch.setattr(_packed, "_sorted_keys", no_sort)
         ansatz = Ansatz([(g, float(rng.normal())) for g in gens])
-        _, grad = qcc_energy_and_gradient(plan, ansatz, ReferenceState(0b000111, n))
-        assert len(grad) == len(gens)
+        for evaluated in (plan, live):
+            _, grad = qcc_energy_and_gradient(evaluated, ansatz, ReferenceState(0b000111, n))
+            assert len(grad) == len(gens)
 
 
 class TestPlannedSeeds:
@@ -165,13 +171,90 @@ class TestPlannedSeeds:
                 n = h.n_qubits
                 ref = ReferenceState(int(rng.integers(1 << n)), n)
                 pairs = list(zip(gens, ts))
-                plan = coset_plan(_packed.pack(h), gens)
+                plan, _ = coset_plan(_packed.pack(h), gens)
                 _, grad = qcc_energy_and_gradient(plan, Ansatz(pairs), ref)
                 tildes = [_reference_chain(PauliSum(n, [(g, 1.0)]), gens[j + 1 :], ts[j + 1 :])
                           for j, g in enumerate(gens)]
                 want = _packed.chain_gradient(_packed.run_plan(plan, ts), tildes, ref)
                 assert len(grad) == len(gens)
                 assert all(a == b for a, b in zip(grad, want, strict=True))
+
+
+class TestLivePlan:
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_energy_and_gradient_equal_full_plan(self, zero_amplitude):
+        rng = np.random.default_rng(42 + zero_amplitude)
+        full_rows = live_rows = 0
+        for h, gens, ts in _cases(43 + zero_amplitude, zero_amplitude):
+            n = h.n_qubits
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            ansatz = Ansatz(list(zip(gens, ts)))
+            plan, _ = coset_plan(_packed.pack(h), gens)
+            live = _packed.live_plan(plan)
+            assert qcc_energy_and_gradient(live, ansatz, ref) == qcc_energy_and_gradient(
+                plan, ansatz, ref
+            )
+            assert len(live) <= len(plan) and len(live.x) <= len(plan.x)
+            for cut, layer in zip(live.layers, plan.layers, strict=True):
+                assert cut.n_out <= layer.n_out
+                assert len(cut.base_dest) <= len(layer.base_dest)
+                assert len(cut.anti) <= len(layer.anti)
+                assert len(cut.spawn_src) == len(cut.spawn_dest) == len(cut.pos)
+                assert len(cut.spawn_dest) <= len(layer.spawn_dest)
+            full_rows += sum(layer.n_out for layer in plan.layers)
+            live_rows += sum(layer.n_out for layer in live.layers)
+        assert live_rows < full_rows  # the cut drops rows on these sums
+
+    def test_cut_of_a_cut_is_the_same(self):
+        for h, gens, ts in _cases(44, False):
+            plan, _ = coset_plan(_packed.pack(h), gens)
+            live = _packed.live_plan(plan)
+            again = _packed.live_plan(live)
+            assert len(again) == len(live)
+            _assert_same(_packed.run_plan(again, ts), _packed.run_plan(live, ts))
+
+
+class TestSplitDressing:
+    """The coset plan replayed, merged with the dressing of the other rows,
+    is the dressing of the whole sum."""
+
+    def _check(self, h: PauliSum, gens, ts):
+        p = _packed.pack(h)
+        pairs = list(zip(gens, ts))
+        plan, rest = coset_plan(p, gens)
+        split = _packed.merge(_packed.run_plan(plan, ts), dress_sequence(rest, pairs))
+        _assert_same(split, dress_sequence(p, pairs))
+        _assert_same(split, _reference_chain(h, gens, ts))
+        return plan, rest
+
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_random_sums(self, zero_amplitude):
+        for h, gens, ts in _cases(45 + zero_amplitude, zero_amplitude):
+            self._check(h, gens, ts)
+
+    def test_exact_cancellation_on_64_qubits(self):
+        n = 64
+        gen = parse_word("Y0 X63", n)
+        h = PauliSum(n, [(parse_word(w, n), 1.0) for w in ("Z0", "Z63", "X0", "X63")])
+        plan, rest = self._check(h, [gen, gen], [0.3, -0.3])
+        assert len(plan) == 2 and len(rest) == 2
+
+    def test_span_keeps_every_row(self):
+        rng = np.random.default_rng(47)
+        n = 5
+        h = random_hermitian_sum(n, 60, rng)
+        gens = [parse_word(f"Y{j}", n) for j in range(n)]
+        plan, rest = self._check(h, gens, [float(rng.normal()) for _ in gens])
+        assert len(rest) == 0 and len(plan) == len(h)
+
+    def test_no_row_in_span(self):
+        n = 4
+        words = ("X1", "Z0 X1", "X0 X1", "X1 Y2 Y3")  # x masks outside {0, 1}
+        h = PauliSum(n, [(parse_word(w, n), 0.25 * (k + 1)) for k, w in enumerate(words)])
+        gens = [parse_word("Y0", n), parse_word("Y0 Z2", n)]
+        plan, rest = self._check(h, gens, [0.7, -0.4])
+        assert len(plan) == 0 and len(rest) == len(h)
+        assert len(_packed.live_plan(plan)) == 0
 
 
 class TestSortedKeys:
