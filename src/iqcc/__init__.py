@@ -26,11 +26,4 @@ from .fcidump import CASWindow, MolecularIntegrals, load_fcidump, parse_fcidump,
 from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin_operators
 from .optimizer import OptimizationConfig, OptimizationResult, minimize
 from .pauli import PauliWord, commutes, multiply, parse_word, render_word
-from .pauli_sum import (
-    PauliSum,
-    ReferenceState,
-    dress,
-    dress_sequence,
-    expectation,
-    prune,
-)
+from .pauli_sum import ReferenceState, dress_sequence, prune

@@ -1,10 +1,13 @@
 """Vectorized kernels over packed Pauli-sum arrays: the one implementation of
 dressing, ranking statistics, energy and gradient.
 
-A packed sum is three parallel arrays: x and z masks as uint64 and float64
-coefficients, lexsorted by (x, z) with exact duplicates merged.  The uint64
-masks bound the envelope at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack``
-rejects wider sums with :class:`CapacityError`.  Dressing reproduces the
+``PackedSum`` is the one Pauli-sum type of the package: three parallel
+arrays, x and z masks as uint64 and float64 coefficients, lexsorted by
+(x, z) with exact duplicates merged and exact zeros dropped.  ``_canonical``
+puts rows in that form, ``pack`` builds a sum from (PauliWord, coefficient)
+pairs and ``unpack`` lists them again.  The uint64 masks bound the envelope
+at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack`` rejects wider sums with
+:class:`CapacityError`.  Dressing reproduces the
 scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
 bit for bit, because every output key receives at most two float
 contributions and addition is commutative in IEEE 754.  With x the primary
@@ -31,7 +34,7 @@ once, so only one layer's index arrays are alive at a time), and ``merge``
 sorts the two disjoint parts into one sum.  ``live_plan`` cuts the plan an
 evaluation replays to the rows that reach the diagonal or such an x-group.
 The gradient seeds T~_j are planned too (``plan_seeds``), so an evaluation
-sorts nothing.  Only ``pack`` merges duplicate keys (``_canonical``).
+sorts nothing.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HermiticityError
-from .pauli import PauliWord
-from .pauli_sum import PauliSum, ReferenceState, check_qubit_bound
+from .errors import DimensionError, HermiticityError
+from .pauli import PauliWord, render_masks
+from .pauli_sum import ReferenceState, check_qubit_bound
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -77,6 +80,12 @@ def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
 
 
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
+    """The rows (x, z, c) as a canonical sum: sorted, each key's rows summed.
+
+    ``np.add.reduceat`` sums a long run of rows pairwise, not left to right,
+    so the bits of a sum are those of a row-by-row addition only where a key
+    has at most two rows.
+    """
     if len(c) == 0:
         return PackedSum(n_qubits, x, z, c)
     order, x, z, boundary = _sorted_keys(n_qubits, x, z)
@@ -87,25 +96,27 @@ def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> Pa
     return PackedSum(n_qubits, xs[keep], zs[keep], summed[keep])
 
 
-def pack(h: PauliSum) -> PackedSum:
-    check_qubit_bound(h.n_qubits)
-    m = len(h._terms)
-    x = np.empty(m, dtype=np.uint64)
-    z = np.empty(m, dtype=np.uint64)
-    c = np.empty(m, dtype=np.float64)
-    for i, ((xi, zi), ci) in enumerate(h._terms.items()):
-        x[i] = xi
-        z[i] = zi
-        c[i] = ci
-    return _canonical(h.n_qubits, x, z, c)
+def pack(terms, n_qubits: int) -> PackedSum:
+    """The canonical sum of a sequence of (PauliWord, coefficient) pairs over
+    ``n_qubits``; duplicate words are summed and zeros dropped."""
+    check_qubit_bound(n_qubits)
+    for word, _ in terms:
+        if word.n_qubits != n_qubits:
+            raise DimensionError(f"word over {word.n_qubits} qubits in a {n_qubits}-qubit sum")
+        if word.phase_exp:
+            raise ValueError("sums are keyed on canonical words (phase_exp == 0)")
+    x = np.array([word.x for word, _ in terms], dtype=np.uint64)
+    z = np.array([word.z for word, _ in terms], dtype=np.uint64)
+    c = np.array([coeff for _, coeff in terms], dtype=np.float64)
+    return _canonical(n_qubits, x, z, c)
 
 
-def unpack(p: PackedSum) -> PauliSum:
-    raw = {
-        (int(xi), int(zi)): float(ci)
+def unpack(p: PackedSum) -> list[tuple[PauliWord, float]]:
+    """The (PauliWord, coefficient) pairs of ``p``, in its key order."""
+    return [
+        (PauliWord(xi, zi, p.n_qubits), ci)
         for xi, zi, ci in zip(p.x.tolist(), p.z.tolist(), p.c.tolist())
-    }
-    return PauliSum._from_raw(p.n_qubits, raw)
+    ]
 
 
 def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
@@ -319,8 +330,8 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
 
 
 def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
-    """pauli_sum.dress on packed arrays: conjugation by exp(-i t_opt T / 2),
-    the one-layer plan of ``p`` replayed at ``t_opt``."""
+    """Conjugation of ``p`` by exp(-i t_opt T / 2): the one-layer plan of
+    ``p`` replayed at ``t_opt``."""
     if t_opt == 0.0 or len(p) == 0:
         return p
     return run_plan(plan_chain(p, (t_gen,)), (t_opt,))
@@ -328,6 +339,8 @@ def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
 
 def expectation_packed(p: PackedSum, ref: ReferenceState) -> float:
     """<0|p|0>: diagonal words only, occupied qubits give -1 per z factor."""
+    if p.n_qubits != ref.n_qubits:
+        raise DimensionError("sum and reference state qubit counts differ")
     diag = p.x == 0
     if not np.any(diag):
         return 0.0
@@ -389,11 +402,8 @@ def block_statistics(
     y = _popcount(p.x & p.z)
     if np.any(y % 2 == 1):
         bad = int(np.flatnonzero(y % 2 == 1)[0])
-        from .pauli import render_word
-
         raise HermiticityError(
-            "odd y-count word "
-            f"{render_word(PauliWord(int(p.x[bad]), int(p.z[bad]), p.n_qubits))} in operator"
+            f"odd y-count word {render_masks(int(p.x[bad]), int(p.z[bad]))} in operator"
         )
 
     diag_mask = p.x == 0

@@ -116,18 +116,31 @@ def _write_json(data: dict, output: str | None) -> None:
         click.echo(text)
 
 
+def _hex_payload(records, *values: float) -> str:
+    """The trajectory's numbers and ``values``, each float as ``float.hex``:
+    the bits, whatever the scalar type that holds them."""
+    lines = [
+        f"{r.index},{float.hex(r.energy)},{float.hex(r.energy_with_pt)},"
+        f"{r.term_count},{float.hex(r.dropped_weight)}\n"
+        for r in records
+    ]
+    return "".join(lines) + ",".join(map(float.hex, values)) + "\n"
+
+
 def _digest_run(result: RunResult) -> str:
-    payload = trajectory_csv(result.records) + repr(
-        (result.initial_energy, result.final_energy, result.final_energy_with_pt)
+    payload = _hex_payload(
+        result.records, result.initial_energy, result.final_energy, result.final_energy_with_pt
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _digest_gap(result: GapResult) -> str:
-    payload = (
-        trajectory_csv(result.singlet.records)
-        + trajectory_csv(result.triplet.records)
-        + repr((result.e_singlet, result.e_triplet, result.gap_ev, result.gap_with_pt_ev))
+    payload = _hex_payload(result.singlet.records) + _hex_payload(
+        result.triplet.records,
+        result.e_singlet,
+        result.e_triplet,
+        result.gap_ev,
+        result.gap_with_pt_ev,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 

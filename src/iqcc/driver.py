@@ -10,8 +10,8 @@ replayed once at the optimum, merged with the dressing of the rows outside
 the span, which no evaluation needed.  It then prunes numerically dead
 terms and (optionally) adds a perturbative estimate of the energy still
 recoverable from the generators that were not selected.  The reference
-state never changes.  The Hamiltonian is packed once on entry and stays a
-``PackedSum`` through every stage and into ``RunResult.final_hamiltonian``.
+state never changes.  The Hamiltonian is a ``PackedSum`` from the mapping
+through every stage and into ``RunResult.final_hamiltonian``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
@@ -41,7 +41,7 @@ from .errors import CapacityError, IterationAbort, OptimizationError
 from .fcidump import CASWindow, MolecularIntegrals, select_cas
 from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state
 from .optimizer import OptimizationConfig, OptimizationResult, minimize
-from .pauli_sum import PauliSum, ReferenceState, dress_sequence, expectation, prune
+from .pauli_sum import ReferenceState, dress_sequence, prune
 
 HARTREE_TO_EV = 27.211386245988  # CODATA
 
@@ -185,7 +185,7 @@ def _optimize(
     return minimize(value_and_gradient, np.array(base.amplitudes), cfg), len(live)
 
 
-def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
+def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
     Stops when the energy change drops to ``cfg.energy_convergence``, when no
@@ -194,12 +194,10 @@ def run_iqcc(h0: PauliSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     partial trajectory.
     """
     h = penalize(h0, cfg.penalty) if cfg.penalty.mu > 0 else h0
-    e_prev = expectation(h, ref)
-    initial_energy = e_prev
-    h = _packed.pack(h)
+    e_prev = initial_energy = _packed.expectation_packed(h, ref)
     # optional parallel bare copy when ranking is decoupled from the penalty
     track_bare = cfg.rank_on_bare and cfg.penalty.mu > 0
-    h_bare = _packed.pack(h0) if track_bare else None
+    h_bare = h0 if track_bare else None
     records: list[IterationRecord] = []
     history: list[Ansatz] = []
     converged = False

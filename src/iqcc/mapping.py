@@ -17,16 +17,17 @@ product, its mod-4 phase (integer arithmetic, as in ``pauli.raw_multiply``)
 and its coefficient v * 0.5**F times that power of i.  The block bounds the
 temporaries whatever the number of integrals.
 
-``_accumulate`` adds the rows into one table of keys, kept in order of first
-occurrence, with ``np.add.at``, which adds each key's rows one by one in the
-order they come.  That generation order is: the core energy, then h1 in
-``np.nonzero`` order times spin, then g2 in ``np.nonzero`` order times the
-(sigma, tau) spin pattern, and each ladder product's Pauli products in
+``_accumulate`` adds the rows into one table of keys, kept in (x, z) order,
+with ``np.add.at``, which adds each key's rows one by one in the order they
+come.  That generation order is: the core energy, then h1 in ``np.nonzero``
+order times spin, then g2 in ``np.nonzero`` order times the (sigma, tau)
+spin pattern, and each ladder product's Pauli products in
 ``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
 ``tests/helpers.py``).  Float addition is not associative, so the order fixes
-every coefficient's bits.  The key order matters too: it is the order of the
-returned ``PauliSum``, in which ``expectation`` (the driver's initial energy)
-and ``sum_add`` (the spin penalty) sum.
+every coefficient's bits; ``_packed._canonical`` would not do here, since
+``np.add.reduceat`` sums a key's rows pairwise.  The table is the returned
+``PackedSum``, already canonical.  ``penalize`` adds two canonical sums at a
+time with ``_canonical``, where a key has at most two rows.
 
 Real molecular integrals always leave a real, even-y-count Pauli sum; a
 residual imaginary part signals inconsistent input and raises.
@@ -35,15 +36,16 @@ residual imaginary part signals inconsistent input and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._packed import _sorted_keys
+from . import _packed
+from ._packed import PackedSum, _sorted_keys
 from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
-from .pauli import PauliWord, render_word
-from .pauli_sum import MAX_QUBITS, PauliSum, ReferenceState
+from .pauli import render_masks
+from .pauli_sum import MAX_QUBITS, ReferenceState
 
 # Ladder products expanded at once, 2**F Pauli rows each: the block bounds
 # the temporaries; larger blocks raised the benchmark's peak RSS.
@@ -98,35 +100,28 @@ def _ladder_rows(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
 
 def _accumulate(n_qubits: int, blocks):
     """Sum row blocks (x, z, c) into one key table: (x, z, c) per key, keys
-    in order of first occurrence, each c the left-to-right sum of its rows."""
+    in (x, z) order, each c the left-to-right sum of its rows."""
     x = z = np.zeros(0, dtype=np.uint64)
     c = np.zeros(0, dtype=np.complex128)
-    # the keys in (x, z) order and each one's row of the table
-    sx, sz, srow = x, z, np.zeros(0, dtype=np.intp)
     for bx, bz, bc in blocks:
         n_old = len(c)
         order, kx, kz, boundary = _sorted_keys(
-            n_qubits, np.concatenate([sx, bx]), np.concatenate([sz, bz])
+            n_qubits, np.concatenate([x, bx]), np.concatenate([z, bz])
         )
-        # the stable sort puts a key's table entry before its new rows
-        first = order[boundary]
-        new = first >= n_old
-        row = np.empty(len(first), dtype=np.intp)
-        row[~new] = srow[first[~new]]
-        appended = np.flatnonzero(new)[np.argsort(first[new])]
-        row[appended] = np.arange(n_old, n_old + len(appended))
+        # each row's key in the new table; the stable sort keeps a key's
+        # table entry before the block's rows
         dest = np.empty(len(order), dtype=np.intp)
-        dest[order] = row[np.cumsum(boundary) - 1]
-        sx, sz, srow = kx[boundary], kz[boundary], row
-        x = np.concatenate([x, sx[appended]])
-        z = np.concatenate([z, sz[appended]])
-        c = np.concatenate([c, np.zeros(len(appended), dtype=np.complex128)])
-        np.add.at(c, dest[n_old:], bc)
+        dest[order] = np.cumsum(boundary) - 1
+        x, z = kx[boundary], kz[boundary]
+        table = np.zeros(len(x), dtype=np.complex128)
+        table[dest[:n_old]] = c
+        np.add.at(table, dest[n_old:], bc)
+        c = table
     return x, z, c
 
 
-def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10):
-    """The real sum's keys and values; only cancellation dust may be discarded.
+def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10) -> PackedSum:
+    """The real sum of a key table; only cancellation dust may be discarded.
 
     Real input integrals leave odd-y words with exactly cancelling
     coefficients up to float addition order, so anything beyond ``tol``
@@ -138,16 +133,16 @@ def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10):
     bad = np.where(odd, mag, np.abs(c.imag)) > tol * scale
     if np.any(bad):
         i = int(np.argmax(bad))
-        word = render_word(PauliWord(int(x[i]), int(z[i]), n_qubits))
+        word = render_masks(int(x[i]), int(z[i]))
         ci = complex(c[i])
         if odd[i]:
             raise HermiticityError(f"odd y-count word {word} with coefficient {ci:.3e}")
         raise HermiticityError(f"imaginary coefficient {ci:.3e} on {word}")
     keep = ~odd & (c.real != 0.0)
-    return list(zip(x[keep].tolist(), z[keep].tolist())), c.real[keep]
+    return PackedSum(n_qubits, x[keep], z[keep], c.real[keep])
 
 
-def jordan_wigner(mi: MolecularIntegrals) -> PauliSum:
+def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
     """Qubit Hamiltonian over 2 * n_spatial qubits from molecular integrals.
 
     Implements H = sum_pq h_pq a^dag_p a_q
@@ -173,10 +168,7 @@ def jordan_wigner(mi: MolecularIntegrals) -> PauliSum:
             (p, r, s, q), _TWO_BODY_SPINS, (True, True, False, False), 0.5 * mi.g2[two]
         )
 
-    keys, values = _collapse(n_qubits, *_accumulate(n_qubits, rows()))
-    # numpy float64 coefficients, the type of the integrals' elements: a run
-    # digest holds the repr of the initial energy, which shows that type
-    return PauliSum._from_raw(n_qubits, dict(zip(keys, values)))
+    return _collapse(n_qubits, *_accumulate(n_qubits, rows()))
 
 
 def reference_state(n_e: int, n_qubits: int, ms2: int | None = None) -> ReferenceState:
@@ -206,7 +198,7 @@ def reference_state(n_e: int, n_qubits: int, ms2: int | None = None) -> Referenc
     return ReferenceState(occ, n_qubits)
 
 
-def spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
+def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     """(S^2, S_z) over interleaved alpha/beta qubit pairs.
 
     S_z = 1/2 sum_p (n_pa - n_pb); S^2 = S_z^2 + S_z + S_- S_+ with the
@@ -216,16 +208,18 @@ def spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
         raise ValueError("spin operators need an even qubit count")
     n_orb = n_qubits // 2
     # S_z: occupation asymmetry; n_q = (1 - Z_q)/2.
-    sz_terms = []
-    for p in range(n_orb):
-        sz_terms.append((PauliWord.single("Z", 2 * p + 1, n_qubits), 0.25))
-        sz_terms.append((PauliWord.single("Z", 2 * p, n_qubits), -0.25))
-    s_z = PauliSum(n_qubits, sz_terms)
+    qubit = np.arange(n_qubits)
+    s_z = PackedSum(
+        n_qubits,
+        np.zeros(n_qubits, dtype=np.uint64),
+        np.uint64(1) << qubit.astype(np.uint64),
+        np.where(qubit % 2, 0.25, -0.25),
+    )
 
     # S_z^2 + S_z: each S_z word, then its products with every S_z word (all
-    # diagonal, so the products are phase-free).
-    az = np.array([wz for (_, wz), _ in s_z.raw_items()], dtype=np.uint64)
-    ac = np.array([wc for _, wc in s_z.raw_items()])
+    # diagonal, so the products are phase-free), in the scalar reference's
+    # order: Z_2p+1 before Z_2p.
+    az, ac = s_z.z[qubit ^ 1], s_z.c[qubit ^ 1]
     sz_z = np.empty((len(az), len(az) + 1), dtype=np.uint64)
     sz_z[:, 0] = az
     sz_z[:, 1:] = az[:, None] ^ az
@@ -241,8 +235,7 @@ def spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
             (p, p, q, q), np.array([[1, 0, 0, 1]]), (True, False, True, False), np.ones(len(p))
         )
 
-    keys, values = _collapse(n_qubits, *_accumulate(n_qubits, rows()))
-    return PauliSum._from_raw(n_qubits, dict(zip(keys, values.tolist()))), s_z
+    return _collapse(n_qubits, *_accumulate(n_qubits, rows())), s_z
 
 
 @dataclass(frozen=True)
@@ -263,10 +256,20 @@ class SpinPenalty:
             raise ValueError("spin must be finite")
 
 
-def penalize(h: PauliSum, p: SpinPenalty) -> PauliSum:
+def _add(a: PackedSum, b: PackedSum) -> PackedSum:
+    """a + b for canonical sums: a key gets at most two rows, summed exactly."""
+    return _packed._canonical(
+        a.n_qubits,
+        np.concatenate([a.x, b.x]),
+        np.concatenate([a.z, b.z]),
+        np.concatenate([a.c, b.c]),
+    )
+
+
+def penalize(h: PackedSum, p: SpinPenalty) -> PackedSum:
     """h + mu (S^2 - s(s+1) S_z); returns h unchanged when mu == 0."""
     if p.mu == 0.0:
         return h
     s_squared, s_z = spin_operators(h.n_qubits)
-    w = s_squared - p.s * (p.s + 1.0) * s_z
-    return h + p.mu * w
+    w = _add(s_squared, replace(s_z, c=-1.0 * (p.s * (p.s + 1.0) * s_z.c)))
+    return _add(h, replace(w, c=p.mu * w.c))

@@ -6,8 +6,10 @@ with qubit 0 as the least significant bit.  A canonical word i^y X^x Z^z acts
 on |b> as  i^y * (-1)^popcount(z & b) * |b XOR x>,  so Z0 on one qubit is
 diag(+1, -1) in basis order (unoccupied, occupied).
 
-Dense realizations are allowed up to 12 qubits; a sparse matrix-vector path
-covers 13-16.
+Sums are ``PackedSum``s: ``to_matrix`` and ``to_sparse`` read each word's
+masks and coefficient from the arrays (``_word_entries``).  Dense
+realizations are allowed up to 12 qubits; a sparse matrix-vector path covers
+13-16.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import _packed
+from ._packed import PackedSum
 from .errors import CapacityError, IqccError
 from .pauli import PauliWord
-from .pauli_sum import PauliSum, ReferenceState
+from .pauli_sum import ReferenceState
 
 DENSE_QUBIT_LIMIT = 12
 SPARSE_QUBIT_LIMIT = 16
@@ -26,52 +30,47 @@ SPARSE_QUBIT_LIMIT = 16
 _I_POW = np.array([1, 1j, -1, -1j])
 
 
-def _word_action(x: int, z: int, y: int, basis: np.ndarray):
-    """Rows, column signs for one word over all basis columns."""
-    rows = basis ^ x
-    signs = np.where(np.bitwise_count(basis & z) % 2 == 1, -1.0, 1.0)
-    return rows, _I_POW[y % 4] * signs
+def _word_entries(p: PackedSum):
+    """Per word of ``p``: the row each basis column goes to, and the value there."""
+    basis = np.arange(1 << p.n_qubits)
+    for x, z, c in zip(p.x.tolist(), p.z.tolist(), p.c.tolist()):
+        signs = np.where(np.bitwise_count(basis & z) % 2 == 1, -c, c)
+        yield basis ^ x, _I_POW[(x & z).bit_count() % 4] * signs
 
 
-def to_matrix(h: PauliSum) -> np.ndarray:
+def to_matrix(p: PackedSum) -> np.ndarray:
     """Dense 2^N x 2^N realization of a Pauli sum."""
-    n = h.n_qubits
+    n = p.n_qubits
     if n > DENSE_QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
     dim = 1 << n
-    basis = np.arange(dim, dtype=np.uint64)
+    columns = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
-    for (x, z), c in h.raw_items():
-        rows, vals = _word_action(x, z, (x & z).bit_count(), basis)
-        mat[rows, basis] += c * vals
+    for rows, vals in _word_entries(p):
+        mat[rows, columns] += vals
     return mat
 
 
-def to_sparse(h: PauliSum) -> sp.csr_matrix:
-    n = h.n_qubits
+def to_sparse(p: PackedSum) -> sp.csr_matrix:
+    n = p.n_qubits
     if n > SPARSE_QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
     dim = 1 << n
-    basis = np.arange(dim, dtype=np.uint64)
-    rows_all, cols_all, vals_all = [], [], []
-    for (x, z), c in h.raw_items():
-        rows, vals = _word_action(x, z, (x & z).bit_count(), basis)
-        rows_all.append(rows.astype(np.int64))
-        cols_all.append(basis.astype(np.int64))
-        vals_all.append(c * vals)
-    if not rows_all:
+    if len(p) == 0:
         return sp.csr_matrix((dim, dim), dtype=complex)
+    rows, vals = zip(*_word_entries(p))
+    columns = np.tile(np.arange(dim), len(p))
     return sp.csr_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(dim, dim),
+        (np.concatenate(vals), (np.concatenate(rows), columns)), shape=(dim, dim)
     )
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
-    return to_matrix(PauliSum(w.n_qubits, [(w.canonical()[0], 1.0)])) * _I_POW[w.phase_exp]
+    word, phase = w.canonical()
+    return to_matrix(_packed.pack([(word, 1.0)], w.n_qubits)) * _I_POW[phase]
 
 
-def ground_state(h: PauliSum) -> tuple[float, np.ndarray]:
+def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
     """Lowest eigenpair; dense below 11 qubits, Lanczos above.
 
     The residual ||Hv - Ev|| is verified to 1e-10 times the coefficient scale.
@@ -99,9 +98,9 @@ def ground_state(h: PauliSum) -> tuple[float, np.ndarray]:
 
 
 def spin_resolved_spectrum(
-    h: PauliSum,
-    s_squared: PauliSum,
-    s_z: PauliSum,
+    h: PackedSum,
+    s_squared: PackedSum,
+    s_z: PackedSum,
     sector: tuple[float, float],
 ) -> float:
     """Lowest eigenvalue of h among simultaneous (S^2, S_z) eigenstates.

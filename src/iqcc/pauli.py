@@ -125,14 +125,17 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
 
 def render_word(w: PauliWord) -> str:
     """Render as e.g. ``"X0 Z3 Y7"`` (qubit indices ascending); identity -> ``"I"``."""
+    return render_masks(w.x, w.z)
+
+
+def render_masks(x: int, z: int) -> str:
+    """``render_word`` of the canonical word with masks (x, z)."""
     parts = []
-    support = w.x | w.z
-    q = 0
+    support = x | z
     while support:
-        if support & 1:
-            parts.append(f"{w.axis(q)}{q}")
-        support >>= 1
-        q += 1
+        low = support & -support
+        parts.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
+        support ^= low
     return " ".join(parts) if parts else "I"
 
 

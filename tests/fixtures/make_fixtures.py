@@ -369,10 +369,10 @@ ELECTRONS = {"h2": 2, "h2_stretched": 2, "h4": 4, "lih": 4}
 def main():
     here = Path(__file__).parent
     sys.path.insert(0, str(here.parent.parent / "src"))
+    from iqcc._packed import expectation_packed
     from iqcc.fcidump import load_fcidump
     from iqcc.mapping import jordan_wigner, reference_state, spin_operators
     from iqcc.oracle import ground_state, spin_resolved_spectrum
-    from iqcc.pauli_sum import expectation
 
     reference = {}
     for name, geometry in MOLECULES.items():
@@ -388,7 +388,7 @@ def main():
         mi = load_fcidump(path)
         h_qubit = jordan_wigner(mi)
         ref = reference_state(n_e, 2 * mi.n_spatial)
-        e_ref = expectation(h_qubit, ref)
+        e_ref = expectation_packed(h_qubit, ref)
         print(f"   <0|H|0>:          {e_ref:.10f} Ha  (delta vs SCF {e_ref - e_scf:+.3e})")
         if abs(e_ref - e_scf) > 1e-8:
             raise SystemExit(f"{name}: qubit reference energy disagrees with SCF")

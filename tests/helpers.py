@@ -1,17 +1,36 @@
-"""Shared test utilities: random operators, the scalar dressing and
-Jordan-Wigner references and an independent fermionic oracle."""
+"""Shared test utilities: random operators, plain-dict views of packed sums,
+the scalar dressing, Jordan-Wigner, penalty and JSON references and an
+independent fermionic oracle."""
 
 import itertools
 import math
 
 import numpy as np
 
+from iqcc._packed import PackedSum, pack
 from iqcc.errors import HermiticityError
 from iqcc.pauli import PauliWord, raw_multiply, render_word
-from iqcc.pauli_sum import PauliSum
 
 
-def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PauliSum:
+def terms_dict(p: PackedSum) -> dict[tuple[int, int], float]:
+    """{(x, z): coefficient} of a packed sum, in its key order."""
+    return dict(zip(zip(p.x.tolist(), p.z.tolist()), p.c.tolist()))
+
+
+def from_terms_dict(n_qubits: int, terms: dict) -> PackedSum:
+    """The packed sum of a {(x, z): coefficient} dict with distinct keys."""
+    return pack([(PauliWord(x, z, n_qubits), c) for (x, z), c in terms.items()], n_qubits)
+
+
+def assert_same(a: PackedSum, b: PackedSum):
+    """Same width, keys and coefficient bits."""
+    assert a.n_qubits == b.n_qubits
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.z, b.z)
+    assert a.c.tobytes() == b.c.tobytes()
+
+
+def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PackedSum:
     """Random real sum of even-y words (a physical-operator lookalike)."""
     n_terms = min(n_terms, 1 << n_qubits)
     terms = {}
@@ -21,9 +40,7 @@ def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PauliSum:
         if (x & z).bit_count() % 2:
             continue
         terms[(x, z)] = float(rng.normal())
-    return PauliSum(
-        n_qubits, [(PauliWord(x, z, n_qubits), c) for (x, z), c in terms.items()]
-    )
+    return from_terms_dict(n_qubits, terms)
 
 
 def random_generator(n_qubits: int, rng) -> PauliWord:
@@ -35,7 +52,7 @@ def random_generator(n_qubits: int, rng) -> PauliWord:
             return PauliWord(x, z, n_qubits)
 
 
-def reference_dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
+def reference_dress(h: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
     """Scalar term-by-term conjugation of h by exp(-i t_opt T / 2).
 
     The reference the packed ``dress`` must match bit for bit: a word P
@@ -47,7 +64,7 @@ def reference_dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
     cos_t = math.cos(t_opt)
     sin_t = math.sin(t_opt)
     out: dict[tuple[int, int], float] = {}
-    for (px, pz), c in h.raw_items():
+    for (px, pz), c in terms_dict(h).items():
         if ((px & tz).bit_count() + (pz & tx).bit_count()) % 2 == 0:
             out[(px, pz)] = out.get((px, pz), 0.0) + c
             continue
@@ -64,7 +81,7 @@ def reference_dress(h: PauliSum, t_gen: PauliWord, t_opt: float) -> PauliSum:
         ) % 4
         new = c * sin_t if k == 1 else -c * sin_t
         out[(nx, nz)] = out.get((nx, nz), 0.0) + new
-    return PauliSum._from_raw(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
+    return from_terms_dict(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
 
 
 _PHASE = (1.0, 1j, -1.0, -1j)
@@ -100,7 +117,8 @@ class _ScalarAccumulator:
                 c *= wc * _PHASE[k]
             self.add(x, z, c)
 
-    def to_real_sum(self, tol: float = 1e-10) -> PauliSum:
+    def to_real_sum(self, tol: float = 1e-10) -> dict[tuple[int, int], float]:
+        """{(x, z): real coefficient}, keys in generation order."""
         scale = max(max((abs(c) for c in self.terms.values()), default=1.0), 1.0)
         raw: dict[tuple[int, int], float] = {}
         for (x, z), c in self.terms.items():
@@ -115,13 +133,13 @@ class _ScalarAccumulator:
                 raise HermiticityError(f"imaginary coefficient {c:.3e} on {render_word(word)}")
             if c.real != 0.0:
                 raw[(x, z)] = c.real
-        return PauliSum._from_raw(self.n_qubits, raw)
+        return raw
 
 
-def reference_jordan_wigner(mi) -> PauliSum:
+def reference_jordan_wigner(mi) -> PackedSum:
     """Scalar Jordan-Wigner expansion, one integral and one Pauli product at a
-    time: the reference ``mapping.jordan_wigner`` must match bit for bit, in
-    values and in key order."""
+    time, sorted by key: the reference ``mapping.jordan_wigner`` must match
+    bit for bit."""
     acc = _ScalarAccumulator(2 * mi.n_spatial)
     acc.add(0, 0, complex(mi.core_energy))
     for p, q in zip(*np.nonzero(mi.h1)):
@@ -140,21 +158,21 @@ def reference_jordan_wigner(mi) -> PauliSum:
                 ],
                 v,
             )
-    return acc.to_real_sum()
+    return from_terms_dict(acc.n_qubits, acc.to_real_sum())
 
 
-def reference_spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
-    """Scalar (S^2, S_z), the reference for ``mapping.spin_operators``."""
+def reference_spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
+    """Scalar (S^2, S_z), sorted by key: the reference for
+    ``mapping.spin_operators``."""
     n_orb = n_qubits // 2
-    sz_terms = []
+    s_z = {}
     for p in range(n_orb):
-        sz_terms.append((PauliWord.single("Z", 2 * p + 1, n_qubits), 0.25))
-        sz_terms.append((PauliWord.single("Z", 2 * p, n_qubits), -0.25))
-    s_z = PauliSum(n_qubits, sz_terms)
+        s_z[(0, 1 << (2 * p + 1))] = 0.25
+        s_z[(0, 1 << (2 * p))] = -0.25
     acc = _ScalarAccumulator(n_qubits)
-    for (ax, az), ac in s_z.raw_items():
+    for (ax, az), ac in s_z.items():
         acc.add(ax, az, ac)
-        for (bx, bz), bc in s_z.raw_items():
+        for (bx, bz), bc in s_z.items():
             x, z, k = raw_multiply(ax, az, bx, bz)
             acc.add(x, z, ac * bc * _PHASE[k])
     for p in range(n_orb):
@@ -162,7 +180,44 @@ def reference_spin_operators(n_qubits: int) -> tuple[PauliSum, PauliSum]:
             acc.add_ladder_product(
                 [(2 * p + 1, True), (2 * p, False), (2 * q, True), (2 * q + 1, False)], 1.0
             )
-    return acc.to_real_sum(), s_z
+    return from_terms_dict(n_qubits, acc.to_real_sum()), from_terms_dict(n_qubits, s_z)
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    """a + b for {(x, z): coefficient} dicts: b's terms added into a copy of
+    a one at a time, exact zeros removed."""
+    out = dict(a)
+    for key, c in b.items():
+        new = out.get(key, 0.0) + c
+        if new == 0.0:
+            out.pop(key, None)
+        else:
+            out[key] = new
+    return out
+
+
+def reference_penalize(h: PackedSum, mu: float, s: float) -> PackedSum:
+    """h + mu (S^2 - s(s+1) S_z) by plain-dict adds, in dict order."""
+    s_squared, s_z = (terms_dict(op) for op in reference_spin_operators(h.n_qubits))
+    k = s * (s + 1.0)
+    scaled = {key: -1.0 * (k * c) for key, c in s_z.items()} if k != 0.0 else {}
+    w = reference_add(s_squared, scaled)
+    return from_terms_dict(
+        h.n_qubits, reference_add(terms_dict(h), {key: mu * c for key, c in w.items()})
+    )
+
+
+def reference_to_json_dict(p: PackedSum) -> dict:
+    """The JSON form word by word: each term a ``PauliWord``, sorted by
+    ``PauliWord.sort_key`` and rendered by ``render_word``."""
+    words = sorted(
+        ((PauliWord(x, z, p.n_qubits), c) for (x, z), c in terms_dict(p).items()),
+        key=lambda wc: wc[0].sort_key(),
+    )
+    return {
+        "n_qubits": p.n_qubits,
+        "terms": [{"word": render_word(w), "coeff": float(f"{c:.17g}")} for w, c in words],
+    }
 
 
 def dense_ladder_operators(n_modes: int) -> list[np.ndarray]:

@@ -33,7 +33,7 @@ from iqcc.errors import CapacityError
 from iqcc.mapping import SpinPenalty, reference_state
 from iqcc.oracle import to_matrix
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import ReferenceState, dress
+from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import random_generator, random_hermitian_sum
 
@@ -140,7 +140,7 @@ class TestAcceptance:
             gen = random_generator(n, rng)
             t = float(rng.normal())
             e0 = np.linalg.eigvalsh(to_matrix(h))
-            e1 = np.linalg.eigvalsh(to_matrix(dress(h, gen, t)))
+            e1 = np.linalg.eigvalsh(to_matrix(dress_sequence(h, [(gen, t)])))
             worst = max(worst, float(np.max(np.abs(e0 - e1))))
             count += 1
         _verdict(
@@ -182,7 +182,7 @@ class TestAcceptance:
         count = 0
         for _ in range(100):
             n = int(rng.integers(3, 9))
-            h = iqcc.pack(random_hermitian_sum(n, int(rng.integers(8, 40)), rng))
+            h = random_hermitian_sum(n, int(rng.integers(8, 40)), rng)
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             L = int(rng.integers(1, 5))
             pairs = [
@@ -221,7 +221,7 @@ class TestAcceptance:
         for _ in range(50):
             n = int(rng.integers(2, 8))
             h = random_hermitian_sum(n, int(rng.integers(2, 40)), rng)
-            out = dress(h, random_generator(n, rng), float(rng.normal()))
+            out = dress_sequence(h, [(random_generator(n, rng), float(rng.normal()))])
             bound_ok &= len(out) <= 2 * len(h)
 
         _, h4, ref4 = h4_problem

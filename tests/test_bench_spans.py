@@ -54,18 +54,30 @@ def test_selftest_passes():
     assert "selftest ok" in result.stdout
 
 
+def _traced_calls(argv):
+    tracer = spans.Tracer()
+    with tracer.install():
+        result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    return tracer
+
+
 def test_traced_run_sees_every_kernel(tmp_path):
     # a kernel bound under another name (say, imported into its caller's
     # namespace) still resolves above but runs untraced; a traced run shows it
     fixture = Path(__file__).parent / "fixtures" / "h4.fcidump"
-    tracer = spans.Tracer()
-    with tracer.install():
-        result = CliRunner().invoke(
-            main, ["run", str(fixture), "--generators", "4", "-o", str(tmp_path / "run.json")]
-        )
-    assert result.exit_code == 0, result.output
+    tracer = _traced_calls(["run", str(fixture), "--generators", "4",
+                            "-o", str(tmp_path / "run.json")])
     calls = tracer.calls()
-    for name in ("pauli_sum.dress_sequence", "packed.dress_packed", "packed.pack",
-                 "packed.canonical", "engine.eval", "engine.rank"):
+    for name in ("pauli_sum.dress_sequence", "packed.dress_packed", "engine.eval",
+                 "engine.rank"):
         assert calls[name] >= 1, name
     assert tracer.counts["packed.x_group_slice_calls"] >= 1
+    # an FCIDUMP run maps straight to a packed sum; qubit-JSON input is
+    # packed on load, through pack and _canonical
+    ham = tmp_path / "h4.json"
+    assert CliRunner().invoke(main, ["transform", str(fixture), "-o", str(ham)]).exit_code == 0
+    calls = _traced_calls(["run", str(ham), "--generators", "4",
+                           "-o", str(tmp_path / "run_json.json")]).calls()
+    for name in ("packed.pack", "packed.canonical"):
+        assert calls[name] >= 1, name

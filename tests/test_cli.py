@@ -13,8 +13,8 @@ from iqcc._packed import pack
 from iqcc.driver import IqccConfig
 from iqcc.fcidump import load_fcidump
 from iqcc.mapping import jordan_wigner
-from iqcc.pauli import parse_word
-from iqcc.pauli_sum import PauliSum, to_json_dict
+from iqcc.pauli import PauliWord
+from iqcc.pauli_sum import to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -116,14 +116,15 @@ class TestRun:
 
     def test_qubit_json_input_needs_electrons(self, runner, tmp_path):
         ham = tmp_path / "h.json"
-        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, 1.0))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), 1.0)], 2))))
         result = runner.invoke(main, ["run", str(ham)])
         assert result.exit_code == 2
 
     def test_qubit_json_over_64_qubits_rejected(self, runner, tmp_path):
         ham = tmp_path / "wide.json"
-        wide = PauliSum(65, [(parse_word("Z0", 65), 0.5), (parse_word("X0 X64", 65), 0.2)])
-        ham.write_text(json.dumps(to_json_dict(wide)))
+        wide = {"n_qubits": 65, "terms": [{"word": "Z0", "coeff": 0.5},
+                                          {"word": "X0 X64", "coeff": 0.2}]}
+        ham.write_text(json.dumps(wide))
         result = runner.invoke(main, ["run", str(ham), "--n-electrons", "2"])
         assert result.exit_code == 1  # domain error, raised at load
         assert isinstance(result.exception, SystemExit)  # no traceback
@@ -213,22 +214,23 @@ class TestRun:
         assert "converged" not in header and "optimized" not in header
         # rows the optimizer saw after the coset filter: some, and never more
         # than the sum entering the iteration
-        entering = [len(pack(jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump"))))]
+        entering = [len(jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump")))]
         entering += [it["term_count"] for it in iterations[:-1]]
         assert all(0 < it["optimized_terms"] <= n for it, n in zip(iterations, entering))
         # of those, the rows an evaluation replays after the live cut
         assert all(0 < it["evaluated_terms"] <= it["optimized_terms"] for it in iterations)
         # the flags stay out of the digest: the value from before they were recorded
         digest = report["manifest"]["determinism"]["numeric_digest"]
-        assert digest.startswith("0907c698d76516cf")
+        assert digest.startswith("33ebb04ca78435be")
 
     @pytest.mark.parametrize(
         "argv, prefix",
         [
             (["run", "lih.fcidump", "--generators", "8", "--energy-convergence", "1e-6",
-              "--max-iterations", "4"], "30a85213206505f6"),
-            (["gap", "h4.fcidump", "--generators", "4"], "d4ac26764c5b24ca"),
+              "--max-iterations", "4"], "ed0988bf94c0c702"),
+            (["gap", "h4.fcidump", "--generators", "4"], "381fa50ac1c75b41"),
         ],
+        ids=["lih_ground", "h4_gap"],
     )
     def test_benchmark_command_digest(self, runner, tmp_path, argv, prefix):
         # the lih_ground and h4_gap benchmark commands keep their trajectories
@@ -315,7 +317,7 @@ class TestGap:
 class TestOracle:
     def test_identity_hamiltonian(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, -0.25))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), -0.25)], 2))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["energy"] == pytest.approx(-0.25, abs=1e-12)
@@ -342,13 +344,13 @@ class TestOracle:
 
     def test_capacity_error(self, runner, tmp_path):
         ham = tmp_path / "big.json"
-        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(20, 1.0))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(20), 1.0)], 20))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 1
 
     def test_bad_sector_usage(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(json.dumps(to_json_dict(PauliSum.identity(2, 1.0))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), 1.0)], 2))))
         result = runner.invoke(main, ["oracle", str(ham), "--sector", "banana"])
         assert result.exit_code == 2
 
@@ -420,3 +422,34 @@ class TestDeterminism:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         digests = [r["manifest"]["determinism"]["numeric_digest"] for r in outs]
         assert digests[0] == digests[1]
+
+    def test_digest_independent_of_float_type(self, h2_problem):
+        # the digests hash each float's bits, not its repr, which differs
+        # between numpy and Python floats of equal value
+        from dataclasses import replace
+
+        import numpy as np
+
+        from iqcc.cli import _digest_gap, _digest_run
+        from iqcc.driver import gap_from_runs, run_iqcc
+
+        _, h, ref = h2_problem
+        res = run_iqcc(h, ref, IqccConfig(generators_per_iteration=2))
+        assert res.records
+
+        def retyped(r, kind):
+            records = tuple(
+                replace(rec, energy=kind(rec.energy), energy_with_pt=kind(rec.energy_with_pt),
+                        dropped_weight=kind(rec.dropped_weight))
+                for rec in r.records
+            )
+            return replace(r, records=records, initial_energy=kind(r.initial_energy),
+                           final_energy=kind(r.final_energy),
+                           final_energy_with_pt=kind(r.final_energy_with_pt))
+
+        as_float, as_numpy = retyped(res, float), retyped(res, np.float64)
+        assert repr(as_float.initial_energy) != repr(as_numpy.initial_energy)
+        assert _digest_run(as_float) == _digest_run(as_numpy)
+        assert _digest_gap(gap_from_runs(as_float, as_float)) == _digest_gap(
+            gap_from_runs(as_numpy, as_numpy)
+        )

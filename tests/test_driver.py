@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iqcc import _packed
+from iqcc._packed import pack
 from iqcc.driver import (
     HARTREE_TO_EV,
     IqccConfig,
@@ -19,7 +20,7 @@ from iqcc.errors import CapacityError, IterationAbort
 from iqcc.mapping import SpinPenalty, reference_state, spin_operators
 from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum, to_matrix
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import PauliSum, ReferenceState, expectation
+from iqcc.pauli_sum import ReferenceState
 
 from helpers import random_hermitian_sum
 
@@ -49,12 +50,12 @@ class TestConfig:
 
 class TestRunIqcc:
     def test_diagonal_hamiltonian_converges_immediately(self):
-        h = PauliSum(3, [(parse_word("Z0 Z1", 3), -0.4)])
+        h = pack([(parse_word("Z0 Z1", 3), -0.4)], 3)
         ref = ReferenceState(0b011, 3)
         res = run_iqcc(h, ref, IqccConfig())
         assert res.records == ()
         assert res.converged
-        assert res.final_energy == expectation(h, ref)
+        assert res.final_energy == _packed.expectation_packed(h, ref)
 
     def test_h2_converges_to_fci(self, h2_problem, reference_values):
         _, h, ref = h2_problem
@@ -137,56 +138,60 @@ class TestFinalHamiltonianPinned:
 
 class TestOneRepresentation:
     @pytest.mark.parametrize(
-        "penalty, rank_on_bare, packs",
+        "penalty, rank_on_bare, sums",
         [(SpinPenalty(), False, 1), (SpinPenalty(mu=0.25), True, 2)],
     )
     def test_packed_once_never_unpacked(
-        self, h4_problem, monkeypatch, penalty, rank_on_bare, packs
+        self, h4_problem, monkeypatch, penalty, rank_on_bare, sums
     ):
-        # the Hamiltonian (and the bare copy ranked against) is packed on
-        # entry and stays packed through every evaluation, dress and prune
-        _, h, ref = h4_problem
-        calls = {"pack": 0, "unpack": 0}
+        # the Hamiltonian (and the bare copy ranked against) arrives packed
+        # and stays packed through the penalty, every evaluation, dress and
+        # prune: a run neither packs nor unpacks, and dresses each of its
+        # ``sums`` once per iteration
+        from iqcc import driver as driver_mod
 
-        def counted(name):
-            real = getattr(_packed, name)
+        _, h, ref = h4_problem
+        calls = {"pack": 0, "unpack": 0, "dress_sequence": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        monkeypatch.setattr(_packed, "pack", counted("pack"))
-        monkeypatch.setattr(_packed, "unpack", counted("unpack"))
+        counted(_packed, "pack")
+        counted(_packed, "unpack")
+        counted(driver_mod, "dress_sequence")
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
                          energy_convergence=1e-12, penalty=penalty,
                          rank_on_bare=rank_on_bare)
         res = run_iqcc(h, ref, cfg)
         assert len(res.records) == 3
-        assert calls == {"pack": packs, "unpack": 0}
+        assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3 * sums}
         assert isinstance(res.final_hamiltonian, _packed.PackedSum)
 
 
 class TestPtCorrection:
     def test_empty_remainder(self, h2_problem):
         _, h, ref = h2_problem
-        assert pt_correction(_packed.pack(h), [], ref) == 0.0
+        assert pt_correction(h, [], ref) == 0.0
 
     def test_zero_omega_contributes_nothing(self):
         rng = np.random.default_rng(0)
         h = random_hermitian_sum(5, 25, rng)
         ref = ReferenceState(0b00111, 5)
-        _, remainder = rank_generators(_packed.pack(h), ref, 1)
+        _, remainder = rank_generators(h, ref, 1)
         # against a Hamiltonian with no off-diagonal blocks every omega is 0
-        diag = _packed.pack(PauliSum(5, [(parse_word("Z0", 5), 1.0)]))
+        diag = pack([(parse_word("Z0", 5), 1.0)], 5)
         assert pt_correction(diag, remainder, ref) == 0.0
 
     def test_total_is_nonpositive(self, h4_problem):
         _, h, ref = h4_problem
-        p = _packed.pack(h)
-        _, remainder = rank_generators(p, ref, 4)
-        assert pt_correction(p, remainder, ref) <= 0.0
+        _, remainder = rank_generators(h, ref, 4)
+        assert pt_correction(h, remainder, ref) <= 0.0
 
     def test_h4_pt_improves_final_energy(self, h4_problem, reference_values):
         # expected behavior for this system (not asserted as universal)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iqcc import _packed
+from iqcc._packed import expectation_packed, pack
 from iqcc.errors import CapacityError, HermiticityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
@@ -15,11 +16,7 @@ from iqcc.engine import (
 )
 from iqcc.oracle import ansatz_unitary, reference_vector, to_matrix
 from iqcc.pauli import PauliWord, parse_word, render_word
-from iqcc.pauli_sum import (
-    PauliSum,
-    ReferenceState,
-    expectation,
-)
+from iqcc.pauli_sum import ReferenceState
 
 from helpers import random_generator, random_hermitian_sum
 
@@ -45,14 +42,14 @@ class TestCanonicalGenerator:
 
 def _blocks(h, ref):
     """{x-support: (omega_signed, D)} from the ranking statistics."""
-    return {x: (w, d) for x, w, d in block_ranking_data(_packed.pack(h), ref)}
+    return {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
 
 
 class TestOmega:
     def test_identity_factor_sign_convention(self):
         # block (X0, c * identity): omega_signed = sign(qubit 0) * c
         c = 0.7
-        h = PauliSum(1, [(parse_word("X0", 1), c)])
+        h = pack([(parse_word("X0", 1), c)], 1)
         for occ, sign in ((0b0, 1.0), (0b1, -1.0)):
             omega_signed, _ = _blocks(h, ReferenceState(occ, 1))[0b1]
             assert abs(omega_signed) == abs(c)
@@ -61,12 +58,12 @@ class TestOmega:
     def test_cancelling_factor_gives_zero(self):
         # two words in one x-block whose diagonal factors cancel at this ref:
         # X0X1 contributes +1, Y0Y1 folds to -<Z0Z1> = -1 on |00>
-        h = PauliSum(
-            2,
+        h = pack(
             [
                 (parse_word("X0 X1", 2), 1.0),
                 (PauliWord(0b11, 0b11, 2), 1.0),  # Y0 Y1, same x-support
             ],
+            2,
         )
         omega_signed, _ = _blocks(h, ReferenceState(0b00, 2))[0b11]
         assert omega_signed == 0.0
@@ -76,14 +73,14 @@ class TestOmega:
         rng = np.random.default_rng(3)
         h5 = random_hermitian_sum(5, 25, rng)
         for h, ref in ((h2, ref2), (h5, ReferenceState(int(rng.integers(32)), 5))):
-            xs, omegas, _ = _packed.block_statistics(_packed.pack(h), ref)
+            xs, omegas, _ = _packed.block_statistics(h, ref)
             # one entry per distinct non-empty x-support, none twice
-            assert xs.tolist() == sorted({x for (x, _), _ in h.raw_items() if x})
+            assert xs.tolist() == sorted(set(h.x[h.x != 0].tolist()))
             hm = to_matrix(h)
             v = reference_vector(ref)
             for x, omega_signed in zip(xs.tolist(), omegas.tolist()):
                 gen = derive_canonical_generator(PauliWord(x, 0, h.n_qubits))
-                tm = to_matrix(PauliSum(h.n_qubits, [(gen, 1.0)]))
+                tm = to_matrix(pack([(gen, 1.0)], h.n_qubits))
                 bracket = np.vdot(v, hm @ tm @ v)
                 assert abs(abs(omega_signed) - abs(bracket)) < 1e-12
                 assert abs(omega_signed - bracket.imag) < 1e-12
@@ -94,14 +91,14 @@ class TestComputeD:
 
     def test_commuting_diagonal_gives_zero(self):
         # Z1 commutes with the canonical generator Y0 of the X0 block
-        h = PauliSum(2, [(parse_word("Z1", 2), 0.8), (parse_word("X0", 2), 0.3)])
+        h = pack([(parse_word("Z1", 2), 0.8), (parse_word("X0", 2), 0.3)], 2)
         _, d = _blocks(h, ReferenceState(0, 2))[0b01]
         assert d == 0.0
 
     def test_single_anticommuting_term(self):
         # h = c Z0 (+ the X0 block), T = Y0, qubit 0 occupied: D = (+c) - (-c) = 2c
         c = 0.45
-        h = PauliSum(1, [(parse_word("Z0", 1), c), (parse_word("X0", 1), 0.2)])
+        h = pack([(parse_word("Z0", 1), c), (parse_word("X0", 1), 0.2)], 1)
         _, d = _blocks(h, ReferenceState(0b1, 1))[0b1]
         assert abs(d - 2 * c) < 1e-15
 
@@ -114,7 +111,7 @@ class TestComputeD:
             v = reference_vector(ref)
             for x, (_, d) in _blocks(h, ref).items():
                 gen = derive_canonical_generator(PauliWord(x, 0, 6))
-                tm = to_matrix(PauliSum(6, [(gen, 1.0)]))
+                tm = to_matrix(pack([(gen, 1.0)], 6))
                 dense = np.vdot(v, (tm @ hm @ tm - hm) @ v).real
                 assert abs(d - dense) < 1e-12
 
@@ -149,24 +146,24 @@ class TestEstimateAmplitude:
 
 class TestRanking:
     def test_rejects_odd_y(self):
-        h = PauliSum(2, [(parse_word("Y0", 2), 1.0)])
+        h = pack([(parse_word("Y0", 2), 1.0)], 2)
         with pytest.raises(HermiticityError):
-            rank_generators(_packed.pack(h), ReferenceState(0, 2), 4)
+            rank_generators(h, ReferenceState(0, 2), 4)
 
     def test_diagonal_hamiltonian(self):
-        h = PauliSum(3, [(parse_word("Z0 Z2", 3), 1.0)])
-        selected, remainder = rank_generators(_packed.pack(h), ReferenceState(0, 3), 4)
+        h = pack([(parse_word("Z0 Z2", 3), 1.0)], 3)
+        selected, remainder = rank_generators(h, ReferenceState(0, 3), 4)
         assert selected == [] and remainder == []
 
     def test_single_block(self):
-        h = PauliSum(2, [(parse_word("X0 X1", 2), 0.5), (parse_word("Z0", 2), 1.0)])
-        selected, remainder = rank_generators(_packed.pack(h), ReferenceState(0b11, 2), 4)
+        h = pack([(parse_word("X0 X1", 2), 0.5), (parse_word("Z0", 2), 1.0)], 2)
+        selected, remainder = rank_generators(h, ReferenceState(0b11, 2), 4)
         assert len(selected) == 1 and remainder == []
         assert selected[0].generator == parse_word("Y0 X1", 2)
 
     def test_h2_top_generator_has_best_lowering(self, h2_problem):
         _, h, ref = h2_problem
-        selected, remainder = rank_generators(_packed.pack(h), ref, 1)
+        selected, remainder = rank_generators(h, ref, 1)
         top = selected[0]
         assert render_word(top.generator) == "Y0 X1 X2 X3"
         assert all(top.importance >= r.importance for r in remainder)
@@ -180,7 +177,7 @@ class TestRanking:
         for _ in range(10):
             h = random_hermitian_sum(6, 40, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, rem = rank_generators(_packed.pack(h), ref, 16)
+            sel, rem = rank_generators(h, ref, 16)
             for r in sel + rem:
                 _, de = estimate_amplitude(r.omega_signed, r.d_value)
                 assert de <= 0.0
@@ -190,40 +187,40 @@ class TestRanking:
 
     def test_determinism(self, h4_problem):
         _, h, ref = h4_problem
-        a = rank_generators(_packed.pack(h), ref, 8)
-        b = rank_generators(_packed.pack(h), ref, 8)
+        a = rank_generators(h, ref, 8)
+        b = rank_generators(h, ref, 8)
         assert a == b
 
     def test_gradient_measure_option(self, h2_problem):
         _, h, ref = h2_problem
-        sel_a, _ = rank_generators(_packed.pack(h), ref, 2, measure="amplitude")
-        sel_g, _ = rank_generators(_packed.pack(h), ref, 2, measure="gradient")
+        sel_a, _ = rank_generators(h, ref, 2, measure="amplitude")
+        sel_g, _ = rank_generators(h, ref, 2, measure="gradient")
         for r in sel_g:
             assert r.importance == r.omega
 
     def test_top_l_capacity(self, h2_problem):
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):
-            rank_generators(_packed.pack(h), ref, 17)
+            rank_generators(h, ref, 17)
 
 
 class TestQccEnergy:
     def test_zero_amplitudes(self, h2_problem):
         _, h, ref = h2_problem
-        sel, _ = rank_generators(_packed.pack(h), ref, 2)
+        sel, _ = rank_generators(h, ref, 2)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
-        assert abs(qcc_energy(_packed.pack(h), ansatz, ref) - expectation(h, ref)) < 1e-14
+        assert abs(qcc_energy(h, ansatz, ref) - expectation_packed(h, ref)) < 1e-14
 
     def test_single_generator_closed_form(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             h = random_hermitian_sum(5, 20, rng)
             ref = ReferenceState(int(rng.integers(32)), 5)
-            sel, _ = rank_generators(_packed.pack(h), ref, 1)
+            sel, _ = rank_generators(h, ref, 1)
             if not sel:
                 continue
             r = sel[0]
-            e0 = expectation(h, ref)
+            e0 = expectation_packed(h, ref)
             for t in rng.normal(size=3):
                 ansatz = Ansatz([(r.generator, float(t))])
                 closed = (
@@ -231,7 +228,7 @@ class TestQccEnergy:
                     + r.omega_signed * np.sin(t)
                     + r.d_value * (1 - np.cos(t)) / 2
                 )
-                assert abs(qcc_energy(_packed.pack(h), ansatz, ref) - closed) < 1e-12
+                assert abs(qcc_energy(h, ansatz, ref) - closed) < 1e-12
 
     def test_top_one_at_estimate_realizes_lowering(self):
         # E(t_estimate) == <0|H|0> + delta_e, exactly
@@ -239,13 +236,13 @@ class TestQccEnergy:
         for _ in range(10):
             h = random_hermitian_sum(6, 30, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, _ = rank_generators(_packed.pack(h), ref, 1)
+            sel, _ = rank_generators(h, ref, 1)
             if not sel or sel[0].omega == 0.0:
                 continue
             r = sel[0]
             _, delta_e = estimate_amplitude(r.omega_signed, r.d_value)
-            e = qcc_energy(_packed.pack(h), Ansatz([(r.generator, r.t_estimate)]), ref)
-            assert abs(e - (expectation(h, ref) + delta_e)) < 1e-12
+            e = qcc_energy(h, Ansatz([(r.generator, r.t_estimate)]), ref)
+            assert abs(e - (expectation_packed(h, ref) + delta_e)) < 1e-12
 
     def test_matches_dense_conjugation(self):
         rng = np.random.default_rng(11)
@@ -256,7 +253,7 @@ class TestQccEnergy:
             u = ansatz_unitary(pairs, 6)
             v = u @ reference_vector(ref)
             dense = float(np.real(np.vdot(v, to_matrix(h) @ v)))
-            assert abs(qcc_energy(_packed.pack(h), Ansatz(pairs), ref) - dense) < 1e-10
+            assert abs(qcc_energy(h, Ansatz(pairs), ref) - dense) < 1e-10
 
     def test_ansatz_capacity(self):
         gen = parse_word("Y0", 1)
@@ -268,20 +265,20 @@ class TestQccGradient:
     def test_zero_amplitude_equals_signed_omega(self, h2_problem):
         # dE/dt_j at t=0 is +omega_signed under the documented convention
         _, h, ref = h2_problem
-        sel, _ = rank_generators(_packed.pack(h), ref, 3)
+        sel, _ = rank_generators(h, ref, 3)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
-        plan, _ = coset_plan(_packed.pack(h), ansatz.generators)
+        plan, _ = coset_plan(h, ansatz.generators)
         _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
         for g, r in zip(grad, sel):
             assert abs(g - r.omega_signed) < 1e-12
 
     def test_commuting_generator_zero_component(self):
-        h = PauliSum(2, [(parse_word("Z0", 2), 1.0)])
+        h = pack([(parse_word("Z0", 2), 1.0)], 2)
         gen = parse_word("Y1", 2)  # disjoint support: commutes with h
         ref = ReferenceState(0b01, 2)
         for t in (0.0, 0.3, -1.2):
             ansatz = Ansatz([(gen, t)])
-            plan, _ = coset_plan(_packed.pack(h), [gen])
+            plan, _ = coset_plan(h, [gen])
             _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
             assert abs(grad[0]) < 1e-14
 
@@ -290,7 +287,7 @@ class TestQccGradient:
         step = 1e-5
         for _ in range(20):
             n = int(rng.integers(3, 8))
-            h = _packed.pack(random_hermitian_sum(n, 25, rng))
+            h = random_hermitian_sum(n, 25, rng)
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             L = int(rng.integers(1, 5))
             pairs = [(random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)]

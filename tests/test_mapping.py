@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iqcc import mapping
+from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, HermiticityError
 from iqcc.fcidump import CASWindow, MolecularIntegrals, load_fcidump, select_cas
 from iqcc.mapping import (
@@ -13,24 +14,16 @@ from iqcc.mapping import (
 )
 from iqcc.oracle import ground_state, to_matrix
 from iqcc.pauli import PauliWord
-from iqcc.pauli_sum import PauliSum, expectation
 
 from helpers import (
+    assert_same,
     dense_fermionic_hamiltonian,
     random_symmetric_integrals,
     reference_jordan_wigner,
+    reference_penalize,
     reference_spin_operators,
+    terms_dict,
 )
-
-
-def assert_bitwise_equal(a: PauliSum, b: PauliSum):
-    """Same keys in the same order, and the same bits and scalar type (numpy
-    or Python float, which a run digest's repr shows) in every coefficient."""
-    assert a.n_qubits == b.n_qubits
-    assert [k for k, _ in a.raw_items()] == [k for k, _ in b.raw_items()]
-    assert [(type(c), c.hex()) for _, c in a.raw_items()] == [
-        (type(c), c.hex()) for _, c in b.raw_items()
-    ]
 
 
 def sparse_wide_integrals(n_spatial: int) -> MolecularIntegrals:
@@ -51,12 +44,12 @@ class TestJordanWigner:
         mi = MolecularIntegrals(0.5, np.zeros((1, 1)), np.zeros((1, 1, 1, 1)), 0, 1)
         h = jordan_wigner(mi)
         assert len(h) == 1
-        assert dict(h.raw_items())[(0, 0)] == 0.5
+        assert terms_dict(h)[(0, 0)] == 0.5
 
     def test_number_operator_form(self):
         mi = MolecularIntegrals(0.0, np.array([[0.3]]), np.zeros((1, 1, 1, 1)), 2, 1)
         h = jordan_wigner(mi)
-        assert abs(expectation(h, reference_state(2, 2)) - 0.6) < 1e-14
+        assert abs(expectation_packed(h, reference_state(2, 2)) - 0.6) < 1e-14
 
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(0)
@@ -73,9 +66,10 @@ class TestJordanWigner:
 
     def test_number_conservation(self, h2_problem):
         _, h, _ = h2_problem
-        n_op = PauliSum(4, [(PauliWord.identity(4), 2.0)])
-        for q in range(4):
-            n_op = n_op + PauliSum(4, [(PauliWord.single("Z", q, 4), -0.5)])
+        n_op = pack(
+            [(PauliWord.identity(4), 2.0)] + [(PauliWord.single("Z", q, 4), -0.5) for q in range(4)],
+            4,
+        )
         hm, nm = to_matrix(h), to_matrix(n_op)
         assert np.max(np.abs(hm @ nm - nm @ hm)) < 1e-10
 
@@ -93,7 +87,8 @@ class TestJordanWigner:
 
     def test_all_coefficients_real_even_y(self, lih_problem):
         _, h, _ = lih_problem
-        for w, c in h.items():
+        assert h.c.dtype == np.float64
+        for w, c in unpack(h):
             assert w.y_count() % 2 == 0
             assert isinstance(c, float)
 
@@ -104,19 +99,19 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
     def test_fixtures(self, fixture_dir, name):
         mi = load_fcidump(fixture_dir / f"{name}.fcidump")
-        assert_bitwise_equal(jordan_wigner(mi), reference_jordan_wigner(mi))
+        assert_same(jordan_wigner(mi), reference_jordan_wigner(mi))
 
     @pytest.mark.parametrize("n_spatial", [1, 2, 3, 4])
     def test_random_integrals(self, n_spatial):
         mi = random_symmetric_integrals(n_spatial, np.random.default_rng(n_spatial), core=-0.3)
-        assert_bitwise_equal(jordan_wigner(mi), reference_jordan_wigner(mi))
+        assert_same(jordan_wigner(mi), reference_jordan_wigner(mi))
 
     def test_wider_than_32_qubits(self):
         # 36 qubits: keys no longer fit one composite sort word (lexsort path)
         mi = sparse_wide_integrals(18)
         h = jordan_wigner(mi)
-        assert max(x | z for (x, z), _ in h.raw_items()) >> 32
-        assert_bitwise_equal(h, reference_jordan_wigner(mi))
+        assert int(np.max(h.x | h.z)) >> 32
+        assert_same(h, reference_jordan_wigner(mi))
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_block_size_invariance(self, fixture_dir, monkeypatch, block):
@@ -124,15 +119,15 @@ class TestAgainstScalarReference:
         expected = reference_jordan_wigner(mi)
         s2_expected = reference_spin_operators(8)[0]
         monkeypatch.setattr(mapping, "_BLOCK", block)
-        assert_bitwise_equal(jordan_wigner(mi), expected)
-        assert_bitwise_equal(spin_operators(8)[0], s2_expected)
+        assert_same(jordan_wigner(mi), expected)
+        assert_same(spin_operators(8)[0], s2_expected)
 
     @pytest.mark.parametrize("n_qubits", [4, 8, 12, 24])
     def test_spin_operators(self, n_qubits):
         s2, sz = spin_operators(n_qubits)
         s2_ref, sz_ref = reference_spin_operators(n_qubits)
-        assert_bitwise_equal(s2, s2_ref)
-        assert_bitwise_equal(sz, sz_ref)
+        assert_same(s2, s2_ref)
+        assert_same(sz, sz_ref)
 
 
 class TestHermiticityErrors:
@@ -165,7 +160,7 @@ class TestReferenceState:
 
     def test_h2_matches_scf(self, h2_problem, reference_values):
         _, h, _ = h2_problem
-        e = expectation(h, reference_state(2, 4))
+        e = expectation_packed(h, reference_state(2, 4))
         assert abs(e - reference_values["h2"]["scf_energy"]) < 1e-10
 
     def test_open_shell_ms2(self):
@@ -187,14 +182,14 @@ class TestSpinOperators:
     def test_closed_shell_expectations(self):
         s2, sz = spin_operators(4)
         ref = reference_state(2, 4)
-        assert abs(expectation(s2, ref)) < 1e-14
-        assert abs(expectation(sz, ref)) < 1e-14
+        assert abs(expectation_packed(s2, ref)) < 1e-14
+        assert abs(expectation_packed(sz, ref)) < 1e-14
 
     def test_single_unpaired_alpha(self):
         s2, sz = spin_operators(4)
         ref = reference_state(1, 4, ms2=1)
-        assert abs(expectation(sz, ref) - 0.5) < 1e-14
-        assert abs(expectation(s2, ref) - 0.75) < 1e-14
+        assert abs(expectation_packed(sz, ref) - 0.5) < 1e-14
+        assert abs(expectation_packed(s2, ref) - 0.75) < 1e-14
 
     def test_commute_with_each_other_and_hamiltonian(self):
         rng = np.random.default_rng(1)
@@ -213,7 +208,8 @@ class TestSpinOperators:
     def test_hermitian_real(self):
         s2, sz = spin_operators(6)
         for op in (s2, sz):
-            for w, c in op.items():
+            assert op.c.dtype == np.float64
+            for w, c in unpack(op):
                 assert w.y_count() % 2 == 0
                 assert isinstance(c, float)
 
@@ -226,7 +222,18 @@ class TestPenalize:
     def test_s_zero_is_pure_s_squared(self, h2_problem):
         _, h, _ = h2_problem
         s2, _ = spin_operators(4)
-        assert penalize(h, SpinPenalty(mu=0.3, s=0.0)) == h + 0.3 * s2
+        want = terms_dict(h)
+        for key, c in terms_dict(s2).items():
+            want[key] = want.get(key, 0.0) + 0.3 * c
+        got = penalize(h, SpinPenalty(mu=0.3, s=0.0))
+        assert terms_dict(got) == {key: c for key, c in want.items() if c != 0.0}
+
+    @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_bit_equal_to_dict_order_add(self, fixture_dir, name, s):
+        h = jordan_wigner(load_fcidump(fixture_dir / f"{name}.fcidump"))
+        for mu in (0.25, 0.3, 0.5):
+            assert_same(penalize(h, SpinPenalty(mu=mu, s=s)), reference_penalize(h, mu, s))
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):

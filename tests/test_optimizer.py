@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from iqcc import _packed
 from iqcc.engine import Ansatz, estimate_amplitude, rank_generators
 from iqcc.errors import OptimizationError
 from iqcc.optimizer import OptimizationConfig, minimize
@@ -100,7 +99,6 @@ class TestOnQccProblem:
         from iqcc.engine import coset_plan, qcc_energy_and_gradient
 
         _, h, ref = h2_problem
-        h = _packed.pack(h)
         sel, _ = rank_generators(h, ref, 1)
         r = sel[0]
         base = Ansatz([(r.generator, 0.0)])

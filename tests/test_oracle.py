@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
 from iqcc.mapping import spin_operators
 from iqcc.oracle import (
@@ -13,7 +14,7 @@ from iqcc.oracle import (
     word_matrix,
 )
 from iqcc.pauli import PauliWord, multiply, parse_word
-from iqcc.pauli_sum import PauliSum, ReferenceState, dress, expectation
+from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import random_generator, random_hermitian_sum
 
@@ -27,18 +28,19 @@ PAULI_1Q = {
 
 class TestToMatrix:
     def test_identity(self):
-        assert np.allclose(to_matrix(PauliSum.identity(3, 1.0)), np.eye(8))
+        assert np.allclose(to_matrix(pack([(PauliWord.identity(3), 1.0)], 3)), np.eye(8))
 
     def test_z0_basis_order(self):
         # documented convention: index 0 unoccupied (+1), index 1 occupied (-1)
-        m = to_matrix(PauliSum(1, [(parse_word("Z0", 1), 1.0)]))
+        m = to_matrix(pack([(parse_word("Z0", 1), 1.0)], 1))
         assert np.allclose(m, np.diag([1.0, -1.0]))
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         a = random_hermitian_sum(4, 12, rng)
         b = random_hermitian_sum(4, 12, rng)
-        assert np.allclose(to_matrix(a + b), to_matrix(a) + to_matrix(b))
+        total = pack(unpack(a) + unpack(b), 4)
+        assert np.allclose(to_matrix(total), to_matrix(a) + to_matrix(b))
 
     def test_kron_realization(self):
         # qubit 0 is the least significant bit = rightmost Kronecker factor
@@ -68,14 +70,14 @@ class TestToMatrix:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            to_matrix(PauliSum(20))
+            to_matrix(pack([], 20))
         with pytest.raises(CapacityError):
-            ground_state(PauliSum(20))
+            ground_state(pack([], 20))
 
 
 class TestGroundState:
     def test_constant(self):
-        e, _ = ground_state(PauliSum.identity(2, -0.75))
+        e, _ = ground_state(pack([(PauliWord.identity(2), -0.75)], 2))
         assert abs(e + 0.75) < 1e-12
 
     def test_h2_fci(self, h2_problem, reference_values):
@@ -89,7 +91,7 @@ class TestGroundState:
     def test_dressing_invariance(self, h2_problem):
         _, h, _ = h2_problem
         rng = np.random.default_rng(3)
-        hd = dress(h, random_generator(4, rng), 0.4)
+        hd = dress_sequence(h, [(random_generator(4, rng), 0.4)])
         e0, _ = ground_state(h)
         e1, _ = ground_state(hd)
         assert abs(e0 - e1) < 1e-10
@@ -107,7 +109,7 @@ class TestGroundState:
             h = random_hermitian_sum(5, 20, rng)
             ref = ReferenceState(int(rng.integers(32)), 5)
             e, _ = ground_state(h)
-            assert e <= expectation(h, ref) + 1e-12
+            assert e <= expectation_packed(h, ref) + 1e-12
 
 
 class TestSpinResolved:

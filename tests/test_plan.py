@@ -6,23 +6,18 @@ import numpy as np
 import pytest
 
 from iqcc import _packed
+from iqcc._packed import pack
 from iqcc.engine import Ansatz, coset_plan, qcc_energy_and_gradient
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import PauliSum, ReferenceState, dress_sequence
+from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import random_generator, random_hermitian_sum, reference_dress
-
-
-def _assert_same(a: _packed.PackedSum, b: _packed.PackedSum):
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.z, b.z)
-    assert np.array_equal(a.c, b.c)
+from helpers import assert_same, random_generator, random_hermitian_sum, reference_dress
 
 
-def _reference_chain(h: PauliSum, gens, ts) -> _packed.PackedSum:
+def _reference_chain(h: _packed.PackedSum, gens, ts) -> _packed.PackedSum:
     for gen, t in zip(gens, ts):
         h = reference_dress(h, gen, t)
-    return _packed.pack(h)
+    return h
 
 
 def _cases(seed: int, zero_amplitude: bool):
@@ -42,17 +37,16 @@ class TestRunPlan:
     @pytest.mark.parametrize("zero_amplitude", [False, True])
     def test_bit_equal_to_one_shot_dressing(self, zero_amplitude):
         for h, gens, ts in _cases(31 + zero_amplitude, zero_amplitude):
-            p = _packed.pack(h)
-            planned = _packed.run_plan(_packed.plan_chain(p, gens), ts)
-            _assert_same(planned, _reference_chain(h, gens, ts))
+            planned = _packed.run_plan(_packed.plan_chain(h, gens), ts)
+            assert_same(planned, _reference_chain(h, gens, ts))
 
     def test_exact_cancellation_on_64_qubits(self):
         n = 64
         gen = parse_word("Y0 X63", n)
         words = ("Z0", "Z63", "X0", "X63")  # the last two lie outside the span
-        h = PauliSum(n, [(parse_word(w, n), 1.0) for w in words])
-        in_span = PauliSum(n, [(parse_word(w, n), 1.0) for w in words[:2]])
-        kept, rest = _packed.span_split(_packed.pack(h), [gen])
+        h = pack([(parse_word(w, n), 1.0) for w in words], n)
+        in_span = pack([(parse_word(w, n), 1.0) for w in words[:2]], n)
+        kept, rest = _packed.span_split(h, [gen])
         assert sorted(kept.x.tolist()) == [0, 0]
         assert sorted(rest.x.tolist()) == [1, 1 << 63]
         plan = _packed.plan_chain(kept, [gen, gen])
@@ -60,11 +54,11 @@ class TestRunPlan:
         ts = [0.3, -0.3]
         out = _packed.run_plan(plan, ts)
         assert len(out) == 2  # the spawned X0 X63 and Y0 Y63 cancel exactly
-        _assert_same(out, _reference_chain(in_span, [gen, gen], ts))
+        assert_same(out, _reference_chain(in_span, [gen, gen], ts))
 
     def test_destinations_unique_per_layer(self):
         for h, gens, _ts in _cases(33, False):
-            plan = _packed.plan_chain(_packed.pack(h), gens)
+            plan = _packed.plan_chain(h, gens)
             for layer in plan.layers:
                 assert len(np.unique(layer.base_dest)) == len(layer.base_dest)
                 assert len(np.unique(layer.spawn_dest)) == len(layer.spawn_dest)
@@ -72,7 +66,7 @@ class TestRunPlan:
 
     def test_amplitude_count_must_match(self):
         rng = np.random.default_rng(34)
-        plan = _packed.plan_chain(_packed.pack(random_hermitian_sum(3, 10, rng)),
+        plan = _packed.plan_chain(random_hermitian_sum(3, 10, rng),
                                   [random_generator(3, rng)])
         with pytest.raises(ValueError):
             _packed.run_plan(plan, [0.1, 0.2])
@@ -83,21 +77,20 @@ class TestSpanFilter:
         rng = np.random.default_rng(35)
         for _ in range(30):
             n = int(rng.integers(2, 9))
-            p = _packed.pack(random_hermitian_sum(n, 60, rng))
+            p = random_hermitian_sum(n, 60, rng)
             gens = [random_generator(n, rng) for _ in range(int(rng.integers(1, 5)))]
             span = {0}
             for gen in gens:
                 span |= {s ^ gen.x for s in span}
             kept, rest = _packed.span_split(p, gens)
             want = np.array([x in span for x in p.x.tolist()], dtype=bool)
-            _assert_same(kept, _packed.PackedSum(n, p.x[want], p.z[want], p.c[want]))
-            _assert_same(rest, _packed.PackedSum(n, p.x[~want], p.z[~want], p.c[~want]))
+            assert_same(kept, _packed.PackedSum(n, p.x[want], p.z[want], p.c[want]))
+            assert_same(rest, _packed.PackedSum(n, p.x[~want], p.z[~want], p.c[~want]))
 
 
 class TestFilteredEvaluation:
-    def _check(self, h, gens, ts, ref):
+    def _check(self, p, gens, ts, ref):
         ansatz = Ansatz(list(zip(gens, ts)))
-        p = _packed.pack(h)
         plan, _ = coset_plan(p, gens)
         filtered = qcc_energy_and_gradient(plan, ansatz, ref)
         unfiltered_plan = replace(_packed.plan_chain(p, gens),
@@ -118,17 +111,16 @@ class TestFilteredEvaluation:
     def test_span_of_every_mask_keeps_every_row(self):
         rng = np.random.default_rng(37)
         n = 5
-        h = random_hermitian_sum(n, 60, rng)
+        p = random_hermitian_sum(n, 60, rng)
         gens = [parse_word(f"Y{j}", n) for j in range(n)]
-        p = _packed.pack(h)
         plan, rest = coset_plan(p, gens)
         assert len(plan) == len(p) and len(rest) == 0
-        self._check(h, gens, [float(rng.normal()) for _ in gens], ReferenceState(0b00111, n))
+        self._check(p, gens, [float(rng.normal()) for _ in gens], ReferenceState(0b00111, n))
 
     def test_generator_mismatch_rejected(self):
         rng = np.random.default_rng(38)
         n = 4
-        p = _packed.pack(random_hermitian_sum(n, 20, rng))
+        p = random_hermitian_sum(n, 20, rng)
         gens = [parse_word("Y0 X1", n), parse_word("X2 Y3", n)]
         plan, _ = coset_plan(p, gens)
         ref = ReferenceState(0b0011, n)
@@ -147,7 +139,7 @@ class TestFilteredEvaluation:
         rng = np.random.default_rng(39)
         n = 6
         gens = [random_generator(n, rng) for _ in range(4)]
-        plan, _ = coset_plan(_packed.pack(random_hermitian_sum(n, 60, rng)), gens)
+        plan, _ = coset_plan(random_hermitian_sum(n, 60, rng), gens)
         live = _packed.live_plan(plan)
 
         def no_sort(*args):
@@ -171,9 +163,9 @@ class TestPlannedSeeds:
                 n = h.n_qubits
                 ref = ReferenceState(int(rng.integers(1 << n)), n)
                 pairs = list(zip(gens, ts))
-                plan, _ = coset_plan(_packed.pack(h), gens)
+                plan, _ = coset_plan(h, gens)
                 _, grad = qcc_energy_and_gradient(plan, Ansatz(pairs), ref)
-                tildes = [_reference_chain(PauliSum(n, [(g, 1.0)]), gens[j + 1 :], ts[j + 1 :])
+                tildes = [_reference_chain(pack([(g, 1.0)], n), gens[j + 1 :], ts[j + 1 :])
                           for j, g in enumerate(gens)]
                 want = _packed.chain_gradient(_packed.run_plan(plan, ts), tildes, ref)
                 assert len(grad) == len(gens)
@@ -189,7 +181,7 @@ class TestLivePlan:
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             ansatz = Ansatz(list(zip(gens, ts)))
-            plan, _ = coset_plan(_packed.pack(h), gens)
+            plan, _ = coset_plan(h, gens)
             live = _packed.live_plan(plan)
             assert qcc_energy_and_gradient(live, ansatz, ref) == qcc_energy_and_gradient(
                 plan, ansatz, ref
@@ -207,24 +199,23 @@ class TestLivePlan:
 
     def test_cut_of_a_cut_is_the_same(self):
         for h, gens, ts in _cases(44, False):
-            plan, _ = coset_plan(_packed.pack(h), gens)
+            plan, _ = coset_plan(h, gens)
             live = _packed.live_plan(plan)
             again = _packed.live_plan(live)
             assert len(again) == len(live)
-            _assert_same(_packed.run_plan(again, ts), _packed.run_plan(live, ts))
+            assert_same(_packed.run_plan(again, ts), _packed.run_plan(live, ts))
 
 
 class TestSplitDressing:
     """The coset plan replayed, merged with the dressing of the other rows,
     is the dressing of the whole sum."""
 
-    def _check(self, h: PauliSum, gens, ts):
-        p = _packed.pack(h)
+    def _check(self, p: _packed.PackedSum, gens, ts):
         pairs = list(zip(gens, ts))
         plan, rest = coset_plan(p, gens)
         split = _packed.merge(_packed.run_plan(plan, ts), dress_sequence(rest, pairs))
-        _assert_same(split, dress_sequence(p, pairs))
-        _assert_same(split, _reference_chain(h, gens, ts))
+        assert_same(split, dress_sequence(p, pairs))
+        assert_same(split, _reference_chain(p, gens, ts))
         return plan, rest
 
     @pytest.mark.parametrize("zero_amplitude", [False, True])
@@ -235,7 +226,7 @@ class TestSplitDressing:
     def test_exact_cancellation_on_64_qubits(self):
         n = 64
         gen = parse_word("Y0 X63", n)
-        h = PauliSum(n, [(parse_word(w, n), 1.0) for w in ("Z0", "Z63", "X0", "X63")])
+        h = pack([(parse_word(w, n), 1.0) for w in ("Z0", "Z63", "X0", "X63")], n)
         plan, rest = self._check(h, [gen, gen], [0.3, -0.3])
         assert len(plan) == 2 and len(rest) == 2
 
@@ -250,7 +241,7 @@ class TestSplitDressing:
     def test_no_row_in_span(self):
         n = 4
         words = ("X1", "Z0 X1", "X0 X1", "X1 Y2 Y3")  # x masks outside {0, 1}
-        h = PauliSum(n, [(parse_word(w, n), 0.25 * (k + 1)) for k, w in enumerate(words)])
+        h = pack([(parse_word(w, n), 0.25 * (k + 1)) for k, w in enumerate(words)], n)
         gens = [parse_word("Y0", n), parse_word("Y0 Z2", n)]
         plan, rest = self._check(h, gens, [0.7, -0.4])
         assert len(plan) == 0 and len(rest) == len(h)
