@@ -11,30 +11,28 @@ at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack`` rejects wider sums with
 scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
 bit for bit, because every output key receives at most two float
 contributions and addition is commutative in IEEE 754.  With x the primary
-key each x-group is one slice, which ``block_statistics`` reduces over and
-``chain_gradient`` finds by binary search.  Up to 32 qubits ``_sorted_keys``
-orders rows by one uint64 key, x shifted above z, which one stable argsort
-sorts faster than ``lexsort`` sorts the pair; wider masks no longer fit one
-word and fall back to ``lexsort``.  Both give the same permutation.
+key each x-group is one slice, which ``block_statistics`` reduces over.  Up
+to 32 qubits ``_sorted_keys`` orders rows by one uint64 key, x shifted above
+z, which one stable argsort sorts faster than ``lexsort`` sorts the pair;
+wider masks no longer fit one word and fall back to ``lexsort``.  Both give
+the same permutation.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row
-lands; ``run_plan`` then dresses by scatter alone, with no sort and no
-search.  Each key receives at most one base and one spawn contribution, and
-the exact zeros are dropped once at the end.  A generator only XORs its x
-mask into a word, so dressing keeps every row in its coset of the GF(2)
-span of the generators' x masks; ``span_split`` cuts a sum into the rows in
-the span and the others.  An iteration plans the rows in the span once: its
-optimizer replays the plan at many amplitudes, and its final dressing
-replays it once at the optimum.  The other rows reach neither the diagonal
-(the energy) nor an x-group that ``chain_gradient`` contracts against, so
-they are dressed only at the end, by ``pauli_sum.dress_sequence``, one
-generator at a time through ``dress_packed`` (the one-layer plan replayed
-once, so only one layer's index arrays are alive at a time), and ``merge``
-sorts the two disjoint parts into one sum.  ``live_plan`` cuts the plan an
-evaluation replays to the rows that reach the diagonal or such an x-group.
-The gradient seeds T~_j are planned too (``plan_seeds``), so an evaluation
-sorts nothing.
+lands; ``_replay`` then dresses by scatter alone, with no sort and no
+search, and ``run_plan`` drops the exact zeros once at the end.  A
+generator only XORs its x mask into a word, so dressing keeps every row in
+its coset of the GF(2) span of the generators' x masks (``span_split``).
+An iteration plans the rows in the span once: its optimizer replays the
+plan at many amplitudes, cut by ``live_plan`` to the rows that reach the
+diagonal, and its final dressing replays it once at the optimum.  The
+other rows never reach the diagonal, so they are dressed only at the end,
+one generator at a time through ``dress_packed`` (a one-layer plan, so only
+one layer's index arrays are alive at a time), and ``merge`` sorts the two
+disjoint parts into one sum.  Each layer is linear in its input and the
+energy is d . c_L, with d the signed indicator of the diagonal rows, so
+``energy_and_gradient`` takes the gradient by one reverse pass of d through
+the same index arrays.
 """
 
 from __future__ import annotations
@@ -201,9 +199,8 @@ class DressPlan:
     """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer: every key any amplitude can
-    reach, or in a ``live_plan`` cut the ones an evaluation reads.  ``len``
-    is the number of input rows.  ``seeds`` holds, for a plan an optimizer
-    evaluates, the plan of each gradient seed (``plan_seeds``).
+    reach, or in a ``live_plan`` cut the diagonal ones.  ``len`` is the
+    number of input rows.
     """
 
     n_qubits: int
@@ -212,7 +209,6 @@ class DressPlan:
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
     z: np.ndarray
-    seeds: tuple["DressPlan", ...] = ()
 
     def __len__(self) -> int:
         return len(self.c)
@@ -242,20 +238,6 @@ def plan_chain(p: PackedSum, generators) -> DressPlan:
             slice(None), base_dest, rows, base_dest[rows], rows, pos, spawn_dest, len(x)
         ))
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
-
-
-def plan_seeds(n_qubits: int, generators) -> tuple[DressPlan, ...]:
-    """The plan of each gradient seed T~_j: generator j alone, through
-    generators j+1..L."""
-    generators = tuple(generators)
-    return tuple(
-        # the one-term sum 1.0 * gen is already canonical
-        plan_chain(
-            PackedSum(n_qubits, np.uint64([gen.x]), np.uint64([gen.z]), np.ones(1)),
-            generators[j + 1 :],
-        )
-        for j, gen in enumerate(generators)
-    )
 
 
 def _cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
@@ -289,15 +271,14 @@ def _cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
 def live_plan(plan: DressPlan) -> DressPlan:
     """``plan`` cut to the rows an optimizer evaluation reads.
 
-    A last-layer row is read if it is diagonal (the energy) or its x mask is
-    the x mask of a key of some gradient seed (the x-group ``chain_gradient``
-    contracts against); an earlier row is live if its base row or its
-    spawned row is.  Every layer keeps its live rows in order, so
-    ``run_plan`` gives the diagonal and each read x-group with the same rows,
-    in the same order and with the same values as from ``plan``.
+    A last-layer row is read if it is diagonal: only those carry the energy
+    and only those start the reverse pass of ``energy_and_gradient``.  An
+    earlier row is live if its base row or its spawned row is.  Every layer
+    keeps its live rows in order, so ``run_plan`` gives the diagonal with the
+    same rows, in the same order and with the same values as from ``plan``,
+    and the rows the cut drops add only zeros to the gradient.
     """
-    read_x = np.concatenate([np.zeros(1, dtype=np.uint64)] + [s.x for s in plan.seeds])
-    live = np.isin(plan.x, read_x)
+    live = plan.x == 0
     x, z = plan.x[live], plan.z[live]
     n_in = [len(plan.c)] + [layer.n_out for layer in plan.layers[:-1]]
     layers = []
@@ -307,17 +288,15 @@ def live_plan(plan: DressPlan) -> DressPlan:
     return replace(plan, c=plan.c[live], layers=tuple(reversed(layers)), x=x, z=z)
 
 
-def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
-    """The sum of ``plan`` dressed at ``amplitudes``.
-
-    Bit for bit what ``dress_packed`` gives one generator at a time: a key's
-    base and spawn contributions are summed in the same order, and an exact
-    zero kept between layers only ever adds zero to another key.
+def _replay(plan: DressPlan, amplitudes):
+    """The coefficients of each layer of ``plan`` at ``amplitudes``, the
+    input first.
 
     A base row keeps c or takes c*cos(t), a spawned row adds +-c*sin(t) to
     its key; -(c*s) and c*(-s) are the same double, so the sign rides on s.
     """
     c = plan.c
+    yield c
     for layer, t in zip(plan.layers, amplitudes, strict=True):
         sin_t = np.sin(t)
         out = np.zeros(layer.n_out)
@@ -325,8 +304,67 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
         out[layer.anti_dest] = c[layer.anti] * np.cos(t)
         out[layer.spawn_dest] += c[layer.spawn_src] * np.where(layer.pos, sin_t, -sin_t)
         c = out
+        yield c
+
+
+def _last_layer(plan: DressPlan, c: np.ndarray) -> PackedSum:
     keep = c != 0.0
     return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
+
+
+def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
+    """The sum of ``plan`` dressed at ``amplitudes``.
+
+    Bit for bit what ``dress_packed`` gives one generator at a time: a key's
+    base and spawn contributions are summed in the same order, and an exact
+    zero kept between layers only ever adds zero to another key.  Only the
+    layer being built and its input are alive at a time.
+    """
+    for c in _replay(plan, amplitudes):
+        pass
+    return _last_layer(plan, c)
+
+
+def _sum(a: np.ndarray) -> float:
+    """Left-to-right sum.  An exact zero leaves a non-zero partial sum as it
+    is, so a ``live_plan`` cut, which drops only zero products, gives the sum
+    of the full plan; ``np.sum`` and ``np.dot`` block by length instead."""
+    return float(np.cumsum(a)[-1]) if len(a) else 0.0
+
+
+def energy_and_gradient(
+    plan: DressPlan, amplitudes, ref: ReferenceState
+) -> tuple[float, list[float]]:
+    """<0|H_L|0> and its derivative in each amplitude, from one plan.
+
+    The energy is ``expectation_packed`` of ``run_plan``'s sum.  E = d . c_L
+    with d the signed indicator of the diagonal rows, so lambda = dE/dc
+    pulls back from d through each layer: a base row copies lambda, an anti
+    row takes lambda*cos(t), a parent adds +-sin(t) lambda of its spawned
+    row.  With c a layer's input and lambda its output, dE/dt is
+    cos(t) sum(+-lambda[spawn_dest] c[spawn_src]) - sin(t) sum(lambda[anti_dest] c[anti]).
+    """
+    cs = list(_replay(plan, amplitudes))
+    energy = expectation_packed(_last_layer(plan, cs[-1]), ref)
+    parity = _popcount(plan.z & np.uint64(ref.occupation)) % 2
+    lam = np.where(plan.x == 0, np.where(parity == 1, -1.0, 1.0), 0.0)
+    grad = [0.0] * len(plan.layers)
+    for k in reversed(range(len(plan.layers))):
+        layer, t, c = plan.layers[k], amplitudes[k], cs[k]
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        spawn = lam[layer.spawn_dest] * c[layer.spawn_src]
+        grad[k] = float(
+            cos_t * _sum(np.where(layer.pos, spawn, -spawn))
+            - sin_t * _sum(lam[layer.anti_dest] * c[layer.anti])
+        )
+        if k == 0:
+            break  # no amplitude reads the input rows' lambda
+        back = np.zeros(len(c))
+        back[layer.src] = lam[layer.base_dest]
+        back[layer.anti] = lam[layer.anti_dest] * cos_t
+        back[layer.spawn_src] += lam[layer.spawn_dest] * np.where(layer.pos, sin_t, -sin_t)
+        lam = back
+    return energy, grad
 
 
 def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
@@ -356,36 +394,6 @@ def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
     lo = int(np.searchsorted(p.x, wx, side="left"))
     hi = int(np.searchsorted(p.x, wx, side="right"))
     return lo, hi
-
-
-def chain_gradient(chain: PackedSum, tildes, ref: ReferenceState) -> list[float]:
-    """dE/dt_j = Im <0| H_L T~_j |0> for each gradient seed T~_j in ``tildes``.
-
-    ``chain`` is H_L, the sum dressed through every pair; T~_j is generator j
-    dressed through pairs j+1..L.  Each word of T~_j meets only the x-group of
-    H_L with the same x mask, because only a diagonal product survives <0|.|0>.
-    """
-    occ = np.uint64(ref.occupation)
-    grad = []
-    for tilde in tildes:
-        gj = 0.0
-        for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
-            lo, hi = x_group_slice(chain, wx)
-            if lo == hi:
-                continue
-            pz = chain.z[lo:hi]
-            pc = chain.c[lo:hi]
-            yw = (wx & wz).bit_count()
-            # phase of P * W: the product is diagonal, so Im(i^k) = +-1
-            m = _popcount(pz & np.uint64(wx))
-            k = (3 * m + yw) % 4
-            val = np.where(k == 1, pc, -pc)
-            val = np.where(k % 2 == 1, val, 0.0)
-            parity = _popcount((pz ^ np.uint64(wz)) & occ) % 2
-            val = np.where(parity == 1, -val, val)
-            gj += cw * float(np.sum(val))
-        grad.append(gj)
-    return grad
 
 
 def block_statistics(

@@ -172,7 +172,7 @@ def _optimize(
     """L-BFGS over the amplitudes of ``base``, started at its own; also
     returns the number of input rows an evaluation replays.
 
-    Each evaluation replays ``plan`` cut to the rows it reads
+    Each evaluation replays ``plan`` cut to the rows that reach the diagonal
     (``live_plan``), which gives the same numbers as ``plan`` itself.  The
     cut lives only for this call.
     """

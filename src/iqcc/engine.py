@@ -13,24 +13,23 @@ minimizer of that sinusoid provides both the importance measure |t| and the
 warm start for the multi-generator optimization.
 
 Energies of the full Ansatz are evaluated by exact symbolic conjugation
-(dressing) of the Hamiltonian; gradients use the conjugation chain pushed
-onto the generators:  dE/dt_j = Im <0| H_L T~_j |0>  with H_L the fully
-dressed Hamiltonian and T~_j the generator dressed through the later chain
-entries.  An optimizer evaluates one set of generators at many amplitudes,
-so the Hamiltonian is first split into the rows those generators can bring
-to the diagonal and the rest, and the former are planned once
-(``coset_plan``), together with the gradient seeds T~_j; each evaluation
-then replays the plans, cut to the rows it reads, and sorts nothing.  The
-same plan, replayed once at the optimum, dresses those rows into the next
-Hamiltonian.  The array work (the block statistics of the ranking,
-dressing and the gradient contraction) is done by the kernels in
-``_packed``; this module works on words and scalars.
+(dressing) of the Hamiltonian.  An optimizer evaluates one set of
+generators at many amplitudes, so the Hamiltonian is first split into the
+rows those generators can bring to the diagonal and the rest, and the
+former are planned once (``coset_plan``); each evaluation then replays the
+plan, cut to the rows that reach the diagonal, and sorts nothing.  The
+energy is linear in every layer of the plan, so the gradient is one reverse
+pass of the diagonal through the same plan.  The same plan, replayed once
+at the optimum, dresses those rows into the next Hamiltonian.  The array
+work (the block statistics of the ranking, dressing, energy and gradient)
+is done by the kernels in ``_packed``; this module works on words and
+scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _packed
@@ -169,16 +168,14 @@ def coset_plan(
     h: PackedSum, generators: Sequence[PauliWord]
 ) -> tuple[_packed.DressPlan, PackedSum]:
     """Split ``h`` on the span of the generators' x masks (``span_split``):
-    the dressing plan of the rows inside it, with the plans of the gradient
-    seeds (``plan_seeds``), and the rows outside it.
+    the dressing plan of the rows inside it, and the rows outside it.
 
     A generator only XORs its x mask into a word, so dressing keeps every row
     in its coset: only the plan's rows reach the energy or the gradient, and
     the dressed ``h`` is the plan's replay plus the other rows' dressing.
     """
     inside, outside = _packed.span_split(h, generators)
-    plan = _packed.plan_chain(inside, generators)
-    return replace(plan, seeds=_packed.plan_seeds(h.n_qubits, generators)), outside
+    return _packed.plan_chain(inside, generators), outside
 
 
 def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
@@ -190,23 +187,16 @@ def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
 def qcc_energy_and_gradient(
     plan: _packed.DressPlan, ansatz: Ansatz, ref: ReferenceState
 ) -> tuple[float, list[float]]:
-    """Energy and exact analytic gradient in one pass.
+    """Energy and exact analytic gradient from one plan.
 
     ``plan`` is the Hamiltonian planned for the Ansatz's generators
-    (``coset_plan``), or its cut to the rows an evaluation reads
+    (``coset_plan``), or its cut to the rows that reach the diagonal
     (``_packed.live_plan``), which gives the same numbers; only the
-    amplitudes are read from ``ansatz``.  The fully
-    dressed H_L serves both: E = <0|H_L|0> and dE/dt_j = Im <0| H_L T~_j |0>,
-    where T~_j is generator j conjugated through entries j+1..L of the chain,
-    replayed from its seed plan.  No sort runs here.
+    amplitudes are read from ``ansatz``.  The energy is the plan's replay
+    projected on the reference, and the gradient one reverse pass of the
+    diagonal through the same layers (``_packed.energy_and_gradient``).  No
+    sort runs here.
     """
     if ansatz.generators != plan.generators:
         raise ValueError("the Ansatz's generators differ from the dressing plan's")
-    if len(plan.seeds) != len(plan.generators):
-        raise ValueError("the dressing plan has no gradient seeds; build it with coset_plan")
-    amplitudes = ansatz.amplitudes
-    chain = _packed.run_plan(plan, amplitudes)
-    tildes = (
-        _packed.run_plan(seed, amplitudes[j + 1 :]) for j, seed in enumerate(plan.seeds)
-    )
-    return _packed.expectation_packed(chain, ref), _packed.chain_gradient(chain, tildes, ref)
+    return _packed.energy_and_gradient(plan, ansatz.amplitudes, ref)

@@ -1,15 +1,16 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
-the scalar dressing, Jordan-Wigner, penalty and JSON references and an
-independent fermionic oracle."""
+the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references
+and an independent fermionic oracle."""
 
 import itertools
 import math
 
 import numpy as np
 
-from iqcc._packed import PackedSum, pack
+from iqcc._packed import PackedSum, _popcount, pack, x_group_slice
 from iqcc.errors import HermiticityError
 from iqcc.pauli import PauliWord, raw_multiply, render_word
+from iqcc.pauli_sum import ReferenceState
 
 
 def terms_dict(p: PackedSum) -> dict[tuple[int, int], float]:
@@ -82,6 +83,37 @@ def reference_dress(h: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
         new = c * sin_t if k == 1 else -c * sin_t
         out[(nx, nz)] = out.get((nx, nz), 0.0) + new
     return from_terms_dict(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
+
+
+def chain_gradient(chain: PackedSum, tildes, ref: ReferenceState) -> list[float]:
+    """dE/dt_j = Im <0| H_L T~_j |0> for each T~_j in ``tildes``: the
+    reference for the reverse-pass gradient of ``_packed.energy_and_gradient``.
+
+    ``chain`` is H_L, the sum dressed through every pair; T~_j is generator j
+    dressed through pairs j+1..L.  Each word of T~_j meets only the x-group of
+    H_L with the same x mask, because only a diagonal product survives <0|.|0>.
+    """
+    occ = np.uint64(ref.occupation)
+    grad = []
+    for tilde in tildes:
+        gj = 0.0
+        for wx, wz, cw in zip(tilde.x.tolist(), tilde.z.tolist(), tilde.c.tolist()):
+            lo, hi = x_group_slice(chain, wx)
+            if lo == hi:
+                continue
+            pz = chain.z[lo:hi]
+            pc = chain.c[lo:hi]
+            yw = (wx & wz).bit_count()
+            # phase of P * W: the product is diagonal, so Im(i^k) = +-1
+            m = _popcount(pz & np.uint64(wx))
+            k = (3 * m + yw) % 4
+            val = np.where(k == 1, pc, -pc)
+            val = np.where(k % 2 == 1, val, 0.0)
+            parity = _popcount((pz ^ np.uint64(wz)) & occ) % 2
+            val = np.where(parity == 1, -val, val)
+            gj += cw * float(np.sum(val))
+        grad.append(gj)
+    return grad
 
 
 _PHASE = (1.0, 1j, -1.0, -1j)

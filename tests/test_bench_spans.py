@@ -72,7 +72,6 @@ def test_traced_run_sees_every_kernel(tmp_path):
     for name in ("pauli_sum.dress_sequence", "packed.dress_packed", "engine.eval",
                  "engine.rank"):
         assert calls[name] >= 1, name
-    assert tracer.counts["packed.x_group_slice_calls"] >= 1
     # an FCIDUMP run maps straight to a packed sum; qubit-JSON input is
     # packed on load, through pack and _canonical
     ham = tmp_path / "h4.json"

@@ -1,17 +1,21 @@
 """The per-iteration dressing plan and the coset filter against one-shot dressing."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from iqcc import _packed
 from iqcc._packed import pack
-from iqcc.engine import Ansatz, coset_plan, qcc_energy_and_gradient
+from iqcc.engine import Ansatz, coset_plan, qcc_energy, qcc_energy_and_gradient
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import assert_same, random_generator, random_hermitian_sum, reference_dress
+from helpers import (
+    assert_same,
+    chain_gradient,
+    random_generator,
+    random_hermitian_sum,
+    reference_dress,
+)
 
 
 def _reference_chain(h: _packed.PackedSum, gens, ts) -> _packed.PackedSum:
@@ -93,9 +97,7 @@ class TestFilteredEvaluation:
         ansatz = Ansatz(list(zip(gens, ts)))
         plan, _ = coset_plan(p, gens)
         filtered = qcc_energy_and_gradient(plan, ansatz, ref)
-        unfiltered_plan = replace(_packed.plan_chain(p, gens),
-                                  seeds=_packed.plan_seeds(p.n_qubits, gens))
-        unfiltered = qcc_energy_and_gradient(unfiltered_plan, ansatz, ref)
+        unfiltered = qcc_energy_and_gradient(_packed.plan_chain(p, gens), ansatz, ref)
         assert filtered == unfiltered
 
     def test_energy_and_gradient_equal_unfiltered(self):
@@ -129,13 +131,10 @@ class TestFilteredEvaluation:
             qcc_energy_and_gradient(plan, Ansatz([(g, 0.2) for g in reversed(gens)]), ref)
         with pytest.raises(ValueError):
             qcc_energy_and_gradient(plan, Ansatz([(gens[0], 0.2)]), ref)
-        with pytest.raises(ValueError):  # no gradient seeds
-            qcc_energy_and_gradient(_packed.plan_chain(p, gens),
-                                    Ansatz([(g, 0.2) for g in gens]), ref)
 
     def test_evaluation_sorts_nothing(self, monkeypatch):
-        # the Hamiltonian and the gradient seeds are planned by coset_plan
-        # and cut by live_plan; an evaluation only replays the plans
+        # the Hamiltonian is planned by coset_plan and cut by live_plan; an
+        # evaluation only replays the plan, forward and in reverse
         rng = np.random.default_rng(39)
         n = 6
         gens = [random_generator(n, rng) for _ in range(4)]
@@ -152,24 +151,55 @@ class TestFilteredEvaluation:
             assert len(grad) == len(gens)
 
 
-class TestPlannedSeeds:
-    def test_gradient_equals_one_shot_seeds(self):
-        # reference: every T~_j dressed term by term by the scalar reference,
-        # then the same contraction; == per component, with and without a
-        # zero amplitude
-        rng = np.random.default_rng(40)
-        for zero_amplitude in (False, True):
-            for h, gens, ts in _cases(41 + zero_amplitude, zero_amplitude):
-                n = h.n_qubits
-                ref = ReferenceState(int(rng.integers(1 << n)), n)
-                pairs = list(zip(gens, ts))
-                plan, _ = coset_plan(h, gens)
-                _, grad = qcc_energy_and_gradient(plan, Ansatz(pairs), ref)
-                tildes = [_reference_chain(pack([(g, 1.0)], n), gens[j + 1 :], ts[j + 1 :])
-                          for j, g in enumerate(gens)]
-                want = _packed.chain_gradient(_packed.run_plan(plan, ts), tildes, ref)
-                assert len(grad) == len(gens)
-                assert all(a == b for a, b in zip(grad, want, strict=True))
+class TestReversePass:
+    """The gradient by one reverse pass of the diagonal through the plan."""
+
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_gradient_matches_chain_reference(self, zero_amplitude):
+        # reference: H_L and every T~_j dressed term by term by the scalar
+        # reference, contracted x-group by x-group (helpers.chain_gradient)
+        rng = np.random.default_rng(40 + zero_amplitude)
+        for h, gens, ts in _cases(41 + zero_amplitude, zero_amplitude):
+            n = h.n_qubits
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            plan, _ = coset_plan(h, gens)
+            _, grad = qcc_energy_and_gradient(plan, Ansatz(list(zip(gens, ts))), ref)
+            tildes = [_reference_chain(pack([(g, 1.0)], n), gens[j + 1 :], ts[j + 1 :])
+                      for j, g in enumerate(gens)]
+            want = np.array(chain_gradient(_reference_chain(h, gens, ts), tildes, ref))
+            assert len(grad) == len(gens)
+            assert np.max(np.abs(np.array(grad) - want)) <= 1e-13 * max(
+                np.max(np.abs(want)), 1.0
+            )
+
+    def test_gradient_matches_central_differences(self):
+        step = 1e-5
+        rng = np.random.default_rng(48)
+        for h, gens, ts in _cases(49, False):
+            n = h.n_qubits
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            ansatz = Ansatz(list(zip(gens, ts)))
+            plan, _ = coset_plan(h, gens)
+            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan), ansatz, ref)
+            for j, g in enumerate(grad):
+                up, dn = list(ts), list(ts)
+                up[j] += step
+                dn[j] -= step
+                fd = (qcc_energy(h, ansatz.with_amplitudes(up), ref)
+                      - qcc_energy(h, ansatz.with_amplitudes(dn), ref)) / (2 * step)
+                assert abs(g - fd) <= 1e-8 * max(abs(fd), 1.0)
+
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_energy_equals_replay(self, zero_amplitude):
+        rng = np.random.default_rng(50 + zero_amplitude)
+        for h, gens, ts in _cases(51 + zero_amplitude, zero_amplitude):
+            n = h.n_qubits
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            plan, _ = coset_plan(h, gens)
+            want = _packed.expectation_packed(_packed.run_plan(plan, ts), ref)
+            for evaluated in (plan, _packed.live_plan(plan)):
+                energy, _ = _packed.energy_and_gradient(evaluated, ts, ref)
+                assert energy == want
 
 
 class TestLivePlan:
