@@ -11,15 +11,20 @@ at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack`` rejects wider sums with
 scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
 bit for bit, because every output key receives at most two float
 contributions and addition is commutative in IEEE 754.  With x the primary
-key each x-group is one slice, which ``block_statistics`` reduces over.  Up
-to 32 qubits ``_sorted_keys`` orders rows by one uint64 key, x shifted above
+key each x-group is one slice, which ``block_statistics`` reduces over, and
+the diagonal (x == 0) rows are the first rows: ``block_statistics`` and
+``expectation_packed`` take them as a prefix slice, found by one binary
+search, and the off-diagonal rows as the rest.  Up to 32 qubits ``_sorted_keys`` orders rows by one uint64 key, x shifted above
 z, which one stable argsort sorts faster than ``lexsort`` sorts the pair;
 wider masks no longer fit one word and fall back to ``lexsort``.  Both give
 the same permutation.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row
-lands; ``_replay`` then dresses by scatter alone, with no sort and no
+lands.  A layer takes its anticommuting rows and its output keys by index,
+drops each temporary as soon as it is last used, and checks the caller's
+term budget on its input plus spawned rows before it concatenates or sorts
+them.  ``_replay`` then dresses by scatter alone, with no sort and no
 search, and ``run_plan`` drops the exact zeros once at the end.  A
 generator only XORs its x mask into a word, so dressing keeps every row in
 its coset of the GF(2) span of the generators' x masks (``span_split``).
@@ -29,7 +34,9 @@ diagonal, and its final dressing replays it once at the optimum.  The
 other rows never reach the diagonal, so they are dressed only at the end,
 one generator at a time through ``dress_packed`` (a one-layer plan, so only
 one layer's index arrays are alive at a time), and ``merge`` sorts the two
-disjoint parts into one sum.  Each layer is linear in its input and the
+disjoint parts into one sum; both arrive sorted, and up to 32 qubits the
+stable argsort of the composite key, a timsort, finds the two runs and
+merges them in linear time.  Each layer is linear in its input and the
 energy is d . c_L, with d the signed indicator of the diagonal rows, so
 ``energy_and_gradient`` takes the gradient by one reverse pass of d through
 the same index arrays.
@@ -41,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
+from .errors import CapacityError, DimensionError, HermiticityError
 from .pauli import PauliWord, render_masks
 from .pauli_sum import ReferenceState, check_qubit_bound
 
@@ -115,29 +122,6 @@ def unpack(p: PackedSum) -> list[tuple[PauliWord, float]]:
         (PauliWord(xi, zi, p.n_qubits), ci)
         for xi, zi, ci in zip(p.x.tolist(), p.z.tolist(), p.c.tolist())
     ]
-
-
-def _spawn(x: np.ndarray, z: np.ndarray, t_gen: PauliWord):
-    """Rows anticommuting with T, their products with T and each product's sign.
-
-    Returns (anti mask, spawned x, spawned z, k == 1 mask): a spawned row gets
-    +sin(t) of its parent's coefficient where the mask is set, -sin(t) elsewhere.
-    """
-    tx = np.uint64(t_gen.x)
-    tz = np.uint64(t_gen.z)
-    # the parity of a sum of popcounts is the parity of the XOR's popcount
-    anti = (np.bitwise_count((x & tz) ^ (z & tx)) & 1).astype(bool)
-    ax, az = x[anti], z[anti]
-    nx = ax ^ tx
-    nz = az ^ tz
-    # uint8 wraps mod 256, which keeps the phase exponent right mod 4
-    k = (
-        np.bitwise_count(ax & az)
-        + np.uint8(t_gen.y_count())
-        - np.bitwise_count(nx & nz)
-        + 2 * np.bitwise_count(az & tx)
-    ) & 3
-    return anti, nx, nz, k == 1
 
 
 def span_split(p: PackedSum, generators) -> tuple[PackedSum, PackedSum]:
@@ -214,28 +198,53 @@ class DressPlan:
         return len(self.c)
 
 
-def plan_chain(p: PackedSum, generators) -> DressPlan:
+def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressPlan:
     """Sort each layer of the chain once: the plan ``run_plan`` replays.
 
     No row is dropped along the way, so every layer holds all keys that some
     amplitudes reach; base and spawned keys are each unique, so a key gets at
-    most one of each.
+    most one of each.  A layer whose input and spawned rows number more than
+    ``max_terms`` raises :class:`CapacityError` before they are concatenated.
     """
     generators = tuple(generators)
     x, z = p.x, p.z
     layers = []
     for gen in generators:
-        anti, nx, nz, pos = _spawn(x, z, gen)
+        tx, tz = np.uint64(gen.x), np.uint64(gen.z)
+        # the rows anticommuting with the generator: the parity of a sum of
+        # popcounts is the parity of the XOR's popcount; a uint8 of 0 or 1 is
+        # a valid bool, which ``flatnonzero`` scans faster
+        rows = np.flatnonzero((np.bitwise_count((x & tz) ^ (z & tx)) & 1).view(bool))
+        n_in = len(x)
+        if max_terms is not None and n_in + len(rows) > max_terms:
+            raise CapacityError(
+                f"a dressing layer of {n_in + len(rows)} terms exceeds the budget of {max_terms}"
+            )
+        ax, az = x[rows], z[rows]
+        nx, nz = ax ^ tx, az ^ tz
+        # a spawned row gets +sin(t) of its parent's coefficient where k == 1,
+        # -sin(t) elsewhere; uint8 wraps mod 256, which keeps k right mod 4
+        k = (
+            np.bitwise_count(ax & az)
+            + np.uint8(gen.y_count())
+            - np.bitwise_count(nx & nz)
+            + 2 * np.bitwise_count(az & tx)
+        ) & 3
+        del ax, az
         order, x, z, boundary = _sorted_keys(
             p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz])
         )
+        del nx, nz
         dest = np.empty(len(order), dtype=np.intp)
         dest[order] = np.cumsum(boundary) - 1
-        base_dest, spawn_dest = dest[: len(anti)], dest[len(anti) :]
-        rows = np.flatnonzero(anti)
-        x, z = x[boundary], z[boundary]
+        del order
+        starts = np.flatnonzero(boundary)
+        del boundary
+        x, z = x[starts], z[starts]
+        del starts
+        base_dest, spawn_dest = dest[:n_in], dest[n_in:]
         layers.append(PlanLayer(
-            slice(None), base_dest, rows, base_dest[rows], rows, pos, spawn_dest, len(x)
+            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
         ))
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
 
@@ -367,24 +376,32 @@ def energy_and_gradient(
     return energy, grad
 
 
-def dress_packed(p: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
+def dress_packed(
+    p: PackedSum, t_gen: PauliWord, t_opt: float, max_terms: int | None = None
+) -> PackedSum:
     """Conjugation of ``p`` by exp(-i t_opt T / 2): the one-layer plan of
-    ``p`` replayed at ``t_opt``."""
+    ``p`` replayed at ``t_opt``; ``max_terms`` bounds the layer as in
+    ``plan_chain``."""
     if t_opt == 0.0 or len(p) == 0:
         return p
-    return run_plan(plan_chain(p, (t_gen,)), (t_opt,))
+    return run_plan(plan_chain(p, (t_gen,), max_terms), (t_opt,))
+
+
+def _n_diagonal(p: PackedSum) -> int:
+    """The number of rows with x == 0, which sort first in a canonical sum."""
+    return int(np.searchsorted(p.x, np.uint64(0), side="right"))
 
 
 def expectation_packed(p: PackedSum, ref: ReferenceState) -> float:
     """<0|p|0>: diagonal words only, occupied qubits give -1 per z factor."""
     if p.n_qubits != ref.n_qubits:
         raise DimensionError("sum and reference state qubit counts differ")
-    diag = p.x == 0
-    if not np.any(diag):
+    n_diag = _n_diagonal(p)
+    if n_diag == 0:
         return 0.0
     occ = np.uint64(ref.occupation)
-    parity = _popcount(p.z[diag] & occ) % 2
-    vals = np.where(parity == 1, -p.c[diag], p.c[diag])
+    dz, dc = p.z[:n_diag], p.c[:n_diag]
+    vals = np.where(np.bitwise_count(dz & occ) & 1, -dc, dc)
     return float(np.sum(vals))
 
 
@@ -407,27 +424,24 @@ def block_statistics(
     generator.  Raises on odd-y words (non-hermitian input).
     """
     occ = np.uint64(ref.occupation)
-    y = _popcount(p.x & p.z)
-    if np.any(y % 2 == 1):
-        bad = int(np.flatnonzero(y % 2 == 1)[0])
+    odd_y = np.flatnonzero(np.bitwise_count(p.x & p.z) & 1)
+    if len(odd_y):
+        bad = int(odd_y[0])
         raise HermiticityError(
             f"odd y-count word {render_masks(int(p.x[bad]), int(p.z[bad]))} in operator"
         )
 
-    diag_mask = p.x == 0
-    diag_z = p.z[diag_mask]
-    diag_parity = _popcount(diag_z & occ) % 2
-    diag_vals = np.where(diag_parity == 1, -p.c[diag_mask], p.c[diag_mask])
-
-    off = ~diag_mask
-    if not np.any(off):
+    n_diag = _n_diagonal(p)
+    if n_diag == len(p):
         empty = np.array([], dtype=np.uint64)
         return empty, np.array([]), np.array([])
-    ox, oz, oc = p.x[off], p.z[off], p.c[off]
-    # <0|I_k|0> contributions: y-fold sign times reference parity sign
-    sy = np.where(_popcount(ox & oz) % 4 == 0, 1.0, -1.0)
-    par = np.where(_popcount(oz & occ) % 2 == 1, -1.0, 1.0)
-    vals = oc * sy * par
+    diag_z, diag_c = p.z[:n_diag], p.c[:n_diag]
+    diag_vals = np.where(np.bitwise_count(diag_z & occ) & 1, -diag_c, diag_c)
+    ox, oz, oc = p.x[n_diag:], p.z[n_diag:], p.c[n_diag:]
+    # <0|I_k|0> contributions: the coefficient negated once for a y-count of
+    # 2 mod 4 and once for an odd reference parity (the y-count is even)
+    neg = ((np.bitwise_count(ox & oz) >> 1) ^ np.bitwise_count(oz & occ)) & 1
+    vals = np.where(neg.view(bool), -oc, oc)
     boundary = np.empty(len(ox), dtype=bool)
     boundary[0] = True
     boundary[1:] = ox[1:] != ox[:-1]
@@ -440,13 +454,13 @@ def block_statistics(
 
     n_blocks = len(xs)
     d_values = np.zeros(n_blocks)
-    if len(diag_z):
-        if len(diag_z) <= n_blocks:
-            for zd, vd in zip(diag_z, diag_vals):
-                odd = _popcount(xs & zd) % 2 == 1
-                d_values[odd] -= 2.0 * vd
-        else:
-            for i in range(n_blocks):
-                odd = _popcount(diag_z & xs[i]) % 2 == 1
-                d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
+    # a uint8 of 0 or 1 is a valid bool: each mask is a view, not a compare
+    if len(diag_z) <= n_blocks:
+        for zd, vd in zip(diag_z.tolist(), diag_vals.tolist()):
+            odd = (np.bitwise_count(xs & np.uint64(zd)) & 1).view(bool)
+            d_values[odd] -= 2.0 * vd
+    else:
+        for i, xb in enumerate(xs.tolist()):
+            odd = (np.bitwise_count(diag_z & np.uint64(xb)) & 1).view(bool)
+            d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
     return xs, omega_signed, d_values

@@ -15,7 +15,9 @@ through every stage and into ``RunResult.final_hamiltonian``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
-with omega and D recomputed against the freshly dressed Hamiltonian.
+with omega and D recomputed against the freshly dressed Hamiltonian; the
+next iteration ranks on those same block statistics.  Every dressing step
+checks the term budget before it allocates its rows.
 """
 
 from __future__ import annotations
@@ -148,16 +150,16 @@ class RunResult:
 
 
 def pt_correction(
-    h: _packed.PackedSum, remainder: list[RankedGenerator], ref: ReferenceState
+    blocks: list[tuple[int, float, float]], remainder: list[RankedGenerator]
 ) -> float:
     """Sum of exact per-generator lowerings over non-selected generators.
 
-    omega and D are recomputed against ``h`` (the current, freshly dressed
-    Hamiltonian); every summand is <= 0.
+    omega and D are read from ``blocks``, the ``block_ranking_data`` of the
+    current, freshly dressed Hamiltonian; every summand is <= 0.
     """
     if not remainder:
         return 0.0
-    stats = {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
+    stats = {x: (w, d) for x, w, d in blocks}
     total = 0.0
     for gen in remainder:
         signed, d_val = stats.get(gen.generator.x, (0.0, 0.0))
@@ -198,22 +200,30 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     # optional parallel bare copy when ranking is decoupled from the penalty
     track_bare = cfg.rank_on_bare and cfg.penalty.mu > 0
     h_bare = h0 if track_bare else None
+    budget = cfg.memory_budget_terms
+    # the block statistics of the sum ranked against, computed once per sum:
+    # the PT of one iteration and the ranking of the next share them
+    blocks = None
     records: list[IterationRecord] = []
     history: list[Ansatz] = []
     converged = False
 
     for index in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
-        rank_source = h_bare if track_bare else h
+        if blocks is None:
+            blocks = block_ranking_data(h_bare if track_bare else h, ref)
         selected, remainder = rank_generators(
-            rank_source, ref, cfg.generators_per_iteration, cfg.importance_measure
+            blocks, h.n_qubits, cfg.generators_per_iteration, cfg.importance_measure
         )
         if not selected:
             converged = True
             break
 
         base = Ansatz([(g.generator, g.t_estimate) for g in selected])
-        plan, outside = coset_plan(h, base.generators)
+        try:
+            plan, outside = coset_plan(h, base.generators, budget)
+        except CapacityError as exc:
+            raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
         optimized_terms = len(plan)
         try:
             opt, evaluated_terms = _optimize(plan, base, ref, cfg.optimizer)
@@ -228,20 +238,19 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
         # both parts once they are merged
         coset = _packed.run_plan(plan, ansatz.amplitudes)
         del plan
-        h = _packed.merge(coset, dress_sequence(outside, ansatz))
-        del coset, outside
-        if len(h) > cfg.memory_budget_terms:
-            raise IterationAbort(
-                f"term count {len(h)} exceeds budget {cfg.memory_budget_terms} "
-                f"at iteration {index}",
-                records=records,
-            )
-        h, dropped = prune(h, cfg.prune_threshold)
-        if track_bare:
-            h_bare, _ = prune(dress_sequence(h_bare, ansatz), cfg.prune_threshold)
+        try:
+            h = _packed.merge(coset, dress_sequence(outside, ansatz, budget))
+            del coset, outside
+            if len(h) > budget:
+                raise CapacityError(f"term count {len(h)} exceeds budget {budget}")
+            h, dropped = prune(h, cfg.prune_threshold)
+            if track_bare:
+                h_bare, _ = prune(dress_sequence(h_bare, ansatz, budget), cfg.prune_threshold)
+        except CapacityError as exc:
+            raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
+        blocks = block_ranking_data(h_bare if track_bare else h, ref) if cfg.enable_pt else None
+        pt = pt_correction(blocks, remainder) if cfg.enable_pt else 0.0
         energy = opt.energy
-        pt_source = h_bare if track_bare else h
-        pt = pt_correction(pt_source, remainder, ref) if cfg.enable_pt else 0.0
 
         history.append(ansatz)
         records.append(

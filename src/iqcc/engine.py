@@ -130,18 +130,23 @@ def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
 def block_ranking_data(
     h: PackedSum, ref: ReferenceState
 ) -> list[tuple[int, float, float]]:
-    """(x-support, omega_signed, D) per Ising block, deterministic order."""
+    """(x-support, omega_signed, D) per Ising block, deterministic order.
+
+    A run computes this once per Hamiltonian: the PT correction of one
+    iteration and the ranking of the next read the same list.
+    """
     xs, omega_signed, d_vals = _packed.block_statistics(h, ref)
     return list(zip(xs.tolist(), omega_signed.tolist(), d_vals.tolist()))
 
 
 def rank_generators(
-    h: PackedSum,
-    ref: ReferenceState,
+    blocks: Sequence[tuple[int, float, float]],
+    n_qubits: int,
     top_l: int,
     measure: str = "amplitude",
 ) -> tuple[list[RankedGenerator], list[RankedGenerator]]:
-    """One canonical generator per Ising block, ranked by importance.
+    """One canonical generator per Ising block of ``blocks`` (from
+    ``block_ranking_data``) over ``n_qubits``, ranked by importance.
 
     ``measure`` selects |optimal amplitude| (default) or |gradient| = omega.
     Ties break on the deterministic word order.  Returns (top ``top_l``,
@@ -151,10 +156,9 @@ def rank_generators(
         raise CapacityError(f"top_l {top_l} outside 1..{MAX_GENERATORS}")
     if measure not in ("amplitude", "gradient"):
         raise ValueError(f"unknown importance measure {measure!r}")
-    n = h.n_qubits
     ranked = []
-    for x_support, omega_signed, d_val in block_ranking_data(h, ref):
-        gen = derive_canonical_generator(PauliWord(x_support, 0, n))
+    for x_support, omega_signed, d_val in blocks:
+        gen = derive_canonical_generator(PauliWord(x_support, 0, n_qubits))
         t_est, _ = estimate_amplitude(omega_signed, d_val)
         importance = abs(t_est) if measure == "amplitude" else abs(omega_signed)
         ranked.append(
@@ -165,7 +169,7 @@ def rank_generators(
 
 
 def coset_plan(
-    h: PackedSum, generators: Sequence[PauliWord]
+    h: PackedSum, generators: Sequence[PauliWord], max_terms: int | None = None
 ) -> tuple[_packed.DressPlan, PackedSum]:
     """Split ``h`` on the span of the generators' x masks (``span_split``):
     the dressing plan of the rows inside it, and the rows outside it.
@@ -173,9 +177,10 @@ def coset_plan(
     A generator only XORs its x mask into a word, so dressing keeps every row
     in its coset: only the plan's rows reach the energy or the gradient, and
     the dressed ``h`` is the plan's replay plus the other rows' dressing.
+    ``max_terms`` bounds each layer of the plan (``_packed.plan_chain``).
     """
     inside, outside = _packed.span_split(h, generators)
-    return _packed.plan_chain(inside, generators), outside
+    return _packed.plan_chain(inside, generators, max_terms), outside
 
 
 def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:

@@ -65,12 +65,16 @@ class ReferenceState:
         return self.occupation
 
 
-def dress_sequence(p: PackedSum, gens: Iterable[tuple[PauliWord, float]]) -> PackedSum:
+def dress_sequence(
+    p: PackedSum, gens: Iterable[tuple[PauliWord, float]], max_terms: int | None = None
+) -> PackedSum:
     """Conjugate the packed sum ``p`` by each (generator, amplitude) pair in
     Ansatz order; returns a packed sum, ``p`` itself when every amplitude is 0.
 
     Conjugation nests outward, so for U = prod_j exp(-i t_j T_j / 2) the
-    first pair ends up innermost: the result is U^dagger p U.
+    first pair ends up innermost: the result is U^dagger p U.  A step that
+    would hold more than ``max_terms`` rows raises :class:`CapacityError`
+    before it allocates them.
     """
     pairs = list(gens)
     for t_gen, t_opt in pairs:
@@ -86,7 +90,7 @@ def dress_sequence(p: PackedSum, gens: Iterable[tuple[PauliWord, float]]) -> Pac
 
     for t_gen, t_opt in pairs:
         # looked up on the module per call, where the benchmark's tracer patches it
-        p = _packed.dress_packed(p, t_gen, t_opt)
+        p = _packed.dress_packed(p, t_gen, t_opt, max_terms)
     return p
 
 

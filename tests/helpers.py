@@ -1,13 +1,25 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
-the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references
-and an independent fermionic oracle."""
+the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
+the mask-form plan and block-statistics references, a sort spy and an
+independent fermionic oracle."""
 
 import itertools
 import math
 
 import numpy as np
 
-from iqcc._packed import PackedSum, _popcount, pack, x_group_slice
+from iqcc import _packed
+from iqcc._packed import (
+    DressPlan,
+    PackedSum,
+    PlanLayer,
+    _canonical,
+    _popcount,
+    _sorted_keys,
+    pack,
+    x_group_slice,
+)
+from iqcc.engine import block_ranking_data, rank_generators
 from iqcc.errors import HermiticityError
 from iqcc.pauli import PauliWord, raw_multiply, render_word
 from iqcc.pauli_sum import ReferenceState
@@ -31,6 +43,11 @@ def assert_same(a: PackedSum, b: PackedSum):
     assert a.c.tobytes() == b.c.tobytes()
 
 
+def rank_sum(h: PackedSum, ref: ReferenceState, top_l: int, measure: str = "amplitude"):
+    """``rank_generators`` on the block statistics of ``h``."""
+    return rank_generators(block_ranking_data(h, ref), h.n_qubits, top_l, measure)
+
+
 def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PackedSum:
     """Random real sum of even-y words (a physical-operator lookalike)."""
     n_terms = min(n_terms, 1 << n_qubits)
@@ -42,6 +59,31 @@ def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PackedSum:
             continue
         terms[(x, z)] = float(rng.normal())
     return from_terms_dict(n_qubits, terms)
+
+
+def drawn_sum(n_qubits: int, n_diag: int, n_off: int, rng) -> PackedSum:
+    """A canonical even-y sum of about ``n_diag`` diagonal and ``n_off``
+    off-diagonal rows over up to 64 qubits (uint64 draws; repeated keys are
+    summed)."""
+    x = np.concatenate([np.zeros(n_diag, dtype=np.uint64),
+                        rng.integers(1, 1 << n_qubits, size=n_off, dtype=np.uint64)])
+    z = rng.integers(0, 1 << n_qubits, size=n_diag + n_off, dtype=np.uint64)
+    even = np.bitwise_count(x & z) % 2 == 0
+    c = rng.normal(size=len(x))
+    return _canonical(n_qubits, x[even], z[even], c[even])
+
+
+def spy_sorted_keys(monkeypatch) -> list[int]:
+    """Patch ``_packed._sorted_keys`` to record the row count of each sort."""
+    sizes: list[int] = []
+    real = _packed._sorted_keys
+
+    def spy(n_qubits, x, z):
+        sizes.append(len(x))
+        return real(n_qubits, x, z)
+
+    monkeypatch.setattr(_packed, "_sorted_keys", spy)
+    return sizes
 
 
 def random_generator(n_qubits: int, rng) -> PauliWord:
@@ -83,6 +125,84 @@ def reference_dress(h: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
         new = c * sin_t if k == 1 else -c * sin_t
         out[(nx, nz)] = out.get((nx, nz), 0.0) + new
     return from_terms_dict(h.n_qubits, {k: c for k, c in out.items() if c != 0.0})
+
+
+def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
+    """``_packed.plan_chain`` by boolean masks: the anticommuting rows and each
+    layer's output keys are compressed by mask, the rows listed by a
+    separate ``flatnonzero``.  Every ``PlanLayer`` array of the plan must
+    equal this one's."""
+    generators = tuple(generators)
+    x, z = p.x, p.z
+    layers = []
+    for gen in generators:
+        tx, tz = np.uint64(gen.x), np.uint64(gen.z)
+        anti = (np.bitwise_count((x & tz) ^ (z & tx)) & 1).astype(bool)
+        ax, az = x[anti], z[anti]
+        nx, nz = ax ^ tx, az ^ tz
+        k = (
+            np.bitwise_count(ax & az)
+            + np.uint8(gen.y_count())
+            - np.bitwise_count(nx & nz)
+            + 2 * np.bitwise_count(az & tx)
+        ) & 3
+        order, x, z, boundary = _sorted_keys(
+            p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz])
+        )
+        dest = np.empty(len(order), dtype=np.intp)
+        dest[order] = np.cumsum(boundary) - 1
+        base_dest, spawn_dest = dest[: len(anti)], dest[len(anti) :]
+        rows = np.flatnonzero(anti)
+        x, z = x[boundary], z[boundary]
+        layers.append(PlanLayer(
+            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
+        ))
+    return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+
+
+def reference_block_statistics(p: PackedSum, ref: ReferenceState):
+    """``_packed.block_statistics`` with the diagonal and off-diagonal rows
+    taken by boolean mask and the signs as float factors: the form the
+    prefix slices and sign flips must match bit for bit."""
+    occ = np.uint64(ref.occupation)
+    diag_mask = p.x == 0
+    diag_z = p.z[diag_mask]
+    diag_parity = _popcount(diag_z & occ) % 2
+    diag_vals = np.where(diag_parity == 1, -p.c[diag_mask], p.c[diag_mask])
+    off = ~diag_mask
+    if not np.any(off):
+        return np.array([], dtype=np.uint64), np.array([]), np.array([])
+    ox, oz, oc = p.x[off], p.z[off], p.c[off]
+    sy = np.where(_popcount(ox & oz) % 4 == 0, 1.0, -1.0)
+    par = np.where(_popcount(oz & occ) % 2 == 1, -1.0, 1.0)
+    vals = oc * sy * par
+    boundary = np.empty(len(ox), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = ox[1:] != ox[:-1]
+    starts = np.flatnonzero(boundary)
+    xs = ox[starts]
+    omega = np.add.reduceat(vals, starts)
+    jmin_bit = xs & (~xs + np.uint64(1))
+    omega_signed = np.where((jmin_bit & occ) != 0, -omega, omega)
+    d_values = np.zeros(len(xs))
+    if len(diag_z) <= len(xs):
+        for zd, vd in zip(diag_z, diag_vals):
+            odd = _popcount(xs & zd) % 2 == 1
+            d_values[odd] -= 2.0 * vd
+    else:
+        for i in range(len(xs)):
+            odd = _popcount(diag_z & xs[i]) % 2 == 1
+            d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
+    return xs, omega_signed, d_values
+
+
+def reference_expectation(p: PackedSum, ref: ReferenceState) -> float:
+    """``_packed.expectation_packed`` with the diagonal taken by mask."""
+    diag = p.x == 0
+    if not np.any(diag):
+        return 0.0
+    parity = _popcount(p.z[diag] & np.uint64(ref.occupation)) % 2
+    return float(np.sum(np.where(parity == 1, -p.c[diag], p.c[diag])))
 
 
 def chain_gradient(chain: PackedSum, tildes, ref: ReferenceState) -> list[float]:

@@ -15,14 +15,14 @@ from iqcc.driver import (
     singlet_triplet_gap,
     trajectory_csv,
 )
-from iqcc.engine import Ansatz, rank_generators
+from iqcc.engine import Ansatz, block_ranking_data
 from iqcc.errors import CapacityError, IterationAbort
 from iqcc.mapping import SpinPenalty, reference_state, spin_operators
 from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum, to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState
 
-from helpers import random_hermitian_sum
+from helpers import random_hermitian_sum, rank_sum, spy_sorted_keys
 
 
 class TestConfig:
@@ -97,6 +97,30 @@ class TestRunIqcc:
         with pytest.raises(IterationAbort) as err:
             run_iqcc(h, ref, cfg)
         assert isinstance(err.value.records, list)
+
+    @pytest.mark.parametrize("budget, n_records", [(146, 0), (1_000, 1)])
+    def test_budget_aborts_before_the_sort(self, h4_problem, monkeypatch, budget, n_records):
+        # H4 at L=4: the first coset layer holds 147 rows, and iteration 1's
+        # largest layer 795; iteration 2 plans a layer of 1,002.  The abort
+        # comes from the plan, before any sort of more rows than the budget.
+        _, h, ref = h4_problem
+        sizes = spy_sorted_keys(monkeypatch)
+        cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
+                         energy_convergence=1e-12, memory_budget_terms=budget)
+        with pytest.raises(IterationAbort) as err:
+            run_iqcc(h, ref, cfg)
+        assert len(err.value.records) == n_records
+        assert isinstance(err.value.__cause__, CapacityError)
+        assert max(sizes, default=0) <= budget
+        assert (sizes == []) == (n_records == 0)
+
+    def test_merged_sum_over_budget_aborts(self, h4_problem):
+        # every layer of iteration 1 fits in 500 rows; the merged sum (795) does not
+        _, h, ref = h4_problem
+        cfg = IqccConfig(generators_per_iteration=4, memory_budget_terms=500)
+        with pytest.raises(IterationAbort, match="term count 795 exceeds budget 500") as err:
+            run_iqcc(h, ref, cfg)
+        assert err.value.records == []
 
     def test_dressed_state_matches_unitary_oracle(self, h2_problem):
         # the recorded ansatz history reproduces the final energy as
@@ -202,24 +226,65 @@ class TestOneRepresentation:
         assert isinstance(res.final_hamiltonian, _packed.PackedSum)
 
 
+class TestBlockStatisticsOncePerSum:
+    """The block statistics of each Hamiltonian are computed once: PT of one
+    iteration and the ranking of the next share them.  H4, L=4, three
+    iterations; the energies and PT values are those of the run that
+    computed the statistics for PT and ranking separately, as float.hex."""
+
+    ENERGIES = {
+        False: ("-0x1.15452421e435ep+1", "-0x1.16c6f8c9e3872p+1", "-0x1.17093fc9b204cp+1"),
+        True: ("-0x1.14c8abe6f254dp+1", "-0x1.16a402254096dp+1", "-0x1.16fc7ac52cf12p+1"),
+    }
+    WITH_PT = {
+        False: ("-0x1.16e5b11a061c4p+1", "-0x1.17104c9c67dc0p+1", "-0x1.1713c075c5726p+1"),
+        True: ("-0x1.16759f685661dp+1", "-0x1.1712ee3747372p+1", "-0x1.170df912f00c4p+1"),
+    }
+
+    @pytest.mark.parametrize("enable_pt", [True, False])
+    @pytest.mark.parametrize("rank_on_bare", [False, True])
+    def test_calls_and_energies(self, h4_problem, monkeypatch, enable_pt, rank_on_bare):
+        _, h, ref = h4_problem
+        calls = []
+        real = _packed.block_statistics
+
+        def spy(p, r):
+            calls.append(len(p))
+            return real(p, r)
+
+        monkeypatch.setattr(_packed, "block_statistics", spy)
+        penalty = SpinPenalty(mu=0.25) if rank_on_bare else SpinPenalty()
+        cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
+                         energy_convergence=1e-12, penalty=penalty,
+                         rank_on_bare=rank_on_bare, enable_pt=enable_pt)
+        res = run_iqcc(h, ref, cfg)
+        n = len(res.records)
+        assert n == 3
+        # PT on: the input, then each dressed sum; PT off: one per ranking
+        assert len(calls) == (n + 1 if enable_pt else n)
+        assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[rank_on_bare])
+        with_pt = self.WITH_PT[rank_on_bare] if enable_pt else self.ENERGIES[rank_on_bare]
+        assert [r.energy_with_pt.hex() for r in res.records] == list(with_pt)
+
+
 class TestPtCorrection:
     def test_empty_remainder(self, h2_problem):
         _, h, ref = h2_problem
-        assert pt_correction(h, [], ref) == 0.0
+        assert pt_correction(block_ranking_data(h, ref), []) == 0.0
 
     def test_zero_omega_contributes_nothing(self):
         rng = np.random.default_rng(0)
         h = random_hermitian_sum(5, 25, rng)
         ref = ReferenceState(0b00111, 5)
-        _, remainder = rank_generators(h, ref, 1)
+        _, remainder = rank_sum(h, ref, 1)
         # against a Hamiltonian with no off-diagonal blocks every omega is 0
         diag = pack([(parse_word("Z0", 5), 1.0)], 5)
-        assert pt_correction(diag, remainder, ref) == 0.0
+        assert pt_correction(block_ranking_data(diag, ref), remainder) == 0.0
 
     def test_total_is_nonpositive(self, h4_problem):
         _, h, ref = h4_problem
-        _, remainder = rank_generators(h, ref, 4)
-        assert pt_correction(h, remainder, ref) <= 0.0
+        _, remainder = rank_sum(h, ref, 4)
+        assert pt_correction(block_ranking_data(h, ref), remainder) <= 0.0
 
     def test_h4_pt_improves_final_energy(self, h4_problem, reference_values):
         # expected behavior for this system (not asserted as universal)

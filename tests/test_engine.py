@@ -12,13 +12,19 @@ from iqcc.engine import (
     estimate_amplitude,
     qcc_energy,
     qcc_energy_and_gradient,
-    rank_generators,
 )
 from iqcc.oracle import ansatz_unitary, reference_vector, to_matrix
 from iqcc.pauli import PauliWord, parse_word, render_word
 from iqcc.pauli_sum import ReferenceState
 
-from helpers import random_generator, random_hermitian_sum
+from helpers import (
+    drawn_sum,
+    random_generator,
+    random_hermitian_sum,
+    rank_sum,
+    reference_block_statistics,
+    reference_expectation,
+)
 
 
 class TestCanonicalGenerator:
@@ -116,6 +122,45 @@ class TestComputeD:
                 assert abs(d - dense) < 1e-12
 
 
+class TestDiagonalPrefix:
+    """The diagonal rows of a canonical sum are its first rows: the slices
+    ``block_statistics`` and ``expectation_packed`` take give the numbers of
+    the boolean-mask form, bit for bit."""
+
+    @staticmethod
+    def _check(h, ref):
+        got, want = _packed.block_statistics(h, ref), reference_block_statistics(h, ref)
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert expectation_packed(h, ref).hex() == reference_expectation(h, ref).hex()
+        return len(got[0])
+
+    def test_edge_sums(self):
+        rng = np.random.default_rng(60)
+        n = 6
+        ref = ReferenceState(0b000111, n)
+        empty = np.array([], dtype=np.uint64)
+        assert self._check(_packed.PackedSum(n, empty, empty, np.array([])), ref) == 0
+        assert self._check(drawn_sum(n, 40, 0, rng), ref) == 0
+        no_diagonal = drawn_sum(n, 0, 80, rng)
+        assert not np.any(no_diagonal.x == 0)
+        assert self._check(no_diagonal, ref) > 0
+
+    def test_seeded_sums(self):
+        # both D loops run: fewer diagonal rows than blocks, and more
+        rng = np.random.default_rng(61)
+        branches = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 11))
+            h = drawn_sum(n, int(rng.integers(0, 200)), int(rng.integers(0, 200)), rng)
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            n_blocks = self._check(h, ref)
+            if n_blocks:
+                branches.add(int(np.count_nonzero(h.x == 0)) <= n_blocks)
+        assert branches == {True, False}
+
+
 class TestEstimateAmplitude:
     def test_zero_omega(self):
         assert estimate_amplitude(0.0, 1.3) == (0.0, 0.0)
@@ -148,22 +193,22 @@ class TestRanking:
     def test_rejects_odd_y(self):
         h = pack([(parse_word("Y0", 2), 1.0)], 2)
         with pytest.raises(HermiticityError):
-            rank_generators(h, ReferenceState(0, 2), 4)
+            rank_sum(h, ReferenceState(0, 2), 4)
 
     def test_diagonal_hamiltonian(self):
         h = pack([(parse_word("Z0 Z2", 3), 1.0)], 3)
-        selected, remainder = rank_generators(h, ReferenceState(0, 3), 4)
+        selected, remainder = rank_sum(h, ReferenceState(0, 3), 4)
         assert selected == [] and remainder == []
 
     def test_single_block(self):
         h = pack([(parse_word("X0 X1", 2), 0.5), (parse_word("Z0", 2), 1.0)], 2)
-        selected, remainder = rank_generators(h, ReferenceState(0b11, 2), 4)
+        selected, remainder = rank_sum(h, ReferenceState(0b11, 2), 4)
         assert len(selected) == 1 and remainder == []
         assert selected[0].generator == parse_word("Y0 X1", 2)
 
     def test_h2_top_generator_has_best_lowering(self, h2_problem):
         _, h, ref = h2_problem
-        selected, remainder = rank_generators(h, ref, 1)
+        selected, remainder = rank_sum(h, ref, 1)
         top = selected[0]
         assert render_word(top.generator) == "Y0 X1 X2 X3"
         assert all(top.importance >= r.importance for r in remainder)
@@ -177,7 +222,7 @@ class TestRanking:
         for _ in range(10):
             h = random_hermitian_sum(6, 40, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, rem = rank_generators(h, ref, 16)
+            sel, rem = rank_sum(h, ref, 16)
             for r in sel + rem:
                 _, de = estimate_amplitude(r.omega_signed, r.d_value)
                 assert de <= 0.0
@@ -187,27 +232,27 @@ class TestRanking:
 
     def test_determinism(self, h4_problem):
         _, h, ref = h4_problem
-        a = rank_generators(h, ref, 8)
-        b = rank_generators(h, ref, 8)
+        a = rank_sum(h, ref, 8)
+        b = rank_sum(h, ref, 8)
         assert a == b
 
     def test_gradient_measure_option(self, h2_problem):
         _, h, ref = h2_problem
-        sel_a, _ = rank_generators(h, ref, 2, measure="amplitude")
-        sel_g, _ = rank_generators(h, ref, 2, measure="gradient")
+        sel_a, _ = rank_sum(h, ref, 2, measure="amplitude")
+        sel_g, _ = rank_sum(h, ref, 2, measure="gradient")
         for r in sel_g:
             assert r.importance == r.omega
 
     def test_top_l_capacity(self, h2_problem):
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):
-            rank_generators(h, ref, 17)
+            rank_sum(h, ref, 17)
 
 
 class TestQccEnergy:
     def test_zero_amplitudes(self, h2_problem):
         _, h, ref = h2_problem
-        sel, _ = rank_generators(h, ref, 2)
+        sel, _ = rank_sum(h, ref, 2)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
         assert abs(qcc_energy(h, ansatz, ref) - expectation_packed(h, ref)) < 1e-14
 
@@ -216,7 +261,7 @@ class TestQccEnergy:
         for _ in range(10):
             h = random_hermitian_sum(5, 20, rng)
             ref = ReferenceState(int(rng.integers(32)), 5)
-            sel, _ = rank_generators(h, ref, 1)
+            sel, _ = rank_sum(h, ref, 1)
             if not sel:
                 continue
             r = sel[0]
@@ -236,7 +281,7 @@ class TestQccEnergy:
         for _ in range(10):
             h = random_hermitian_sum(6, 30, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, _ = rank_generators(h, ref, 1)
+            sel, _ = rank_sum(h, ref, 1)
             if not sel or sel[0].omega == 0.0:
                 continue
             r = sel[0]
@@ -265,7 +310,7 @@ class TestQccGradient:
     def test_zero_amplitude_equals_signed_omega(self, h2_problem):
         # dE/dt_j at t=0 is +omega_signed under the documented convention
         _, h, ref = h2_problem
-        sel, _ = rank_generators(h, ref, 3)
+        sel, _ = rank_sum(h, ref, 3)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
         plan, _ = coset_plan(h, ansatz.generators)
         _, grad = qcc_energy_and_gradient(plan, ansatz, ref)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from iqcc.engine import Ansatz, estimate_amplitude, rank_generators
+from iqcc.engine import Ansatz, estimate_amplitude
 from iqcc.errors import OptimizationError
 from iqcc.optimizer import OptimizationConfig, minimize
+
+from helpers import rank_sum
 
 
 def quadratic(v):
@@ -99,7 +101,7 @@ class TestOnQccProblem:
         from iqcc.engine import coset_plan, qcc_energy_and_gradient
 
         _, h, ref = h2_problem
-        sel, _ = rank_generators(h, ref, 1)
+        sel, _ = rank_sum(h, ref, 1)
         r = sel[0]
         base = Ansatz([(r.generator, 0.0)])
         plan, _ = coset_plan(h, base.generators)

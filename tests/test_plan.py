@@ -6,15 +6,19 @@ import pytest
 from iqcc import _packed
 from iqcc._packed import pack
 from iqcc.engine import Ansatz, coset_plan, qcc_energy, qcc_energy_and_gradient
-from iqcc.pauli import parse_word
+from iqcc.errors import CapacityError
+from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import (
     assert_same,
     chain_gradient,
+    drawn_sum,
     random_generator,
     random_hermitian_sum,
     reference_dress,
+    reference_plan_chain,
+    spy_sorted_keys,
 )
 
 
@@ -74,6 +78,78 @@ class TestRunPlan:
                                   [random_generator(3, rng)])
         with pytest.raises(ValueError):
             _packed.run_plan(plan, [0.1, 0.2])
+
+
+def _wide_generator(n: int, rng) -> PauliWord:
+    """An odd-y word over up to 64 qubits: z flipped at the lowest x bit
+    when the y-count came out even."""
+    x = int(rng.integers(1, 1 << n, dtype=np.uint64))
+    z = int(rng.integers(0, 1 << n, dtype=np.uint64))
+    if (x & z).bit_count() % 2 == 0:
+        z ^= x & -x
+    return PauliWord(x, z, n)
+
+
+def _commuting_rows(p: _packed.PackedSum, gen: PauliWord) -> _packed.PackedSum:
+    keep = np.bitwise_count((p.x & np.uint64(gen.z)) ^ (p.z & np.uint64(gen.x))) % 2 == 0
+    return _packed.PackedSum(p.n_qubits, p.x[keep], p.z[keep], p.c[keep])
+
+
+class TestPlanIdentity:
+    """``plan_chain`` takes rows by index where the mask form
+    (``reference_plan_chain``) compresses by mask: every array of the plan
+    is the same, index arrays intp."""
+
+    @staticmethod
+    def _assert_same_plan(p, gens):
+        got, want = _packed.plan_chain(p, gens), reference_plan_chain(p, gens)
+        assert got.generators == want.generators and got.c is p.c
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+        for a, b in zip(got.layers, want.layers, strict=True):
+            assert a.src == b.src == slice(None) and a.n_out == b.n_out
+            for field in ("base_dest", "anti", "anti_dest", "spawn_src", "spawn_dest"):
+                u, v = getattr(a, field), getattr(b, field)
+                assert u.dtype == v.dtype == np.intp and np.array_equal(u, v), field
+            assert a.pos.dtype == b.pos.dtype == bool and np.array_equal(a.pos, b.pos)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 32, 33, 64])
+    def test_same_plan_as_mask_form(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(6):
+            p = drawn_sum(n, int(rng.integers(0, 40)), int(rng.integers(1, 300)), rng)
+            gens = [_wide_generator(n, rng) for _ in range(int(rng.integers(1, 6)))]
+            # a repeated generator: the second pass spawns back onto rows
+            self._assert_same_plan(p, gens + [gens[0], gens[0]])
+            # a generator that anticommutes with no row of its input
+            quiet = _commuting_rows(p, gens[0])
+            plan = self._assert_same_plan(quiet, gens)
+            assert len(plan.layers[0].anti) == 0 and plan.layers[0].n_out == len(quiet)
+        empty = np.array([], dtype=np.uint64)
+        plan = self._assert_same_plan(_packed.PackedSum(n, empty, empty, np.array([])),
+                                      [_wide_generator(n, rng)])
+        assert plan.layers[0].n_out == 0
+
+
+class TestTermBudget:
+    """A layer over budget raises before its rows are concatenated and sorted."""
+
+    def test_plan_raises_before_the_sort(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        p = random_hermitian_sum(6, 60, rng)
+        gen = random_generator(6, rng)
+        n_layer = len(p) + len(_packed.plan_chain(p, [gen]).layers[0].anti)
+        sizes = spy_sorted_keys(monkeypatch)
+        for over in (
+            lambda: _packed.plan_chain(p, [gen], n_layer - 1),
+            lambda: _packed.dress_packed(p, gen, 0.3, n_layer - 1),
+            lambda: dress_sequence(p, [(gen, 0.3)], n_layer - 1),
+        ):
+            with pytest.raises(CapacityError):
+                over()
+        assert sizes == []
+        _packed.plan_chain(p, [gen], n_layer)
+        assert sizes == [n_layer]
 
 
 class TestSpanFilter:
