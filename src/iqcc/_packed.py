@@ -14,10 +14,17 @@ contributions and addition is commutative in IEEE 754.  With x the primary
 key each x-group is one slice, which ``block_statistics`` reduces over, and
 the diagonal (x == 0) rows are the first rows: ``block_statistics`` and
 ``expectation_packed`` take them as a prefix slice, found by one binary
-search, and the off-diagonal rows as the rest.  Up to 32 qubits ``_sorted_keys`` orders rows by one uint64 key, x shifted above
-z, which one stable argsort sorts faster than ``lexsort`` sorts the pair;
-wider masks no longer fit one word and fall back to ``lexsort``.  Both give
-the same permutation.
+search, and the off-diagonal rows as the rest.
+
+Rows are put in key order in one place.  ``_sort`` is the one stable (x, z)
+sort: up to 32 qubits one argsort of a uint64 key, x shifted above z, which
+is faster than ``lexsort`` of the pair; wider masks no longer fit one word
+and fall back to ``lexsort``.  Both give the same permutation.
+``_sorted_keys`` is the one grouping: the sorted table of distinct keys and
+each row's slot in it.  Every canonical sum (``_canonical``, the
+Jordan-Wigner table in ``mapping``) and every plan layer takes its keys and
+slots from it, and ``_canonical`` sums each key's rows by slot, left to
+right in row order, as the scalar references do.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row
@@ -34,7 +41,8 @@ diagonal, and its final dressing replays it once at the optimum.  The
 other rows never reach the diagonal, so they are dressed only at the end,
 one generator at a time through ``dress_packed`` (a one-layer plan, so only
 one layer's index arrays are alive at a time), and ``merge`` sorts the two
-disjoint parts into one sum; both arrive sorted, and up to 32 qubits the
+disjoint parts into one sum by ``_sort`` alone (``_add`` is the add of sums
+that share keys); both arrive sorted, and up to 32 qubits the
 stable argsort of the composite key, a timsort, finds the two runs and
 merges them in linear time.  Each layer is linear in its input and the
 energy is d . c_L, with d the signed indicator of the diagonal rows, so
@@ -68,8 +76,8 @@ class PackedSum:
         return len(self.c)
 
 
-def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
-    """Stable (x, z) sort: (order, sorted x, sorted z, first-of-key mask).
+def _sort(n_qubits: int, x: np.ndarray, z: np.ndarray):
+    """Stable (x, z) sort: (order, x[order], z[order]).
 
     Up to 32 qubits both masks fit one uint64 key, x in the high bits, and
     one stable argsort of it gives the permutation of ``lexsort((z, x))``.
@@ -78,32 +86,44 @@ def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
         order = np.argsort((x << np.uint64(n_qubits)) | z, kind="stable")
     else:
         order = np.lexsort((z, x))  # stable: x primary, z secondary
-    x, z = x[order], z[order]
-    boundary = np.ones(len(x), dtype=bool)
-    np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=boundary[1:])
-    return order, x, z, boundary
+    return order, x[order], z[order]
+
+
+def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
+    """The sorted table of distinct (x, z) keys and each row's slot in it:
+    (slot, table x, table z)."""
+    order, x, z = _sort(n_qubits, x, z)
+    first = np.ones(len(x), dtype=bool)  # the first sorted row of each key
+    np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=first[1:])
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return slot, x[first], z[first]
 
 
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
-    """The rows (x, z, c) as a canonical sum: sorted, each key's rows summed.
-
-    ``np.add.reduceat`` sums a long run of rows pairwise, not left to right,
-    so the bits of a sum are those of a row-by-row addition only where a key
-    has at most two rows.
-    """
-    if len(c) == 0:
-        return PackedSum(n_qubits, x, z, c)
-    order, x, z, boundary = _sorted_keys(n_qubits, x, z)
-    starts = np.flatnonzero(boundary)
-    summed = np.add.reduceat(c[order], starts)
-    xs, zs = x[starts], z[starts]
+    """The rows (x, z, c) as a canonical sum: sorted, each key's rows summed
+    left to right in row order, zeros dropped."""
+    slot, x, z = _sorted_keys(n_qubits, x, z)
+    summed = np.bincount(slot, weights=c, minlength=len(x))
     keep = summed != 0.0
-    return PackedSum(n_qubits, xs[keep], zs[keep], summed[keep])
+    return PackedSum(n_qubits, x[keep], z[keep], summed[keep])
+
+
+def _add(a: PackedSum, b: PackedSum) -> PackedSum:
+    """``a + b`` for canonical sums that may share keys; a shared key's
+    coefficient is a's plus b's."""
+    return _canonical(
+        a.n_qubits,
+        np.concatenate([a.x, b.x]),
+        np.concatenate([a.z, b.z]),
+        np.concatenate([a.c, b.c]),
+    )
 
 
 def pack(terms, n_qubits: int) -> PackedSum:
     """The canonical sum of a sequence of (PauliWord, coefficient) pairs over
-    ``n_qubits``; duplicate words are summed and zeros dropped."""
+    ``n_qubits``; a repeated word's coefficients are summed left to right in
+    input order, and zeros dropped."""
     check_qubit_bound(n_qubits)
     for word, _ in terms:
         if word.n_qubits != n_qubits:
@@ -152,9 +172,7 @@ def span_split(p: PackedSum, generators) -> tuple[PackedSum, PackedSum]:
 
 def merge(a: PackedSum, b: PackedSum) -> PackedSum:
     """``a + b`` for two canonical sums with no key in common."""
-    order, x, z, _ = _sorted_keys(
-        a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z])
-    )
+    order, x, z = _sort(a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z]))
     return PackedSum(a.n_qubits, x, z, np.concatenate([a.c, b.c])[order])
 
 
@@ -231,18 +249,9 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
             + 2 * np.bitwise_count(az & tx)
         ) & 3
         del ax, az
-        order, x, z, boundary = _sorted_keys(
-            p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz])
-        )
+        slot, x, z = _sorted_keys(p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz]))
         del nx, nz
-        dest = np.empty(len(order), dtype=np.intp)
-        dest[order] = np.cumsum(boundary) - 1
-        del order
-        starts = np.flatnonzero(boundary)
-        del boundary
-        x, z = x[starts], z[starts]
-        del starts
-        base_dest, spawn_dest = dest[:n_in], dest[n_in:]
+        base_dest, spawn_dest = slot[:n_in], slot[n_in:]
         layers.append(PlanLayer(
             slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
         ))

@@ -79,8 +79,9 @@ def _load_config_file(path: str | None) -> dict:
     return {k: _CONFIG_KEYS[k](v) for k, v in data.items()}
 
 
-def _resolve_config(config_path: str | None, overrides: dict) -> dict:
-    resolved = dict(_DEFAULTS)
+def _resolve_config(config_path: str | None, overrides: dict, **command_defaults) -> dict:
+    """Defaults, then the command's own defaults, then the file, then flags."""
+    resolved = dict(_DEFAULTS, **command_defaults)
     resolved.update(_load_config_file(config_path))
     resolved.update({k: v for k, v in overrides.items() if v is not None})
     return resolved
@@ -288,9 +289,7 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
 def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **overrides):
     """Singlet/triplet gap: two penalized runs over the same integrals."""
     started = _now()
-    if overrides.get("mu") is None:
-        overrides["mu"] = 0.25
-    resolved = _resolve_config(config_path, overrides)
+    resolved = _resolve_config(config_path, overrides, mu=0.25)
     if resolved["mu"] < 0:
         raise click.UsageError("--mu must be >= 0")
     cfg = _iqcc_config(resolved)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _packed
 from .engine import (
+    IMPORTANCE_MEASURES,
     MAX_GENERATORS,
     Ansatz,
     RankedGenerator,
@@ -77,6 +78,8 @@ class IqccConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.memory_budget_terms <= 0:
             raise ValueError("memory_budget_terms must be positive")
+        if self.importance_measure not in IMPORTANCE_MEASURES:
+            raise ValueError(f"unknown importance measure {self.importance_measure!r}")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .pauli import PauliWord, render_word
 from .pauli_sum import ReferenceState
 
 MAX_GENERATORS = 16
+IMPORTANCE_MEASURES = ("amplitude", "gradient")
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def rank_generators(
     """
     if not 1 <= top_l <= MAX_GENERATORS:
         raise CapacityError(f"top_l {top_l} outside 1..{MAX_GENERATORS}")
-    if measure not in ("amplitude", "gradient"):
+    if measure not in IMPORTANCE_MEASURES:
         raise ValueError(f"unknown importance measure {measure!r}")
     ranked = []
     for x_support, omega_signed, d_val in blocks:

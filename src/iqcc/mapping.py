@@ -24,10 +24,8 @@ order times spin, then g2 in ``np.nonzero`` order times the (sigma, tau)
 spin pattern, and each ladder product's Pauli products in
 ``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
 ``tests/helpers.py``).  Float addition is not associative, so the order fixes
-every coefficient's bits; ``_packed._canonical`` would not do here, since
-``np.add.reduceat`` sums a key's rows pairwise.  The table is the returned
-``PackedSum``, already canonical.  ``penalize`` adds two canonical sums at a
-time with ``_canonical``, where a key has at most two rows.
+every coefficient's bits.  The table is the returned ``PackedSum``, already
+canonical.  ``penalize`` adds canonical sums with ``_packed._add``.
 
 Real molecular integrals always leave a real, even-y-count Pauli sum; a
 residual imaginary part signals inconsistent input and raises.
@@ -105,17 +103,10 @@ def _accumulate(n_qubits: int, blocks):
     c = np.zeros(0, dtype=np.complex128)
     for bx, bz, bc in blocks:
         n_old = len(c)
-        order, kx, kz, boundary = _sorted_keys(
-            n_qubits, np.concatenate([x, bx]), np.concatenate([z, bz])
-        )
-        # each row's key in the new table; the stable sort keeps a key's
-        # table entry before the block's rows
-        dest = np.empty(len(order), dtype=np.intp)
-        dest[order] = np.cumsum(boundary) - 1
-        x, z = kx[boundary], kz[boundary]
+        slot, x, z = _sorted_keys(n_qubits, np.concatenate([x, bx]), np.concatenate([z, bz]))
         table = np.zeros(len(x), dtype=np.complex128)
-        table[dest[:n_old]] = c
-        np.add.at(table, dest[n_old:], bc)
+        table[slot[:n_old]] = c
+        np.add.at(table, slot[n_old:], bc)
         c = table
     return x, z, c
 
@@ -256,20 +247,10 @@ class SpinPenalty:
             raise ValueError("spin must be finite")
 
 
-def _add(a: PackedSum, b: PackedSum) -> PackedSum:
-    """a + b for canonical sums: a key gets at most two rows, summed exactly."""
-    return _packed._canonical(
-        a.n_qubits,
-        np.concatenate([a.x, b.x]),
-        np.concatenate([a.z, b.z]),
-        np.concatenate([a.c, b.c]),
-    )
-
-
 def penalize(h: PackedSum, p: SpinPenalty) -> PackedSum:
     """h + mu (S^2 - s(s+1) S_z); returns h unchanged when mu == 0."""
     if p.mu == 0.0:
         return h
     s_squared, s_z = spin_operators(h.n_qubits)
-    w = _add(s_squared, replace(s_z, c=-1.0 * (p.s * (p.s + 1.0) * s_z.c)))
-    return _add(h, replace(w, c=p.mu * w.c))
+    w = _packed._add(s_squared, replace(s_z, c=-1.0 * (p.s * (p.s + 1.0) * s_z.c)))
+    return _packed._add(h, replace(w, c=p.mu * w.c))

@@ -96,8 +96,8 @@ def dress_sequence(
 
 def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
     """Drop terms with |coefficient| < threshold; report dropped weight."""
-    if threshold < 0:
-        raise ValueError("prune threshold must be >= 0")
+    if not 0 <= threshold < math.inf:  # False for NaN
+        raise ValueError("prune threshold must be finite and >= 0")
     if threshold == 0.0:
         return p, 0.0
     mag = abs(p.c)

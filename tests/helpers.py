@@ -15,7 +15,6 @@ from iqcc._packed import (
     PlanLayer,
     _canonical,
     _popcount,
-    _sorted_keys,
     pack,
     x_group_slice,
 )
@@ -73,16 +72,17 @@ def drawn_sum(n_qubits: int, n_diag: int, n_off: int, rng) -> PackedSum:
     return _canonical(n_qubits, x[even], z[even], c[even])
 
 
-def spy_sorted_keys(monkeypatch) -> list[int]:
-    """Patch ``_packed._sorted_keys`` to record the row count of each sort."""
+def spy_sort(monkeypatch) -> list[int]:
+    """Patch ``_packed._sort``, the one key sort, to record the row count of
+    each sort."""
     sizes: list[int] = []
-    real = _packed._sorted_keys
+    real = _packed._sort
 
     def spy(n_qubits, x, z):
         sizes.append(len(x))
         return real(n_qubits, x, z)
 
-    monkeypatch.setattr(_packed, "_sorted_keys", spy)
+    monkeypatch.setattr(_packed, "_sort", spy)
     return sizes
 
 
@@ -128,10 +128,10 @@ def reference_dress(h: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
 
 
 def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
-    """``_packed.plan_chain`` by boolean masks: the anticommuting rows and each
-    layer's output keys are compressed by mask, the rows listed by a
-    separate ``flatnonzero``.  Every ``PlanLayer`` array of the plan must
-    equal this one's."""
+    """``_packed.plan_chain`` by boolean masks and its own ``np.lexsort``:
+    the anticommuting rows and each layer's output keys are compressed by
+    mask, the rows listed by a separate ``flatnonzero``.  Every ``PlanLayer``
+    array of the plan must equal this one's."""
     generators = tuple(generators)
     x, z = p.x, p.z
     layers = []
@@ -146,9 +146,11 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
             - np.bitwise_count(nx & nz)
             + 2 * np.bitwise_count(az & tx)
         ) & 3
-        order, x, z, boundary = _sorted_keys(
-            p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz])
-        )
+        x, z = np.concatenate([x, nx]), np.concatenate([z, nz])
+        order = np.lexsort((z, x))
+        x, z = x[order], z[order]
+        boundary = np.ones(len(x), dtype=bool)
+        boundary[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
         dest = np.empty(len(order), dtype=np.intp)
         dest[order] = np.cumsum(boundary) - 1
         base_dest, spawn_dest = dest[: len(anti)], dest[len(anti) :]

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import iqcc
+from iqcc import cli, driver
 from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
@@ -182,6 +183,21 @@ class TestRun:
         assert result.exit_code == 1
         assert "finite" in result.output
 
+    def test_unknown_importance_measure_rejected_before_load(
+        self, runner, tmp_path, monkeypatch
+    ):
+        def no_load(*args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "_load_problem", no_load)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"importance_measure": "foo"}))
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 1
+        assert "unknown importance measure 'foo'" in result.output
+
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -306,6 +322,31 @@ class TestGap:
         assert (tmp_path / "t_singlet.csv").exists()
         assert (tmp_path / "t_triplet.csv").exists()
         assert report["manifest"]["config"]["mu"] == 0.25  # protocol default
+
+    @pytest.mark.parametrize("flags, mu", [([], 0.5), (["--mu", "0.3"], 0.3)],
+                             ids=["file", "flag"])
+    def test_mu_from_config_file(self, runner, tmp_path, monkeypatch, flags, mu):
+        # the 0.25 default sits below the file, the file below the flag
+        penalties = []
+        real = driver.run_iqcc
+
+        def spy(h, ref, cfg):
+            penalties.append(cfg.penalty)
+            return real(h, ref, cfg)
+
+        monkeypatch.setattr(driver, "run_iqcc", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 0.5, "max_iterations": 1}))
+        out = tmp_path / "gap.json"
+        result = runner.invoke(
+            main,
+            ["gap", str(FIXTURES / "h2.fcidump"), "--generators", "1",
+             "--config", str(cfg), "-o", str(out), *flags],
+        )
+        assert result.exit_code == 0, result.output
+        config = json.loads(out.read_text())["manifest"]["config"]
+        assert config["mu"] == mu and config["max_iterations"] == 1
+        assert [(p.mu, p.s) for p in penalties] == [(mu, 0.0), (mu, 1.0)]
 
     def test_negative_mu_rejected(self, runner):
         result = runner.invoke(

@@ -22,7 +22,7 @@ from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState
 
-from helpers import random_hermitian_sum, rank_sum, spy_sorted_keys
+from helpers import random_hermitian_sum, rank_sum, spy_sort
 
 
 class TestConfig:
@@ -46,6 +46,10 @@ class TestConfig:
             IqccConfig(energy_convergence=0.0)
         with pytest.raises(ValueError):
             IqccConfig(prune_threshold=-1e-3)
+
+    def test_unknown_importance_measure(self):
+        with pytest.raises(ValueError, match="importance measure"):
+            IqccConfig(importance_measure="foo")
 
 
 class TestRunIqcc:
@@ -104,7 +108,7 @@ class TestRunIqcc:
         # largest layer 795; iteration 2 plans a layer of 1,002.  The abort
         # comes from the plan, before any sort of more rows than the budget.
         _, h, ref = h4_problem
-        sizes = spy_sorted_keys(monkeypatch)
+        sizes = spy_sort(monkeypatch)
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
                          energy_convergence=1e-12, memory_budget_terms=budget)
         with pytest.raises(IterationAbort) as err:

@@ -243,6 +243,11 @@ class TestRanking:
         for r in sel_g:
             assert r.importance == r.omega
 
+    def test_unknown_measure(self, h2_problem):
+        _, h, ref = h2_problem
+        with pytest.raises(ValueError, match="importance measure"):
+            rank_sum(h, ref, 2, measure="foo")
+
     def test_top_l_capacity(self, h2_problem):
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):

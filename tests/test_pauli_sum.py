@@ -59,6 +59,15 @@ class TestArithmetic:
             total = pack(unpack(a) + unpack(b), 4)
             assert np.allclose(to_matrix(total), to_matrix(a) + to_matrix(b))
 
+    def test_repeated_word_summed_left_to_right(self):
+        # np.add.reduceat would sum a run of three or more rows pairwise
+        rng = np.random.default_rng(17)
+        word = parse_word("X0 X1 Z2", 3)
+        for k in range(3, 41):
+            coeffs = rng.normal(size=k).tolist()
+            ((_, total),) = unpack(pack([(word, c) for c in coeffs], 3))
+            assert total == sum(coeffs)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             pack([(parse_word("Z0", 3), 1.0)], 2)
@@ -249,6 +258,12 @@ class TestPrune:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             prune(pack([], 1), -1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, h2_problem, threshold):
+        _, h, _ = h2_problem
+        with pytest.raises(ValueError, match="finite"):
+            prune(h, threshold)
 
     def test_dropped_weight_summed_left_to_right(self):
         # more than 8 dropped terms: a pairwise np.sum would group them

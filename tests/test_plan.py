@@ -18,7 +18,7 @@ from helpers import (
     random_hermitian_sum,
     reference_dress,
     reference_plan_chain,
-    spy_sorted_keys,
+    spy_sort,
 )
 
 
@@ -139,7 +139,7 @@ class TestTermBudget:
         p = random_hermitian_sum(6, 60, rng)
         gen = random_generator(6, rng)
         n_layer = len(p) + len(_packed.plan_chain(p, [gen]).layers[0].anti)
-        sizes = spy_sorted_keys(monkeypatch)
+        sizes = spy_sort(monkeypatch)
         for over in (
             lambda: _packed.plan_chain(p, [gen], n_layer - 1),
             lambda: _packed.dress_packed(p, gen, 0.3, n_layer - 1),
@@ -220,7 +220,7 @@ class TestFilteredEvaluation:
         def no_sort(*args):
             raise AssertionError("an evaluation sorted keys")
 
-        monkeypatch.setattr(_packed, "_sorted_keys", no_sort)
+        monkeypatch.setattr(_packed, "_sort", no_sort)
         ansatz = Ansatz([(g, float(rng.normal())) for g in gens])
         for evaluated in (plan, live):
             _, grad = qcc_energy_and_gradient(evaluated, ansatz, ReferenceState(0b000111, n))
@@ -374,9 +374,15 @@ class TestSortedKeys:
         z = np.concatenate([z, z[dup], masks(50)])  # same x, other z
         perm = rng.permutation(len(x))
         x, z = x[perm], z[perm]
-        order, xs, zs, boundary = _packed._sorted_keys(n, x, z)
         want = np.lexsort((z, x))
+        order, xs, zs = _packed._sort(n, x, z)
         assert np.array_equal(order, want)
         assert np.array_equal(xs, x[want]) and np.array_equal(zs, z[want])
-        distinct = len({(a, b) for a, b in zip(x.tolist(), z.tolist())})
-        assert int(boundary.sum()) == distinct < len(x)
+        # the distinct keys in lexsort order, each row's slot its key's rank
+        slot, kx, kz = _packed._sorted_keys(n, x, z)
+        keys = list(dict.fromkeys(zip(x[want].tolist(), z[want].tolist())))
+        assert list(zip(kx.tolist(), kz.tolist())) == keys
+        rank = {key: i for i, key in enumerate(keys)}
+        assert slot.dtype == np.intp
+        assert slot.tolist() == [rank[key] for key in zip(x.tolist(), z.tolist())]
+        assert len(keys) < len(x)  # duplicates share a slot
