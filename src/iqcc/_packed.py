@@ -7,14 +7,15 @@ arrays, x and z masks as uint64 and float64 coefficients, lexsorted by
 puts rows in that form, ``pack`` builds a sum from (PauliWord, coefficient)
 pairs and ``unpack`` lists them again.  The uint64 masks bound the envelope
 at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack`` rejects wider sums with
-:class:`CapacityError`.  Dressing reproduces the
-scalar term-by-term reference (``reference_dress`` in ``tests/helpers.py``)
-bit for bit, because every output key receives at most two float
-contributions and addition is commutative in IEEE 754.  With x the primary
-key each x-group is one slice, which ``block_statistics`` reduces over, and
-the diagonal (x == 0) rows are the first rows: ``block_statistics`` and
-``expectation_packed`` take them as a prefix slice, found by one binary
-search, and the off-diagonal rows as the rest.
+:class:`CapacityError`.  Dressing reproduces the scalar term-by-term
+reference (``reference_dress`` in ``tests/helpers.py``) bit for bit, because
+every output key receives at most two float contributions and addition is
+commutative in IEEE 754.  With x the primary key each x-group is one slice,
+which ``block_statistics`` reduces over, and the diagonal (x == 0) rows are
+the first rows: ``block_statistics`` and ``expectation_packed`` take them as
+a prefix slice, found by one binary search, and the off-diagonal rows as the
+rest.  The ranking and the PT correction read ``block_statistics``' arrays
+as they are.
 
 Rows are put in key order in one place.  ``_sort`` is the one stable (x, z)
 sort: up to 32 qubits one argsort of a uint64 key, x shifted above z, which
@@ -32,22 +33,21 @@ lands.  A layer takes its anticommuting rows and its output keys by index,
 drops each temporary as soon as it is last used, and checks the caller's
 term budget on its input plus spawned rows before it concatenates or sorts
 them.  ``_replay`` then dresses by scatter alone, with no sort and no
-search, and ``run_plan`` drops the exact zeros once at the end.  A
-generator only XORs its x mask into a word, so dressing keeps every row in
-its coset of the GF(2) span of the generators' x masks (``span_split``).
-An iteration plans the rows in the span once: its optimizer replays the
-plan at many amplitudes, cut by ``live_plan`` to the rows that reach the
-diagonal, and its final dressing replays it once at the optimum.  The
+search, and ``run_plan`` drops the exact zeros once at the end.  A generator
+only XORs its x mask into a word, so dressing keeps every row in its coset
+of the GF(2) span of the generators' x masks (``span_split``).  An iteration
+plans the rows in the span once: its optimizer replays the plan at many
+amplitudes, cut to the rows that reach the diagonal by one backward sweep
+(``live_plan``), and its final dressing replays it once at the optimum.  The
 other rows never reach the diagonal, so they are dressed only at the end,
 one generator at a time through ``dress_packed`` (a one-layer plan, so only
 one layer's index arrays are alive at a time), and ``merge`` sorts the two
 disjoint parts into one sum by ``_sort`` alone (``_add`` is the add of sums
-that share keys); both arrive sorted, and up to 32 qubits the
-stable argsort of the composite key, a timsort, finds the two runs and
-merges them in linear time.  Each layer is linear in its input and the
-energy is d . c_L, with d the signed indicator of the diagonal rows, so
-``energy_and_gradient`` takes the gradient by one reverse pass of d through
-the same index arrays.
+that share keys); both arrive sorted, and up to 32 qubits the stable argsort
+of the composite key, a timsort, finds the two runs and merges them in
+linear time.  Each layer is linear in its input and the energy is d . c_L,
+with d the signed indicator of the diagonal rows, so ``energy_and_gradient``
+takes the gradient by one reverse pass of d through the same index arrays.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ class PlanLayer:
     """Row structure of one dressing step: rows in, where they land, rows out.
 
     In a plan from ``plan_chain`` every input row has a base row, ``src`` is
-    ``slice(None)`` and ``spawn_src`` is ``anti``; ``live_plan`` cuts each
-    array to the rows that reach a kept row.  Indices are intp: numpy
-    converts any other index type on every use.
+    ``slice(None)`` and ``spawn_src`` is ``anti``, the same array;
+    ``live_plan`` cuts each array to the rows that reach a kept row.  Indices
+    are intp: numpy converts any other index type on every use.
     """
 
     src: np.ndarray | slice  # input rows with a base row, ascending
@@ -258,52 +258,46 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
 
 
-def _cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
-    """``layer`` cut to the contributions that land in a ``live_out`` row,
-    renumbered in order; also the mask of the input rows that still
-    contribute."""
-    src = np.arange(n_in)[layer.src]
-    keep_base = live_out[layer.base_dest]
-    keep_anti = live_out[layer.anti_dest]
-    keep_spawn = live_out[layer.spawn_dest]
-    live_in = np.zeros(n_in, dtype=bool)
-    live_in[src[keep_base]] = True
-    live_in[layer.spawn_src[keep_spawn]] = True  # an anti row's base row is a src row
-    row_in = np.cumsum(live_in, dtype=np.intp) - 1
-    row_out = np.cumsum(live_out, dtype=np.intp) - 1
-    kept_src = row_in[src[keep_base]]
-    cut = PlanLayer(
-        # ascending and distinct, so every live row when there are as many
-        slice(None) if len(kept_src) == np.count_nonzero(live_in) else kept_src,
-        row_out[layer.base_dest[keep_base]],
-        row_in[layer.anti[keep_anti]],
-        row_out[layer.anti_dest[keep_anti]],
-        row_in[layer.spawn_src[keep_spawn]],
-        layer.pos[keep_spawn],
-        row_out[layer.spawn_dest[keep_spawn]],
-        int(np.count_nonzero(live_out)),
-    )
-    return cut, live_in
-
-
 def live_plan(plan: DressPlan) -> DressPlan:
-    """``plan`` cut to the rows an optimizer evaluation reads.
+    """``plan``, a plan from ``plan_chain``, cut to the rows an optimizer
+    evaluation reads; a plan already cut raises ``ValueError``.
 
     A last-layer row is read if it is diagonal: only those carry the energy
     and only those start the reverse pass of ``energy_and_gradient``.  An
-    earlier row is live if its base row or its spawned row is.  Every layer
-    keeps its live rows in order, so ``run_plan`` gives the diagonal with the
-    same rows, in the same order and with the same values as from ``plan``,
-    and the rows the cut drops add only zeros to the gradient.
+    earlier row is live if its base row or its spawned row is.  One backward
+    sweep numbers each layer's live input rows in order, which is the output
+    numbering of the layer before, so ``run_plan`` gives the diagonal rows in
+    the same order and with the same values as from ``plan``, and the rows
+    the cut drops add only zeros to the gradient.
     """
-    live = plan.x == 0
-    x, z = plan.x[live], plan.z[live]
-    n_in = [len(plan.c)] + [layer.n_out for layer in plan.layers[:-1]]
+    live = diagonal = plan.x == 0
+    row_out = np.cumsum(live, dtype=np.intp) - 1
+    n_out = int(np.count_nonzero(live))
     layers = []
-    for layer, n in zip(reversed(plan.layers), reversed(n_in)):
-        layer, live = _cut_layer(layer, n, live)
-        layers.append(layer)
-    return replace(plan, c=plan.c[live], layers=tuple(reversed(layers)), x=x, z=z)
+    for layer in reversed(plan.layers):
+        if layer.spawn_src is not layer.anti:
+            raise ValueError("live_plan cuts a plan from plan_chain, not a cut plan")
+        keep_base = live[layer.base_dest]
+        keep_anti = keep_base[layer.anti]  # anti_dest is base_dest[anti]
+        keep_spawn = live[layer.spawn_dest]
+        live = keep_base.copy()
+        live[layer.anti[keep_spawn]] = True
+        row_in = np.cumsum(live, dtype=np.intp) - 1
+        n_in = int(np.count_nonzero(live))
+        layers.append(PlanLayer(
+            # ascending and distinct, so every live row when there are as many
+            slice(None) if np.count_nonzero(keep_base) == n_in else row_in[keep_base],
+            row_out[layer.base_dest[keep_base]],
+            row_in[layer.anti[keep_anti]],
+            row_out[layer.anti_dest[keep_anti]],
+            row_in[layer.anti[keep_spawn]],
+            layer.pos[keep_spawn],
+            row_out[layer.spawn_dest[keep_spawn]],
+            n_out,
+        ))
+        row_out, n_out = row_in, n_in
+    layers = tuple(reversed(layers))
+    return replace(plan, c=plan.c[live], layers=layers, x=plan.x[diagonal], z=plan.z[diagonal])
 
 
 def _replay(plan: DressPlan, amplitudes):
@@ -422,6 +416,15 @@ def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
     return lo, hi
 
 
+def check_even_y(p: PackedSum) -> None:
+    """Raise :class:`HermiticityError` on the first odd-y word of ``p``: its
+    matrix is imaginary, and the engine treats real Hamiltonians only."""
+    odd_y = np.flatnonzero(np.bitwise_count(p.x & p.z) & 1)
+    if len(odd_y):
+        word = render_masks(int(p.x[odd_y[0]]), int(p.z[odd_y[0]]))
+        raise HermiticityError(f"odd y-count word {word} in operator")
+
+
 def block_statistics(
     p: PackedSum, ref: ReferenceState
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,14 +435,8 @@ def block_statistics(
     D = <0|T H T - H|0> = -2 * sum of diagonal terms anticommuting with the
     generator.  Raises on odd-y words (non-hermitian input).
     """
+    check_even_y(p)
     occ = np.uint64(ref.occupation)
-    odd_y = np.flatnonzero(np.bitwise_count(p.x & p.z) & 1)
-    if len(odd_y):
-        bad = int(odd_y[0])
-        raise HermiticityError(
-            f"odd y-count word {render_masks(int(p.x[bad]), int(p.z[bad]))} in operator"
-        )
-
     n_diag = _n_diagonal(p)
     if n_diag == len(p):
         empty = np.array([], dtype=np.uint64)
@@ -451,10 +448,7 @@ def block_statistics(
     # 2 mod 4 and once for an odd reference parity (the y-count is even)
     neg = ((np.bitwise_count(ox & oz) >> 1) ^ np.bitwise_count(oz & occ)) & 1
     vals = np.where(neg.view(bool), -oc, oc)
-    boundary = np.empty(len(ox), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = ox[1:] != ox[:-1]
-    starts = np.flatnonzero(boundary)
+    starts = np.flatnonzero(np.concatenate(([True], ox[1:] != ox[:-1])))
     xs = ox[starts]
     omega = np.add.reduceat(vals, starts)
     # sign of the reference z-eigenvalue at the substituted (lowest-x) qubit

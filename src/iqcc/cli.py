@@ -163,10 +163,7 @@ def _guard(fn):
         except IterationAbort as exc:
             click.echo(f"error: {exc} ({len(exc.records)} iterations completed)", err=True)
             sys.exit(1)
-        except IqccError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except ValueError as exc:
+        except (IqccError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -290,8 +287,6 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
     """Singlet/triplet gap: two penalized runs over the same integrals."""
     started = _now()
     resolved = _resolve_config(config_path, overrides, mu=0.25)
-    if resolved["mu"] < 0:
-        raise click.UsageError("--mu must be >= 0")
     cfg = _iqcc_config(resolved)
     mi = load_fcidump(fcidump)
     window = _window_from_flags(mi, active_occ, active_virt)

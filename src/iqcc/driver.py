@@ -1,8 +1,9 @@
 """The outer iQCC loop and the singlet/triplet gap workflow.
 
-Each iteration decomposes the current Hamiltonian, ranks one canonical
-generator per X-string block, warm-starts the top L amplitudes from the
-closed-form estimates, and plans the dressing of the rows in the span of
+Each iteration decomposes the current Hamiltonian into its block
+statistics (``_packed.block_statistics``), ranks one canonical generator
+per X-string block on those arrays, warm-starts the top L amplitudes from
+the closed-form estimates, and plans the dressing of the rows in the span of
 those generators' x masks (``coset_plan``).  It minimizes the QCC energy on
 that plan, cut to the rows an evaluation reads (``live_plan``), then folds
 the optimized Ansatz into the Hamiltonian by exact dressing: the plan
@@ -15,9 +16,9 @@ through every stage and into ``RunResult.final_hamiltonian``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
-with omega and D recomputed against the freshly dressed Hamiltonian; the
-next iteration ranks on those same block statistics.  Every dressing step
-checks the term budget before it allocates its rows.
+with omega and D looked up by x-support in the block statistics of the
+freshly dressed Hamiltonian; the next iteration ranks on the same arrays.
+Every dressing step checks the term budget before it allocates its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .engine import (
     MAX_GENERATORS,
     Ansatz,
     RankedGenerator,
-    block_ranking_data,
     coset_plan,
     estimate_amplitude,
     qcc_energy_and_gradient,
@@ -153,21 +153,20 @@ class RunResult:
 
 
 def pt_correction(
-    blocks: list[tuple[int, float, float]], remainder: list[RankedGenerator]
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray], remainder: np.ndarray
 ) -> float:
-    """Sum of exact per-generator lowerings over non-selected generators.
+    """Sum of exact per-generator lowerings over non-selected generators,
+    whose x-supports ``remainder`` lists in rank order (``rank_generators``).
 
-    omega and D are read from ``blocks``, the ``block_ranking_data`` of the
-    current, freshly dressed Hamiltonian; every summand is <= 0.
+    omega and D are read from ``blocks``, the ``_packed.block_statistics`` of
+    the current, freshly dressed Hamiltonian; a support with no block there
+    adds nothing.  Summed in rank order, every summand <= 0.
     """
-    if not remainder:
-        return 0.0
-    stats = {x: (w, d) for x, w, d in blocks}
+    xs, omega_signed, d_values = blocks
+    found = np.searchsorted(xs, remainder[np.isin(remainder, xs)])
     total = 0.0
-    for gen in remainder:
-        signed, d_val = stats.get(gen.generator.x, (0.0, 0.0))
-        _, delta_e = estimate_amplitude(signed, d_val)
-        total += delta_e
+    for w, d in zip(omega_signed[found].tolist(), d_values[found].tolist()):
+        total += estimate_amplitude(w, d)[1]
     return total
 
 
@@ -214,7 +213,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     for index in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
         if blocks is None:
-            blocks = block_ranking_data(h_bare if track_bare else h, ref)
+            blocks = _packed.block_statistics(h_bare if track_bare else h, ref)
         selected, remainder = rank_generators(
             blocks, h.n_qubits, cfg.generators_per_iteration, cfg.importance_measure
         )
@@ -251,7 +250,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
                 h_bare, _ = prune(dress_sequence(h_bare, ansatz, budget), cfg.prune_threshold)
         except CapacityError as exc:
             raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
-        blocks = block_ranking_data(h_bare if track_bare else h, ref) if cfg.enable_pt else None
+        blocks = _packed.block_statistics(h_bare if track_bare else h, ref) if cfg.enable_pt else None
         pt = pt_correction(blocks, remainder) if cfg.enable_pt else 0.0
         energy = opt.energy
 

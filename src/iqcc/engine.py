@@ -10,7 +10,10 @@ an exact sinusoid
 where the signed w is the slope dE/dt at t = 0 (its magnitude is the omega of
 the ranking formulas) and D = <0| T H T - H |0>.  The closed-form global
 minimizer of that sinusoid provides both the importance measure |t| and the
-warm start for the multi-generator optimization.
+warm start for the multi-generator optimization.  ``rank_generators`` reads
+the (x-supports, w, D) arrays of ``_packed.block_statistics``, orders the
+blocks by one ``np.lexsort`` and makes ``RankedGenerator``s of the selected
+ones only; the rest stay x-supports, which is all the PT correction reads.
 
 Energies of the full Ansatz are evaluated by exact symbolic conjugation
 (dressing) of the Hamiltonian.  An optimizer evaluates one set of
@@ -20,10 +23,8 @@ former are planned once (``coset_plan``); each evaluation then replays the
 plan, cut to the rows that reach the diagonal, and sorts nothing.  The
 energy is linear in every layer of the plan, so the gradient is one reverse
 pass of the diagonal through the same plan.  The same plan, replayed once
-at the optimum, dresses those rows into the next Hamiltonian.  The array
-work (the block statistics of the ranking, dressing, energy and gradient)
-is done by the kernels in ``_packed``; this module works on words and
-scalars.
+at the optimum, dresses those rows into the next Hamiltonian.  Dressing,
+energy and gradient are the kernels in ``_packed``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import _packed
 from ._packed import PackedSum
@@ -128,45 +131,38 @@ def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
     return t, delta_e
 
 
-def block_ranking_data(
-    h: PackedSum, ref: ReferenceState
-) -> list[tuple[int, float, float]]:
-    """(x-support, omega_signed, D) per Ising block, deterministic order.
-
-    A run computes this once per Hamiltonian: the PT correction of one
-    iteration and the ranking of the next read the same list.
-    """
-    xs, omega_signed, d_vals = _packed.block_statistics(h, ref)
-    return list(zip(xs.tolist(), omega_signed.tolist(), d_vals.tolist()))
-
-
 def rank_generators(
-    blocks: Sequence[tuple[int, float, float]],
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_qubits: int,
     top_l: int,
     measure: str = "amplitude",
-) -> tuple[list[RankedGenerator], list[RankedGenerator]]:
-    """One canonical generator per Ising block of ``blocks`` (from
-    ``block_ranking_data``) over ``n_qubits``, ranked by importance.
+) -> tuple[list[RankedGenerator], np.ndarray]:
+    """The canonical generators of the Ising blocks of ``blocks`` (the arrays
+    of ``_packed.block_statistics``) ranked by importance: the top ``top_l``
+    as ``RankedGenerator``s over ``n_qubits``, the x-supports of the rest.
 
     ``measure`` selects |optimal amplitude| (default) or |gradient| = omega.
-    Ties break on the deterministic word order.  Returns (top ``top_l``,
-    remainder); both empty for a diagonal Hamiltonian.
+    Ties break on ``PauliWord.sort_key``, which for a canonical generator (z
+    the lowest bit of x) is (weight of x, x).
     """
     if not 1 <= top_l <= MAX_GENERATORS:
         raise CapacityError(f"top_l {top_l} outside 1..{MAX_GENERATORS}")
     if measure not in IMPORTANCE_MEASURES:
         raise ValueError(f"unknown importance measure {measure!r}")
-    ranked = []
-    for x_support, omega_signed, d_val in blocks:
-        gen = derive_canonical_generator(PauliWord(x_support, 0, n_qubits))
-        t_est, _ = estimate_amplitude(omega_signed, d_val)
-        importance = abs(t_est) if measure == "amplitude" else abs(omega_signed)
-        ranked.append(
-            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, importance)
+    xs, omega_signed, d_values = blocks
+    omegas, ds = omega_signed.tolist(), d_values.tolist()
+    # math.atan2 and math.hypot per block: numpy's need not give the same bits
+    t_est = [estimate_amplitude(w, d)[0] for w, d in zip(omegas, ds)]
+    importance = np.abs(t_est if measure == "amplitude" else omega_signed)
+    order = np.lexsort((xs, np.bitwise_count(xs), -importance))
+    selected = [
+        RankedGenerator(
+            derive_canonical_generator(PauliWord(int(xs[i]), 0, n_qubits)),
+            abs(omegas[i]), omegas[i], ds[i], t_est[i], float(importance[i]),
         )
-    ranked.sort(key=lambda r: (-r.importance, r.generator.sort_key()))
-    return ranked[:top_l], ranked[top_l:]
+        for i in order[:top_l].tolist()
+    ]
+    return selected, xs[order[top_l:]]
 
 
 def coset_plan(

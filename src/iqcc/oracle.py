@@ -73,7 +73,8 @@ def word_matrix(w: PauliWord) -> np.ndarray:
 def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
     """Lowest eigenpair; dense below 11 qubits, Lanczos above.
 
-    The residual ||Hv - Ev|| is verified to 1e-10 times the coefficient scale.
+    The residual ||Hv - Ev|| is verified to 1e-10 times the coefficient scale;
+    a NaN residual fails.
     """
     n = h.n_qubits
     if n > SPARSE_QUBIT_LIMIT:
@@ -92,7 +93,7 @@ def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
         mv = mat @ vec
     scale = max(1.0, abs(energy))
     resid = float(np.linalg.norm(mv - energy * vec))
-    if resid > 1e-10 * scale:
+    if not resid <= 1e-10 * scale:  # False for NaN
         raise IqccError(f"eigen-residual {resid:.3e} above tolerance")
     return energy, vec
 

@@ -2,9 +2,10 @@
 
 Coefficients are in Hartree throughout.  A sum is a ``_packed.PackedSum``:
 canonical (phase-free) words as (x, z) masks, sorted by key, with real
-coefficients and no zeros.  Sums over more than ``MAX_QUBITS`` (64) qubits
-cannot be held; ``from_json_dict`` rejects them at load with
-:class:`CapacityError`.
+coefficients and no zeros.  ``from_json_dict`` rejects at load a sum over
+more than ``MAX_QUBITS`` (64) qubits (:class:`CapacityError`), a negative
+qubit count, a non-finite coefficient and an odd-y word (an imaginary matrix
+in a real Hamiltonian).
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -40,7 +41,9 @@ MAX_QUBITS = 64  # width of the uint64 masks of the packed kernels
 
 
 def check_qubit_bound(n_qubits: int) -> None:
-    """Reject sums wider than the packed kernels' masks."""
+    """Reject a negative qubit count, or one wider than the packed masks."""
+    if n_qubits < 0:
+        raise DimensionError(f"negative qubit count {n_qubits}")
     if n_qubits > MAX_QUBITS:
         raise CapacityError(f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit bound")
 
@@ -126,10 +129,17 @@ def to_json_dict(p: PackedSum) -> dict:
 
 
 def from_json_dict(data: dict) -> PackedSum:
+    """``to_json_dict``'s inverse, with the load checks the module lists."""
     from . import _packed
 
     n = int(data["n_qubits"])
     check_qubit_bound(n)
-    return _packed.pack(
+    p = _packed.pack(
         [(parse_word(t["word"], n), float(t["coeff"])) for t in data["terms"]], n
     )
+    bad = np.flatnonzero(~np.isfinite(p.c))
+    if len(bad):
+        word = render_masks(int(p.x[bad[0]]), int(p.z[bad[0]]))
+        raise ValueError(f"non-finite coefficient {float(p.c[bad[0]])!r} on {word}")
+    _packed.check_even_y(p)
+    return p

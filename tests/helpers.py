@@ -1,7 +1,7 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
-the mask-form plan and block-statistics references, a sort spy and an
-independent fermionic oracle."""
+the mask-form plan, two-pass live-cut, object-ranking and block-statistics
+references, a sort spy and an independent fermionic oracle."""
 
 import itertools
 import math
@@ -18,7 +18,12 @@ from iqcc._packed import (
     pack,
     x_group_slice,
 )
-from iqcc.engine import block_ranking_data, rank_generators
+from iqcc.engine import (
+    RankedGenerator,
+    derive_canonical_generator,
+    estimate_amplitude,
+    rank_generators,
+)
 from iqcc.errors import HermiticityError
 from iqcc.pauli import PauliWord, raw_multiply, render_word
 from iqcc.pauli_sum import ReferenceState
@@ -44,7 +49,23 @@ def assert_same(a: PackedSum, b: PackedSum):
 
 def rank_sum(h: PackedSum, ref: ReferenceState, top_l: int, measure: str = "amplitude"):
     """``rank_generators`` on the block statistics of ``h``."""
-    return rank_generators(block_ranking_data(h, ref), h.n_qubits, top_l, measure)
+    return rank_generators(_packed.block_statistics(h, ref), h.n_qubits, top_l, measure)
+
+
+def reference_rank_generators(blocks, n_qubits: int, top_l: int, measure: str = "amplitude"):
+    """``rank_generators`` by objects: a ``RankedGenerator`` for every block,
+    sorted by (-importance, ``PauliWord.sort_key``).  Returns (top ``top_l``,
+    the rest), both as ``RankedGenerator`` lists."""
+    ranked = []
+    for x_support, omega_signed, d_val in zip(*(a.tolist() for a in blocks)):
+        gen = derive_canonical_generator(PauliWord(x_support, 0, n_qubits))
+        t_est, _ = estimate_amplitude(omega_signed, d_val)
+        importance = abs(t_est) if measure == "amplitude" else abs(omega_signed)
+        ranked.append(
+            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, importance)
+        )
+    ranked.sort(key=lambda r: (-r.importance, r.generator.sort_key()))
+    return ranked[:top_l], ranked[top_l:]
 
 
 def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PackedSum:
@@ -60,15 +81,15 @@ def random_hermitian_sum(n_qubits: int, n_terms: int, rng) -> PackedSum:
     return from_terms_dict(n_qubits, terms)
 
 
-def drawn_sum(n_qubits: int, n_diag: int, n_off: int, rng) -> PackedSum:
+def drawn_sum(n_qubits: int, n_diag: int, n_off: int, rng, values=None) -> PackedSum:
     """A canonical even-y sum of about ``n_diag`` diagonal and ``n_off``
     off-diagonal rows over up to 64 qubits (uint64 draws; repeated keys are
-    summed)."""
+    summed).  Coefficients are normal draws, or draws from ``values``."""
     x = np.concatenate([np.zeros(n_diag, dtype=np.uint64),
                         rng.integers(1, 1 << n_qubits, size=n_off, dtype=np.uint64)])
     z = rng.integers(0, 1 << n_qubits, size=n_diag + n_off, dtype=np.uint64)
     even = np.bitwise_count(x & z) % 2 == 0
-    c = rng.normal(size=len(x))
+    c = rng.normal(size=len(x)) if values is None else rng.choice(values, size=len(x))
     return _canonical(n_qubits, x[even], z[even], c[even])
 
 
@@ -160,6 +181,63 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
             slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
         ))
     return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+
+
+def reference_live_plan(plan: DressPlan) -> DressPlan:
+    """``_packed.live_plan`` in two passes per layer: each layer is cut on its
+    own, its input rows gathered from ``np.arange`` and its live input rows
+    scattered into zeros, then both row numberings are counted afresh.
+    Every ``PlanLayer`` field of the cut must equal this one's."""
+
+    def cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
+        src = np.arange(n_in)[layer.src]
+        keep_base = live_out[layer.base_dest]
+        keep_anti = live_out[layer.anti_dest]
+        keep_spawn = live_out[layer.spawn_dest]
+        live_in = np.zeros(n_in, dtype=bool)
+        live_in[src[keep_base]] = True
+        live_in[layer.spawn_src[keep_spawn]] = True
+        row_in = np.cumsum(live_in, dtype=np.intp) - 1
+        row_out = np.cumsum(live_out, dtype=np.intp) - 1
+        kept_src = row_in[src[keep_base]]
+        cut = PlanLayer(
+            slice(None) if len(kept_src) == np.count_nonzero(live_in) else kept_src,
+            row_out[layer.base_dest[keep_base]],
+            row_in[layer.anti[keep_anti]],
+            row_out[layer.anti_dest[keep_anti]],
+            row_in[layer.spawn_src[keep_spawn]],
+            layer.pos[keep_spawn],
+            row_out[layer.spawn_dest[keep_spawn]],
+            int(np.count_nonzero(live_out)),
+        )
+        return cut, live_in
+
+    live = plan.x == 0
+    x, z = plan.x[live], plan.z[live]
+    n_in = [len(plan.c)] + [layer.n_out for layer in plan.layers[:-1]]
+    layers = []
+    for layer, n in zip(reversed(plan.layers), reversed(n_in)):
+        layer, live = cut_layer(layer, n, live)
+        layers.append(layer)
+    return DressPlan(plan.n_qubits, plan.generators, plan.c[live], tuple(reversed(layers)), x, z)
+
+
+def assert_same_plan(a: DressPlan, b: DressPlan):
+    """Every field of two plans and of each of their layers is equal, index
+    arrays with their dtype."""
+    assert a.n_qubits == b.n_qubits and a.generators == b.generators
+    assert a.c.tobytes() == b.c.tobytes()
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers, b.layers):
+        for name in PlanLayer.__dataclass_fields__:
+            va, vb = getattr(la, name), getattr(lb, name)
+            if isinstance(va, slice) or isinstance(vb, slice):
+                assert isinstance(va, slice) and isinstance(vb, slice) and va == vb, name
+            elif isinstance(va, np.ndarray):
+                assert va.dtype == vb.dtype and np.array_equal(va, vb), name
+            else:
+                assert va == vb, name
 
 
 def reference_block_statistics(p: PackedSum, ref: ReferenceState):

@@ -79,6 +79,29 @@ class TestTransform:
         assert result.exit_code == 2
 
 
+def _h2_json_outside_envelope(runner, tmp_path, case: str) -> Path:
+    """The H2 qubit JSON with one defect that the loader must reject."""
+    ham = tmp_path / "h2.json"
+    runner.invoke(main, ["transform", str(FIXTURES / "h2.fcidump"), "-o", str(ham)])
+    data = json.loads(ham.read_text())
+    if case == "negative_qubits":
+        data["n_qubits"] = -4
+    elif case == "inf":
+        data["terms"][0]["coeff"] = float("inf")
+    else:
+        data["terms"].append({"word": "X0 Y1", "coeff": 0.1})
+    ham.write_text(json.dumps(data))
+    return ham
+
+
+# each qubit-JSON defect and the domain error it is rejected with at load
+JSON_DEFECTS = {
+    "negative_qubits": "negative qubit count -4",
+    "inf": "non-finite coefficient inf",
+    "odd_y": "odd y-count word X0 Y1",
+}
+
+
 class TestRun:
     def test_h2_defaults(self, runner, tmp_path):
         out = tmp_path / "run.json"
@@ -130,6 +153,18 @@ class TestRun:
         assert result.exit_code == 1  # domain error, raised at load
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "error: 65 qubits exceeds the 64-qubit bound" in result.output
+
+    @pytest.mark.parametrize("case", sorted(JSON_DEFECTS))
+    def test_qubit_json_outside_envelope_rejected_at_load(
+        self, runner, tmp_path, monkeypatch, case
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "run_iqcc", lambda *args: runs.append(args))
+        ham = _h2_json_outside_envelope(runner, tmp_path, case)
+        result = runner.invoke(main, ["run", str(ham), "--n-electrons", "2"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {JSON_DEFECTS[case]}" in result.output
+        assert runs == []  # rejected before the loop starts
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -352,7 +387,18 @@ class TestGap:
         result = runner.invoke(
             main, ["gap", str(FIXTURES / "h2.fcidump"), "--mu", "-0.5"]
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 1  # a domain error, as from `run`
+        assert "penalty strength must be finite and >= 0" in result.output
+
+    @pytest.mark.parametrize("command", ["gap", "run"])
+    def test_negative_mu_from_config_rejected(self, runner, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": -0.5}))
+        result = runner.invoke(
+            main, [command, str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 1
+        assert "penalty strength must be finite and >= 0" in result.output
 
 
 class TestOracle:
@@ -388,6 +434,13 @@ class TestOracle:
         ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(20), 1.0)], 20))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("case", sorted(JSON_DEFECTS))
+    def test_qubit_json_outside_envelope_rejected(self, runner, tmp_path, case):
+        ham = _h2_json_outside_envelope(runner, tmp_path, case)
+        result = runner.invoke(main, ["oracle", str(ham)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {JSON_DEFECTS[case]}" in result.output
 
     def test_bad_sector_usage(self, runner, tmp_path):
         ham = tmp_path / "id.json"

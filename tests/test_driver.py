@@ -15,7 +15,7 @@ from iqcc.driver import (
     singlet_triplet_gap,
     trajectory_csv,
 )
-from iqcc.engine import Ansatz, block_ranking_data
+from iqcc.engine import Ansatz, estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
 from iqcc.mapping import SpinPenalty, reference_state, spin_operators
 from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum, to_matrix
@@ -274,7 +274,7 @@ class TestBlockStatisticsOncePerSum:
 class TestPtCorrection:
     def test_empty_remainder(self, h2_problem):
         _, h, ref = h2_problem
-        assert pt_correction(block_ranking_data(h, ref), []) == 0.0
+        assert pt_correction(_packed.block_statistics(h, ref), np.array([], dtype=np.uint64)) == 0.0
 
     def test_zero_omega_contributes_nothing(self):
         rng = np.random.default_rng(0)
@@ -283,12 +283,33 @@ class TestPtCorrection:
         _, remainder = rank_sum(h, ref, 1)
         # against a Hamiltonian with no off-diagonal blocks every omega is 0
         diag = pack([(parse_word("Z0", 5), 1.0)], 5)
-        assert pt_correction(block_ranking_data(diag, ref), remainder) == 0.0
+        assert pt_correction(_packed.block_statistics(diag, ref), remainder) == 0.0
 
     def test_total_is_nonpositive(self, h4_problem):
         _, h, ref = h4_problem
         _, remainder = rank_sum(h, ref, 4)
-        assert pt_correction(block_ranking_data(h, ref), remainder) <= 0.0
+        assert pt_correction(_packed.block_statistics(h, ref), remainder) <= 0.0
+
+    def test_matches_lookup_by_support(self):
+        # against the statistics of another sum, which has blocks for some
+        # supports of the remainder and none for others: a dict lookup,
+        # summed in rank order
+        rng = np.random.default_rng(5)
+        found = missing = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            h = random_hermitian_sum(n, int(rng.integers(2, 40)), rng)
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            _, remainder = rank_sum(h, ref, int(rng.integers(1, 4)))
+            other = random_hermitian_sum(n, int(rng.integers(0, 40)), rng)
+            blocks = _packed.block_statistics(other, ref)
+            stats = dict(zip(blocks[0].tolist(), zip(blocks[1].tolist(), blocks[2].tolist())))
+            want = 0.0
+            for x in remainder.tolist():
+                want += estimate_amplitude(*stats.get(x, (0.0, 0.0)))[1]
+                found, missing = found + (x in stats), missing + (x not in stats)
+            assert pt_correction(blocks, remainder).hex() == want.hex()
+        assert found > 0 and missing > 0
 
     def test_h4_pt_improves_final_energy(self, h4_problem, reference_values):
         # expected behavior for this system (not asserted as universal)

@@ -6,12 +6,12 @@ from iqcc._packed import expectation_packed, pack
 from iqcc.errors import CapacityError, HermiticityError, InvalidGeneratorError
 from iqcc.engine import (
     Ansatz,
-    block_ranking_data,
     coset_plan,
     derive_canonical_generator,
     estimate_amplitude,
     qcc_energy,
     qcc_energy_and_gradient,
+    rank_generators,
 )
 from iqcc.oracle import ansatz_unitary, reference_vector, to_matrix
 from iqcc.pauli import PauliWord, parse_word, render_word
@@ -24,6 +24,7 @@ from helpers import (
     rank_sum,
     reference_block_statistics,
     reference_expectation,
+    reference_rank_generators,
 )
 
 
@@ -48,7 +49,8 @@ class TestCanonicalGenerator:
 
 def _blocks(h, ref):
     """{x-support: (omega_signed, D)} from the ranking statistics."""
-    return {x: (w, d) for x, w, d in block_ranking_data(h, ref)}
+    xs, omegas, d_values = _packed.block_statistics(h, ref)
+    return {x: (w, d) for x, w, d in zip(xs.tolist(), omegas.tolist(), d_values.tolist())}
 
 
 class TestOmega:
@@ -198,12 +200,12 @@ class TestRanking:
     def test_diagonal_hamiltonian(self):
         h = pack([(parse_word("Z0 Z2", 3), 1.0)], 3)
         selected, remainder = rank_sum(h, ReferenceState(0, 3), 4)
-        assert selected == [] and remainder == []
+        assert selected == [] and len(remainder) == 0 and remainder.dtype == np.uint64
 
     def test_single_block(self):
         h = pack([(parse_word("X0 X1", 2), 0.5), (parse_word("Z0", 2), 1.0)], 2)
         selected, remainder = rank_sum(h, ReferenceState(0b11, 2), 4)
-        assert len(selected) == 1 and remainder == []
+        assert len(selected) == 1 and len(remainder) == 0
         assert selected[0].generator == parse_word("Y0 X1", 2)
 
     def test_h2_top_generator_has_best_lowering(self, h2_problem):
@@ -211,9 +213,12 @@ class TestRanking:
         selected, remainder = rank_sum(h, ref, 1)
         top = selected[0]
         assert render_word(top.generator) == "Y0 X1 X2 X3"
-        assert all(top.importance >= r.importance for r in remainder)
+        # the remainder's statistics are read from the blocks by x-support
+        blocks = _blocks(h, ref)
+        rest = [blocks[x] for x in remainder.tolist()]
+        assert all(top.importance >= abs(estimate_amplitude(w, d)[0]) for w, d in rest)
         # the top importance also carries the deepest exact lowering here
-        lowerings = [estimate_amplitude(r.omega_signed, r.d_value)[1] for r in remainder]
+        lowerings = [estimate_amplitude(w, d)[1] for w, d in rest]
         top_low = estimate_amplitude(top.omega_signed, top.d_value)[1]
         assert all(top_low <= low + 1e-15 for low in lowerings)
 
@@ -222,19 +227,21 @@ class TestRanking:
         for _ in range(10):
             h = random_hermitian_sum(6, 40, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
-            sel, rem = rank_sum(h, ref, 16)
-            for r in sel + rem:
-                _, de = estimate_amplitude(r.omega_signed, r.d_value)
-                assert de <= 0.0
-                assert (de == 0.0) == (r.omega == 0.0)
+            sel, _ = rank_sum(h, ref, 16)
+            for r in sel:
                 assert r.importance >= 0.0
                 assert r.omega == abs(r.omega_signed)
+            # every block, selected or not, from the ranking statistics
+            for omega_signed, d in _blocks(h, ref).values():
+                _, de = estimate_amplitude(omega_signed, d)
+                assert de <= 0.0
+                assert (de == 0.0) == (omega_signed == 0.0)
 
     def test_determinism(self, h4_problem):
         _, h, ref = h4_problem
         a = rank_sum(h, ref, 8)
         b = rank_sum(h, ref, 8)
-        assert a == b
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
     def test_gradient_measure_option(self, h2_problem):
         _, h, ref = h2_problem
@@ -252,6 +259,37 @@ class TestRanking:
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):
             rank_sum(h, ref, 17)
+
+
+class TestRankingReference:
+    """``rank_generators`` against the object sort it replaces: a
+    ``RankedGenerator`` for every block, sorted by (-importance,
+    ``PauliWord.sort_key``)."""
+
+    @pytest.mark.parametrize("measure", ["amplitude", "gradient"])
+    def test_selected_and_remainder_order(self, measure):
+        rng = np.random.default_rng(70 + (measure == "gradient"))
+        ties = 0
+        for _ in range(80):
+            n = int(rng.integers(1, 11))
+            # coefficients from a small set: blocks share omega, D and importance
+            h = drawn_sum(n, int(rng.integers(0, 40)), int(rng.integers(1, 80)), rng,
+                          values=(-1.0, -0.5, 0.5, 1.0))
+            ref = ReferenceState(int(rng.integers(1 << n)), n)
+            blocks = _packed.block_statistics(h, ref)
+            top_l = int(rng.integers(1, 17))
+            selected, remainder = rank_generators(blocks, n, top_l, measure)
+            want_sel, want_rest = reference_rank_generators(blocks, n, top_l, measure)
+            assert selected == want_sel
+            for got, want in zip(selected, want_sel):  # the same bits, as Python floats
+                for name in ("omega", "omega_signed", "d_value", "t_estimate", "importance"):
+                    assert type(getattr(got, name)) is float
+                    assert getattr(got, name).hex() == getattr(want, name).hex()
+            assert remainder.dtype == np.uint64
+            assert remainder.tolist() == [r.generator.x for r in want_rest]
+            importances = [r.importance for r in want_sel + want_rest]
+            ties += len(importances) - len(set(importances))
+        assert ties > 0  # equal importances break on the generator order
 
 
 class TestQccEnergy:

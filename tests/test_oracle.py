@@ -111,6 +111,13 @@ class TestGroundState:
             e, _ = ground_state(h)
             assert e <= expectation_packed(h, ref) + 1e-12
 
+    def test_non_finite_coefficient_fails_residual_check(self):
+        # the eigenpair of a matrix with an inf entry is NaN, and so is its
+        # residual; NaN must fail the tolerance, not pass it
+        h = pack([(parse_word("Z0", 2), np.inf), (parse_word("X0", 2), 0.5)], 2)
+        with np.errstate(invalid="ignore"), pytest.raises(IqccError, match="eigen-residual nan"):
+            ground_state(h)
+
 
 class TestSpinResolved:
     def test_h2_singlet_is_ground(self, h2_problem, reference_values):

@@ -9,6 +9,7 @@ import pytest
 from iqcc.errors import (
     CapacityError,
     DimensionError,
+    HermiticityError,
     InvalidGeneratorError,
 )
 from iqcc.pauli import PauliWord, parse_word
@@ -309,6 +310,22 @@ class TestQubitEnvelope:
     def test_json_bound_checked_before_terms(self):
         with pytest.raises(CapacityError):
             from_json_dict({"n_qubits": 65, "terms": [{"word": "not a word"}]})
+
+    @pytest.mark.parametrize(
+        "terms, n_qubits, error, message",
+        [
+            ([{"word": "I", "coeff": 1.0}], -1, DimensionError, "negative qubit count -1"),
+            ([{"word": "Z0", "coeff": math.inf}], 2, ValueError, "non-finite coefficient inf on Z0"),
+            ([{"word": "Z0", "coeff": math.inf}, {"word": "Z0", "coeff": -math.inf}], 2,
+             ValueError, "non-finite coefficient nan on Z0"),
+            ([{"word": "Z0", "coeff": 0.5}, {"word": "X0 Y1", "coeff": 0.1}], 2,
+             HermiticityError, "odd y-count word X0 Y1"),
+        ],
+        ids=["negative_qubits", "inf", "inf_minus_inf", "odd_y"],
+    )
+    def test_json_outside_envelope_rejected(self, terms, n_qubits, error, message):
+        with pytest.raises(error, match=message):
+            from_json_dict({"n_qubits": n_qubits, "terms": terms})
 
     def test_64_qubit_json_loads(self):
         pairs = [(parse_word("X0 Z63", 64), 0.5), (parse_word("Y1 Y63", 64), -0.25)]

@@ -5,6 +5,7 @@ import pytest
 
 from iqcc import _packed
 from iqcc._packed import pack
+from iqcc.driver import IqccConfig, run_iqcc
 from iqcc.engine import Ansatz, coset_plan, qcc_energy, qcc_energy_and_gradient
 from iqcc.errors import CapacityError
 from iqcc.pauli import PauliWord, parse_word
@@ -12,11 +13,13 @@ from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import (
     assert_same,
+    assert_same_plan,
     chain_gradient,
     drawn_sum,
     random_generator,
     random_hermitian_sum,
     reference_dress,
+    reference_live_plan,
     reference_plan_chain,
     spy_sort,
 )
@@ -303,13 +306,35 @@ class TestLivePlan:
             live_rows += sum(layer.n_out for layer in live.layers)
         assert live_rows < full_rows  # the cut drops rows on these sums
 
-    def test_cut_of_a_cut_is_the_same(self):
-        for h, gens, ts in _cases(44, False):
+    def test_cut_equals_two_pass_reference(self):
+        # every field of every cut layer, on the seeded sums of every depth
+        for h, gens, _ts in _cases(44, False):
             plan, _ = coset_plan(h, gens)
-            live = _packed.live_plan(plan)
-            again = _packed.live_plan(live)
-            assert len(again) == len(live)
-            assert_same(_packed.run_plan(again, ts), _packed.run_plan(live, ts))
+            assert_same_plan(_packed.live_plan(plan), reference_live_plan(plan))
+
+    def test_lih_ground_cuts_equal_two_pass_reference(self, lih_problem, monkeypatch):
+        # the plans of the benchmark's lih_ground command: L=8, 1e-6 Ha, 4 iterations
+        _, h, ref = lih_problem
+        real = _packed.live_plan
+        cuts = []
+
+        def checked(plan):
+            live = real(plan)
+            assert_same_plan(live, reference_live_plan(plan))
+            cuts.append(len(live))
+            return live
+
+        monkeypatch.setattr(_packed, "live_plan", checked)
+        cfg = IqccConfig(generators_per_iteration=8, energy_convergence=1e-6, max_iterations=4)
+        res = run_iqcc(h, ref, cfg)
+        assert cuts == [r.evaluated_terms for r in res.records] and len(cuts) == 4
+
+    def test_cut_of_a_cut_raises(self):
+        # the sweep reads the full layer's form; a cut plan does not have it
+        for h, gens, _ts in _cases(44, False):
+            plan, _ = coset_plan(h, gens)
+            with pytest.raises(ValueError, match="cut plan"):
+                _packed.live_plan(_packed.live_plan(plan))
 
 
 class TestSplitDressing:
