@@ -312,7 +312,12 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @_guard
 def oracle(hamiltonian, sector, output):
-    """Exact-diagonalization oracle on a qubit-Hamiltonian JSON."""
+    """Exact-diagonalization oracle on a qubit-Hamiltonian JSON.
+
+    Without --sector: the ground state.  With it: the lowest state of that
+    spin sector, diagonalized one (N, m_s) block of determinants at a time.
+    Both run up to 16 qubits.
+    """
     from .oracle import ground_state, spin_resolved_spectrum
 
     data = json.loads(hamiltonian.read_text(encoding="utf-8"))

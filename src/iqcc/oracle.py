@@ -6,10 +6,10 @@ with qubit 0 as the least significant bit.  A canonical word i^y X^x Z^z acts
 on |b> as  i^y * (-1)^popcount(z & b) * |b XOR x>,  so Z0 on one qubit is
 diag(+1, -1) in basis order (unoccupied, occupied).
 
-Sums are ``PackedSum``s: ``to_matrix`` and ``to_sparse`` read each word's
-masks and coefficient from the arrays (``_word_entries``).  Dense
-realizations are allowed up to 12 qubits; a sparse matrix-vector path covers
-13-16.
+Sums are ``PackedSum``s.  One assembly (``_columns``) builds a sum's matrix
+columns at ascending basis states from its word masks: ``to_sparse`` (all
+states, up to 16 qubits), ``to_matrix`` (dense, up to 12) and the (electron
+count, m_s) blocks of ``spin_resolved_spectrum`` (up to 16) use it.
 """
 
 from __future__ import annotations
@@ -30,39 +30,50 @@ SPARSE_QUBIT_LIMIT = 16
 _I_POW = np.array([1, 1j, -1, -1j])
 
 
-def _word_entries(p: PackedSum):
-    """Per word of ``p``: the row each basis column goes to, and the value there."""
-    basis = np.arange(1 << p.n_qubits)
-    for x, z, c in zip(p.x.tolist(), p.z.tolist(), p.c.tolist()):
-        signs = np.where(np.bitwise_count(basis & z) % 2 == 1, -c, c)
-        yield basis ^ x, _I_POW[(x & z).bit_count() % 4] * signs
+def _columns(p: PackedSum, states: np.ndarray) -> sp.csr_matrix:
+    """Columns of ``p``'s matrix at the ascending basis ``states``, as 2^n
+    rows: each word sends column b to row b ^ x, and repeated entries add."""
+    x, z = p.x.astype(np.int64)[:, None], p.z.astype(np.int64)[:, None]
+    signs = np.where(np.bitwise_count(states & z) % 2 == 1, -p.c[:, None], p.c[:, None])
+    vals = _I_POW[np.bitwise_count(x & z) % 4] * signs
+    cols = np.broadcast_to(np.arange(len(states)), vals.shape)
+    shape = (1 << p.n_qubits, len(states))
+    return sp.csr_matrix((vals.ravel(), ((states ^ x).ravel(), cols.ravel())), shape=shape)
+
+
+def to_sparse(p: PackedSum) -> sp.csr_matrix:
+    if p.n_qubits > SPARSE_QUBIT_LIMIT:
+        raise CapacityError(f"{p.n_qubits} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
+    return _columns(p, np.arange(1 << p.n_qubits))
 
 
 def to_matrix(p: PackedSum) -> np.ndarray:
     """Dense 2^N x 2^N realization of a Pauli sum."""
-    n = p.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    dim = 1 << n
-    columns = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for rows, vals in _word_entries(p):
-        mat[rows, columns] += vals
-    return mat
+    if p.n_qubits > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{p.n_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    return to_sparse(p).toarray()
 
 
-def to_sparse(p: PackedSum) -> sp.csr_matrix:
-    n = p.n_qubits
-    if n > SPARSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
-    dim = 1 << n
-    if len(p) == 0:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    rows, vals = zip(*_word_entries(p))
-    columns = np.tile(np.arange(dim), len(p))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), columns)), shape=(dim, dim)
-    )
+def _sector_block(p: PackedSum, states: np.ndarray) -> np.ndarray:
+    """Dense block of ``p`` on ``states``; raises if ``p`` leaves their span
+    (single words may: only the entries summed over the words count) or if
+    the block is not finite."""
+    cols = _columns(p, states)
+    block = cols[states].toarray()
+    outside = np.isin(np.arange(cols.shape[0]), states, invert=True)
+    leak = np.max(np.abs(cols[outside].data), initial=0.0)
+    tol = 1e-10 * max(1.0, np.max(np.abs(block), initial=0.0))
+    if not leak <= tol < np.inf:  # False for NaN and for an infinite block
+        raise IqccError(f"operator leaves the sector block or is not finite ({leak:.3e})")
+    return block
+
+
+def _solve(solver, *args, **kwargs):
+    """Run an eigensolver; its failure is a domain error."""
+    try:
+        return solver(*args, **kwargs)
+    except (np.linalg.LinAlgError, spla.ArpackError) as exc:
+        raise IqccError(f"eigensolver failed: {exc}") from exc
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
@@ -76,23 +87,16 @@ def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
     The residual ||Hv - Ev|| is verified to 1e-10 times the coefficient scale;
     a NaN residual fails.
     """
-    n = h.n_qubits
-    if n > SPARSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds oracle limit {SPARSE_QUBIT_LIMIT}")
-    if n <= 10:
-        mat = to_matrix(h)
-        vals, vecs = np.linalg.eigh(mat)
-        energy, vec = float(vals[0]), vecs[:, 0]
-        mv = mat @ vec
+    mat = to_sparse(h)
+    if h.n_qubits <= 10:
+        vals, vecs = _solve(np.linalg.eigh, mat.toarray())
     else:
-        mat = to_sparse(h)
         dim = mat.shape[0]
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=v0, tol=0)
-        energy, vec = float(vals[0]), vecs[:, 0]
-        mv = mat @ vec
+        vals, vecs = _solve(spla.eigsh, mat, k=1, which="SA", v0=v0, tol=0)
+    energy, vec = float(vals[0]), vecs[:, 0]
     scale = max(1.0, abs(energy))
-    resid = float(np.linalg.norm(mv - energy * vec))
+    resid = float(np.linalg.norm(mat @ vec - energy * vec))
     if not resid <= 1e-10 * scale:  # False for NaN
         raise IqccError(f"eigen-residual {resid:.3e} above tolerance")
     return energy, vec
@@ -107,48 +111,44 @@ def spin_resolved_spectrum(
     """Lowest eigenvalue of h among simultaneous (S^2, S_z) eigenstates.
 
     ``sector`` is (s, m_s); states must have <S^2> within 1e-6 of s(s+1) and
-    <S_z> within 1e-6 of m_s.  Degenerate h-eigenspaces are resolved by
-    diagonalizing S^2 and then S_z inside each cluster, so spin labels are
-    sharp even across multiplet degeneracies.
+    S_z within 1e-6 of m_s.  ``s_z`` must be diagonal.  Each block of basis
+    states with one electron count (popcount) and S_z = m_s is diagonalized
+    apart; ``h`` and ``s_squared`` must not leave a block, and must commute
+    on it.  Degenerate h-eigenspaces are resolved by diagonalizing S^2 inside
+    each cluster, so spin labels are sharp even across multiplet degeneracies.
     """
     n = h.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{n} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
+    if n > SPARSE_QUBIT_LIMIT:
+        raise CapacityError(f"{n} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
+    if np.any(s_z.x):
+        raise IqccError("S_z has an off-diagonal word")
     s, m_s = sector
-    hm = to_matrix(h)
-    s2m = to_matrix(s_squared)
-    szm = to_matrix(s_z)
-    for name, om in (("S^2", s2m), ("S_z", szm)):
-        comm = om @ hm - hm @ om
-        if np.max(np.abs(comm)) > 1e-10 * max(1.0, np.max(np.abs(hm))):
-            raise IqccError(f"{name} does not commute with the Hamiltonian")
-
-    evals, evecs = np.linalg.eigh(hm)
-    target_s2 = s * (s + 1.0)
-    best = None
-    idx = 0
-    dim = len(evals)
-    while idx < dim:
-        # cluster nearly degenerate h-eigenvalues
-        j = idx + 1
-        while j < dim and evals[j] - evals[idx] < 1e-9 * max(1.0, abs(evals[idx])):
-            j += 1
-        block = evecs[:, idx:j]
-        s2_block = block.conj().T @ s2m @ block
-        s2_vals, s2_vecs = np.linalg.eigh(s2_block)
-        for s2_val in np.unique(np.round(s2_vals, 6)):
-            sel = np.abs(s2_vals - s2_val) < 1e-6
-            sub = block @ s2_vecs[:, sel]
-            sz_sub = sub.conj().T @ szm @ sub
-            sz_vals, _ = np.linalg.eigh(sz_sub)
-            if abs(s2_val - target_s2) < 1e-6 and np.any(np.abs(sz_vals - m_s) < 1e-6):
-                energy = float(evals[idx])
-                if best is None or energy < best:
-                    best = energy
-        if best is not None:
-            return best
-        idx = j
-    raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")
+    in_ms = np.abs(to_sparse(s_z).diagonal().real - m_s) < 1e-6
+    electrons = np.bitwise_count(np.arange(1 << n))
+    lows = []
+    for n_e in range(n + 1):
+        states = np.flatnonzero(in_ms & (electrons == n_e))
+        if not len(states):
+            continue
+        hm, s2m = _sector_block(h, states), _sector_block(s_squared, states)
+        if not np.max(np.abs(s2m @ hm - hm @ s2m)) <= 1e-10 * max(1.0, np.max(np.abs(hm))):
+            raise IqccError("S^2 does not commute with the Hamiltonian")
+        evals, evecs = _solve(np.linalg.eigh, hm)
+        idx = 0
+        while idx < len(evals):
+            # cluster nearly degenerate h-eigenvalues
+            j = idx + 1
+            while j < len(evals) and evals[j] - evals[idx] < 1e-9 * max(1.0, abs(evals[idx])):
+                j += 1
+            block = evecs[:, idx:j]
+            s2_vals = _solve(np.linalg.eigvalsh, block.conj().T @ s2m @ block)
+            if np.any(np.abs(s2_vals - s * (s + 1.0)) < 1e-6):
+                lows.append(float(evals[idx]))
+                break
+            idx = j
+    if not lows:
+        raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")
+    return min(lows)
 
 
 def reference_vector(ref: ReferenceState) -> np.ndarray:
@@ -169,4 +169,3 @@ def ansatz_unitary(entanglers, n_qubits: int) -> np.ndarray:
         tm = word_matrix(t_gen)
         u = u @ (np.cos(t_val / 2) * np.eye(dim) - 1j * np.sin(t_val / 2) * tm)
     return u
-

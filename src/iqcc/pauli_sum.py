@@ -4,8 +4,9 @@ Coefficients are in Hartree throughout.  A sum is a ``_packed.PackedSum``:
 canonical (phase-free) words as (x, z) masks, sorted by key, with real
 coefficients and no zeros.  ``from_json_dict`` rejects at load a sum over
 more than ``MAX_QUBITS`` (64) qubits (:class:`CapacityError`), a negative
-qubit count, a non-finite coefficient and an odd-y word (an imaginary matrix
-in a real Hamiltonian).
+qubit count, a qubit count that is not a JSON integer or a coefficient that
+is not a JSON number (a JSON bool is neither), a non-finite coefficient and
+an odd-y word (an imaginary matrix in a real Hamiltonian).
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -128,15 +129,22 @@ def to_json_dict(p: PackedSum) -> dict:
     }
 
 
+def _json_number(term: dict) -> float:
+    c = term["coeff"]
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValueError(f"coefficient of {term['word']} needs a JSON number: {c!r}")
+    return float(c)
+
+
 def from_json_dict(data: dict) -> PackedSum:
     """``to_json_dict``'s inverse, with the load checks the module lists."""
     from . import _packed
 
-    n = int(data["n_qubits"])
+    n = data["n_qubits"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n_qubits needs a JSON integer: {n!r}")
     check_qubit_bound(n)
-    p = _packed.pack(
-        [(parse_word(t["word"], n), float(t["coeff"])) for t in data["terms"]], n
-    )
+    p = _packed.pack([(parse_word(t["word"], n), _json_number(t)) for t in data["terms"]], n)
     bad = np.flatnonzero(~np.isfinite(p.c))
     if len(bad):
         word = render_masks(int(p.x[bad[0]]), int(p.z[bad[0]]))

@@ -403,11 +403,10 @@ def main():
             "fci_energy": e_fci,
             "jw_term_count": len(h_qubit),
         }
-        if mi.n_spatial <= 4:
-            s2, sz = spin_operators(2 * mi.n_spatial)
-            entry["fci_singlet"] = spin_resolved_spectrum(h_qubit, s2, sz, (0.0, 0.0))
-            entry["fci_triplet"] = spin_resolved_spectrum(h_qubit, s2, sz, (1.0, 1.0))
-            print(f"   S0 / T1:          {entry['fci_singlet']:.10f} / {entry['fci_triplet']:.10f}")
+        s2, sz = spin_operators(2 * mi.n_spatial)
+        entry["fci_singlet"] = spin_resolved_spectrum(h_qubit, s2, sz, (0.0, 0.0))
+        entry["fci_triplet"] = spin_resolved_spectrum(h_qubit, s2, sz, (1.0, 1.0))
+        print(f"   S0 / T1:          {entry['fci_singlet']:.10f} / {entry['fci_triplet']:.10f}")
         reference[name] = entry
 
     out = here / "reference_values.json"

@@ -1,7 +1,8 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
 the mask-form plan, two-pass live-cut, object-ranking and block-statistics
-references, a sort spy and an independent fermionic oracle."""
+references, a sort spy, an independent fermionic oracle and the
+whole-space spin-resolved spectrum."""
 
 import itertools
 import math
@@ -24,7 +25,8 @@ from iqcc.engine import (
     estimate_amplitude,
     rank_generators,
 )
-from iqcc.errors import HermiticityError
+from iqcc.errors import HermiticityError, IqccError
+from iqcc.oracle import to_matrix
 from iqcc.pauli import PauliWord, raw_multiply, render_word
 from iqcc.pauli_sum import ReferenceState
 
@@ -516,3 +518,46 @@ def random_symmetric_integrals(n_spatial: int, rng, core: float = 0.0):
     g2 = g2 + g2.transpose(0, 1, 3, 2)
     g2 = g2 + g2.transpose(2, 3, 0, 1)
     return MolecularIntegrals(core, h1, g2, n_spatial, n_spatial)
+
+
+def reference_spin_resolved_spectrum(
+    h: PackedSum, s_squared: PackedSum, s_z: PackedSum, sector: tuple[float, float]
+) -> float:
+    """``oracle.spin_resolved_spectrum`` on the whole 2^n space: dense H, S^2
+    and S_z, both commutators checked, H diagonalized once, and S^2 then S_z
+    resolved inside each near-degenerate cluster of its eigenvalues."""
+    s, m_s = sector
+    hm = to_matrix(h)
+    s2m = to_matrix(s_squared)
+    szm = to_matrix(s_z)
+    for name, om in (("S^2", s2m), ("S_z", szm)):
+        comm = om @ hm - hm @ om
+        if np.max(np.abs(comm)) > 1e-10 * max(1.0, np.max(np.abs(hm))):
+            raise IqccError(f"{name} does not commute with the Hamiltonian")
+
+    evals, evecs = np.linalg.eigh(hm)
+    target_s2 = s * (s + 1.0)
+    best = None
+    idx = 0
+    dim = len(evals)
+    while idx < dim:
+        # cluster nearly degenerate h-eigenvalues
+        j = idx + 1
+        while j < dim and evals[j] - evals[idx] < 1e-9 * max(1.0, abs(evals[idx])):
+            j += 1
+        block = evecs[:, idx:j]
+        s2_block = block.conj().T @ s2m @ block
+        s2_vals, s2_vecs = np.linalg.eigh(s2_block)
+        for s2_val in np.unique(np.round(s2_vals, 6)):
+            sel = np.abs(s2_vals - s2_val) < 1e-6
+            sub = block @ s2_vecs[:, sel]
+            sz_sub = sub.conj().T @ szm @ sub
+            sz_vals, _ = np.linalg.eigh(sz_sub)
+            if abs(s2_val - target_s2) < 1e-6 and np.any(np.abs(sz_vals - m_s) < 1e-6):
+                energy = float(evals[idx])
+                if best is None or energy < best:
+                    best = energy
+        if best is not None:
+            return best
+        idx = j
+    raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")

@@ -337,3 +337,26 @@ class TestAcceptance:
             digests[0] == digests[1] and csv_equal and json_equal,
             f"digest={digests[0][:16]}",
         )
+
+    def test_12_lih_gap(self, lih_problem, reference_values):
+        # the paper's observable, T1 -> S0, on the 12-qubit fixture against the
+        # (N, m_s)-block FCI values, at test_04's tolerance
+        mi, _, _ = lih_problem
+        cfg = IqccConfig(
+            generators_per_iteration=8,
+            energy_convergence=1e-6,
+            max_iterations=40,
+            penalty=SpinPenalty(mu=0.25),
+        )
+        gap = singlet_triplet_gap(mi, None, cfg)
+        fci = reference_values["lih"]
+        errors = (
+            abs(gap.e_singlet - fci["fci_singlet"]),
+            abs(gap.e_triplet - fci["fci_triplet"]),
+            abs(gap.gap_ev / HARTREE_TO_EV - (fci["fci_triplet"] - fci["fci_singlet"])),
+        )
+        _verdict(
+            "LiH singlet/triplet gap (L=8, mu=0.25, S0, T1 and gap within 2e-5 Ha)",
+            max(errors) < 2e-5,
+            "S0 err={:.2e} T1 err={:.2e} gap err={:.2e} Ha".format(*errors),
+        )

@@ -84,20 +84,35 @@ def _h2_json_outside_envelope(runner, tmp_path, case: str) -> Path:
     ham = tmp_path / "h2.json"
     runner.invoke(main, ["transform", str(FIXTURES / "h2.fcidump"), "-o", str(ham)])
     data = json.loads(ham.read_text())
-    if case == "negative_qubits":
-        data["n_qubits"] = -4
-    elif case == "inf":
-        data["terms"][0]["coeff"] = float("inf")
-    else:
+    if case == "odd_y":
         data["terms"].append({"word": "X0 Y1", "coeff": 0.1})
+    elif case.endswith("qubits"):
+        data["n_qubits"] = JSON_BAD_VALUES[case]
+    else:
+        data["terms"][0]["coeff"] = JSON_BAD_VALUES[case]
     ham.write_text(json.dumps(data))
     return ham
 
 
-# each qubit-JSON defect and the domain error it is rejected with at load
+# the value each qubit-JSON defect puts in place of n_qubits or the first
+# coefficient, and the domain error it is rejected with at load
+JSON_BAD_VALUES = {
+    "negative_qubits": -4,
+    "float_qubits": 4.9,
+    "string_qubits": "4",
+    "bool_qubits": True,
+    "inf": float("inf"),
+    "string_coeff": "0.5",
+    "bool_coeff": True,
+}
 JSON_DEFECTS = {
     "negative_qubits": "negative qubit count -4",
+    "float_qubits": "n_qubits needs a JSON integer: 4.9",
+    "string_qubits": "n_qubits needs a JSON integer: '4'",
+    "bool_qubits": "n_qubits needs a JSON integer: True",
     "inf": "non-finite coefficient inf",
+    "string_coeff": "coefficient of I needs a JSON number: '0.5'",
+    "bool_coeff": "coefficient of I needs a JSON number: True",
     "odd_y": "odd y-count word X0 Y1",
 }
 

@@ -3,7 +3,8 @@ import pytest
 
 from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
-from iqcc.mapping import spin_operators
+from iqcc.fcidump import MolecularIntegrals
+from iqcc.mapping import jordan_wigner, spin_operators
 from iqcc.oracle import (
     ansatz_unitary,
     ground_state,
@@ -16,7 +17,14 @@ from iqcc.oracle import (
 from iqcc.pauli import PauliWord, multiply, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import random_generator, random_hermitian_sum
+from helpers import (
+    random_generator,
+    random_hermitian_sum,
+    random_symmetric_integrals,
+    reference_spin_resolved_spectrum,
+)
+
+SECTORS = [(0.0, 0.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]
 
 PAULI_1Q = {
     "I": np.eye(2),
@@ -73,6 +81,9 @@ class TestToMatrix:
             to_matrix(pack([], 20))
         with pytest.raises(CapacityError):
             ground_state(pack([], 20))
+        s2, sz = spin_operators(18)
+        with pytest.raises(CapacityError):
+            spin_resolved_spectrum(pack([], 17), s2, sz, (0.0, 0.0))
 
 
 class TestGroundState:
@@ -118,6 +129,12 @@ class TestGroundState:
         with np.errstate(invalid="ignore"), pytest.raises(IqccError, match="eigen-residual nan"):
             ground_state(h)
 
+    def test_solver_failure_is_domain_error(self):
+        # eigh itself fails on an infinite off-diagonal entry
+        h = pack([(parse_word("X0 X1", 2), np.inf), (parse_word("Z0", 2), 1.0)], 2)
+        with np.errstate(invalid="ignore"), pytest.raises(IqccError, match="eigensolver failed"):
+            ground_state(h)
+
 
 class TestSpinResolved:
     def test_h2_singlet_is_ground(self, h2_problem, reference_values):
@@ -147,6 +164,74 @@ class TestSpinResolved:
         s2, sz = spin_operators(4)
         with pytest.raises(IqccError):
             spin_resolved_spectrum(h, s2, sz, (5.0, 5.0))
+
+    @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "seed0", "seed1", "seed2"])
+    def test_blocks_match_whole_space(self, request, name):
+        if name.startswith("seed"):
+            # seeded random integrals over 2, 3 and 4 spatial orbitals
+            seed = int(name[4:])
+            h = jordan_wigner(random_symmetric_integrals(seed + 2, np.random.default_rng(seed)))
+        else:
+            _, h, _ = request.getfixturevalue(f"{name}_problem")
+        s2, sz = spin_operators(h.n_qubits)
+        for sector in SECTORS:
+            e_blocks = spin_resolved_spectrum(h, s2, sz, sector)
+            e_whole = reference_spin_resolved_spectrum(h, s2, sz, sector)
+            assert abs(e_blocks - e_whole) < 1e-12, (sector, e_blocks, e_whole)
+
+    @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
+    def test_stored_singlet_and_triplet(self, request, reference_values, name):
+        _, h, _ = request.getfixturevalue(f"{name}_problem")
+        s2, sz = spin_operators(h.n_qubits)
+        stored = reference_values[name]
+        assert abs(spin_resolved_spectrum(h, s2, sz, (0.0, 0.0)) - stored["fci_singlet"]) < 1e-12
+        assert abs(spin_resolved_spectrum(h, s2, sz, (1.0, 1.0)) - stored["fci_triplet"]) < 1e-12
+
+    def test_number_breaking_hamiltonian_rejected(self, h2_problem):
+        # commutes with neither N nor the block structure: an error, not a number
+        _, h, _ = h2_problem
+        s2, sz = spin_operators(4)
+        bad = pack(unpack(h) + [(parse_word("X0", 4), 0.1)], 4)
+        with pytest.raises(IqccError, match="leaves the sector block"):
+            spin_resolved_spectrum(bad, s2, sz, (0.0, 0.0))
+
+    def test_off_diagonal_s_z_rejected(self, h2_problem):
+        _, h, _ = h2_problem
+        s2, sz = spin_operators(4)
+        bad = pack(unpack(sz) + [(parse_word("X0 X2", 4), 0.1)], 4)
+        with pytest.raises(IqccError, match="off-diagonal"):
+            spin_resolved_spectrum(h, s2, bad, (0.0, 0.0))
+
+    def test_non_finite_block_rejected(self):
+        # an infinite diagonal entry: eigh returns -inf or NaN there, no error
+        hop = [(parse_word("X0 Z1 X2", 4), 0.5), (parse_word("Y0 Z1 Y2", 4), 0.5)]
+        h = pack([(parse_word("Z0", 4), np.inf)] + hop, 4)
+        s2, sz = spin_operators(4)
+        with np.errstate(invalid="ignore"), pytest.raises(IqccError, match="not finite"):
+            spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+
+    def test_block_solver_failure_is_domain_error(self, h2_problem, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        _, h, _ = h2_problem
+        s2, sz = spin_operators(4)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(IqccError, match="eigensolver failed"):
+            spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+
+    def test_fourteen_qubits(self):
+        # a 7-site Hubbard ring, beyond the dense limit: its triplet is
+        # degenerate in m_s
+        n_sites = 7
+        ring = np.roll(np.eye(n_sites), 1, axis=1)
+        site = np.arange(n_sites)
+        g2 = np.zeros((n_sites,) * 4)
+        g2[site, site, site, site] = 4.0  # on-site repulsion U = 4 |t|
+        h = jordan_wigner(MolecularIntegrals(0.0, -(ring + ring.T), g2, n_sites, n_sites))
+        s2, sz = spin_operators(14)
+        e_up, e_down = (spin_resolved_spectrum(h, s2, sz, (1.0, m)) for m in (1.0, -1.0))
+        assert np.isfinite(e_up) and abs(e_up - e_down) < 1e-9
 
 
 class TestAnsatzUnitary:

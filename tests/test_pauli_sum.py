@@ -320,12 +320,24 @@ class TestQubitEnvelope:
              ValueError, "non-finite coefficient nan on Z0"),
             ([{"word": "Z0", "coeff": 0.5}, {"word": "X0 Y1", "coeff": 0.1}], 2,
              HermiticityError, "odd y-count word X0 Y1"),
+            ([{"word": "Z0", "coeff": 0.5}], 1.9, ValueError, "n_qubits needs a JSON integer: 1.9"),
+            ([{"word": "Z0", "coeff": 0.5}], "1", ValueError, "n_qubits needs a JSON integer: '1'"),
+            ([{"word": "Z0", "coeff": 0.5}], True, ValueError, "n_qubits needs a JSON integer: True"),
+            ([{"word": "Z0", "coeff": "0.5"}], 1, ValueError,
+             "coefficient of Z0 needs a JSON number: '0.5'"),
+            ([{"word": "Z0", "coeff": True}], 1, ValueError,
+             "coefficient of Z0 needs a JSON number: True"),
         ],
-        ids=["negative_qubits", "inf", "inf_minus_inf", "odd_y"],
+        ids=["negative_qubits", "inf", "inf_minus_inf", "odd_y", "float_qubits",
+             "string_qubits", "bool_qubits", "string_coeff", "bool_coeff"],
     )
     def test_json_outside_envelope_rejected(self, terms, n_qubits, error, message):
         with pytest.raises(error, match=message):
             from_json_dict({"n_qubits": n_qubits, "terms": terms})
+
+    def test_json_integer_coefficient_loads(self):
+        h = from_json_dict({"n_qubits": 1, "terms": [{"word": "Z0", "coeff": 2}]})
+        assert terms_dict(h) == {(0, 1): 2.0} and h.c.dtype == np.float64
 
     def test_64_qubit_json_loads(self):
         pairs = [(parse_word("X0 Z63", 64), 0.5), (parse_word("Y1 Y63", 64), -0.25)]
