@@ -46,8 +46,9 @@ disjoint parts into one sum by ``_sort`` alone (``_add`` is the add of sums
 that share keys); both arrive sorted, and up to 32 qubits the stable argsort
 of the composite key, a timsort, finds the two runs and merges them in
 linear time.  Each layer is linear in its input and the energy is d . c_L,
-with d the signed indicator of the diagonal rows, so ``energy_and_gradient``
-takes the gradient by one reverse pass of d through the same index arrays.
+with d the signed indicator of the diagonal rows (``_reference_sign``), so
+``energy_and_gradient`` sums d * c_L for the energy and takes the gradient
+by one reverse pass of d through the same index arrays.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ from .pauli_sum import ReferenceState, check_qubit_bound
 
 def _popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a).astype(np.int64)
+
+
+def _reference_sign(z: np.ndarray, ref: ReferenceState) -> np.ndarray:
+    """<0|Z^z|0> of each diagonal word's z mask: +-1.0, so c times it is exact."""
+    return np.where(np.bitwise_count(z & np.uint64(ref.occupation)) & 1, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -202,11 +208,10 @@ class DressPlan:
 
     ``x``/``z`` are the keys of the last layer: every key any amplitude can
     reach, or in a ``live_plan`` cut the diagonal ones.  ``len`` is the
-    number of input rows.
+    number of input rows.  Layer j takes the j-th amplitude of a replay.
     """
 
     n_qubits: int
-    generators: tuple[PauliWord, ...]
     c: np.ndarray  # float64 input coefficients
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
@@ -224,7 +229,6 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
     most one of each.  A layer whose input and spawned rows number more than
     ``max_terms`` raises :class:`CapacityError` before they are concatenated.
     """
-    generators = tuple(generators)
     x, z = p.x, p.z
     layers = []
     for gen in generators:
@@ -255,7 +259,7 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
         layers.append(PlanLayer(
             slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
         ))
-    return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+    return DressPlan(p.n_qubits, p.c, tuple(layers), x, z)
 
 
 def live_plan(plan: DressPlan) -> DressPlan:
@@ -319,11 +323,6 @@ def _replay(plan: DressPlan, amplitudes):
         yield c
 
 
-def _last_layer(plan: DressPlan, c: np.ndarray) -> PackedSum:
-    keep = c != 0.0
-    return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
-
-
 def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
     """The sum of ``plan`` dressed at ``amplitudes``.
 
@@ -334,7 +333,8 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
     """
     for c in _replay(plan, amplitudes):
         pass
-    return _last_layer(plan, c)
+    keep = c != 0.0
+    return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
 
 
 def _sum(a: np.ndarray) -> float:
@@ -349,17 +349,22 @@ def energy_and_gradient(
 ) -> tuple[float, list[float]]:
     """<0|H_L|0> and its derivative in each amplitude, from one plan.
 
-    The energy is ``expectation_packed`` of ``run_plan``'s sum.  E = d . c_L
-    with d the signed indicator of the diagonal rows, so lambda = dE/dc
+    ``plan`` is a ``plan_chain`` plan or its ``live_plan`` cut (the same
+    numbers), with one amplitude per layer, else ``ValueError``.  E = d . c_L
+    with d the signed indicator of the diagonal rows: the energy sums d * c_L
+    over the non-zero diagonal rows in key order, the array that
+    ``expectation_packed`` sums for ``run_plan``'s sum.  lambda = dE/dc
     pulls back from d through each layer: a base row copies lambda, an anti
     row takes lambda*cos(t), a parent adds +-sin(t) lambda of its spawned
     row.  With c a layer's input and lambda its output, dE/dt is
     cos(t) sum(+-lambda[spawn_dest] c[spawn_src]) - sin(t) sum(lambda[anti_dest] c[anti]).
     """
+    if plan.n_qubits != ref.n_qubits:
+        raise DimensionError("sum and reference state qubit counts differ")
     cs = list(_replay(plan, amplitudes))
-    energy = expectation_packed(_last_layer(plan, cs[-1]), ref)
-    parity = _popcount(plan.z & np.uint64(ref.occupation)) % 2
-    lam = np.where(plan.x == 0, np.where(parity == 1, -1.0, 1.0), 0.0)
+    diagonal, c = plan.x == 0, cs[-1]
+    lam = np.where(diagonal, _reference_sign(plan.z, ref), 0.0)
+    energy = float(np.sum((lam * c)[diagonal & (c != 0.0)]))
     grad = [0.0] * len(plan.layers)
     for k in reversed(range(len(plan.layers))):
         layer, t, c = plan.layers[k], amplitudes[k], cs[k]
@@ -400,12 +405,7 @@ def expectation_packed(p: PackedSum, ref: ReferenceState) -> float:
     if p.n_qubits != ref.n_qubits:
         raise DimensionError("sum and reference state qubit counts differ")
     n_diag = _n_diagonal(p)
-    if n_diag == 0:
-        return 0.0
-    occ = np.uint64(ref.occupation)
-    dz, dc = p.z[:n_diag], p.c[:n_diag]
-    vals = np.where(np.bitwise_count(dz & occ) & 1, -dc, dc)
-    return float(np.sum(vals))
+    return float(np.sum(_reference_sign(p.z[:n_diag], ref) * p.c[:n_diag]))
 
 
 def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
@@ -442,7 +442,7 @@ def block_statistics(
         empty = np.array([], dtype=np.uint64)
         return empty, np.array([]), np.array([])
     diag_z, diag_c = p.z[:n_diag], p.c[:n_diag]
-    diag_vals = np.where(np.bitwise_count(diag_z & occ) & 1, -diag_c, diag_c)
+    diag_vals = _reference_sign(diag_z, ref) * diag_c
     ox, oz, oc = p.x[n_diag:], p.z[n_diag:], p.c[n_diag:]
     # <0|I_k|0> contributions: the coefficient negated once for a y-count of
     # 2 mod 4 and once for an odd reference parity (the y-count is even)

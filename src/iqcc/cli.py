@@ -35,7 +35,7 @@ from .fcidump import CASWindow, load_fcidump, select_cas
 from .mapping import SpinPenalty, jordan_wigner, reference_state, spin_operators
 from .optimizer import OptimizationConfig
 from .pauli import parse_word
-from .pauli_sum import MAX_QUBITS, from_json_dict, to_json_dict
+from .pauli_sum import MAX_QUBITS, _json_key, from_json_dict, to_json_dict
 
 # IqccConfig fields that are nested sections; their fields are flat config
 # keys, the penalty's as mu/spin
@@ -79,12 +79,15 @@ def _load_config_file(path: str | None) -> dict:
     return {k: _CONFIG_KEYS[k](v) for k, v in data.items()}
 
 
-def _resolve_config(config_path: str | None, overrides: dict, **command_defaults) -> dict:
-    """Defaults, then the command's own defaults, then the file, then flags."""
-    resolved = dict(_DEFAULTS, **command_defaults)
-    resolved.update(_load_config_file(config_path))
-    resolved.update({k: v for k, v in overrides.items() if v is not None})
-    return resolved
+def _resolve_config(config_path: str | None, overrides: dict, fixed=(), **command_defaults):
+    """Defaults, then the command's own defaults, then the file, then flags;
+    the command sets the keys in ``fixed`` itself, so neither may give one."""
+    given = _load_config_file(config_path)
+    given.update({k: v for k, v in overrides.items() if v is not None})
+    for key in fixed:
+        if key in given:
+            raise click.UsageError(f"{key!r} is set by the command, not by a flag or --config")
+    return {**_DEFAULTS, **command_defaults, **given}
 
 
 def _iqcc_config(resolved: dict) -> IqccConfig:
@@ -286,7 +289,8 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
 def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **overrides):
     """Singlet/triplet gap: two penalized runs over the same integrals."""
     started = _now()
-    resolved = _resolve_config(config_path, overrides, mu=0.25)
+    # the gap runs s=0 and s=1 itself
+    resolved = _resolve_config(config_path, overrides, fixed=("spin",), mu=0.25)
     cfg = _iqcc_config(resolved)
     mi = load_fcidump(fcidump)
     window = _window_from_flags(mi, active_occ, active_virt)
@@ -351,7 +355,8 @@ def estimate(report, output):
     )
     # one ansatz per iteration; resource_estimate reads only the generators
     history = [
-        [(parse_word(gen["word"], MAX_QUBITS), 0.0) for gen in it.get("selected_generators", [])]
+        [(parse_word(_json_key(gen, "word", "a selected generator"), MAX_QUBITS), 0.0)
+         for gen in it.get("selected_generators", [])]
         for run_data in runs
         for it in run_data.get("iterations", [])
     ]

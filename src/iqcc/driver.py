@@ -5,11 +5,12 @@ statistics (``_packed.block_statistics``), ranks one canonical generator
 per X-string block on those arrays, warm-starts the top L amplitudes from
 the closed-form estimates, and plans the dressing of the rows in the span of
 those generators' x masks (``coset_plan``).  It minimizes the QCC energy on
-that plan, cut to the rows an evaluation reads (``live_plan``), then folds
-the optimized Ansatz into the Hamiltonian by exact dressing: the plan
-replayed once at the optimum, merged with the dressing of the rows outside
-the span, which no evaluation needed.  It then prunes numerically dead
-terms and (optionally) adds a perturbative estimate of the energy still
+that plan, cut to the rows an evaluation reads (``live_plan``): each L-BFGS
+evaluation is ``qcc_energy_and_gradient`` of the cut at its amplitudes.  It
+then folds the optimized Ansatz into the Hamiltonian by exact dressing: the
+plan replayed once at the optimum, merged with the dressing of the rows
+outside the span, which no evaluation needed.  It then prunes numerically
+dead terms and (optionally) adds a perturbative estimate of the energy still
 recoverable from the generators that were not selected.  The reference
 state never changes.  The Hamiltonian is a ``PackedSum`` from the mapping
 through every stage and into ``RunResult.final_hamiltonian``.
@@ -18,7 +19,7 @@ The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
 with omega and D looked up by x-support in the block statistics of the
 freshly dressed Hamiltonian; the next iteration ranks on the same arrays.
-Every dressing step checks the term budget before it allocates its rows.
+Every dressing step and the merge check the term budget before they allocate.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .engine import (
 from .errors import CapacityError, IterationAbort, OptimizationError
 from .fcidump import CASWindow, MolecularIntegrals, select_cas
 from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state
-from .optimizer import OptimizationConfig, OptimizationResult, minimize
+from .optimizer import OptimizationConfig, minimize
 from .pauli_sum import ReferenceState, dress_sequence, prune
 
 HARTREE_TO_EV = 27.211386245988  # CODATA
@@ -170,25 +171,6 @@ def pt_correction(
     return total
 
 
-def _optimize(
-    plan: _packed.DressPlan, base: Ansatz, ref: ReferenceState, cfg: OptimizationConfig
-) -> tuple[OptimizationResult, int]:
-    """L-BFGS over the amplitudes of ``base``, started at its own; also
-    returns the number of input rows an evaluation replays.
-
-    Each evaluation replays ``plan`` cut to the rows that reach the diagonal
-    (``live_plan``), which gives the same numbers as ``plan`` itself.  The
-    cut lives only for this call.
-    """
-    live = _packed.live_plan(plan)
-
-    def value_and_gradient(t):
-        e, g = qcc_energy_and_gradient(live, base.with_amplitudes(t), ref)
-        return e, np.asarray(g)
-
-    return minimize(value_and_gradient, np.array(base.amplitudes), cfg), len(live)
-
-
 def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
@@ -226,13 +208,17 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             plan, outside = coset_plan(h, base.generators, budget)
         except CapacityError as exc:
             raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
-        optimized_terms = len(plan)
+        # the cut gives the plan's numbers; it lives only while L-BFGS runs
+        live = _packed.live_plan(plan)
+        optimized_terms, evaluated_terms = len(plan), len(live)
         try:
-            opt, evaluated_terms = _optimize(plan, base, ref, cfg.optimizer)
+            opt = minimize(lambda t: qcc_energy_and_gradient(live, t, ref),
+                           np.array(base.amplitudes), cfg.optimizer)
         except OptimizationError as exc:
             raise IterationAbort(
                 f"optimizer failed at iteration {index}: {exc}", records=records
             ) from exc
+        del live
 
         ansatz = base.with_amplitudes(opt.t_opt)
         # the coset's dressing is the plan's replay; the plan is freed before
@@ -241,10 +227,13 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
         coset = _packed.run_plan(plan, ansatz.amplitudes)
         del plan
         try:
-            h = _packed.merge(coset, dress_sequence(outside, ansatz, budget))
-            del coset, outside
-            if len(h) > budget:
-                raise CapacityError(f"term count {len(h)} exceeds budget {budget}")
+            dressed = dress_sequence(outside, ansatz, budget)
+            del outside
+            n_terms = len(coset) + len(dressed)  # the rows merge allocates
+            if n_terms > budget:
+                raise CapacityError(f"term count {n_terms} exceeds budget {budget}")
+            h = _packed.merge(coset, dressed)
+            del coset, dressed
             h, dropped = prune(h, cfg.prune_threshold)
             if track_bare:
                 h_bare, _ = prune(dress_sequence(h_bare, ansatz, budget), cfg.prune_threshold)

@@ -24,7 +24,8 @@ plan, cut to the rows that reach the diagonal, and sorts nothing.  The
 energy is linear in every layer of the plan, so the gradient is one reverse
 pass of the diagonal through the same plan.  The same plan, replayed once
 at the optimum, dresses those rows into the next Hamiltonian.  Dressing,
-energy and gradient are the kernels in ``_packed``.
+energy and gradient are the kernels in ``_packed``; an evaluation is
+``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
 """
 
 from __future__ import annotations
@@ -186,19 +187,5 @@ def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
     return _packed.expectation_packed(_packed.run_plan(plan, ansatz.amplitudes), ref)
 
 
-def qcc_energy_and_gradient(
-    plan: _packed.DressPlan, ansatz: Ansatz, ref: ReferenceState
-) -> tuple[float, list[float]]:
-    """Energy and exact analytic gradient from one plan.
-
-    ``plan`` is the Hamiltonian planned for the Ansatz's generators
-    (``coset_plan``), or its cut to the rows that reach the diagonal
-    (``_packed.live_plan``), which gives the same numbers; only the
-    amplitudes are read from ``ansatz``.  The energy is the plan's replay
-    projected on the reference, and the gradient one reverse pass of the
-    diagonal through the same layers (``_packed.energy_and_gradient``).  No
-    sort runs here.
-    """
-    if ansatz.generators != plan.generators:
-        raise ValueError("the Ansatz's generators differ from the dressing plan's")
-    return _packed.energy_and_gradient(plan, ansatz.amplitudes, ref)
+# the kernel itself, under the name the driver looks up at each evaluation
+qcc_energy_and_gradient = _packed.energy_and_gradient

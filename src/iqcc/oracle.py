@@ -85,11 +85,13 @@ def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
     """Lowest eigenpair; dense below 11 qubits, Lanczos above.
 
     The residual ||Hv - Ev|| is verified to 1e-10 times the coefficient scale;
-    a NaN residual fails.
+    a NaN residual fails.  ARPACK cannot start on the zero matrix (energy 0).
     """
     mat = to_sparse(h)
     if h.n_qubits <= 10:
         vals, vecs = _solve(np.linalg.eigh, mat.toarray())
+    elif not mat.count_nonzero():
+        vals, vecs = np.zeros(1), np.eye(mat.shape[0], 1, dtype=mat.dtype)
     else:
         dim = mat.shape[0]
         v0 = np.full(dim, 1.0 / np.sqrt(dim))

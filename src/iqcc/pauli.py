@@ -141,6 +141,8 @@ def render_masks(x: int, z: int) -> str:
 
 def parse_word(text: str, n_qubits: int) -> PauliWord:
     """Parse the rendering grammar; accepts ``"I"`` or ``""`` for the identity."""
+    if not isinstance(text, str):
+        raise ValueError(f"unparseable Pauli word {text!r}: not a string")
     stripped = text.strip()
     if stripped in ("", "I"):
         return PauliWord.identity(n_qubits)

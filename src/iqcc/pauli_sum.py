@@ -6,7 +6,8 @@ coefficients and no zeros.  ``from_json_dict`` rejects at load a sum over
 more than ``MAX_QUBITS`` (64) qubits (:class:`CapacityError`), a negative
 qubit count, a qubit count that is not a JSON integer or a coefficient that
 is not a JSON number (a JSON bool is neither), a non-finite coefficient and
-an odd-y word (an imaginary matrix in a real Hamiltonian).
+an odd-y word (an imaginary matrix in a real Hamiltonian); a missing key, a
+non-list ``terms`` or a non-string word is a ``ValueError`` naming the key.
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -129,22 +130,34 @@ def to_json_dict(p: PackedSum) -> dict:
     }
 
 
-def _json_number(term: dict) -> float:
-    c = term["coeff"]
+def _json_key(obj, key: str, where: str):
+    """``obj[key]``, or a ValueError naming the key if ``obj`` lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} needs a JSON object with the key {key!r}: {obj!r:.80}")
+    return obj[key]
+
+
+def _json_term(term, n_qubits: int) -> tuple[PauliWord, float]:
+    text = _json_key(term, "word", "a term")
+    word = parse_word(text, n_qubits)
+    c = _json_key(term, "coeff", f"term {text}")
     if isinstance(c, bool) or not isinstance(c, (int, float)):
-        raise ValueError(f"coefficient of {term['word']} needs a JSON number: {c!r}")
-    return float(c)
+        raise ValueError(f"coefficient of {text} needs a JSON number: {c!r}")
+    return word, float(c)
 
 
 def from_json_dict(data: dict) -> PackedSum:
     """``to_json_dict``'s inverse, with the load checks the module lists."""
     from . import _packed
 
-    n = data["n_qubits"]
+    n = _json_key(data, "n_qubits", "qubit JSON")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n_qubits needs a JSON integer: {n!r}")
     check_qubit_bound(n)
-    p = _packed.pack([(parse_word(t["word"], n), _json_number(t)) for t in data["terms"]], n)
+    terms = _json_key(data, "terms", "qubit JSON")
+    if not isinstance(terms, list):
+        raise ValueError(f"'terms' needs a JSON list: {terms!r:.80}")
+    p = _packed.pack([_json_term(t, n) for t in terms], n)
     bad = np.flatnonzero(~np.isfinite(p.c))
     if len(bad):
         word = render_masks(int(p.x[bad[0]]), int(p.z[bad[0]]))

@@ -155,7 +155,6 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
     the anticommuting rows and each layer's output keys are compressed by
     mask, the rows listed by a separate ``flatnonzero``.  Every ``PlanLayer``
     array of the plan must equal this one's."""
-    generators = tuple(generators)
     x, z = p.x, p.z
     layers = []
     for gen in generators:
@@ -182,7 +181,7 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
         layers.append(PlanLayer(
             slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
         ))
-    return DressPlan(p.n_qubits, generators, p.c, tuple(layers), x, z)
+    return DressPlan(p.n_qubits, p.c, tuple(layers), x, z)
 
 
 def reference_live_plan(plan: DressPlan) -> DressPlan:
@@ -221,13 +220,13 @@ def reference_live_plan(plan: DressPlan) -> DressPlan:
     for layer, n in zip(reversed(plan.layers), reversed(n_in)):
         layer, live = cut_layer(layer, n, live)
         layers.append(layer)
-    return DressPlan(plan.n_qubits, plan.generators, plan.c[live], tuple(reversed(layers)), x, z)
+    return DressPlan(plan.n_qubits, plan.c[live], tuple(reversed(layers)), x, z)
 
 
 def assert_same_plan(a: DressPlan, b: DressPlan):
     """Every field of two plans and of each of their layers is equal, index
     arrays with their dtype."""
-    assert a.n_qubits == b.n_qubits and a.generators == b.generators
+    assert a.n_qubits == b.n_qubits
     assert a.c.tobytes() == b.c.tobytes()
     assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
     assert len(a.layers) == len(b.layers)

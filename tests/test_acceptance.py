@@ -190,7 +190,7 @@ class TestAcceptance:
             ]
             ansatz = Ansatz(pairs)
             plan, _ = coset_plan(h, ansatz.generators)
-            _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
+            _, grad = qcc_energy_and_gradient(plan, ansatz.amplitudes, ref)
             fd = []
             for j in range(L):
                 up = list(ansatz.amplitudes)

@@ -4,6 +4,7 @@ caller looks up, or the traced run misses its calls."""
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,10 @@ def test_traced_run_sees_every_kernel(tmp_path):
     for name in ("pauli_sum.dress_sequence", "packed.dress_packed", "engine.eval",
                  "engine.rank"):
         assert calls[name] >= 1, name
+    # L-BFGS's objective looks the evaluation up by name at each call: one
+    # traced call per evaluation the report counts
+    iterations = json.loads((tmp_path / "run.json").read_text())["result"]["iterations"]
+    assert calls["engine.eval"] == sum(it["optimizer_evaluations"] for it in iterations)
     # an FCIDUMP run maps straight to a packed sum; qubit-JSON input is
     # packed on load, through pack and _canonical
     ham = tmp_path / "h4.json"

@@ -116,6 +116,16 @@ JSON_DEFECTS = {
     "odd_y": "odd y-count word X0 Y1",
 }
 
+# qubit JSON of a bad structure, and the start of the domain error it gives
+JSON_STRUCTURE = {
+    "no_terms": ({"n_qubits": 2}, "qubit JSON needs a JSON object with the key 'terms'"),
+    "number_word": ({"n_qubits": 2, "terms": [{"word": 5, "coeff": 1.0}]},
+                    "unparseable Pauli word 5: not a string"),
+    "no_coeff": ({"n_qubits": 2, "terms": [{"word": "Z0"}]},
+                 "term Z0 needs a JSON object with the key 'coeff'"),
+    "list": ([1, 2], "qubit JSON needs a JSON object with the key 'n_qubits'"),
+}
+
 
 class TestRun:
     def test_h2_defaults(self, runner, tmp_path):
@@ -180,6 +190,16 @@ class TestRun:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"error: {JSON_DEFECTS[case]}" in result.output
         assert runs == []  # rejected before the loop starts
+
+    # a document that is not a JSON object is read as an FCIDUMP
+    @pytest.mark.parametrize("case", sorted(set(JSON_STRUCTURE) - {"list"}))
+    def test_qubit_json_structure_rejected(self, runner, tmp_path, case):
+        data, message = JSON_STRUCTURE[case]
+        ham = tmp_path / "bad.json"
+        ham.write_text(json.dumps(data))
+        result = runner.invoke(main, ["run", str(ham), "--n-electrons", "2"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -398,6 +418,21 @@ class TestGap:
         assert config["mu"] == mu and config["max_iterations"] == 1
         assert [(p.mu, p.s) for p in penalties] == [(mu, 0.0), (mu, 1.0)]
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_spin_rejected(self, runner, tmp_path, monkeypatch, source):
+        # the gap runs s=0 and s=1 itself; a spin from the user would be ignored
+        runs = []
+        monkeypatch.setattr(driver, "run_iqcc", lambda *args: runs.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spin": 3.0} if source == "file" else {}))
+        flags = ["--spin", "3"] if source == "flag" else []
+        result = runner.invoke(
+            main, ["gap", str(FIXTURES / "h2.fcidump"), "--config", str(cfg), *flags]
+        )
+        assert result.exit_code == 2
+        assert "'spin' is set by the command" in result.output
+        assert runs == []
+
     def test_negative_mu_rejected(self, runner):
         result = runner.invoke(
             main, ["gap", str(FIXTURES / "h2.fcidump"), "--mu", "-0.5"]
@@ -457,6 +492,15 @@ class TestOracle:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"error: {JSON_DEFECTS[case]}" in result.output
 
+    @pytest.mark.parametrize("case", sorted(JSON_STRUCTURE))
+    def test_qubit_json_structure_rejected(self, runner, tmp_path, case):
+        data, message = JSON_STRUCTURE[case]
+        ham = tmp_path / "bad.json"
+        ham.write_text(json.dumps(data))
+        result = runner.invoke(main, ["oracle", str(ham)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
+
     def test_bad_sector_usage(self, runner, tmp_path):
         ham = tmp_path / "id.json"
         ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), 1.0)], 2))))
@@ -513,6 +557,14 @@ class TestEstimate:
         result = runner.invoke(main, ["estimate", str(report)])
         assert result.exit_code == 1
         assert "unparseable Pauli word" in result.output
+
+    def test_generator_without_word(self, runner, tmp_path):
+        report = tmp_path / "bad.json"
+        iteration = {"selected_generators": [{"omega": 0.1}]}
+        report.write_text(json.dumps({"result": {"iterations": [iteration]}}))
+        result = runner.invoke(main, ["estimate", str(report)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: a selected generator needs a JSON object with the key 'word'" in result.output
 
 
 class TestDeterminism:

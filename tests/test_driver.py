@@ -126,6 +126,34 @@ class TestRunIqcc:
             run_iqcc(h, ref, cfg)
         assert err.value.records == []
 
+    def test_merge_over_budget_aborts_before_merging(self, h4_problem, monkeypatch):
+        # the coset replay and the dressed outside rows each fit in 500 rows
+        # and their sum does not: the budget is checked before merge allocates
+        from iqcc import driver as driver_mod
+
+        _, h, ref = h4_problem
+        sizes = {}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                # the first run_plan is the coset's; dress_packed makes the rest
+                sizes.setdefault(name, len(out))
+                return out
+            return wrapper
+
+        def no_merge(*args):
+            raise AssertionError("merge ran over budget")
+
+        monkeypatch.setattr(_packed, "run_plan", spy("coset", _packed.run_plan))
+        monkeypatch.setattr(driver_mod, "dress_sequence", spy("outside", driver_mod.dress_sequence))
+        monkeypatch.setattr(_packed, "merge", no_merge)
+        cfg = IqccConfig(generators_per_iteration=4, memory_budget_terms=500)
+        with pytest.raises(IterationAbort, match="term count 795 exceeds budget 500") as err:
+            run_iqcc(h, ref, cfg)
+        assert isinstance(err.value.__cause__, CapacityError)
+        assert max(sizes.values()) <= 500 < sum(sizes.values()) == 795
+
     def test_dressed_state_matches_unitary_oracle(self, h2_problem):
         # the recorded ansatz history reproduces the final energy as
         # <0|U^dag H U|0> in the dense picture

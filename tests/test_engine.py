@@ -356,7 +356,7 @@ class TestQccGradient:
         sel, _ = rank_sum(h, ref, 3)
         ansatz = Ansatz([(r.generator, 0.0) for r in sel])
         plan, _ = coset_plan(h, ansatz.generators)
-        _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
+        _, grad = qcc_energy_and_gradient(plan, ansatz.amplitudes, ref)
         for g, r in zip(grad, sel):
             assert abs(g - r.omega_signed) < 1e-12
 
@@ -364,10 +364,9 @@ class TestQccGradient:
         h = pack([(parse_word("Z0", 2), 1.0)], 2)
         gen = parse_word("Y1", 2)  # disjoint support: commutes with h
         ref = ReferenceState(0b01, 2)
+        plan, _ = coset_plan(h, [gen])
         for t in (0.0, 0.3, -1.2):
-            ansatz = Ansatz([(gen, t)])
-            plan, _ = coset_plan(h, [gen])
-            _, grad = qcc_energy_and_gradient(plan, ansatz, ref)
+            _, grad = qcc_energy_and_gradient(plan, [t], ref)
             assert abs(grad[0]) < 1e-14
 
     def test_finite_difference_agreement(self):
@@ -381,7 +380,7 @@ class TestQccGradient:
             pairs = [(random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)]
             ansatz = Ansatz(pairs)
             plan, _ = coset_plan(h, ansatz.generators)
-            energy, grad = qcc_energy_and_gradient(plan, ansatz, ref)
+            energy, grad = qcc_energy_and_gradient(plan, ansatz.amplitudes, ref)
             fd = []
             for j in range(L):
                 up = list(ansatz.amplitudes)

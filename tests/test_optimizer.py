@@ -107,7 +107,7 @@ class TestOnQccProblem:
         plan, _ = coset_plan(h, base.generators)
 
         def vag(v):
-            e, g = qcc_energy_and_gradient(plan, base.with_amplitudes(v), ref)
+            e, g = qcc_energy_and_gradient(plan, v, ref)
             return e, np.asarray(g)
 
         res = minimize(vag, np.array([r.t_estimate]))

@@ -91,6 +91,12 @@ class TestGroundState:
         e, _ = ground_state(pack([(PauliWord.identity(2), -0.75)], 2))
         assert abs(e + 0.75) < 1e-12
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_empty_sum(self, n):
+        # ARPACK cannot start on the zero matrix of the 11-qubit path
+        e, vec = ground_state(pack([], n))
+        assert e == 0.0 and vec.shape == (1 << n,) and np.linalg.norm(vec) == 1.0
+
     def test_h2_fci(self, h2_problem, reference_values):
         _, h, _ = h2_problem
         e, vec = ground_state(h)

@@ -335,6 +335,29 @@ class TestQubitEnvelope:
         with pytest.raises(error, match=message):
             from_json_dict({"n_qubits": n_qubits, "terms": terms})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "qubit JSON needs a JSON object with the key 'n_qubits'"),
+            ({"terms": []}, "qubit JSON needs a JSON object with the key 'n_qubits'"),
+            ({"n_qubits": 2}, "qubit JSON needs a JSON object with the key 'terms'"),
+            ({"n_qubits": 2, "terms": {"Z0": 1.0}}, "'terms' needs a JSON list"),
+            ({"n_qubits": 2, "terms": [3]}, "a term needs a JSON object with the key 'word'"),
+            ({"n_qubits": 2, "terms": [{"coeff": 1.0}]},
+             "a term needs a JSON object with the key 'word'"),
+            ({"n_qubits": 2, "terms": [{"word": 5, "coeff": 1.0}]},
+             "unparseable Pauli word 5: not a string"),
+            ({"n_qubits": 2, "terms": [{"word": "Z0"}]},
+             "term Z0 needs a JSON object with the key 'coeff'"),
+        ],
+        ids=["list", "no_qubits", "no_terms", "terms_object", "term_number", "no_word",
+             "number_word", "no_coeff"],
+    )
+    def test_json_structure_rejected(self, data, message):
+        with pytest.raises(ValueError) as err:
+            from_json_dict(data)
+        assert str(err.value).startswith(message)
+
     def test_json_integer_coefficient_loads(self):
         h = from_json_dict({"n_qubits": 1, "terms": [{"word": "Z0", "coeff": 2}]})
         assert terms_dict(h) == {(0, 1): 2.0} and h.c.dtype == np.float64
