@@ -62,10 +62,6 @@ from .pauli import PauliWord, render_masks
 from .pauli_sum import ReferenceState, check_qubit_bound
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a).astype(np.int64)
-
-
 def _reference_sign(z: np.ndarray, ref: ReferenceState) -> np.ndarray:
     """<0|Z^z|0> of each diagonal word's z mask: +-1.0, so c times it is exact."""
     return np.where(np.bitwise_count(z & np.uint64(ref.occupation)) & 1, -1.0, 1.0)
@@ -134,8 +130,6 @@ def pack(terms, n_qubits: int) -> PackedSum:
     for word, _ in terms:
         if word.n_qubits != n_qubits:
             raise DimensionError(f"word over {word.n_qubits} qubits in a {n_qubits}-qubit sum")
-        if word.phase_exp:
-            raise ValueError("sums are keyed on canonical words (phase_exp == 0)")
     x = np.array([word.x for word, _ in terms], dtype=np.uint64)
     z = np.array([word.z for word, _ in terms], dtype=np.uint64)
     c = np.array([coeff for _, coeff in terms], dtype=np.float64)

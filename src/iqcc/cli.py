@@ -199,11 +199,13 @@ def transform(fcidump, active_occ, active_virt, output):
     data["n_electrons"] = mi.n_electrons
     data["ms2"] = mi.ms2
     data["core_energy"] = mi.core_energy
+    # the terms are a function of the arrays: hash those, in key order, little-endian
+    arrays = (h.x.astype("<u8"), h.z.astype("<u8"), h.c.astype("<f8"))
     data["manifest"] = _manifest(
         fcidump,
         {"active_occ": active_occ, "active_virt": active_virt},
         started,
-        hashlib.sha256(json.dumps(data["terms"]).encode()).hexdigest(),
+        hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest(),
     )
     _write_json(data, output)
 
@@ -289,9 +291,10 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
 def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **overrides):
     """Singlet/triplet gap: two penalized runs over the same integrals."""
     started = _now()
-    # the gap runs s=0 and s=1 itself
+    # the gap runs s=0 and s=1 itself, so its manifest records no spin
     resolved = _resolve_config(config_path, overrides, fixed=("spin",), mu=0.25)
     cfg = _iqcc_config(resolved)
+    del resolved["spin"]
     mi = load_fcidump(fcidump)
     window = _window_from_flags(mi, active_occ, active_virt)
     result = singlet_triplet_gap(mi, window, cfg)
@@ -347,18 +350,18 @@ def oracle(hamiltonian, sector, output):
 def estimate(report, output):
     """Circuit resource summary (CNOT/RZ) from a run or gap report."""
     data = json.loads(report.read_text(encoding="utf-8"))
-    result = data.get("result", data)
+    result = _json_key(data, "result", "a report")
     runs = (
-        [result["singlet"], result["triplet"]]
-        if "singlet" in result
+        [_json_key(result, state, "a gap result") for state in ("singlet", "triplet")]
+        if isinstance(result, dict) and "singlet" in result
         else [result]
     )
     # one ansatz per iteration; resource_estimate reads only the generators
     history = [
         [(parse_word(_json_key(gen, "word", "a selected generator"), MAX_QUBITS), 0.0)
-         for gen in it.get("selected_generators", [])]
+         for gen in _json_key(it, "selected_generators", "an iteration")]
         for run_data in runs
-        for it in run_data.get("iterations", [])
+        for it in _json_key(run_data, "iterations", "a run result")
     ]
     cnot, rz = resource_estimate(history)
     _write_json({"cnot_count": cnot, "rz_count": rz, "entangler_count": rz}, output)

@@ -28,17 +28,24 @@ DENSE_QUBIT_LIMIT = 12
 SPARSE_QUBIT_LIMIT = 16
 
 _I_POW = np.array([1, 1j, -1, -1j])
+_CHUNK_ENTRIES = 1 << 18  # word x state entries per block: ~40 bytes each in temporaries
 
 
 def _columns(p: PackedSum, states: np.ndarray) -> sp.csr_matrix:
     """Columns of ``p``'s matrix at the ascending basis ``states``, as 2^n
-    rows: each word sends column b to row b ^ x, and repeated entries add."""
+    rows: each word sends column b to row b ^ x, and repeated entries add.
+    The states go in chunks of at most ``_CHUNK_ENTRIES`` word x state
+    entries, one CSR block each."""
     x, z = p.x.astype(np.int64)[:, None], p.z.astype(np.int64)[:, None]
-    signs = np.where(np.bitwise_count(states & z) % 2 == 1, -p.c[:, None], p.c[:, None])
-    vals = _I_POW[np.bitwise_count(x & z) % 4] * signs
-    cols = np.broadcast_to(np.arange(len(states)), vals.shape)
-    shape = (1 << p.n_qubits, len(states))
-    return sp.csr_matrix((vals.ravel(), ((states ^ x).ravel(), cols.ravel())), shape=shape)
+    phases = _I_POW[np.bitwise_count(x & z) % 4]
+    step = max(1, _CHUNK_ENTRIES // max(1, len(p)))
+    blocks = []
+    for chunk in np.split(states, range(step, len(states), step)):
+        signs = np.where(np.bitwise_count(chunk & z) % 2 == 1, -p.c[:, None], p.c[:, None])
+        cols = np.broadcast_to(np.arange(len(chunk)), signs.shape)
+        coo = ((phases * signs).ravel(), ((chunk ^ x).ravel(), cols.ravel()))
+        blocks.append(sp.csr_matrix(coo, shape=(1 << p.n_qubits, len(chunk))))
+    return sp.hstack(blocks, format="csr")
 
 
 def to_sparse(p: PackedSum) -> sp.csr_matrix:
@@ -77,8 +84,7 @@ def _solve(solver, *args, **kwargs):
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
-    word, phase = w.canonical()
-    return to_matrix(_packed.pack([(word, 1.0)], w.n_qubits)) * _I_POW[phase]
+    return to_matrix(_packed.pack([(w, 1.0)], w.n_qubits))
 
 
 def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:

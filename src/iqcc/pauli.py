@@ -7,10 +7,9 @@ with both bits set carries y, under the fixed convention
     y = i * x * z,
 
 so the operator encoded by the masks is  i**y_count * X^x * Z^z,  which is
-always hermitian.  An extra power of the imaginary unit can ride along in
-``phase_exp`` (mod 4); the canonical form used as a key in Pauli sums has
-``phase_exp == 0``.  All phase bookkeeping is integer arithmetic mod 4, never
-floating point.
+always hermitian.  A word is its two masks and carries no phase: a product
+returns its power of the imaginary unit beside the word (``multiply``).  All
+phase bookkeeping is integer arithmetic mod 4, never floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class PauliWord:
     x: int
     z: int
     n_qubits: int
-    phase_exp: int = 0
 
     def __post_init__(self):
         mask = (1 << self.n_qubits) - 1
@@ -39,7 +37,6 @@ class PauliWord:
             raise DimensionError(
                 f"mask exceeds {self.n_qubits} qubits: x={self.x:#x} z={self.z:#x}"
             )
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliWord":
@@ -65,15 +62,9 @@ class PauliWord:
         """True iff the word is a nonempty product of x factors only."""
         return self.z == 0 and self.x != 0
 
-    def canonical(self) -> tuple["PauliWord", int]:
-        """Split off the stored phase: returns (phase-free word, phase_exp)."""
-        if self.phase_exp == 0:
-            return self, 0
-        return PauliWord(self.x, self.z, self.n_qubits), self.phase_exp
-
-    def sort_key(self) -> tuple[int, int, int, int]:
+    def sort_key(self) -> tuple[int, int, int]:
         """Total order: by weight, then lexicographically on the masks."""
-        return (self.weight(), self.x, self.z, self.phase_exp)
+        return (self.weight(), self.x, self.z)
 
     def axis(self, qubit: int) -> str:
         xb = (self.x >> qubit) & 1
@@ -84,10 +75,7 @@ class PauliWord:
         return render_word(self)
 
     def __repr__(self) -> str:
-        s = render_word(self)
-        if self.phase_exp:
-            s = f"i^{self.phase_exp} {s}"
-        return f"PauliWord({s!r}, n_qubits={self.n_qubits})"
+        return f"PauliWord({render_word(self)!r}, n_qubits={self.n_qubits})"
 
 
 def raw_multiply(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
@@ -109,11 +97,11 @@ def raw_multiply(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
 
 
 def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, int]:
-    """Product of two words: a * b == i**k * c with c canonical."""
+    """Product of two words: a * b == i**k * c."""
     if a.n_qubits != b.n_qubits:
         raise DimensionError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
     cx, cz, k = raw_multiply(a.x, a.z, b.x, b.z)
-    return PauliWord(cx, cz, a.n_qubits), (k + a.phase_exp + b.phase_exp) % 4
+    return PauliWord(cx, cz, a.n_qubits), k
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -129,7 +117,7 @@ def render_word(w: PauliWord) -> str:
 
 
 def render_masks(x: int, z: int) -> str:
-    """``render_word`` of the canonical word with masks (x, z)."""
+    """``render_word`` of the word with masks (x, z)."""
     parts = []
     support = x | z
     while support:
@@ -141,11 +129,16 @@ def render_masks(x: int, z: int) -> str:
 
 def parse_word(text: str, n_qubits: int) -> PauliWord:
     """Parse the rendering grammar; accepts ``"I"`` or ``""`` for the identity."""
+    return PauliWord(*parse_masks(text, n_qubits), n_qubits)
+
+
+def parse_masks(text: str, n_qubits: int) -> tuple[int, int]:
+    """The (x, z) masks of ``parse_word(text, n_qubits)``."""
     if not isinstance(text, str):
         raise ValueError(f"unparseable Pauli word {text!r}: not a string")
     stripped = text.strip()
     if stripped in ("", "I"):
-        return PauliWord.identity(n_qubits)
+        return 0, 0
     x = z = 0
     pos = 0
     for m in _TOKEN_RE.finditer(stripped):
@@ -162,4 +155,4 @@ def parse_word(text: str, n_qubits: int) -> PauliWord:
         pos = m.end()
     if stripped[pos:].strip():
         raise ValueError(f"unparseable Pauli word {text!r}")
-    return PauliWord(x, z, n_qubits)
+    return x, z

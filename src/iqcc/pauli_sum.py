@@ -1,8 +1,8 @@
 """Exact transformations of packed Pauli sums, and their JSON form.
 
 Coefficients are in Hartree throughout.  A sum is a ``_packed.PackedSum``:
-canonical (phase-free) words as (x, z) masks, sorted by key, with real
-coefficients and no zeros.  ``from_json_dict`` rejects at load a sum over
+words as (x, z) masks, sorted by key, with real coefficients and no zeros.
+``from_json_dict`` rejects at load a sum over
 more than ``MAX_QUBITS`` (64) qubits (:class:`CapacityError`), a negative
 qubit count, a qubit count that is not a JSON integer or a coefficient that
 is not a JSON number (a JSON bool is neither), a non-finite coefficient and
@@ -17,8 +17,8 @@ non-list ``terms`` or a non-string word is a ``ValueError`` naming the key.
 * ``prune`` drops small terms and reports the dropped absolute weight, an
   upper bound on the spectral-norm perturbation.
 * ``to_json_dict`` writes the terms in ``PauliWord.sort_key`` order (weight,
-  then the masks), rendered from the masks; ``from_json_dict`` reads them
-  back through ``_packed.pack``, which sums duplicate words.
+  then the masks), rendered from the masks; ``from_json_dict`` parses the
+  words to masks and sums duplicate words in ``_packed._canonical``.
 
 The Ising decomposition that ranking needs (one block per X-string) is
 computed on packed arrays by ``_packed.block_statistics``; no per-block sums
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InvalidGeneratorError
-from .pauli import PauliWord, parse_word, render_masks, render_word
+from .pauli import PauliWord, parse_masks, render_masks, render_word
 
 if TYPE_CHECKING:  # _packed builds on this module
     from ._packed import PackedSum
@@ -137,15 +137,6 @@ def _json_key(obj, key: str, where: str):
     return obj[key]
 
 
-def _json_term(term, n_qubits: int) -> tuple[PauliWord, float]:
-    text = _json_key(term, "word", "a term")
-    word = parse_word(text, n_qubits)
-    c = _json_key(term, "coeff", f"term {text}")
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
-        raise ValueError(f"coefficient of {text} needs a JSON number: {c!r}")
-    return word, float(c)
-
-
 def from_json_dict(data: dict) -> PackedSum:
     """``to_json_dict``'s inverse, with the load checks the module lists."""
     from . import _packed
@@ -157,7 +148,17 @@ def from_json_dict(data: dict) -> PackedSum:
     terms = _json_key(data, "terms", "qubit JSON")
     if not isinstance(terms, list):
         raise ValueError(f"'terms' needs a JSON list: {terms!r:.80}")
-    p = _packed.pack([_json_term(t, n) for t in terms], n)
+    x, z, c = [], [], []
+    for term in terms:
+        text = _json_key(term, "word", "a term")
+        xi, zi = parse_masks(text, n)
+        ci = _json_key(term, "coeff", f"term {text}")
+        if isinstance(ci, bool) or not isinstance(ci, (int, float)):
+            raise ValueError(f"coefficient of {text} needs a JSON number: {ci!r}")
+        x.append(xi)
+        z.append(zi)
+        c.append(float(ci))
+    p = _packed._canonical(n, np.array(x, np.uint64), np.array(z, np.uint64), np.array(c))
     bad = np.flatnonzero(~np.isfinite(p.c))
     if len(bad):
         word = render_masks(int(p.x[bad[0]]), int(p.z[bad[0]]))

@@ -15,7 +15,6 @@ from iqcc._packed import (
     PackedSum,
     PlanLayer,
     _canonical,
-    _popcount,
     pack,
     x_group_slice,
 )
@@ -248,14 +247,14 @@ def reference_block_statistics(p: PackedSum, ref: ReferenceState):
     occ = np.uint64(ref.occupation)
     diag_mask = p.x == 0
     diag_z = p.z[diag_mask]
-    diag_parity = _popcount(diag_z & occ) % 2
+    diag_parity = np.bitwise_count(diag_z & occ) % 2
     diag_vals = np.where(diag_parity == 1, -p.c[diag_mask], p.c[diag_mask])
     off = ~diag_mask
     if not np.any(off):
         return np.array([], dtype=np.uint64), np.array([]), np.array([])
     ox, oz, oc = p.x[off], p.z[off], p.c[off]
-    sy = np.where(_popcount(ox & oz) % 4 == 0, 1.0, -1.0)
-    par = np.where(_popcount(oz & occ) % 2 == 1, -1.0, 1.0)
+    sy = np.where(np.bitwise_count(ox & oz) % 4 == 0, 1.0, -1.0)
+    par = np.where(np.bitwise_count(oz & occ) % 2 == 1, -1.0, 1.0)
     vals = oc * sy * par
     boundary = np.empty(len(ox), dtype=bool)
     boundary[0] = True
@@ -268,11 +267,11 @@ def reference_block_statistics(p: PackedSum, ref: ReferenceState):
     d_values = np.zeros(len(xs))
     if len(diag_z) <= len(xs):
         for zd, vd in zip(diag_z, diag_vals):
-            odd = _popcount(xs & zd) % 2 == 1
+            odd = np.bitwise_count(xs & zd) % 2 == 1
             d_values[odd] -= 2.0 * vd
     else:
         for i in range(len(xs)):
-            odd = _popcount(diag_z & xs[i]) % 2 == 1
+            odd = np.bitwise_count(diag_z & xs[i]) % 2 == 1
             d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
     return xs, omega_signed, d_values
 
@@ -282,7 +281,7 @@ def reference_expectation(p: PackedSum, ref: ReferenceState) -> float:
     diag = p.x == 0
     if not np.any(diag):
         return 0.0
-    parity = _popcount(p.z[diag] & np.uint64(ref.occupation)) % 2
+    parity = np.bitwise_count(p.z[diag] & np.uint64(ref.occupation)) % 2
     return float(np.sum(np.where(parity == 1, -p.c[diag], p.c[diag])))
 
 
@@ -306,11 +305,11 @@ def chain_gradient(chain: PackedSum, tildes, ref: ReferenceState) -> list[float]
             pc = chain.c[lo:hi]
             yw = (wx & wz).bit_count()
             # phase of P * W: the product is diagonal, so Im(i^k) = +-1
-            m = _popcount(pz & np.uint64(wx))
+            m = np.bitwise_count(pz & np.uint64(wx)) % 4
             k = (3 * m + yw) % 4
             val = np.where(k == 1, pc, -pc)
             val = np.where(k % 2 == 1, val, 0.0)
-            parity = _popcount((pz ^ np.uint64(wz)) & occ) % 2
+            parity = np.bitwise_count((pz ^ np.uint64(wz)) & occ) % 2
             val = np.where(parity == 1, -val, val)
             gj += cw * float(np.sum(val))
         grad.append(gj)

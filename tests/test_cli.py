@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from iqcc.driver import IqccConfig
 from iqcc.fcidump import load_fcidump
 from iqcc.mapping import jordan_wigner
 from iqcc.pauli import PauliWord
-from iqcc.pauli_sum import to_json_dict
+from iqcc.pauli_sum import from_json_dict, to_json_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -329,16 +330,30 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "fixture, n_terms, prefix",
-        [("lih.fcidump", 631, "4db72b1b01d706fe"), ("h4.fcidump", 185, "e68e6be5505215d2")],
+        [("lih.fcidump", 631, "403c737e74b90a29"), ("h4.fcidump", 185, "9e89ce5e6f3f0484")],
     )
     def test_transform_digest(self, runner, tmp_path, fixture, n_terms, prefix):
-        # the Jordan-Wigner output, word by word and coefficient by coefficient
+        # the Jordan-Wigner output, mask by mask and coefficient by coefficient
         out = tmp_path / "h.json"
         result = runner.invoke(main, ["transform", str(FIXTURES / fixture), "-o", str(out)])
         assert result.exit_code == 0, result.output
         data = json.loads(out.read_text())
         assert len(data["terms"]) == n_terms
         assert data["manifest"]["determinism"]["numeric_digest"].startswith(prefix)
+
+    def test_transform_serializes_once(self, runner, tmp_path, monkeypatch):
+        # the digest hashes the arrays that the written terms load back to
+        dumps, real_dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(1) or real_dumps(*a, **k))
+        out = tmp_path / "h.json"
+        result = runner.invoke(main, ["transform", str(FIXTURES / "h4.fcidump"), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(dumps) == 1
+        data = json.loads(out.read_text())
+        h = from_json_dict(data)
+        arrays = h.x.astype("<u8"), h.z.astype("<u8"), h.c.astype("<f8")
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert data["manifest"]["determinism"]["numeric_digest"] == digest
 
 
 class TestConfigDefaults:
@@ -432,6 +447,19 @@ class TestGap:
         assert result.exit_code == 2
         assert "'spin' is set by the command" in result.output
         assert runs == []
+
+    @pytest.mark.parametrize("command", ["gap", "run"])
+    def test_spin_in_manifest_of_run_only(self, runner, tmp_path, command):
+        # a gap runs s=0 and s=1, so one resolved spin would misreport it
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            [command, str(FIXTURES / "h2.fcidump"), "--generators", "1",
+             "--max-iterations", "1", "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        config = json.loads(out.read_text())["manifest"]["config"]
+        assert ("spin" in config) == (command == "run")
 
     def test_negative_mu_rejected(self, runner):
         result = runner.invoke(
@@ -557,6 +585,26 @@ class TestEstimate:
         result = runner.invoke(main, ["estimate", str(report)])
         assert result.exit_code == 1
         assert "unparseable Pauli word" in result.output
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "a report needs a JSON object with the key 'result'"),
+            ({"result": {"iterations": [3]}},
+             "an iteration needs a JSON object with the key 'selected_generators'"),
+            ({"result": {"singlet": 3, "triplet": []}},
+             "a run result needs a JSON object with the key 'iterations'"),
+            ({"result": {"singlet": {"iterations": []}}},
+             "a gap result needs a JSON object with the key 'triplet'"),
+        ],
+        ids=["list", "iteration_number", "singlet_number", "no_triplet"],
+    )
+    def test_malformed_report(self, runner, tmp_path, data, message):
+        report = tmp_path / "bad.json"
+        report.write_text(json.dumps(data))
+        result = runner.invoke(main, ["estimate", str(report)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
 
     def test_generator_without_word(self, runner, tmp_path):
         report = tmp_path / "bad.json"

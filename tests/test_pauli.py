@@ -124,15 +124,6 @@ class TestWordOrder:
         assert PauliWord.single("Z", 5, 6).sort_key() < parse_word("X0 X1", 6).sort_key()
 
 
-class TestCanonical:
-    @given(words_strategy(), st.integers(min_value=0, max_value=3))
-    def test_idempotent(self, w, phase):
-        word = PauliWord(w.x, w.z, w.n_qubits, phase)
-        once, k1 = word.canonical()
-        twice, k2 = once.canonical()
-        assert once == twice and k2 == 0 and k1 == phase
-
-
 class TestTextFormat:
     def test_render(self):
         assert render_word(parse_word("X0 Z3 Y7", 8)) == "X0 Z3 Y7"

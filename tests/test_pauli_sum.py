@@ -28,6 +28,7 @@ from iqcc.oracle import ansatz_unitary, to_matrix
 
 from helpers import (
     assert_same,
+    drawn_sum,
     random_generator,
     random_hermitian_sum,
     reference_dress,
@@ -72,10 +73,6 @@ class TestArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             pack([(parse_word("Z0", 3), 1.0)], 2)
-
-    def test_rejects_phase_carrying_words(self):
-        with pytest.raises(ValueError):
-            pack([(PauliWord(1, 0, 2, phase_exp=1), 1.0)], 2)
 
 
 class TestExpectations:
@@ -371,10 +368,38 @@ class TestQubitEnvelope:
 
 
 class TestJson:
-    def test_roundtrip_lossless(self):
-        rng = np.random.default_rng(15)
-        h = random_hermitian_sum(6, 40, rng)
+    # above 32 qubits the keys no longer fit one uint64 and _sort takes lexsort
+    @pytest.mark.parametrize("n", [1, 6, 33, 64])
+    def test_roundtrip_lossless(self, n):
+        h = drawn_sum(n, 10, 40, np.random.default_rng(15))
         assert_same(from_json_dict(json.loads(json.dumps(to_json_dict(h)))), h)
+
+    # the JSON load and parse_word share one grammar: "X0Z3" (adjacent tokens)
+    # is accepted by both, and each rejects with the same error
+    @pytest.mark.parametrize(
+        "text, masks", [("I", (0, 0)), ("", (0, 0)), ("X0Z3", (1, 8))],
+        ids=["identity", "empty", "adjacent"],
+    )
+    def test_grammar_accepted_as_parse_word(self, text, masks):
+        assert parse_word(text, 4) == PauliWord(*masks, 4)
+        h = from_json_dict({"n_qubits": 4, "terms": [{"word": text, "coeff": 0.5}]})
+        assert terms_dict(h) == {masks: 0.5}
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("X1 Y1", ValueError, "qubit 1 appears twice in 'X1 Y1'"),
+            ("Z4", DimensionError, "qubit 4 out of range for 4 qubits"),
+            ("Q3", ValueError, "unparseable Pauli word 'Q3'"),
+        ],
+        ids=["repeated", "out_of_range", "garbage"],
+    )
+    def test_grammar_rejected_as_parse_word(self, text, error, message):
+        data = {"n_qubits": 4, "terms": [{"word": text, "coeff": 0.5}]}
+        for load in (lambda: parse_word(text, 4), lambda: from_json_dict(data)):
+            with pytest.raises(error) as err:
+                load()
+            assert str(err.value) == message
 
     def test_schema(self):
         h = pack([(parse_word("X0 Z3", 8), -0.0123)], 8)
