@@ -15,7 +15,9 @@ which ``block_statistics`` reduces over, and the diagonal (x == 0) rows are
 the first rows: ``block_statistics`` and ``expectation_packed`` take them as
 a prefix slice, found by one binary search, and the off-diagonal rows as the
 rest.  The ranking and the PT correction read ``block_statistics``' arrays
-as they are.
+as they are.  A block's D is one left-to-right sum over the diagonal rows in
+key order, whatever the row and block counts: a cumsum, not a matmul, whose
+summation order BLAS picks by thread count.
 
 Rows are put in key order in one place.  ``_sort`` is the one stable (x, z)
 sort: up to 32 qubits one argsort of a uint64 key, x shifted above z, which
@@ -60,6 +62,8 @@ import numpy as np
 from .errors import CapacityError, DimensionError, HermiticityError
 from .pauli import PauliWord, render_masks
 from .pauli_sum import ReferenceState, check_qubit_bound
+
+_D_CHUNK_ENTRIES = 1 << 18  # blocks x diagonal rows per D chunk: ~17 bytes each at the peak
 
 
 def _reference_sign(z: np.ndarray, ref: ReferenceState) -> np.ndarray:
@@ -427,37 +431,33 @@ def block_statistics(
     omega_signed = <0|I_k|0> times the reference z-eigenvalue at the lowest
     x position (the sign of dE/dt at t=0 for the canonical generator), and
     D = <0|T H T - H|0> = -2 * sum of diagonal terms anticommuting with the
-    generator.  Raises on odd-y words (non-hermitian input).
+    generator, left to right in key order: a cumsum along each block's row of
+    a blocks x diagonal-rows array, in chunks of ``_D_CHUNK_ENTRIES``, not a
+    matmul, whose order BLAS picks by thread count.  Raises on odd-y words
+    (non-hermitian input).
     """
     check_even_y(p)
     occ = np.uint64(ref.occupation)
     n_diag = _n_diagonal(p)
-    if n_diag == len(p):
-        empty = np.array([], dtype=np.uint64)
-        return empty, np.array([]), np.array([])
-    diag_z, diag_c = p.z[:n_diag], p.c[:n_diag]
-    diag_vals = _reference_sign(diag_z, ref) * diag_c
+    diag_z = p.z[:n_diag]
+    minus_2v = -2.0 * (_reference_sign(diag_z, ref) * p.c[:n_diag])
     ox, oz, oc = p.x[n_diag:], p.z[n_diag:], p.c[n_diag:]
     # <0|I_k|0> contributions: the coefficient negated once for a y-count of
     # 2 mod 4 and once for an odd reference parity (the y-count is even)
     neg = ((np.bitwise_count(ox & oz) >> 1) ^ np.bitwise_count(oz & occ)) & 1
     vals = np.where(neg.view(bool), -oc, oc)
-    starts = np.flatnonzero(np.concatenate(([True], ox[1:] != ox[:-1])))
+    starts = np.flatnonzero(np.diff(ox, prepend=np.uint64(0)))  # x > 0 off the diagonal
     xs = ox[starts]
     omega = np.add.reduceat(vals, starts)
     # sign of the reference z-eigenvalue at the substituted (lowest-x) qubit
     jmin_bit = xs & (~xs + np.uint64(1))
     omega_signed = np.where((jmin_bit & occ) != 0, -omega, omega)
 
-    n_blocks = len(xs)
-    d_values = np.zeros(n_blocks)
-    # a uint8 of 0 or 1 is a valid bool: each mask is a view, not a compare
-    if len(diag_z) <= n_blocks:
-        for zd, vd in zip(diag_z.tolist(), diag_vals.tolist()):
-            odd = (np.bitwise_count(xs & np.uint64(zd)) & 1).view(bool)
-            d_values[odd] -= 2.0 * vd
-    else:
-        for i, xb in enumerate(xs.tolist()):
-            odd = (np.bitwise_count(diag_z & np.uint64(xb)) & 1).view(bool)
-            d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
+    d_values = np.zeros(len(xs))
+    if n_diag:
+        step = max(1, _D_CHUNK_ENTRIES // n_diag)
+        for lo in range(0, len(xs), step):
+            # a uint8 of 0 or 1 is a valid bool: the mask is a view, not a compare
+            odd = (np.bitwise_count(xs[lo:lo + step, None] & diag_z) & 1).view(bool)
+            d_values[lo:lo + step] = np.cumsum(np.where(odd, minus_2v, 0.0), axis=1)[:, -1]
     return xs, omega_signed, d_values

@@ -359,9 +359,9 @@ def estimate(report, output):
     # one ansatz per iteration; resource_estimate reads only the generators
     history = [
         [(parse_word(_json_key(gen, "word", "a selected generator"), MAX_QUBITS), 0.0)
-         for gen in _json_key(it, "selected_generators", "an iteration")]
+         for gen in _json_key(it, "selected_generators", "an iteration", list)]
         for run_data in runs
-        for it in _json_key(run_data, "iterations", "a run result")
+        for it in _json_key(run_data, "iterations", "a run result", list)
     ]
     cnot, rz = resource_estimate(history)
     _write_json({"cnot_count": cnot, "rz_count": rz, "entangler_count": rz}, output)

@@ -360,13 +360,8 @@ def resource_estimate(ansatz_history) -> tuple[int, int]:
 
     Each exponentiated generator of weight w costs 2(w - 1) CNOTs and one RZ.
     """
-    cnot = 0
-    rz = 0
-    for ansatz in ansatz_history:
-        for gen, _t in ansatz:
-            cnot += 2 * (gen.weight() - 1)
-            rz += 1
-    return cnot, rz
+    gens = [gen for ansatz in ansatz_history for gen, _ in ansatz]
+    return sum(2 * (gen.weight() - 1) for gen in gens), len(gens)
 
 
 def trajectory_csv(records) -> str:

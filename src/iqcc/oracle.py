@@ -33,17 +33,19 @@ _CHUNK_ENTRIES = 1 << 18  # word x state entries per block: ~40 bytes each in te
 
 def _columns(p: PackedSum, states: np.ndarray) -> sp.csr_matrix:
     """Columns of ``p``'s matrix at the ascending basis ``states``, as 2^n
-    rows: each word sends column b to row b ^ x, and repeated entries add.
-    The states go in chunks of at most ``_CHUNK_ENTRIES`` word x state
-    entries, one CSR block each."""
+    rows: the words of an x-group, summed in key order, send column b to row
+    b ^ x.  The states go in chunks of at most ``_CHUNK_ENTRIES`` word x
+    state entries, one CSR block each, with the same entries at any size."""
     x, z = p.x.astype(np.int64)[:, None], p.z.astype(np.int64)[:, None]
     phases = _I_POW[np.bitwise_count(x & z) % 4]
+    xg, starts = np.unique(x, return_index=True)  # p.x is sorted: the x-groups
     step = max(1, _CHUNK_ENTRIES // max(1, len(p)))
     blocks = []
     for chunk in np.split(states, range(step, len(states), step)):
         signs = np.where(np.bitwise_count(chunk & z) % 2 == 1, -p.c[:, None], p.c[:, None])
-        cols = np.broadcast_to(np.arange(len(chunk)), signs.shape)
-        coo = ((phases * signs).ravel(), ((chunk ^ x).ravel(), cols.ravel()))
+        entries = np.add.reduceat(phases * signs, starts, axis=0)
+        cols = np.broadcast_to(np.arange(len(chunk)), entries.shape)
+        coo = (entries.ravel(), ((chunk ^ xg[:, None]).ravel(), cols.ravel()))
         blocks.append(sp.csr_matrix(coo, shape=(1 << p.n_qubits, len(chunk))))
     return sp.hstack(blocks, format="csr")
 

@@ -2,12 +2,13 @@
 
 Coefficients are in Hartree throughout.  A sum is a ``_packed.PackedSum``:
 words as (x, z) masks, sorted by key, with real coefficients and no zeros.
-``from_json_dict`` rejects at load a sum over
-more than ``MAX_QUBITS`` (64) qubits (:class:`CapacityError`), a negative
-qubit count, a qubit count that is not a JSON integer or a coefficient that
-is not a JSON number (a JSON bool is neither), a non-finite coefficient and
-an odd-y word (an imaginary matrix in a real Hamiltonian); a missing key, a
-non-list ``terms`` or a non-string word is a ``ValueError`` naming the key.
+``from_json_dict`` rejects at load a sum over more than ``MAX_QUBITS`` (64)
+qubits (:class:`CapacityError`), a negative qubit count, a qubit count or
+electron metadata (``n_electrons``, ``ms2``, where given) that is not a JSON
+integer or a coefficient that is not a JSON number (a JSON bool is neither),
+a non-finite coefficient and an odd-y word (an imaginary matrix in a real
+Hamiltonian); a missing key, a non-list ``terms`` or a non-string word is a
+``ValueError`` naming the key.
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -130,10 +131,13 @@ def to_json_dict(p: PackedSum) -> dict:
     }
 
 
-def _json_key(obj, key: str, where: str):
-    """``obj[key]``, or a ValueError naming the key if ``obj`` lacks it."""
+def _json_key(obj, key: str, where: str, kind: type = object):
+    """``obj[key]``, or a ValueError naming the key if ``obj`` lacks it or
+    its value is not a ``kind``."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where} needs a JSON object with the key {key!r}: {obj!r:.80}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{key!r} needs a JSON {kind.__name__}: {obj[key]!r:.80}")
     return obj[key]
 
 
@@ -142,14 +146,12 @@ def from_json_dict(data: dict) -> PackedSum:
     from . import _packed
 
     n = _json_key(data, "n_qubits", "qubit JSON")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n_qubits needs a JSON integer: {n!r}")
+    for key in ("n_qubits", "n_electrons", "ms2"):  # the electron counts where given
+        if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
+            raise ValueError(f"{key} needs a JSON integer: {data[key]!r:.80}")
     check_qubit_bound(n)
-    terms = _json_key(data, "terms", "qubit JSON")
-    if not isinstance(terms, list):
-        raise ValueError(f"'terms' needs a JSON list: {terms!r:.80}")
     x, z, c = [], [], []
-    for term in terms:
+    for term in _json_key(data, "terms", "qubit JSON", list):
         text = _json_key(term, "word", "a term")
         xi, zi = parse_masks(text, n)
         ci = _json_key(term, "coeff", f"term {text}")

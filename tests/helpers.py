@@ -242,8 +242,9 @@ def assert_same_plan(a: DressPlan, b: DressPlan):
 
 def reference_block_statistics(p: PackedSum, ref: ReferenceState):
     """``_packed.block_statistics`` with the diagonal and off-diagonal rows
-    taken by boolean mask and the signs as float factors: the form the
-    prefix slices and sign flips must match bit for bit."""
+    taken by boolean mask, the signs as float factors and D as a scalar loop
+    per block: the form the prefix slices, sign flips and D reduction must
+    match bit for bit."""
     occ = np.uint64(ref.occupation)
     diag_mask = p.x == 0
     diag_z = p.z[diag_mask]
@@ -265,14 +266,12 @@ def reference_block_statistics(p: PackedSum, ref: ReferenceState):
     jmin_bit = xs & (~xs + np.uint64(1))
     omega_signed = np.where((jmin_bit & occ) != 0, -omega, omega)
     d_values = np.zeros(len(xs))
-    if len(diag_z) <= len(xs):
-        for zd, vd in zip(diag_z, diag_vals):
-            odd = np.bitwise_count(xs & zd) % 2 == 1
-            d_values[odd] -= 2.0 * vd
-    else:
-        for i in range(len(xs)):
-            odd = np.bitwise_count(diag_z & xs[i]) % 2 == 1
-            d_values[i] = -2.0 * float(np.sum(diag_vals[odd]))
+    for i, xb in enumerate(xs.tolist()):
+        d = 0.0  # -2 v of each anticommuting diagonal row, left to right in key order
+        for zd, vd in zip(diag_z.tolist(), diag_vals.tolist()):
+            if (xb & zd).bit_count() % 2:
+                d -= 2.0 * vd
+        d_values[i] = d
     return xs, omega_signed, d_values
 
 

@@ -87,6 +87,8 @@ def _h2_json_outside_envelope(runner, tmp_path, case: str) -> Path:
     data = json.loads(ham.read_text())
     if case == "odd_y":
         data["terms"].append({"word": "X0 Y1", "coeff": 0.1})
+    elif case in JSON_BAD_METADATA:
+        data.update(JSON_BAD_METADATA[case])
     elif case.endswith("qubits"):
         data["n_qubits"] = JSON_BAD_VALUES[case]
     else:
@@ -106,6 +108,12 @@ JSON_BAD_VALUES = {
     "string_coeff": "0.5",
     "bool_coeff": True,
 }
+# the electron metadata each defect writes over the transform's
+JSON_BAD_METADATA = {
+    "string_electrons": {"n_electrons": "2"},
+    "string_ms2": {"ms2": "0"},
+    "bool_electrons": {"n_electrons": True, "ms2": 1},
+}
 JSON_DEFECTS = {
     "negative_qubits": "negative qubit count -4",
     "float_qubits": "n_qubits needs a JSON integer: 4.9",
@@ -115,6 +123,9 @@ JSON_DEFECTS = {
     "string_coeff": "coefficient of I needs a JSON number: '0.5'",
     "bool_coeff": "coefficient of I needs a JSON number: True",
     "odd_y": "odd y-count word X0 Y1",
+    "string_electrons": "n_electrons needs a JSON integer: '2'",
+    "string_ms2": "ms2 needs a JSON integer: '0'",
+    "bool_electrons": "n_electrons needs a JSON integer: True",
 }
 
 # qubit JSON of a bad structure, and the start of the domain error it gives
@@ -315,7 +326,7 @@ class TestRun:
         [
             (["run", "lih.fcidump", "--generators", "8", "--energy-convergence", "1e-6",
               "--max-iterations", "4"], "98898a0c3d1f6956"),
-            (["gap", "h4.fcidump", "--generators", "4"], "11a3e44d2b65db0c"),
+            (["gap", "h4.fcidump", "--generators", "4"], "a6fb5f61c13d3edf"),
         ],
         ids=["lih_ground", "h4_gap"],
     )
@@ -596,8 +607,12 @@ class TestEstimate:
              "a run result needs a JSON object with the key 'iterations'"),
             ({"result": {"singlet": {"iterations": []}}},
              "a gap result needs a JSON object with the key 'triplet'"),
+            ({"result": {"iterations": 3}}, "'iterations' needs a JSON list: 3"),
+            ({"result": {"iterations": [{"selected_generators": 5}]}},
+             "'selected_generators' needs a JSON list: 5"),
         ],
-        ids=["list", "iteration_number", "singlet_number", "no_triplet"],
+        ids=["list", "iteration_number", "singlet_number", "no_triplet",
+             "iterations_number", "generators_number"],
     )
     def test_malformed_report(self, runner, tmp_path, data, message):
         report = tmp_path / "bad.json"

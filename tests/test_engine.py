@@ -150,7 +150,7 @@ class TestDiagonalPrefix:
         assert self._check(no_diagonal, ref) > 0
 
     def test_seeded_sums(self):
-        # both D loops run: fewer diagonal rows than blocks, and more
+        # fewer diagonal rows than blocks, and more
         rng = np.random.default_rng(61)
         branches = set()
         for _ in range(60):
@@ -161,6 +161,42 @@ class TestDiagonalPrefix:
             if n_blocks:
                 branches.add(int(np.count_nonzero(h.x == 0)) <= n_blocks)
         assert branches == {True, False}
+
+
+class TestDOnePass:
+    """D is one left-to-right sum over the diagonal rows in key order,
+    whatever the row and block counts and the block chunking: the numbers of
+    the scalar per-block loop, bit for bit."""
+
+    @staticmethod
+    def _check_d(h, ref):
+        got, want = _packed.block_statistics(h, ref)[2], reference_block_statistics(h, ref)[2]
+        assert got.tobytes() == want.tobytes()
+        return int(np.count_nonzero(h.x == 0)), len(got)
+
+    @pytest.mark.parametrize(
+        "n_diag, n_off, fewer",
+        [(20, 400, True), (300, 40, False), (0, 300, True)],
+        ids=["fewer_diagonal_rows", "more_diagonal_rows", "no_diagonal_row"],
+    )
+    def test_row_and_block_counts(self, n_diag, n_off, fewer):
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            n = int(rng.integers(6, 13))
+            h = drawn_sum(n, n_diag, n_off, rng)
+            rows, blocks = self._check_d(h, ReferenceState(int(rng.integers(1 << n)), n))
+            assert blocks > 0 and (rows < blocks) == fewer and (rows == 0) == (n_diag == 0)
+
+    @pytest.mark.parametrize("blocks_per_chunk", [1, 3, None], ids=["one", "three", "all"])
+    def test_chunking(self, monkeypatch, blocks_per_chunk):
+        rng = np.random.default_rng(63)
+        h = drawn_sum(10, 150, 300, rng)
+        n_diag = int(np.count_nonzero(h.x == 0))
+        n_blocks = len(np.unique(h.x[n_diag:]))
+        assert n_blocks % 3  # the last chunk of three is a partial one
+        entries = n_diag * (blocks_per_chunk or n_blocks)
+        monkeypatch.setattr(_packed, "_D_CHUNK_ENTRIES", entries)
+        assert self._check_d(h, ReferenceState(0b0000011111, 10)) == (n_diag, n_blocks)
 
 
 class TestEstimateAmplitude:

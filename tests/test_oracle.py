@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqcc import oracle
 from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
 from iqcc.fcidump import MolecularIntegrals
@@ -225,6 +226,21 @@ class TestSpinResolved:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(IqccError, match="eigensolver failed"):
             spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+
+    def test_entries_independent_of_chunk_size(self, monkeypatch):
+        # words with one x mask share a row: each x-group's entries are summed
+        # in key order, so no number depends on how the states are chunked
+        h = jordan_wigner(random_symmetric_integrals(4, np.random.default_rng(3)))
+        assert len(np.unique(h.x)) < len(h)
+        s2, sz = spin_operators(h.n_qubits)
+        seen = []
+        for chunk in (oracle._CHUNK_ENTRIES, 7, 3 * len(h), 10_000):
+            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk)
+            seen.append((
+                to_sparse(h).toarray().tobytes(),
+                [spin_resolved_spectrum(h, s2, sz, sector).hex() for sector in SECTORS],
+            ))
+        assert all(got == seen[0] for got in seen[1:])
 
     def test_fourteen_qubits(self):
         # a 7-site Hubbard ring, beyond the dense limit: its triplet is
