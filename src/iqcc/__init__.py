@@ -14,7 +14,6 @@ from .driver import (
     singlet_triplet_gap,
 )
 from .engine import (
-    Ansatz,
     RankedGenerator,
     derive_canonical_generator,
     estimate_amplitude,

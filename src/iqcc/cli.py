@@ -69,6 +69,8 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config file {path} needs a JSON object: {data!r:.80}")
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -315,7 +317,8 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
 @main.command()
 @click.argument("hamiltonian", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--sector", type=str, default=None,
-              help="spin sector as 's,ms' (e.g. '1,1'); default: ground state")
+              help="spin sector as 's,ms' with s >= 0 and |ms| <= s (e.g. '1,1'); "
+                   "default: ground state")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @_guard
 def oracle(hamiltonian, sector, output):
@@ -356,14 +359,12 @@ def estimate(report, output):
         if isinstance(result, dict) and "singlet" in result
         else [result]
     )
-    # one ansatz per iteration; resource_estimate reads only the generators
-    history = [
-        [(parse_word(_json_key(gen, "word", "a selected generator"), MAX_QUBITS), 0.0)
-         for gen in _json_key(it, "selected_generators", "an iteration", list)]
+    cnot, rz = resource_estimate(
+        parse_word(_json_key(gen, "word", "a selected generator"), MAX_QUBITS)
         for run_data in runs
         for it in _json_key(run_data, "iterations", "a run result", list)
-    ]
-    cnot, rz = resource_estimate(history)
+        for gen in _json_key(it, "selected_generators", "an iteration", list)
+    )
     _write_json({"cnot_count": cnot, "rz_count": rz, "entangler_count": rz}, output)
 
 

@@ -7,13 +7,17 @@ the closed-form estimates, and plans the dressing of the rows in the span of
 those generators' x masks (``coset_plan``).  It minimizes the QCC energy on
 that plan, cut to the rows an evaluation reads (``live_plan``): each L-BFGS
 evaluation is ``qcc_energy_and_gradient`` of the cut at its amplitudes.  It
-then folds the optimized Ansatz into the Hamiltonian by exact dressing: the
-plan replayed once at the optimum, merged with the dressing of the rows
+then folds the optimized entanglers into the Hamiltonian by exact dressing:
+the plan replayed once at the optimum, merged with the dressing of the rows
 outside the span, which no evaluation needed.  It then prunes numerically
 dead terms and (optionally) adds a perturbative estimate of the energy still
 recoverable from the generators that were not selected.  The reference
 state never changes.  The Hamiltonian is a ``PackedSum`` from the mapping
 through every stage and into ``RunResult.final_hamiltonian``.
+
+The records are the one account of what a run applied: record r applied
+exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
+``zip(r.selected_generators, r.amplitudes)``.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
@@ -34,7 +38,6 @@ from . import _packed
 from .engine import (
     IMPORTANCE_MEASURES,
     MAX_GENERATORS,
-    Ansatz,
     RankedGenerator,
     coset_plan,
     estimate_amplitude,
@@ -126,7 +129,6 @@ class IterationRecord:
 @dataclass(frozen=True)
 class RunResult:
     records: tuple[IterationRecord, ...]
-    ansatz_history: tuple[Ansatz, ...]
     initial_energy: float
     final_energy: float
     final_energy_with_pt: float
@@ -139,7 +141,9 @@ class RunResult:
         return sum(r.dropped_weight for r in self.records)
 
     def to_json_dict(self) -> dict:
-        cnot, rz = resource_estimate(self.ansatz_history)
+        cnot, rz = resource_estimate(
+            g.generator for r in self.records for g in r.selected_generators
+        )
         return {
             "initial_energy": self.initial_energy,
             "final_energy": self.final_energy,
@@ -189,7 +193,6 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     # the PT of one iteration and the ranking of the next share them
     blocks = None
     records: list[IterationRecord] = []
-    history: list[Ansatz] = []
     converged = False
 
     for index in range(1, cfg.max_iterations + 1):
@@ -203,31 +206,22 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             converged = True
             break
 
-        base = Ansatz([(g.generator, g.t_estimate) for g in selected])
+        gens = tuple(g.generator for g in selected)
         try:
-            plan, outside = coset_plan(h, base.generators, budget)
-        except CapacityError as exc:
-            raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
-        # the cut gives the plan's numbers; it lives only while L-BFGS runs
-        live = _packed.live_plan(plan)
-        optimized_terms, evaluated_terms = len(plan), len(live)
-        try:
+            plan, outside = coset_plan(h, gens, budget)
+            # the cut gives the plan's numbers; it lives only while L-BFGS runs
+            live = _packed.live_plan(plan)
+            optimized_terms, evaluated_terms = len(plan), len(live)
             opt = minimize(lambda t: qcc_energy_and_gradient(live, t, ref),
-                           np.array(base.amplitudes), cfg.optimizer)
-        except OptimizationError as exc:
-            raise IterationAbort(
-                f"optimizer failed at iteration {index}: {exc}", records=records
-            ) from exc
-        del live
-
-        ansatz = base.with_amplitudes(opt.t_opt)
-        # the coset's dressing is the plan's replay; the plan is freed before
-        # the rows outside the coset are dressed one generator at a time, and
-        # both parts once they are merged
-        coset = _packed.run_plan(plan, ansatz.amplitudes)
-        del plan
-        try:
-            dressed = dress_sequence(outside, ansatz, budget)
+                           np.array([g.t_estimate for g in selected]), cfg.optimizer)
+            del live
+            amplitudes = tuple(opt.t_opt.tolist())
+            # the coset's dressing is the plan's replay; the plan is freed
+            # before the rows outside the coset are dressed one generator at a
+            # time, and both parts once they are merged
+            coset = _packed.run_plan(plan, amplitudes)
+            del plan
+            dressed = dress_sequence(outside, zip(gens, amplitudes), budget)
             del outside
             n_terms = len(coset) + len(dressed)  # the rows merge allocates
             if n_terms > budget:
@@ -236,20 +230,25 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             del coset, dressed
             h, dropped = prune(h, cfg.prune_threshold)
             if track_bare:
-                h_bare, _ = prune(dress_sequence(h_bare, ansatz, budget), cfg.prune_threshold)
+                h_bare, _ = prune(
+                    dress_sequence(h_bare, zip(gens, amplitudes), budget), cfg.prune_threshold
+                )
         except CapacityError as exc:
             raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
+        except OptimizationError as exc:
+            raise IterationAbort(
+                f"optimizer failed at iteration {index}: {exc}", records=records
+            ) from exc
         blocks = _packed.block_statistics(h_bare if track_bare else h, ref) if cfg.enable_pt else None
         pt = pt_correction(blocks, remainder) if cfg.enable_pt else 0.0
         energy = opt.energy
 
-        history.append(ansatz)
         records.append(
             IterationRecord(
                 index=index,
                 energy=energy,
                 energy_with_pt=energy + pt,
-                amplitudes=ansatz.amplitudes,
+                amplitudes=amplitudes,
                 term_count=len(h),
                 dropped_weight=dropped,
                 wall_time=time.perf_counter() - started,
@@ -271,7 +270,6 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     final_pt = records[-1].energy_with_pt if records else initial_energy
     return RunResult(
         records=tuple(records),
-        ansatz_history=tuple(history),
         initial_energy=initial_energy,
         final_energy=final_energy,
         final_energy_with_pt=final_pt,
@@ -355,12 +353,13 @@ def singlet_triplet_gap(
 # -- bookkeeping ------------------------------------------------------------
 
 
-def resource_estimate(ansatz_history) -> tuple[int, int]:
-    """(CNOT count, RZ count) for the standard ladder decomposition.
+def resource_estimate(generators) -> tuple[int, int]:
+    """(CNOT count, RZ count) of the entanglers with these generator words,
+    for the standard ladder decomposition.
 
     Each exponentiated generator of weight w costs 2(w - 1) CNOTs and one RZ.
     """
-    gens = [gen for ansatz in ansatz_history for gen, _ in ansatz]
+    gens = list(generators)
     return sum(2 * (gen.weight() - 1) for gen in gens), len(gens)
 
 

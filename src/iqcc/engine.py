@@ -15,24 +15,26 @@ the (x-supports, w, D) arrays of ``_packed.block_statistics``, orders the
 blocks by one ``np.lexsort`` and makes ``RankedGenerator``s of the selected
 ones only; the rest stay x-supports, which is all the PT correction reads.
 
-Energies of the full Ansatz are evaluated by exact symbolic conjugation
-(dressing) of the Hamiltonian.  An optimizer evaluates one set of
-generators at many amplitudes, so the Hamiltonian is first split into the
-rows those generators can bring to the diagonal and the rest, and the
-former are planned once (``coset_plan``); each evaluation then replays the
-plan, cut to the rows that reach the diagonal, and sorts nothing.  The
-energy is linear in every layer of the plan, so the gradient is one reverse
-pass of the diagonal through the same plan.  The same plan, replayed once
-at the optimum, dresses those rows into the next Hamiltonian.  Dressing,
-energy and gradient are the kernels in ``_packed``; an evaluation is
-``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
+An Ansatz is a sequence of (generator, amplitude) pairs; no type wraps it.
+Its energy is evaluated by exact symbolic conjugation (dressing) of the
+Hamiltonian: ``qcc_energy`` dresses through ``dress_sequence`` and projects.
+An optimizer evaluates one set of generators at many amplitudes, so the
+Hamiltonian is first split into the rows those generators can bring to the
+diagonal and the rest, and the former are planned once (``coset_plan``);
+each evaluation then replays the plan, cut to the rows that reach the
+diagonal, and sorts nothing.  The energy is linear in every layer of the
+plan, so the gradient is one reverse pass of the diagonal through the same
+plan.  The same plan, replayed once at the optimum, dresses those rows into
+the next Hamiltonian.  Dressing, energy and gradient are the kernels in
+``_packed``; an evaluation is ``qcc_energy_and_gradient(plan, amplitudes,
+ref)``, which is the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from . import _packed
 from ._packed import PackedSum
 from .errors import CapacityError, InvalidGeneratorError
 from .pauli import PauliWord, render_word
-from .pauli_sum import ReferenceState
+from .pauli_sum import ReferenceState, dress_sequence
 
 MAX_GENERATORS = 16
 IMPORTANCE_MEASURES = ("amplitude", "gradient")
@@ -65,44 +67,6 @@ class RankedGenerator:
             "t_estimate": self.t_estimate,
             "importance": self.importance,
         }
-
-
-class Ansatz:
-    """Ordered entanglers (generator, amplitude); at most 16 of them."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Sequence[tuple[PauliWord, float]]):
-        pairs = tuple((g, float(t)) for g, t in pairs)
-        if not 1 <= len(pairs) <= MAX_GENERATORS:
-            raise CapacityError(
-                f"ansatz length {len(pairs)} outside 1..{MAX_GENERATORS}"
-            )
-        for g, t in pairs:
-            if g.y_count() % 2 == 0:
-                raise InvalidGeneratorError(f"generator {render_word(g)} has even y-count")
-            if not math.isfinite(t):
-                raise ValueError("non-finite amplitude")
-        self.pairs = pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[PauliWord, float]]:
-        return iter(self.pairs)
-
-    @property
-    def generators(self) -> tuple[PauliWord, ...]:
-        return tuple(g for g, _ in self.pairs)
-
-    @property
-    def amplitudes(self) -> tuple[float, ...]:
-        return tuple(t for _, t in self.pairs)
-
-    def with_amplitudes(self, amplitudes: Sequence[float]) -> "Ansatz":
-        if len(amplitudes) != len(self.pairs):
-            raise ValueError("amplitude count mismatch")
-        return Ansatz(list(zip(self.generators, amplitudes)))
 
 
 def derive_canonical_generator(x_string: PauliWord) -> PauliWord:
@@ -181,10 +145,12 @@ def coset_plan(
     return _packed.plan_chain(inside, generators, max_terms), outside
 
 
-def qcc_energy(h: PackedSum, ansatz: Ansatz, ref: ReferenceState) -> float:
-    """<0| U^dag H U |0> by dressing H through the Ansatz, then projecting."""
-    plan, _ = coset_plan(h, ansatz.generators)
-    return _packed.expectation_packed(_packed.run_plan(plan, ansatz.amplitudes), ref)
+def qcc_energy(
+    h: PackedSum, pairs: Iterable[tuple[PauliWord, float]], ref: ReferenceState
+) -> float:
+    """<0| U^dag H U |0> for the (generator, amplitude) pairs, in Ansatz order:
+    ``h`` dressed by ``dress_sequence``, then projected."""
+    return _packed.expectation_packed(dress_sequence(h, pairs), ref)
 
 
 # the kernel itself, under the name the driver looks up at each evaluation

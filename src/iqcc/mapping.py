@@ -233,8 +233,8 @@ def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
 class SpinPenalty:
     """Penalty mu * (S^2 - s(s+1) S_z) added to the Hamiltonian.
 
-    s is the spin quantum number of the target state; s = 0 reduces the
-    penalty to mu * S^2.
+    s >= 0 is the spin quantum number of the target state (s(s+1) is the same
+    for s and -s-1); s = 0 reduces the penalty to mu * S^2.
     """
 
     mu: float = 0.0
@@ -243,8 +243,8 @@ class SpinPenalty:
     def __post_init__(self):
         if not 0 <= self.mu < math.inf:  # False for NaN
             raise ValueError("penalty strength must be finite and >= 0")
-        if not math.isfinite(self.s):
-            raise ValueError("spin must be finite")
+        if not 0 <= self.s < math.inf:  # False for NaN
+            raise ValueError(f"spin must be finite and >= 0: {self.s!r}")
 
 
 def penalize(h: PackedSum, p: SpinPenalty) -> PackedSum:

@@ -239,6 +239,18 @@ class TestRun:
         assert result.exit_code == 2
         assert f"config key {next(iter(data))!r}" in result.output
 
+    @pytest.mark.parametrize(
+        "data", [["mu"], 3, "mu", None], ids=["list", "number", "string", "null"]
+    )
+    def test_config_file_not_an_object(self, runner, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "needs a JSON object" in result.output
+
     def test_config_int_for_float_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prune_threshold": 0}))
@@ -264,6 +276,15 @@ class TestRun:
         )
         assert result.exit_code == 1
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("spin", ["-1", "-0.5"])
+    def test_negative_spin_rejected(self, runner, spin):
+        # s(s+1) is the same for s and -s-1: -1 would run a singlet penalty
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--spin", spin, "--mu", "0.25"]
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: spin must be finite and >= 0" in result.output
 
     def test_unknown_importance_measure_rejected_before_load(
         self, runner, tmp_path, monkeypatch
@@ -518,6 +539,17 @@ class TestOracle:
         energy = json.loads(result.output)["energy"]
         assert abs(energy - reference_values["h2"]["fci_triplet"]) < 1e-9
 
+    @pytest.mark.parametrize("sector", ["-1,0", "-2,1", "0,1", "1,-2"])
+    def test_sector_outside_spin_range(self, runner, tmp_path, sector):
+        # -1,0 and -2,1 would alias the singlet and the triplet
+        ham = tmp_path / "h2.json"
+        runner.invoke(
+            main, ["transform", str(FIXTURES / "h2.fcidump"), "-o", str(ham)]
+        )
+        result = runner.invoke(main, ["oracle", str(ham), "--sector", sector])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: spin sector needs s >= 0 and |m_s| <= s" in result.output
+
     def test_capacity_error(self, runner, tmp_path):
         ham = tmp_path / "big.json"
         ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(20), 1.0)], 20))))
@@ -572,16 +604,20 @@ class TestEstimate:
         assert data == {"cnot_count": 0, "rz_count": 0, "entangler_count": 0}
 
 
-    def test_from_gap_report(self, runner, tmp_path):
-        out = tmp_path / "gap.json"
+    @pytest.mark.parametrize("command", ["run", "gap"])
+    def test_from_gap_report(self, runner, tmp_path, command):
+        # the report's own resource_estimate blocks; a gap report sums its runs
+        out = tmp_path / "report.json"
         runner.invoke(
             main,
-            ["gap", str(FIXTURES / "h2.fcidump"), "--generators", "2", "-o", str(out)],
+            [command, str(FIXTURES / "h2.fcidump"), "--generators", "2", "-o", str(out)],
         )
         result = runner.invoke(main, ["estimate", str(out)])
         assert result.exit_code == 0
-        gap = json.loads(out.read_text())["result"]
-        blocks = [gap[state]["resource_estimate"] for state in ("singlet", "triplet")]
+        report = json.loads(out.read_text())["result"]
+        runs = [report[state] for state in ("singlet", "triplet")] if command == "gap" else [report]
+        blocks = [r["resource_estimate"] for r in runs]
+        assert all(b["rz_count"] > 0 for b in blocks)
         rz = sum(b["rz_count"] for b in blocks)
         assert json.loads(result.output) == {
             "cnot_count": sum(b["cnot_count"] for b in blocks),

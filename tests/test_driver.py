@@ -15,7 +15,7 @@ from iqcc.driver import (
     singlet_triplet_gap,
     trajectory_csv,
 )
-from iqcc.engine import Ansatz, estimate_amplitude
+from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
 from iqcc.mapping import SpinPenalty, reference_state, spin_operators
 from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum, to_matrix
@@ -155,11 +155,15 @@ class TestRunIqcc:
         assert max(sizes.values()) <= 500 < sum(sizes.values()) == 795
 
     def test_dressed_state_matches_unitary_oracle(self, h2_problem):
-        # the recorded ansatz history reproduces the final energy as
+        # the entanglers the records hold reproduce the final energy as
         # <0|U^dag H U|0> in the dense picture
         _, h, ref = h2_problem
         res = run_iqcc(h, ref, IqccConfig(generators_per_iteration=2))
-        entanglers = [pair for ansatz in res.ansatz_history for pair in ansatz]
+        entanglers = [
+            (g.generator, t)
+            for r in res.records
+            for g, t in zip(r.selected_generators, r.amplitudes)
+        ]
         u = ansatz_unitary(entanglers, 4)
         v = u @ reference_vector(ref)
         dense = float(np.real(np.vdot(v, to_matrix(h) @ v)))
@@ -419,28 +423,22 @@ class TestWarmStartEfficiency:
 class TestResourceEstimate:
     def test_production_protocol_numbers(self):
         gen4 = parse_word("Y0 X1 X2 X3", 4)
-        history = [Ansatz([(gen4, 0.1)] * 8)] * 75  # 600 weight-4 entanglers
-        cnot, rz = resource_estimate(history)
+        cnot, rz = resource_estimate([gen4] * 600)  # 75 iterations of 8
         assert (cnot, rz) == (3600, 600)
 
     def test_single_weight_one(self):
-        history = [Ansatz([(parse_word("Y0", 1), 0.3)])]
-        assert resource_estimate(history) == (0, 1)
+        assert resource_estimate([parse_word("Y0", 1)]) == (0, 1)
 
     def test_empty(self):
         assert resource_estimate([]) == (0, 0)
 
     def test_mixed_weights_hand_sum(self):
-        history = [
-            Ansatz(
-                [
-                    (parse_word("Y0 X1", 4), 0.1),        # weight 2 -> 2 CNOT
-                    (parse_word("Y0 X1 X2 X3", 4), 0.1),  # weight 4 -> 6 CNOT
-                    (parse_word("Y2", 4), 0.1),           # weight 1 -> 0 CNOT
-                ]
-            )
-        ]
-        assert resource_estimate(history) == (8, 3)
+        gens = (
+            parse_word("Y0 X1", 4),        # weight 2 -> 2 CNOT
+            parse_word("Y0 X1 X2 X3", 4),  # weight 4 -> 6 CNOT
+            parse_word("Y2", 4),           # weight 1 -> 0 CNOT
+        )
+        assert resource_estimate(iter(gens)) == (8, 3)
 
 
 class TestTrajectoryCsv:
@@ -481,13 +479,17 @@ class TestOptimizerFailureAbort:
 
 class TestTripletStatePurity:
     def test_implied_state_spin_expectation(self, h2_stretched_problem):
-        # rebuild the converged triplet state from the ansatz history and
-        # measure <S^2> with the dense oracle
+        # rebuild the converged triplet state from the records' entanglers
+        # and measure <S^2> with the dense oracle
         _, h, _ = h2_stretched_problem
         ref_t = reference_state(2, 4, ms2=2)
         cfg = IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25, s=1.0))
         res = run_iqcc(h, ref_t, cfg)
-        entanglers = [pair for ansatz in res.ansatz_history for pair in ansatz]
+        entanglers = [
+            (g.generator, t)
+            for r in res.records
+            for g, t in zip(r.selected_generators, r.amplitudes)
+        ]
         u = ansatz_unitary(entanglers, 4)
         state = u @ reference_vector(ref_t)
         s2m = to_matrix(spin_operators(4)[0])

@@ -239,6 +239,13 @@ class TestPenalize:
         with pytest.raises(ValueError):
             SpinPenalty(mu=-0.1, s=0.0)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    @pytest.mark.parametrize("s", [-1.0, -2.0, -0.5])
+    def test_negative_spin_rejected(self, mu, s):
+        # s(s+1) is the same for s and -s-1, so -1 and -2 would alias s = 0 and 1
+        with pytest.raises(ValueError, match="spin must be finite and >= 0"):
+            SpinPenalty(mu=mu, s=s)
+
     def test_stretched_h2_sector_ground_is_triplet(self, h2_stretched_problem):
         # within the S_z = +1 sector the penalized ground state is a pure
         # triplet (the penalty removes higher-spin contamination there)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iqcc.engine import Ansatz, estimate_amplitude
+from iqcc.engine import estimate_amplitude
 from iqcc.errors import OptimizationError
 from iqcc.optimizer import OptimizationConfig, minimize
 
@@ -103,8 +103,7 @@ class TestOnQccProblem:
         _, h, ref = h2_problem
         sel, _ = rank_sum(h, ref, 1)
         r = sel[0]
-        base = Ansatz([(r.generator, 0.0)])
-        plan, _ = coset_plan(h, base.generators)
+        plan, _ = coset_plan(h, [r.generator])
 
         def vag(v):
             e, g = qcc_energy_and_gradient(plan, v, ref)

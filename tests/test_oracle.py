@@ -172,6 +172,18 @@ class TestSpinResolved:
         with pytest.raises(IqccError):
             spin_resolved_spectrum(h, s2, sz, (5.0, 5.0))
 
+    @pytest.mark.parametrize(
+        "sector", [(-1.0, 0.0), (-2.0, 1.0), (0.0, 1.0), (1.0, -2.0), (float("nan"), 0.0)],
+        ids=["s_minus_one", "s_minus_two", "ms_above_s", "ms_below_minus_s", "s_nan"],
+    )
+    def test_sector_outside_spin_range(self, h2_problem, sector):
+        # s(s+1) is the same for s and -s-1: (-1, 0) and (-2, 1) would alias
+        # the singlet and the triplet
+        _, h, _ = h2_problem
+        s2, sz = spin_operators(4)
+        with pytest.raises(IqccError, match=r"needs s >= 0 and \|m_s\| <= s"):
+            spin_resolved_spectrum(h, s2, sz, sector)
+
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "seed0", "seed1", "seed2"])
     def test_blocks_match_whole_space(self, request, name):
         if name.startswith("seed"):

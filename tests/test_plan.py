@@ -6,7 +6,7 @@ import pytest
 from iqcc import _packed
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig, run_iqcc
-from iqcc.engine import Ansatz, coset_plan, qcc_energy, qcc_energy_and_gradient
+from iqcc.engine import coset_plan, qcc_energy, qcc_energy_and_gradient
 from iqcc.errors import CapacityError, DimensionError
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -261,15 +261,14 @@ class TestReversePass:
         for h, gens, ts in _cases(49, False):
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
-            ansatz = Ansatz(list(zip(gens, ts)))
             plan, _ = coset_plan(h, gens)
             _, grad = qcc_energy_and_gradient(_packed.live_plan(plan), ts, ref)
             for j, g in enumerate(grad):
                 up, dn = list(ts), list(ts)
                 up[j] += step
                 dn[j] -= step
-                fd = (qcc_energy(h, ansatz.with_amplitudes(up), ref)
-                      - qcc_energy(h, ansatz.with_amplitudes(dn), ref)) / (2 * step)
+                fd = (qcc_energy(h, zip(gens, up), ref)
+                      - qcc_energy(h, zip(gens, dn), ref)) / (2 * step)
                 assert abs(g - fd) <= 1e-8 * max(abs(fd), 1.0)
 
     @pytest.mark.parametrize("zero_amplitude", [False, True])
