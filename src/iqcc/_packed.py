@@ -19,22 +19,25 @@ as they are.  A block's D is one left-to-right sum over the diagonal rows in
 key order, whatever the row and block counts: a cumsum, not a matmul, whose
 summation order BLAS picks by thread count.
 
-Rows are put in key order in one place.  ``_sort`` is the one stable (x, z)
-sort: up to 32 qubits one argsort of a uint64 key, x shifted above z, which
-is faster than ``lexsort`` of the pair; wider masks no longer fit one word
-and fall back to ``lexsort``.  Both give the same permutation.
-``_sorted_keys`` is the one grouping: the sorted table of distinct keys and
-each row's slot in it.  Every canonical sum (``_canonical``, the
-Jordan-Wigner table in ``mapping``) and every plan layer takes its keys and
-slots from it, and ``_canonical`` sums each key's rows by slot, left to
-right in row order, as the scalar references do.
+Rows are put in key order in one place.  ``_key`` builds the sort key of
+rows and is the one place its width is chosen: up to 32 qubits one uint64
+column, x shifted above z, whose argsort is faster than ``lexsort`` of the
+pair; above, the two columns (x, z).  ``_masks`` splits a key back into
+masks, ``_sort`` is the one stable sort of a key (argsort or ``lexsort``,
+the same permutation), and ``_group`` the one grouping: the sorted table of
+distinct keys and each row's slot in it, the same at either width.
+``_sorted_keys`` is ``_group`` from masks to masks; ``_canonical`` (so
+``pack`` and ``from_json_dict``) and the Jordan-Wigner table in ``mapping``
+take their keys and slots from it, and ``_canonical`` sums each key's rows
+by slot, left to right in row order, as the scalar references do.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row
-lands.  A layer takes its anticommuting rows and its output keys by index,
-drops each temporary as soon as it is last used, and checks the caller's
-term budget on its input plus spawned rows before it concatenates or sorts
-them.  ``_replay`` then dresses by scatter alone, with no sort and no
+lands.  It keys its input once and splits the last layer's table into
+masks once; in between, a layer takes its anticommuting rows from the key
+by index, drops each temporary as soon as it is last used, and checks the
+caller's term budget on its input plus spawned rows before it concatenates
+or sorts them.  ``_replay`` then dresses by scatter alone, with no sort and no
 search, and ``run_plan`` drops the exact zeros once at the end.  A generator
 only XORs its x mask into a word, so dressing keeps every row in its coset
 of the GF(2) span of the generators' x masks (``span_split``).  An iteration
@@ -46,7 +49,7 @@ one generator at a time through ``dress_packed`` (a one-layer plan, so only
 one layer's index arrays are alive at a time), and ``merge`` sorts the two
 disjoint parts into one sum by ``_sort`` alone (``_add`` is the add of sums
 that share keys); both arrive sorted, and up to 32 qubits the stable argsort
-of the composite key, a timsort, finds the two runs and merges them in
+of the one-column key, a timsort, finds the two runs and merges them in
 linear time.  Each layer is linear in its input and the energy is d . c_L,
 with d the signed indicator of the diagonal rows (``_reference_sign``), so
 ``energy_and_gradient`` sums d * c_L for the energy and takes the gradient
@@ -56,6 +59,7 @@ by one reverse pass of d through the same index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -82,28 +86,53 @@ class PackedSum:
         return len(self.c)
 
 
-def _sort(n_qubits: int, x: np.ndarray, z: np.ndarray):
-    """Stable (x, z) sort: (order, x[order], z[order]).
-
-    Up to 32 qubits both masks fit one uint64 key, x in the high bits, and
-    one stable argsort of it gives the permutation of ``lexsort((z, x))``.
-    """
+def _key(n_qubits: int, x, z) -> tuple:
+    """The sort key of rows (x, z), a tuple of uint64 columns: up to 32
+    qubits one column, x shifted above z; above, the two columns (x, z)."""
     if n_qubits <= 32:
-        order = np.argsort((x << np.uint64(n_qubits)) | z, kind="stable")
-    else:
-        order = np.lexsort((z, x))  # stable: x primary, z secondary
-    return order, x[order], z[order]
+        return ((x << np.uint64(n_qubits)) | z,)
+    return (x, z)
+
+
+def _masks(n_qubits: int, key: tuple):
+    """The (x, z) masks of a key from ``_key``."""
+    if len(key) == 2:
+        return key
+    return key[0] >> np.uint64(n_qubits), key[0] & np.uint64((1 << n_qubits) - 1)
+
+
+def _sort(key: tuple) -> np.ndarray:
+    """The stable sort of rows by ``key``: one argsort of a one-column key,
+    ``lexsort`` of two, whose primary column is the first."""
+    if len(key) == 1:
+        return np.argsort(key[0], kind="stable")
+    return np.lexsort(key[::-1])
+
+
+def _group(key: tuple):
+    """The sorted table of distinct keys and each row's slot in it: (slot,
+    table).  The sorted rows' ranks scatter them into the table, ~3x faster
+    than a boolean compress, and a cumsum of intp is ~3x faster than of bool."""
+    order = _sort(key)
+    key = tuple(col[order] for col in key)
+    rank = np.empty(len(order), dtype=np.intp)  # 1 where a new key starts, then its rank
+    rank[:1] = 0
+    np.not_equal(key[0][1:], key[0][:-1], out=rank[1:])
+    for col in key[1:]:
+        rank[1:] |= col[1:] != col[:-1]
+    np.cumsum(rank, out=rank)
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = rank
+    table = tuple(np.empty(len(rank) and int(rank[-1]) + 1, dtype=np.uint64) for _ in key)
+    for t, col in zip(table, key):
+        t[rank] = col
+    return slot, table
 
 
 def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
-    """The sorted table of distinct (x, z) keys and each row's slot in it:
-    (slot, table x, table z)."""
-    order, x, z = _sort(n_qubits, x, z)
-    first = np.ones(len(x), dtype=bool)  # the first sorted row of each key
-    np.logical_or(x[1:] != x[:-1], z[1:] != z[:-1], out=first[1:])
-    slot = np.empty(len(order), dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    return slot, x[first], z[first]
+    """``_group`` of the rows' ``_key``, its table as masks: (slot, x, z)."""
+    slot, table = _group(_key(n_qubits, x, z))
+    return (slot, *_masks(n_qubits, table))
 
 
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
@@ -176,7 +205,9 @@ def span_split(p: PackedSum, generators) -> tuple[PackedSum, PackedSum]:
 
 def merge(a: PackedSum, b: PackedSum) -> PackedSum:
     """``a + b`` for two canonical sums with no key in common."""
-    order, x, z = _sort(a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z]))
+    key = _key(a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z]))
+    order = _sort(key)
+    x, z = _masks(a.n_qubits, tuple(col[order] for col in key))
     return PackedSum(a.n_qubits, x, z, np.concatenate([a.c, b.c])[order])
 
 
@@ -219,45 +250,60 @@ class DressPlan:
         return len(self.c)
 
 
+def _y_count(n_qubits: int, key: tuple) -> np.ndarray:
+    """popcount(x & z) of each row of a key from ``_key``."""
+    x = key[0] >> np.uint64(n_qubits) if len(key) == 1 else key[0]
+    return np.bitwise_count(x & key[-1])
+
+
 def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressPlan:
     """Sort each layer of the chain once: the plan ``run_plan`` replays.
 
-    No row is dropped along the way, so every layer holds all keys that some
-    amplitudes reach; base and spawned keys are each unique, so a key gets at
-    most one of each.  A layer whose input and spawned rows number more than
-    ``max_terms`` raises :class:`CapacityError` before they are concatenated.
+    Every layer works on the input's ``_key``, built once, and groups its
+    input and spawned rows with one ``_group``; the last layer's table is
+    split into masks once.  No row is dropped along the way, so every layer
+    holds all keys that some amplitudes reach; base and spawned keys are
+    each unique, so a key gets at most one of each.  A layer whose input and
+    spawned rows number more than ``max_terms`` raises
+    :class:`CapacityError` before they are concatenated.
     """
-    x, z = p.x, p.z
+    n = p.n_qubits
+    key = _key(n, p.x, p.z)
     layers = []
     for gen in generators:
         tx, tz = np.uint64(gen.x), np.uint64(gen.z)
-        # the rows anticommuting with the generator: the parity of a sum of
-        # popcounts is the parity of the XOR's popcount; a uint8 of 0 or 1 is
-        # a valid bool, which ``flatnonzero`` scans faster
-        rows = np.flatnonzero((np.bitwise_count((x & tz) ^ (z & tx)) & 1).view(bool))
-        n_in = len(x)
+        word = _key(n, tx, tz)
+        # the rows anticommuting with the generator: popcount(x & tz) +
+        # popcount(z & tx) is odd, the key & the generator's swapped key; a
+        # uint8 of 0 or 1 is a valid bool, which ``flatnonzero`` scans faster
+        meet = reduce(np.bitwise_xor, map(np.bitwise_and, key, _key(n, tz, tx)))
+        odd = np.bitwise_count(meet) & 1
+        del meet
+        rows = np.flatnonzero(odd.view(bool))
+        n_in = len(odd)
         if max_terms is not None and n_in + len(rows) > max_terms:
             raise CapacityError(
                 f"a dressing layer of {n_in + len(rows)} terms exceeds the budget of {max_terms}"
             )
-        ax, az = x[rows], z[rows]
-        nx, nz = ax ^ tx, az ^ tz
+        parents = tuple(col[rows] for col in key)
+        spawned = tuple(col ^ w for col, w in zip(parents, word))
         # a spawned row gets +sin(t) of its parent's coefficient where k == 1,
-        # -sin(t) elsewhere; uint8 wraps mod 256, which keeps k right mod 4
+        # -sin(t) elsewhere; uint8 wraps mod 256, which keeps k right mod 4;
+        # the last column holds z in its low bits, so & tx reads z & tx
         k = (
-            np.bitwise_count(ax & az)
+            _y_count(n, parents)
             + np.uint8(gen.y_count())
-            - np.bitwise_count(nx & nz)
-            + 2 * np.bitwise_count(az & tx)
+            - _y_count(n, spawned)
+            + 2 * np.bitwise_count(parents[-1] & tx)
         ) & 3
-        del ax, az
-        slot, x, z = _sorted_keys(p.n_qubits, np.concatenate([x, nx]), np.concatenate([z, nz]))
-        del nx, nz
+        del parents
+        slot, key = _group(tuple(np.concatenate(pair) for pair in zip(key, spawned)))
+        del spawned
         base_dest, spawn_dest = slot[:n_in], slot[n_in:]
         layers.append(PlanLayer(
-            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
+            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(key[0])
         ))
-    return DressPlan(p.n_qubits, p.c, tuple(layers), x, z)
+    return DressPlan(n, p.c, tuple(layers), *_masks(n, key))
 
 
 def live_plan(plan: DressPlan) -> DressPlan:

@@ -67,8 +67,20 @@ def _now() -> str:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
+
+    def one_value_per_key(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise click.UsageError(f"config file {path} repeats the key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, object_pairs_hook=one_value_per_key)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {path} needs a JSON object: {data!r:.80}")
     unknown = set(data) - set(_CONFIG_KEYS)

@@ -100,9 +100,9 @@ def spy_sort(monkeypatch) -> list[int]:
     sizes: list[int] = []
     real = _packed._sort
 
-    def spy(n_qubits, x, z):
-        sizes.append(len(x))
-        return real(n_qubits, x, z)
+    def spy(key):
+        sizes.append(len(key[0]))
+        return real(key)
 
     monkeypatch.setattr(_packed, "_sort", spy)
     return sizes

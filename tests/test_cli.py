@@ -251,6 +251,22 @@ class TestRun:
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
         assert "needs a JSON object" in result.output
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(b"{", "is not valid JSON"), (b'{"mu": 0.1', "is not valid JSON"),
+         (b'{"mu": 0.1}\xff', "is not valid JSON"),
+         (b'{"mu": 0.1, "mu": 0.2}', "repeats the key 'mu'")],
+        ids=["open_brace", "unclosed", "not_utf8", "repeated_key"],
+    )
+    def test_config_file_malformed(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        result = runner.invoke(
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"config file {cfg} {message}" in result.output
+
     def test_config_int_for_float_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prune_threshold": 0}))

@@ -17,12 +17,18 @@ from iqcc.driver import (
 )
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
-from iqcc.mapping import SpinPenalty, reference_state, spin_operators
-from iqcc.oracle import ansatz_unitary, reference_vector, spin_resolved_spectrum, to_matrix
+from iqcc.mapping import SpinPenalty, penalize, reference_state, spin_operators
+from iqcc.oracle import (
+    ansatz_unitary,
+    ground_state,
+    reference_vector,
+    spin_resolved_spectrum,
+    to_matrix,
+)
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import ReferenceState
+from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import random_hermitian_sum, rank_sum, spy_sort
+from helpers import assert_same, random_hermitian_sum, rank_sum, spy_sort
 
 
 class TestConfig:
@@ -194,6 +200,53 @@ class TestFinalHamiltonianPinned:
         assert len(res.records) == 9
         assert len(res.final_hamiltonian) == 3_926
         assert self._digest(res.final_hamiltonian) == "b7f4a79e7e42741d"
+
+
+def _six_iterations(problem, generators: int, mu: float, prune_threshold: float):
+    """A run of six iterations (no convergence stop), its penalized input,
+    and every entangler of its records in order."""
+    _, h, ref = problem
+    cfg = IqccConfig(generators_per_iteration=generators, energy_convergence=1e-12,
+                     max_iterations=6, prune_threshold=prune_threshold,
+                     penalty=SpinPenalty(mu=mu))
+    res = run_iqcc(h, ref, cfg)
+    assert len(res.records) == 6
+    pairs = [(g.generator, t) for r in res.records
+             for g, t in zip(r.selected_generators, r.amplitudes)]
+    return res, penalize(h, cfg.penalty), pairs
+
+
+class TestWholeSumDressing:
+    """Unpruned, a run's final Hamiltonian is its input dressed by all the
+    run's entanglers in one chain, one generator at a time: the coset plans,
+    the outside rows, the merges and the penalty give the same arrays."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    @pytest.mark.parametrize("name, generators", [("h4", 4), ("lih", 8)])
+    def test_final_hamiltonian_is_the_whole_chain(self, request, name, generators, mu):
+        problem = request.getfixturevalue(f"{name}_problem")
+        res, h_in, pairs = _six_iterations(problem, generators, mu, 0.0)
+        assert res.total_dropped_weight == 0.0
+        assert_same(res.final_hamiltonian, dress_sequence(h_in, pairs))
+
+
+class TestIsospectral:
+    """The dressing is a unitary similarity, so the final H4 Hamiltonian has
+    the input's ground energy: FCI to 1e-12 Ha unpruned, and within the
+    dropped weight pruned (Weyl's inequality: the sum of |c| bounds the
+    spectral norm of the dropped part).  The generators do not conserve N,
+    so the ground energy is the whole space's, not a sector's."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    @pytest.mark.parametrize("prune_threshold", [0.0, 1e-10, 1e-6])
+    def test_h4_ground_energy(self, h4_problem, reference_values, mu, prune_threshold):
+        res, _, _ = _six_iterations(h4_problem, 4, mu, prune_threshold)
+        energy, _ = ground_state(res.final_hamiltonian)
+        error = abs(energy - reference_values["h4"]["fci_energy"])
+        if prune_threshold == 0.0:
+            assert error <= 1e-12
+        else:
+            assert 0.0 < res.total_dropped_weight and error <= res.total_dropped_weight + 1e-12
 
 
 class TestTrajectoryBound:

@@ -218,6 +218,70 @@ class TestPackedEquivalence:
         assert_same(pack(unpack(h), 7), h)
 
 
+def _boundary_masks(n: int, size: int, rng) -> np.ndarray:
+    """Masks over the two lowest, the middle and the two highest of ``n``
+    qubits: few distinct words, so rows collide, and the top bit set in
+    about half of them."""
+    bits = np.array([0, 1, n // 2, n - 2, n - 1], dtype=np.uint64)
+    pick = rng.random((size, len(bits))) < 0.5
+    return np.bitwise_or.reduce(np.where(pick, np.uint64(1) << bits, np.uint64(0)), axis=1)
+
+
+class TestWidthBoundary:
+    """Either side of 32 qubits, where the sort key stops fitting one uint64
+    word, and up to the 64-qubit envelope: dressing, ``merge`` and
+    ``_canonical`` against references that sort and sum in Python."""
+
+    WIDTHS = [31, 32, 33, 63, 64]
+
+    @staticmethod
+    def _generator(n: int, rng) -> PauliWord:
+        while True:
+            x, z = (int(m) for m in _boundary_masks(n, 2, rng))
+            if x:
+                if (x & z).bit_count() % 2 == 0:
+                    z ^= x & -x
+                return PauliWord(x, z, n)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_dress_sequence_as_reference(self, n):
+        rng = np.random.default_rng(90 + n)
+        x, z = _boundary_masks(n, 120, rng), _boundary_masks(n, 120, rng)
+        even = np.bitwise_count(x & z) % 2 == 0
+        h = _packed._canonical(n, x[even], z[even], rng.normal(size=120)[even])
+        pairs = [(self._generator(n, rng), float(rng.normal())) for _ in range(4)]
+        pairs.append(pairs[0])  # a repeated generator spawns back onto rows
+        want = h
+        for gen, t in pairs:
+            want = reference_dress(want, gen, t)
+        assert_same(dress_sequence(h, pairs), want)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_canonical_as_dict_sum(self, n):
+        rng = np.random.default_rng(95 + n)
+        x, z = _boundary_masks(n, 300, rng), _boundary_masks(n, 300, rng)
+        c = rng.choice([0.5, -0.5, 0.25, 1.0, -1.0], size=300)  # some keys cancel
+        summed: dict = {}
+        for key, ci in zip(zip(x.tolist(), z.tolist()), c.tolist()):
+            summed[key] = summed.get(key, 0.0) + ci
+        want = sorted((key, ci) for key, ci in summed.items() if ci != 0.0)
+        p = _packed._canonical(n, x, z, c)
+        assert list(zip(zip(p.x.tolist(), p.z.tolist()), p.c.tolist())) == want
+        assert len(want) < len(summed) < 300
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_merge_as_sorted_union(self, n):
+        rng = np.random.default_rng(100 + n)
+        x, z = _boundary_masks(n, 300, rng), _boundary_masks(n, 300, rng)
+        p = _packed._canonical(n, x, z, rng.normal(size=300))
+        side = rng.random(len(p)) < 0.5
+        a, b = (_packed.PackedSum(n, p.x[m], p.z[m], p.c[m]) for m in (side, ~side))
+        merged = _packed.merge(a, b)
+        rows = sorted(zip(zip(p.x.tolist(), p.z.tolist()), p.c.tolist()))
+        assert list(zip(zip(merged.x.tolist(), merged.z.tolist()), merged.c.tolist())) == rows
+        assert_same(merged, p)
+
+
 class TestPrune:
     def test_zero_threshold(self):
         rng = np.random.default_rng(13)

@@ -116,7 +116,7 @@ class TestPlanIdentity:
             assert a.pos.dtype == b.pos.dtype == bool and np.array_equal(a.pos, b.pos)
         return got
 
-    @pytest.mark.parametrize("n", [1, 5, 12, 32, 33, 64])
+    @pytest.mark.parametrize("n", [1, 5, 12, 31, 32, 33, 63, 64])
     def test_same_plan_as_mask_form(self, n):
         rng = np.random.default_rng(70 + n)
         for _ in range(6):
@@ -402,9 +402,12 @@ class TestSortedKeys:
         perm = rng.permutation(len(x))
         x, z = x[perm], z[perm]
         want = np.lexsort((z, x))
-        order, xs, zs = _packed._sort(n, x, z)
-        assert np.array_equal(order, want)
-        assert np.array_equal(xs, x[want]) and np.array_equal(zs, z[want])
+        key = _packed._key(n, x, z)
+        assert len(key) == (1 if n <= 32 else 2)
+        assert np.array_equal(_packed._sort(key), want)
+        # the key gives back the masks it was built from
+        xs, zs = _packed._masks(n, key)
+        assert np.array_equal(xs, x) and np.array_equal(zs, z)
         # the distinct keys in lexsort order, each row's slot its key's rank
         slot, kx, kz = _packed._sorted_keys(n, x, z)
         keys = list(dict.fromkeys(zip(x[want].tolist(), z[want].tolist())))
