@@ -256,8 +256,6 @@ _RUN_OPTIONS = [
     click.option("--memory-budget", "memory_budget_terms", type=int, default=None),
     click.option("--importance-measure", type=click.Choice(["amplitude", "gradient"]),
                  default=None),
-    click.option("--rank-on-bare/--rank-on-penalized", "rank_on_bare", default=None,
-                 help="derive generators from the bare instead of the penalized operator"),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config file mirroring these flags"),
 ]

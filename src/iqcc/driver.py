@@ -1,6 +1,7 @@
 """The outer iQCC loop and the singlet/triplet gap workflow.
 
-Each iteration decomposes the current Hamiltonian into its block
+A run holds one Hamiltonian, the penalized sum being minimized: ranking,
+optimizer and PT all read it.  Each iteration decomposes it into its block
 statistics (``_packed.block_statistics``), ranks one canonical generator
 per X-string block on those arrays, warm-starts the top L amplitudes from
 the closed-form estimates, and plans the dressing of the rows in the span of
@@ -63,9 +64,6 @@ class IqccConfig:
     enable_pt: bool = True
     memory_budget_terms: int = 50_000_000
     importance_measure: str = "amplitude"
-    # rank against the bare Hamiltonian instead of the penalized operator
-    # actually being minimized (a parallel bare copy is then dressed along)
-    rank_on_bare: bool = False
     optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
 
     def __post_init__(self):
@@ -178,19 +176,16 @@ def pt_correction(
 def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
-    Stops when the energy change drops to ``cfg.energy_convergence``, when no
-    off-diagonal blocks remain, or at ``cfg.max_iterations``.  Numeric
-    failures and capacity overruns raise :class:`IterationAbort` carrying the
-    partial trajectory.
+    Ranking, optimizer and PT read ``h0`` penalized (``cfg.penalty``), the
+    one sum being minimized, as it is dressed.  Stops when the energy change
+    drops to ``cfg.energy_convergence``, when no off-diagonal blocks remain,
+    or at ``cfg.max_iterations``.  Numeric failures and capacity overruns
+    raise :class:`IterationAbort` carrying the partial trajectory.
     """
     h = penalize(h0, cfg.penalty) if cfg.penalty.mu > 0 else h0
     e_prev = initial_energy = _packed.expectation_packed(h, ref)
-    # optional parallel bare copy when ranking is decoupled from the penalty
-    track_bare = cfg.rank_on_bare and cfg.penalty.mu > 0
-    h_bare = h0 if track_bare else None
     budget = cfg.memory_budget_terms
-    # the block statistics of the sum ranked against, computed once per sum:
-    # the PT of one iteration and the ranking of the next share them
+    # one block_statistics per sum, shared by its PT and the next ranking
     blocks = None
     records: list[IterationRecord] = []
     converged = False
@@ -198,7 +193,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     for index in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
         if blocks is None:
-            blocks = _packed.block_statistics(h_bare if track_bare else h, ref)
+            blocks = _packed.block_statistics(h, ref)
         selected, remainder = rank_generators(
             blocks, h.n_qubits, cfg.generators_per_iteration, cfg.importance_measure
         )
@@ -229,17 +224,13 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             h = _packed.merge(coset, dressed)
             del coset, dressed
             h, dropped = prune(h, cfg.prune_threshold)
-            if track_bare:
-                h_bare, _ = prune(
-                    dress_sequence(h_bare, zip(gens, amplitudes), budget), cfg.prune_threshold
-                )
         except CapacityError as exc:
             raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc
         except OptimizationError as exc:
             raise IterationAbort(
                 f"optimizer failed at iteration {index}: {exc}", records=records
             ) from exc
-        blocks = _packed.block_statistics(h_bare if track_bare else h, ref) if cfg.enable_pt else None
+        blocks = _packed.block_statistics(h, ref) if cfg.enable_pt else None
         pt = pt_correction(blocks, remainder) if cfg.enable_pt else 0.0
         energy = opt.energy
 
@@ -339,14 +330,14 @@ def singlet_triplet_gap(
         mi = select_cas(mi, window)
     if mi.n_electrons % 2:
         raise ValueError("gap workflow needs an even electron count")
-    h_bare = jordan_wigner(mi)
+    h = jordan_wigner(mi)
     n_qubits = 2 * mi.n_spatial
     mu = cfg.penalty.mu
 
     ref_s = reference_state(mi.n_electrons, n_qubits, ms2=0)
     ref_t = reference_state(mi.n_electrons, n_qubits, ms2=2)
-    run_s = run_iqcc(h_bare, ref_s, replace(cfg, penalty=SpinPenalty(mu=mu, s=0.0)))
-    run_t = run_iqcc(h_bare, ref_t, replace(cfg, penalty=SpinPenalty(mu=mu, s=1.0)))
+    run_s = run_iqcc(h, ref_s, replace(cfg, penalty=SpinPenalty(mu=mu, s=0.0)))
+    run_t = run_iqcc(h, ref_t, replace(cfg, penalty=SpinPenalty(mu=mu, s=1.0)))
     return gap_from_runs(run_s, run_t)
 
 

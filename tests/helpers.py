@@ -1,8 +1,9 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
 the mask-form plan, two-pass live-cut, object-ranking and block-statistics
-references, a sort spy, an independent fermionic oracle and the
-whole-space spin-resolved spectrum."""
+references, a sort spy, an independent fermionic oracle, the
+whole-space spin-resolved spectrum, and the dense word matrix, reference
+vector and ansatz unitary."""
 
 import itertools
 import math
@@ -558,3 +559,27 @@ def reference_spin_resolved_spectrum(
             return best
         idx = j
     raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")
+
+
+def word_matrix(w: PauliWord) -> np.ndarray:
+    return to_matrix(pack([(w, 1.0)], w.n_qubits))
+
+
+def reference_vector(ref: ReferenceState) -> np.ndarray:
+    vec = np.zeros(1 << ref.n_qubits, dtype=complex)
+    vec[ref.basis_index()] = 1.0
+    return vec
+
+
+def ansatz_unitary(entanglers, n_qubits: int) -> np.ndarray:
+    """Dense product of exp(-i t T / 2) factors in the given order.
+
+    The first entangler is the leftmost factor, matching the dressing
+    convention used by the symbolic engine.
+    """
+    dim = 1 << n_qubits
+    u = np.eye(dim, dtype=complex)
+    for t_gen, t_val in entanglers:
+        tm = word_matrix(t_gen)
+        u = u @ (np.cos(t_val / 2) * np.eye(dim) - 1j * np.sin(t_val / 2) * tm)
+    return u

@@ -318,12 +318,23 @@ class TestRun:
         assert "unknown importance measure 'foo'" in result.output
 
     def test_unknown_config_key(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        result = runner.invoke(
-            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
-        )
+        # rank_on_bare was a key once: an old config file that still has it
+        # is a usage error like any unknown key
+        for key in ("bogus", "rank_on_bare"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: True}))
+            result = runner.invoke(
+                main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
+            )
+            assert result.exit_code == 2
+            assert f"unknown config keys: ['{key}']" in result.output
+
+    @pytest.mark.parametrize("flag", ["--rank-on-bare", "--rank-on-penalized"])
+    def test_removed_ranking_flag_rejected(self, runner, flag):
+        result = runner.invoke(main, ["run", str(FIXTURES / "h2.fcidump"), flag])
         assert result.exit_code == 2
+        # click words the line differently across versions; both name the option
+        assert "No such option" in result.output and flag in result.output
 
 
     def test_unconverged_optimizer_recorded(self, runner, tmp_path):
@@ -419,7 +430,6 @@ class TestConfigDefaults:
             "enable_pt": bool,
             "memory_budget_terms": int,
             "importance_measure": str,
-            "rank_on_bare": bool,
             "gradient_tolerance": float,
             "max_evaluations": int,
             "memory_depth": int,

@@ -18,17 +18,18 @@ from iqcc.driver import (
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
 from iqcc.mapping import SpinPenalty, penalize, reference_state, spin_operators
-from iqcc.oracle import (
-    ansatz_unitary,
-    ground_state,
-    reference_vector,
-    spin_resolved_spectrum,
-    to_matrix,
-)
+from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import assert_same, random_hermitian_sum, rank_sum, spy_sort
+from helpers import (
+    ansatz_unitary,
+    assert_same,
+    random_hermitian_sum,
+    rank_sum,
+    reference_vector,
+    spy_sort,
+)
 
 
 class TestConfig:
@@ -278,17 +279,11 @@ class TestTrajectoryBound:
 
 
 class TestOneRepresentation:
-    @pytest.mark.parametrize(
-        "penalty, rank_on_bare, sums",
-        [(SpinPenalty(), False, 1), (SpinPenalty(mu=0.25), True, 2)],
-    )
-    def test_packed_once_never_unpacked(
-        self, h4_problem, monkeypatch, penalty, rank_on_bare, sums
-    ):
-        # the Hamiltonian (and the bare copy ranked against) arrives packed
-        # and stays packed through the penalty, every evaluation, dress and
-        # prune: a run neither packs nor unpacks, and dresses each of its
-        # ``sums`` once per iteration
+    @pytest.mark.parametrize("penalty", [SpinPenalty(), SpinPenalty(mu=0.25)])
+    def test_packed_once_never_unpacked(self, h4_problem, monkeypatch, penalty):
+        # the Hamiltonian arrives packed and stays packed through the
+        # penalty, every evaluation, dress and prune: a run neither packs nor
+        # unpacks, and dresses its one sum once per iteration
         from iqcc import driver as driver_mod
 
         _, h, ref = h4_problem
@@ -307,32 +302,32 @@ class TestOneRepresentation:
         counted(_packed, "unpack")
         counted(driver_mod, "dress_sequence")
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
-                         energy_convergence=1e-12, penalty=penalty,
-                         rank_on_bare=rank_on_bare)
+                         energy_convergence=1e-12, penalty=penalty)
         res = run_iqcc(h, ref, cfg)
         assert len(res.records) == 3
-        assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3 * sums}
+        assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3}
         assert isinstance(res.final_hamiltonian, _packed.PackedSum)
 
 
 class TestBlockStatisticsOncePerSum:
     """The block statistics of each Hamiltonian are computed once: PT of one
     iteration and the ranking of the next share them.  H4, L=4, three
-    iterations; the energies and PT values are those of the run that
-    computed the statistics for PT and ranking separately, as float.hex."""
+    iterations, unpenalized and with mu=0.25 (ranked on the penalized sum);
+    the energies and PT values are those of the run that computed the
+    statistics for PT and ranking separately, as float.hex."""
 
     ENERGIES = {
         False: ("-0x1.15452421e435ep+1", "-0x1.16c6f8c9e3872p+1", "-0x1.17093fc9b204cp+1"),
-        True: ("-0x1.14c8abe6f254dp+1", "-0x1.16a402254096dp+1", "-0x1.16fc7ac52cf12p+1"),
+        True: ("-0x1.1459f483cefb7p+1", "-0x1.169f6da68f965p+1", "-0x1.16f678701c9ddp+1"),
     }
     WITH_PT = {
         False: ("-0x1.16e5b11a061c4p+1", "-0x1.17104c9c67dc0p+1", "-0x1.1713c075c5726p+1"),
-        True: ("-0x1.16759f685661dp+1", "-0x1.1712ee3747372p+1", "-0x1.170df912f00c4p+1"),
+        True: ("-0x1.16b8baaa3b68bp+1", "-0x1.17045829a812dp+1", "-0x1.1713609207822p+1"),
     }
 
     @pytest.mark.parametrize("enable_pt", [True, False])
-    @pytest.mark.parametrize("rank_on_bare", [False, True])
-    def test_calls_and_energies(self, h4_problem, monkeypatch, enable_pt, rank_on_bare):
+    @pytest.mark.parametrize("penalized", [False, True])
+    def test_calls_and_energies(self, h4_problem, monkeypatch, enable_pt, penalized):
         _, h, ref = h4_problem
         calls = []
         real = _packed.block_statistics
@@ -342,17 +337,19 @@ class TestBlockStatisticsOncePerSum:
             return real(p, r)
 
         monkeypatch.setattr(_packed, "block_statistics", spy)
-        penalty = SpinPenalty(mu=0.25) if rank_on_bare else SpinPenalty()
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
-                         energy_convergence=1e-12, penalty=penalty,
-                         rank_on_bare=rank_on_bare, enable_pt=enable_pt)
+                         energy_convergence=1e-12,
+                         penalty=SpinPenalty(mu=0.25 if penalized else 0.0),
+                         enable_pt=enable_pt)
         res = run_iqcc(h, ref, cfg)
         n = len(res.records)
         assert n == 3
         # PT on: the input, then each dressed sum; PT off: one per ranking
         assert len(calls) == (n + 1 if enable_pt else n)
-        assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[rank_on_bare])
-        with_pt = self.WITH_PT[rank_on_bare] if enable_pt else self.ENERGIES[rank_on_bare]
+        # the first ranking reads the sum being minimized
+        assert calls[0] == len(penalize(h, cfg.penalty) if penalized else h)
+        assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[penalized])
+        with_pt = self.WITH_PT[penalized] if enable_pt else self.ENERGIES[penalized]
         assert [r.energy_with_pt.hex() for r in res.records] == list(with_pt)
 
 
@@ -436,24 +433,6 @@ class TestGap:
         bad = type(mi)(mi.core_energy, mi.h1, mi.g2, 1, mi.n_spatial, 1)
         with pytest.raises(ValueError):
             singlet_triplet_gap(bad, None, IqccConfig())
-
-
-class TestRankingSource:
-    def test_bare_ranking_switch_converges(self, h2_stretched_problem, reference_values):
-        # generators seeded from the bare Hamiltonian, objective stays penalized
-        _, h, _ = h2_stretched_problem
-        ref_t = reference_state(2, 4, ms2=2)
-        cfg = IqccConfig(
-            generators_per_iteration=2,
-            penalty=SpinPenalty(mu=0.25, s=1.0),
-            rank_on_bare=True,
-        )
-        res = run_iqcc(h, ref_t, cfg)
-        e_oracle = reference_values["h2_stretched"]["fci_triplet"]
-        assert abs(res.final_energy - e_oracle) < 2e-5
-
-    def test_switch_defaults_to_penalized(self):
-        assert IqccConfig().rank_on_bare is False
 
 
 class TestWarmStartEfficiency:

@@ -12,11 +12,12 @@ from iqcc.engine import (
     qcc_energy_and_gradient,
     rank_generators,
 )
-from iqcc.oracle import ansatz_unitary, reference_vector, to_matrix
+from iqcc.oracle import to_matrix
 from iqcc.pauli import PauliWord, parse_word, render_word
 from iqcc.pauli_sum import ReferenceState
 
 from helpers import (
+    ansatz_unitary,
     drawn_sum,
     random_generator,
     random_hermitian_sum,
@@ -24,6 +25,7 @@ from helpers import (
     reference_block_statistics,
     reference_expectation,
     reference_rank_generators,
+    reference_vector,
 )
 
 

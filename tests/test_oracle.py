@@ -6,23 +6,18 @@ from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
 from iqcc.fcidump import MolecularIntegrals
 from iqcc.mapping import jordan_wigner, spin_operators
-from iqcc.oracle import (
-    ansatz_unitary,
-    ground_state,
-    reference_vector,
-    spin_resolved_spectrum,
-    to_matrix,
-    to_sparse,
-    word_matrix,
-)
+from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix, to_sparse
 from iqcc.pauli import PauliWord, multiply, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import (
+    ansatz_unitary,
     random_generator,
     random_hermitian_sum,
     random_symmetric_integrals,
     reference_spin_resolved_spectrum,
+    reference_vector,
+    word_matrix,
 )
 
 SECTORS = [(0.0, 0.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0)]

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from iqcc.errors import DimensionError
 from iqcc.pauli import PauliWord, commutes, multiply, parse_word, render_word
-from iqcc.oracle import word_matrix
+
+from helpers import word_matrix
 
 
 def words_strategy(n_qubits=6):

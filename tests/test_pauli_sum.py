@@ -24,9 +24,10 @@ from iqcc import _packed
 from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.fcidump import load_fcidump
 from iqcc.mapping import jordan_wigner
-from iqcc.oracle import ansatz_unitary, to_matrix
+from iqcc.oracle import to_matrix
 
 from helpers import (
+    ansatz_unitary,
     assert_same,
     drawn_sum,
     random_generator,
@@ -341,26 +342,33 @@ class TestPrune:
         assert dropped == expected
 
     def test_dropped_weight_equals_loop_on_seeded_arrays(self):
-        # the cumsum is the loop's left-to-right sum, bit for bit; some draws
-        # drop nothing and report 0.0
+        # the cumsum is the loop's left-to-right sum, bit for bit, and the
+        # kept rows are the boolean mask's; some draws drop nothing and report
+        # 0.0.  An empty sum and an all-dropped sum go first.
         rng = np.random.default_rng(17)
-        empty = 0
+        cases = [(np.zeros(0), 1.0), (np.linspace(-5e-11, 5e-11, 50), 1e-10)]
         for _ in range(200):
             m = int(rng.integers(0, 300))
             c = rng.normal(size=m) * 10.0 ** rng.integers(-14, 1, size=m)
+            cases.append((c, float(10.0 ** rng.integers(-16, 0))))
+        empty = 0
+        kept = []
+        for c, threshold in cases:
+            m = len(c)
             p = _packed.PackedSum(
-                20, np.arange(m, dtype=np.uint64), np.zeros(m, dtype=np.uint64), c
+                20, np.arange(m, dtype=np.uint64), np.arange(m, dtype=np.uint64)[::-1].copy(), c
             )
-            threshold = float(10.0 ** rng.integers(-16, 0))
             out, dropped = prune(p, threshold)
             expected = 0.0
             for m_i in np.abs(c).tolist():
                 if m_i < threshold:
                     expected += m_i
-            empty += len(out) == len(p)
-            assert len(out) == np.count_nonzero(np.abs(c) >= threshold)
+            empty += len(out) == len(p) > 0
+            kept.append(len(out))
+            keep = np.abs(c) >= threshold
+            assert_same(out, _packed.PackedSum(20, p.x[keep], p.z[keep], c[keep]))
             assert type(dropped) is float and dropped.hex() == expected.hex()
-        assert empty > 0
+        assert empty > 0 and kept[:2] == [0, 0]
 
 
 class TestQubitEnvelope:
