@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -52,8 +53,8 @@ def _flat_config(cfg: IqccConfig) -> dict:
 
 _DEFAULTS = _flat_config(IqccConfig())
 _CONFIG_KEYS = {key: type(value) for key, value in _DEFAULTS.items()}
-# JSON types a config-file value may have; a JSON bool only for a bool key
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+# JSON types a config-file value may have; never a bool, though it subclasses int
+_JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _sha256(path: Path) -> str:
@@ -88,7 +89,7 @@ def _load_config_file(path: str | None) -> dict:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
         kind = _CONFIG_KEYS[key]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise click.UsageError(f"config key {key!r} needs a JSON {kind.__name__}: {value!r}")
     return {k: _CONFIG_KEYS[k](v) for k, v in data.items()}
 
@@ -172,9 +173,13 @@ def _window_from_flags(mi, active_occ, active_virt) -> CASWindow | None:
 
 
 def _guard(fn):
-    """Map domain errors to exit code 1 (usage errors exit 2 via click)."""
+    """Map domain errors to exit code 1 (usage errors exit 2 via click), after
+    rejecting an output path in a missing directory before any work is done."""
 
     def wrapper(*args, **kwargs):
+        for path in filter(None, map(kwargs.get, ("output", "csv_path", "csv_prefix"))):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise click.UsageError(f"no directory {os.path.dirname(path)!r} for {path!r}")
         try:
             return fn(*args, **kwargs)
         except IterationAbort as exc:
@@ -251,8 +256,6 @@ _RUN_OPTIONS = [
     click.option("--prune-threshold", type=float, default=None),
     click.option("--mu", type=float, default=None, help="spin penalty strength"),
     click.option("--spin", type=float, default=None, help="target spin quantum number"),
-    click.option("--pt/--no-pt", "enable_pt", default=None,
-                 help="perturbative correction from non-selected generators"),
     click.option("--memory-budget", "memory_budget_terms", type=int, default=None),
     click.option("--importance-measure", type=click.Choice(["amplitude", "gradient"]),
                  default=None),

@@ -11,10 +11,10 @@ evaluation is ``qcc_energy_and_gradient`` of the cut at its amplitudes.  It
 then folds the optimized entanglers into the Hamiltonian by exact dressing:
 the plan replayed once at the optimum, merged with the dressing of the rows
 outside the span, which no evaluation needed.  It then prunes numerically
-dead terms and (optionally) adds a perturbative estimate of the energy still
-recoverable from the generators that were not selected.  The reference
-state never changes.  The Hamiltonian is a ``PackedSum`` from the mapping
-through every stage and into ``RunResult.final_hamiltonian``.
+dead terms and adds a perturbative estimate of the energy still recoverable
+from the generators that were not selected.  The reference state never
+changes.  The Hamiltonian is a ``PackedSum`` from the mapping through every
+stage and into ``RunResult.final_hamiltonian``.
 
 The records are the one account of what a run applied: record r applied
 exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
@@ -22,8 +22,8 @@ exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
-with omega and D looked up by x-support in the block statistics of the
-freshly dressed Hamiltonian; the next iteration ranks on the same arrays.
+with omega and D looked up by x-support in the one ``block_statistics`` call
+of the freshly dressed sum, which the next ranking reads as well.
 Every dressing step and the merge check the term budget before they allocate.
 """
 
@@ -61,7 +61,6 @@ class IqccConfig:
     energy_convergence: float = 1e-5  # Hartree
     prune_threshold: float = 1e-10
     penalty: SpinPenalty = field(default_factory=SpinPenalty)
-    enable_pt: bool = True
     memory_budget_terms: int = 50_000_000
     importance_measure: str = "amplitude"
     optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
@@ -185,15 +184,12 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     h = penalize(h0, cfg.penalty) if cfg.penalty.mu > 0 else h0
     e_prev = initial_energy = _packed.expectation_packed(h, ref)
     budget = cfg.memory_budget_terms
-    # one block_statistics per sum, shared by its PT and the next ranking
-    blocks = None
+    blocks = _packed.block_statistics(h, ref)
     records: list[IterationRecord] = []
     converged = False
 
     for index in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
-        if blocks is None:
-            blocks = _packed.block_statistics(h, ref)
         selected, remainder = rank_generators(
             blocks, h.n_qubits, cfg.generators_per_iteration, cfg.importance_measure
         )
@@ -230,8 +226,8 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             raise IterationAbort(
                 f"optimizer failed at iteration {index}: {exc}", records=records
             ) from exc
-        blocks = _packed.block_statistics(h, ref) if cfg.enable_pt else None
-        pt = pt_correction(blocks, remainder) if cfg.enable_pt else 0.0
+        blocks = _packed.block_statistics(h, ref)
+        pt = pt_correction(blocks, remainder)
         energy = opt.energy
 
         records.append(

@@ -2,8 +2,8 @@
 
 A thin wrapper around scipy's limited-memory BFGS with our convergence
 contract: converged means the gradient infinity-norm at the returned point is
-at or below the configured tolerance.  The objective is smooth and 2*pi
-periodic per coordinate; no bounds are imposed.
+at or below the configured tolerance; L-BFGS keeps 10 corrections.  The
+objective is smooth and 2*pi periodic per coordinate; no bounds are imposed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from .errors import OptimizationError
 class OptimizationConfig:
     gradient_tolerance: float = 1e-8
     max_evaluations: int = 200
-    memory_depth: int = 10
 
     def __post_init__(self):
         tol_ok = 0 < self.gradient_tolerance < math.inf  # False for NaN
-        if not tol_ok or self.max_evaluations <= 0 or self.memory_depth <= 0:
+        if not tol_ok or self.max_evaluations <= 0:
             raise ValueError("optimization settings must be positive and finite")
 
 
@@ -70,7 +69,8 @@ def minimize(
         method="L-BFGS-B",
         options={
             "maxfun": cfg.max_evaluations,
-            "maxcor": cfg.memory_depth,
+            # explicit, so that the iterates do not depend on scipy's default
+            "maxcor": 10,
             "gtol": cfg.gradient_tolerance,
             "ftol": 1e-15,
         },

@@ -13,8 +13,9 @@ from iqcc import cli, driver
 from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
-from iqcc.fcidump import load_fcidump
-from iqcc.mapping import jordan_wigner
+from iqcc.fcidump import CASWindow, load_fcidump, select_cas
+from iqcc.mapping import jordan_wigner, spin_operators
+from iqcc.oracle import spin_resolved_spectrum
 from iqcc.pauli import PauliWord
 from iqcc.pauli_sum import from_json_dict, to_json_dict
 
@@ -228,7 +229,7 @@ class TestRun:
         assert manifest["config"]["mu"] == 0.1
 
     @pytest.mark.parametrize(
-        "data", [{"enable_pt": "false"}, {"max_evaluations": 1.7}], ids=["bool", "int"]
+        "data", [{"max_iterations": True}, {"max_evaluations": 1.7}], ids=["bool", "int"]
     )
     def test_config_value_of_wrong_json_type(self, runner, tmp_path, data):
         cfg = tmp_path / "cfg.json"
@@ -318,9 +319,9 @@ class TestRun:
         assert "unknown importance measure 'foo'" in result.output
 
     def test_unknown_config_key(self, runner, tmp_path):
-        # rank_on_bare was a key once: an old config file that still has it
-        # is a usage error like any unknown key
-        for key in ("bogus", "rank_on_bare"):
+        # rank_on_bare, enable_pt and memory_depth were keys once: an old
+        # config file that still has one is a usage error like any unknown key
+        for key in ("bogus", "rank_on_bare", "enable_pt", "memory_depth"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: True}))
             result = runner.invoke(
@@ -329,7 +330,8 @@ class TestRun:
             assert result.exit_code == 2
             assert f"unknown config keys: ['{key}']" in result.output
 
-    @pytest.mark.parametrize("flag", ["--rank-on-bare", "--rank-on-penalized"])
+    # the ranking-source pair and the PT pair, both removed
+    @pytest.mark.parametrize("flag", ["--rank-on-bare", "--rank-on-penalized", "--pt", "--no-pt"])
     def test_removed_ranking_flag_rejected(self, runner, flag):
         result = runner.invoke(main, ["run", str(FIXTURES / "h2.fcidump"), flag])
         assert result.exit_code == 2
@@ -415,6 +417,29 @@ class TestRun:
         assert data["manifest"]["determinism"]["numeric_digest"] == digest
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [("run", "-o", "out.json"), ("run", "--csv", "t.csv"),
+         ("gap", "--csv-prefix", "t"), ("transform", "-o", "out.json")],
+        ids=["run_output", "run_csv", "gap_csv_prefix", "transform_output"],
+    )
+    def test_missing_directory_rejected_before_load(
+        self, runner, tmp_path, monkeypatch, command, option, name
+    ):
+        # a long run would otherwise finish and then fail to write its result
+        calls = []
+        monkeypatch.setattr(cli, "load_fcidump", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_iqcc", lambda *args: calls.append(args))
+        missing = tmp_path / "missing"
+        path = str(missing / name)
+        result = runner.invoke(main, [command, str(FIXTURES / "h2.fcidump"), option, path])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"no directory {str(missing)!r} for {path!r}" in result.output
+        assert "Traceback" not in result.output
+        assert calls == []
+
+
 class TestConfigDefaults:
     def test_defaults_build_the_default_config(self):
         assert _iqcc_config(_resolve_config(None, {})) == IqccConfig()
@@ -427,12 +452,10 @@ class TestConfigDefaults:
             "prune_threshold": float,
             "mu": float,
             "spin": float,
-            "enable_pt": bool,
             "memory_budget_terms": int,
             "importance_measure": str,
             "gradient_tolerance": float,
             "max_evaluations": int,
-            "memory_depth": int,
         }
 
 
@@ -465,6 +488,25 @@ class TestGap:
         assert (tmp_path / "t_singlet.csv").exists()
         assert (tmp_path / "t_triplet.csv").exists()
         assert report["manifest"]["config"]["mu"] == 0.25  # protocol default
+
+    def test_lih_cas_window(self, runner, tmp_path):
+        # the frozen-core window: 6 qubits, 2 active electrons per state
+        out = tmp_path / "gap.json"
+        result = runner.invoke(
+            main,
+            ["gap", str(FIXTURES / "lih.fcidump"), "--active-occ", "1", "--active-virt", "2",
+             "--generators", "4", "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())["result"]
+        mi = load_fcidump(FIXTURES / "lih.fcidump")
+        h = jordan_wigner(select_cas(mi, CASWindow.from_counts(mi, 1, 2)))
+        s2, sz = spin_operators(6)
+        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
+        assert abs(report["e_singlet"] - e_s) < 2e-5
+        assert abs(report["e_triplet"] - e_t) < 2e-5
+        assert abs(report["gap_ev"] / report["hartree_to_ev"] - (e_t - e_s)) < 2e-5
 
     @pytest.mark.parametrize("flags, mu", [([], 0.5), (["--mu", "0.3"], 0.3)],
                              ids=["file", "flag"])

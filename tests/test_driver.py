@@ -17,7 +17,8 @@ from iqcc.driver import (
 )
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
-from iqcc.mapping import SpinPenalty, penalize, reference_state, spin_operators
+from iqcc.fcidump import CASWindow, select_cas
+from iqcc.mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin_operators
 from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -40,7 +41,6 @@ class TestConfig:
         assert cfg.prune_threshold == 1e-10
         assert cfg.max_iterations == 100
         assert cfg.penalty.mu == 0.0
-        assert cfg.enable_pt is True
 
     def test_l_cap(self):
         with pytest.raises(CapacityError):
@@ -310,11 +310,12 @@ class TestOneRepresentation:
 
 
 class TestBlockStatisticsOncePerSum:
-    """The block statistics of each Hamiltonian are computed once: PT of one
-    iteration and the ranking of the next share them.  H4, L=4, three
-    iterations, unpenalized and with mu=0.25 (ranked on the penalized sum);
-    the energies and PT values are those of the run that computed the
-    statistics for PT and ranking separately, as float.hex."""
+    """The block statistics of each Hamiltonian are computed once: the input
+    before the loop, then each dressed sum, whose PT and the next ranking
+    share them.  H4, L=4, three iterations, unpenalized and with mu=0.25
+    (ranked on the penalized sum); the energies and PT values are those of
+    the run that computed the statistics for PT and ranking separately, as
+    float.hex."""
 
     ENERGIES = {
         False: ("-0x1.15452421e435ep+1", "-0x1.16c6f8c9e3872p+1", "-0x1.17093fc9b204cp+1"),
@@ -325,9 +326,8 @@ class TestBlockStatisticsOncePerSum:
         True: ("-0x1.16b8baaa3b68bp+1", "-0x1.17045829a812dp+1", "-0x1.1713609207822p+1"),
     }
 
-    @pytest.mark.parametrize("enable_pt", [True, False])
     @pytest.mark.parametrize("penalized", [False, True])
-    def test_calls_and_energies(self, h4_problem, monkeypatch, enable_pt, penalized):
+    def test_calls_and_energies(self, h4_problem, monkeypatch, penalized):
         _, h, ref = h4_problem
         calls = []
         real = _packed.block_statistics
@@ -339,18 +339,15 @@ class TestBlockStatisticsOncePerSum:
         monkeypatch.setattr(_packed, "block_statistics", spy)
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
                          energy_convergence=1e-12,
-                         penalty=SpinPenalty(mu=0.25 if penalized else 0.0),
-                         enable_pt=enable_pt)
+                         penalty=SpinPenalty(mu=0.25 if penalized else 0.0))
         res = run_iqcc(h, ref, cfg)
         n = len(res.records)
         assert n == 3
-        # PT on: the input, then each dressed sum; PT off: one per ranking
-        assert len(calls) == (n + 1 if enable_pt else n)
+        assert len(calls) == n + 1
         # the first ranking reads the sum being minimized
         assert calls[0] == len(penalize(h, cfg.penalty) if penalized else h)
         assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[penalized])
-        with_pt = self.WITH_PT[penalized] if enable_pt else self.ENERGIES[penalized]
-        assert [r.energy_with_pt.hex() for r in res.records] == list(with_pt)
+        assert [r.energy_with_pt.hex() for r in res.records] == list(self.WITH_PT[penalized])
 
 
 class TestPtCorrection:
@@ -422,6 +419,24 @@ class TestGap:
         cfg = IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25))
         gap = singlet_triplet_gap(mi, None, cfg)
         s2, sz = spin_operators(4)
+        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
+        assert abs(gap.e_singlet - e_s) < 2e-5
+        assert abs(gap.e_triplet - e_t) < 2e-5
+        assert abs(gap.gap_ev / HARTREE_TO_EV - (e_t - e_s)) < 2e-5
+
+    # a window that freezes the core (6 qubits) and one that discards
+    # virtuals (8 qubits), against the oracle on the same window
+    @pytest.mark.parametrize("occ, virt, generators", [(1, 2, 4), (2, 2, 8)],
+                             ids=["frozen_core", "no_virtuals"])
+    def test_lih_cas_gap_matches_spin_resolved_oracle(self, lih_problem, occ, virt, generators):
+        mi, _, _ = lih_problem
+        window = CASWindow.from_counts(mi, occ, virt)
+        cfg = IqccConfig(generators_per_iteration=generators, penalty=SpinPenalty(mu=0.25))
+        gap = singlet_triplet_gap(mi, window, cfg)
+        h = jordan_wigner(select_cas(mi, window))
+        assert h.n_qubits == 2 * (occ + virt)
+        s2, sz = spin_operators(h.n_qubits)
         e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
         e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
         assert abs(gap.e_singlet - e_s) < 2e-5
