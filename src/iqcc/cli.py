@@ -36,7 +36,8 @@ from .fcidump import CASWindow, load_fcidump, select_cas
 from .mapping import SpinPenalty, jordan_wigner, reference_state, spin_operators
 from .optimizer import OptimizationConfig
 from .pauli import parse_word
-from .pauli_sum import MAX_QUBITS, _json_key, from_json_dict, to_json_dict
+# to_json_dict stays bound here, where bench/spans.py times it
+from .pauli_sum import MAX_QUBITS, _json_key, from_json_dict, terms_json, to_json_dict
 
 # IqccConfig fields that are nested sections; their fields are flat config
 # keys, the penalty's as mu/spin
@@ -128,7 +129,10 @@ def _manifest(input_path: Path, config: dict, started: str, digest: str | None) 
 
 
 def _write_json(data: dict, output: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    _write_text(json.dumps(data, indent=2), output)
+
+
+def _write_text(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
     else:
@@ -172,14 +176,25 @@ def _window_from_flags(mi, active_occ, active_virt) -> CASWindow | None:
     return CASWindow.from_counts(mi, active_occ, active_virt)
 
 
+def _gap_csv_paths(prefix: str) -> list[str]:
+    """The singlet and the triplet trajectory CSV of ``gap --csv-prefix``."""
+    return [f"{prefix}_singlet.csv", f"{prefix}_triplet.csv"]
+
+
 def _guard(fn):
     """Map domain errors to exit code 1 (usage errors exit 2 via click), after
-    rejecting an output path in a missing directory before any work is done."""
+    rejecting an output path in a missing directory, or one that is a
+    directory, before any work is done."""
 
     def wrapper(*args, **kwargs):
         for path in filter(None, map(kwargs.get, ("output", "csv_path", "csv_prefix"))):
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise click.UsageError(f"no directory {os.path.dirname(path)!r} for {path!r}")
+        # click checks -o and --csv against a directory; the prefix names two files
+        prefix = kwargs.get("csv_prefix")
+        for path in _gap_csv_paths(prefix) if prefix else ():
+            if os.path.isdir(path):
+                raise click.UsageError(f"output path {path!r} is a directory")
         try:
             return fn(*args, **kwargs)
         except IterationAbort as exc:
@@ -214,19 +229,20 @@ def transform(fcidump, active_occ, active_virt, output):
     if window is not None:
         mi = select_cas(mi, window)
     h = jordan_wigner(mi)
-    data = to_json_dict(h)
-    data["n_electrons"] = mi.n_electrons
-    data["ms2"] = mi.ms2
-    data["core_energy"] = mi.core_energy
     # the terms are a function of the arrays: hash those, in key order, little-endian
     arrays = (h.x.astype("<u8"), h.z.astype("<u8"), h.c.astype("<f8"))
+    data = {"n_qubits": h.n_qubits, "terms": [], "n_electrons": mi.n_electrons,
+            "ms2": mi.ms2, "core_energy": mi.core_energy}
     data["manifest"] = _manifest(
         fcidump,
         {"active_occ": active_occ, "active_virt": active_virt},
         started,
         hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest(),
     )
-    _write_json(data, output)
+    # the terms text takes the place of the empty list: the first top-level
+    # '"terms": []', as a string value escapes its quotes
+    text = json.dumps(data, indent=2)
+    _write_text(text.replace('\n  "terms": []', '\n  "terms": ' + terms_json(h), 1), output)
 
 
 def _load_problem(input_path: Path, n_electrons, ms2):
@@ -318,12 +334,8 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
         "result": result.to_json_dict(),
     }
     if csv_prefix:
-        Path(f"{csv_prefix}_singlet.csv").write_text(
-            trajectory_csv(result.singlet.records), encoding="utf-8"
-        )
-        Path(f"{csv_prefix}_triplet.csv").write_text(
-            trajectory_csv(result.triplet.records), encoding="utf-8"
-        )
+        for path, run_result in zip(_gap_csv_paths(csv_prefix), (result.singlet, result.triplet)):
+            Path(path).write_text(trajectory_csv(run_result.records), encoding="utf-8")
     _write_json(report, output)
 
 

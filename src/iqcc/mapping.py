@@ -146,6 +146,8 @@ def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
         )
     if not np.all(np.isfinite(mi.h1)) or not np.all(np.isfinite(mi.g2)):
         raise ValueError("non-finite integral values")
+    if not math.isfinite(mi.core_energy):
+        raise ValueError(f"non-finite core energy {mi.core_energy!r}")
     n_qubits = 2 * mi.n_spatial
 
     def rows():

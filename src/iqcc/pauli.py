@@ -17,10 +17,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionError
 
 _AXIS_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _TOKEN_RE = re.compile(r"([XYZ])(\d+)")
+# Rows ``render_words`` renders at once: its token table holds 4 bytes per
+# qubit per row, so a block bounds it whatever the number of rows.
+_RENDER_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +130,37 @@ def render_masks(x: int, z: int) -> str:
         parts.append(f"{'IXZY'[bool(x & low) + 2 * bool(z & low)]}{low.bit_length() - 1}")
         support ^= low
     return " ".join(parts) if parts else "I"
+
+
+def render_words(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[str]:
+    """``[render_masks(a, b) for a, b in zip(x, z)]`` for uint64 mask arrays.
+
+    Each qubit of a row is a 4-byte cell of a uint8 token table: the letter,
+    the tens and the units digit of the qubit index, a space.  An idle
+    qubit's cell, and the tens byte of a one-digit index, are zero.  An
+    identity row ends in "I ", and every row in a newline.  Dropping the
+    zero bytes leaves one ASCII blob, which splits into the words at " \\n".
+    """
+    q = np.arange(n_qubits)
+    cells = np.zeros((n_qubits, 4, 4), np.uint8)  # [qubit, IXZY code, byte]
+    cells[:, 1:, 0] = np.frombuffer(b"XZY", np.uint8)
+    cells[:, 1:, 1] = np.where(q < 10, 0, ord("0") + q // 10)[:, None]
+    cells[:, 1:, 2] = (ord("0") + q % 10)[:, None]
+    cells[:, 1:, 3] = ord(" ")
+
+    def bits(masks):  # (rows, n_qubits) uint8, qubit 0 first
+        rows = np.ascontiguousarray(masks, "<u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(rows, axis=1, bitorder="little")[:, :n_qubits]
+
+    words: list[str] = []
+    for start in range(0, len(x), _RENDER_BLOCK):
+        xb, zb = x[start:start + _RENDER_BLOCK], z[start:start + _RENDER_BLOCK]
+        table = np.zeros((len(xb), 4 * n_qubits + 3), np.uint8)
+        table[:, :-3] = cells[q, bits(xb) + 2 * bits(zb)].reshape(len(xb), -1)
+        table[(xb | zb) == 0, -3:-1] = np.frombuffer(b"I ", np.uint8)
+        table[:, -1] = ord("\n")
+        words += table[table != 0].tobytes().decode("ascii").split(" \n")[:-1]
+    return words
 
 
 def parse_word(text: str, n_qubits: int) -> PauliWord:

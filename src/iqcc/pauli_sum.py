@@ -20,6 +20,10 @@ Hamiltonian); a missing key, a non-list ``terms`` or a non-string word is a
 * ``to_json_dict`` writes the terms in ``PauliWord.sort_key`` order (weight,
   then the masks), rendered from the masks; ``from_json_dict`` parses the
   words to masks and sums duplicate words in ``_packed._canonical``.
+* ``terms_json`` is the text ``json.dumps(..., indent=2)`` writes for
+  ``to_json_dict``'s terms, built in the same order from the same
+  ``pauli.render_words`` blob with no per-term dict; ``iqcc transform``
+  writes it, so json's pure-Python indenting encoder never walks the terms.
 
 The Ising decomposition that ranking needs (one block per X-string) is
 computed on packed arrays by ``_packed.block_statistics``; no per-block sums
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InvalidGeneratorError
-from .pauli import PauliWord, parse_masks, render_masks, render_word
+from .pauli import PauliWord, parse_masks, render_masks, render_word, render_words
 
 if TYPE_CHECKING:  # _packed builds on this module
     from ._packed import PackedSum
@@ -119,17 +123,51 @@ def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
 # -- serialization ---------------------------------------------------------
 
 
+def _sorted_terms(p: PackedSum) -> tuple[list[str], list[float]]:
+    """The rendered words and the coefficients in ``PauliWord.sort_key`` order."""
+    order = np.lexsort((p.z, p.x, np.bitwise_count(p.x | p.z)))
+    return render_words(p.x[order], p.z[order], p.n_qubits), p.c[order].tolist()
+
+
 def to_json_dict(p: PackedSum) -> dict:
     """JSON-ready form, terms in ``PauliWord.sort_key`` order.
 
     A float's repr round-trips it, so the coefficients keep all their bits.
     """
-    order = np.lexsort((p.z, p.x, np.bitwise_count(p.x | p.z)))
-    rows = zip(p.x[order].tolist(), p.z[order].tolist(), p.c[order].tolist())
+    words, coeffs = _sorted_terms(p)
     return {
         "n_qubits": p.n_qubits,
-        "terms": [{"word": render_masks(x, z), "coeff": c} for x, z, c in rows],
+        "terms": [{"word": w, "coeff": c} for w, c in zip(words, coeffs)],
     }
+
+
+# json's spelling of the floats whose repr is not JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def terms_json(p: PackedSum) -> str:
+    """``to_json_dict(p)["terms"]`` as ``json.dumps(..., indent=2)`` writes it
+    as a value of the top-level object, byte for byte.
+
+    A word needs no escaping, and a coefficient is written as json writes a
+    float.  Every term has the layout
+
+        {
+          "word": "X0 Z3",
+          "coeff": -0.5
+        }
+
+    indented by 4 spaces, so the text is joined from the two columns.
+    """
+    words, coeffs = _sorted_terms(p)
+    if not words:
+        return "[]"
+    values = list(map(float.__repr__, coeffs))
+    if not np.isfinite(p.c).all():
+        values = [_JSON_NON_FINITE.get(v, v) for v in values]
+    terms = map('",\n      "coeff": '.join, zip(words, values))
+    body = '\n    },\n    {\n      "word": "'.join(terms)
+    return '[\n    {\n      "word": "' + body + "\n    }\n  ]"
 
 
 def _json_key(obj, key: str, where: str, kind: type = object):

@@ -505,6 +505,18 @@ def dense_fermionic_hamiltonian(mi) -> np.ndarray:
     return ham
 
 
+def fcidump_text(mi) -> str:
+    """FCIDUMP text of the integrals ``mi``: every h1 and g2 entry (the
+    symmetric copies agree) and the core energy, each value as its repr."""
+    lines = [f"&FCI NORB={mi.n_spatial},NELEC={mi.n_electrons},MS2={mi.ms2},", "&END"]
+    for tensor in (mi.g2, mi.h1):
+        for idx in np.ndindex(tensor.shape):
+            indices = [i + 1 for i in idx] + [0] * (4 - len(idx))
+            lines.append(" ".join([repr(float(tensor[idx]))] + [str(i) for i in indices]))
+    lines.append(f"{float(mi.core_energy)!r} 0 0 0 0")
+    return "\n".join(lines) + "\n"
+
+
 def random_symmetric_integrals(n_spatial: int, rng, core: float = 0.0):
     """Random integrals with full permutational symmetry."""
     from iqcc.fcidump import MolecularIntegrals

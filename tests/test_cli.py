@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -18,6 +19,8 @@ from iqcc.mapping import jordan_wigner, spin_operators
 from iqcc.oracle import spin_resolved_spectrum
 from iqcc.pauli import PauliWord
 from iqcc.pauli_sum import from_json_dict, to_json_dict
+
+from helpers import fcidump_text, random_symmetric_integrals
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -79,6 +82,36 @@ class TestTransform:
             main, ["transform", str(FIXTURES / "h2.fcidump"), "--active-occ", "1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "source, window",
+        [("h2", None), ("h4", None), ("lih", None), ("lih", (1, 2)), ("random", None)],
+        ids=["h2", "h4", "lih", "lih_cas", "random"],
+    )
+    def test_bytes_as_indent_2_dump(self, runner, tmp_path, source, window):
+        # the terms are written from the arrays, not dumped from dicts: the
+        # file and the stdout form are still the indent-2 dump of the dict
+        # that to_json_dict gives, with the envelope after the terms
+        path = FIXTURES / f"{source}.fcidump"
+        if source == "random":
+            mi = random_symmetric_integrals(3, np.random.default_rng(24), core=0.7)
+            path = tmp_path / "random.fcidump"
+            path.write_text(fcidump_text(mi))
+        mi = load_fcidump(path)
+        flags = []
+        if window:
+            mi = select_cas(mi, CASWindow.from_counts(mi, *window))
+            flags = ["--active-occ", str(window[0]), "--active-virt", str(window[1])]
+        terms = to_json_dict(jordan_wigner(mi))
+        out = tmp_path / "h.json"
+        to_file = runner.invoke(main, ["transform", str(path), *flags, "-o", str(out)])
+        to_stdout = runner.invoke(main, ["transform", str(path), *flags])
+        for result, text in ((to_file, out.read_text()), (to_stdout, to_stdout.stdout)):
+            assert result.exit_code == 0, result.output
+            envelope = {"n_electrons": mi.n_electrons, "ms2": mi.ms2,
+                        "core_energy": mi.core_energy,
+                        "manifest": json.loads(text)["manifest"]}
+            assert text == json.dumps({**terms, **envelope}, indent=2) + "\n"
 
 
 def _h2_json_outside_envelope(runner, tmp_path, case: str) -> Path:
@@ -417,6 +450,25 @@ class TestRun:
         assert data["manifest"]["determinism"]["numeric_digest"] == digest
 
 
+class TestNonFiniteCoreEnergy:
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("command", ["transform", "run", "gap"])
+    def test_rejected_at_load(self, runner, tmp_path, command, value):
+        # the core energy is the all-zero record; a transform would write it
+        # and a coefficient as NaN, which its own loader rejects
+        lines = (FIXTURES / "h2.fcidump").read_text().splitlines()
+        path = tmp_path / "core.fcidump"
+        path.write_text("\n".join(
+            f"{value} 0 0 0 0" if line.split()[1:] == ["0"] * 4 else line for line in lines
+        ) + "\n")
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [command, str(path), "-o", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert f"error: non-finite core energy {float(value)!r}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize(
         "command, option, name",
@@ -438,6 +490,25 @@ class TestOutputDirectory:
         assert f"no directory {str(missing)!r} for {path!r}" in result.output
         assert "Traceback" not in result.output
         assert calls == []
+
+    @pytest.mark.parametrize("state", ["singlet", "triplet"])
+    def test_gap_csv_path_that_is_a_directory_rejected_before_run(
+        self, runner, tmp_path, monkeypatch, state
+    ):
+        # the gap writes its report after the CSVs: both runs would finish
+        # and the report would be lost
+        calls = []
+        monkeypatch.setattr(cli, "load_fcidump", lambda *args: calls.append(args))
+        monkeypatch.setattr(driver, "run_iqcc", lambda *args: calls.append(args))
+        (tmp_path / f"d_{state}.csv").mkdir()
+        prefix, out = str(tmp_path / "d"), tmp_path / "g.json"
+        result = runner.invoke(
+            main, ["gap", str(FIXTURES / "h2.fcidump"), "--csv-prefix", prefix, "-o", str(out)]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"output path {prefix + '_' + state + '.csv'!r} is a directory" in result.output
+        assert "Traceback" not in result.output
+        assert calls == [] and not out.exists()
 
 
 class TestConfigDefaults:

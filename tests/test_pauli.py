@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from iqcc import pauli
 from iqcc.errors import DimensionError
-from iqcc.pauli import PauliWord, commutes, multiply, parse_word, render_word
+from iqcc.pauli import (
+    PauliWord,
+    commutes,
+    multiply,
+    parse_word,
+    render_masks,
+    render_word,
+    render_words,
+)
 
 from helpers import word_matrix
 
@@ -149,3 +158,30 @@ class TestTextFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_word("Q3", 4)
+
+
+class TestRenderWords:
+    @pytest.mark.parametrize("n", [1, 10, 11, 31, 32, 33, 63, 64])
+    def test_equals_render_masks(self, monkeypatch, n):
+        # seeded masks, an identity row, one on the highest qubit and one on
+        # every qubit (one- and two-digit indices); a block of 7 rows puts 25
+        # rows across three block boundaries
+        monkeypatch.setattr(pauli, "_RENDER_BLOCK", 7)
+        rng = np.random.default_rng(n)
+        x, z = rng.integers(0, 1 << n, size=(2, 25), dtype=np.uint64)
+        top, full = 1 << (n - 1), (1 << n) - 1
+        x[:4], z[:4] = [0, top, 0, full], [0, top, top, 0]
+        x[10] = z[10] = 0
+        expected = [render_masks(a, b) for a, b in zip(x.tolist(), z.tolist())]
+        for rows in (0, 1, 7, 14, 25):
+            assert render_words(x[:rows], z[:rows], n) == expected[:rows]
+        assert expected[:4] == ["I", f"Y{n - 1}", f"Z{n - 1}", " ".join(f"X{q}" for q in range(n))]
+
+    def test_default_block_boundary(self):
+        # more rows than one default block
+        rows = pauli._RENDER_BLOCK + 3
+        rng = np.random.default_rng(24)
+        x, z = rng.integers(0, 1 << 12, size=(2, rows), dtype=np.uint64)
+        z[::5] = x[::5] = 0
+        expected = [render_masks(a, b) for a, b in zip(x.tolist(), z.tolist())]
+        assert render_words(x, z, 12) == expected

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from iqcc.pauli_sum import (
     dress_sequence,
     from_json_dict,
     prune,
+    terms_json,
     to_json_dict,
 )
 from iqcc import _packed
@@ -501,6 +503,19 @@ class TestJson:
             x, z = rng.integers(0, 1 << n, size=(2, 200), dtype=np.uint64, endpoint=False)
             h = _packed._canonical(n, x, z, rng.normal(size=200))
             assert json.dumps(to_json_dict(h)) == json.dumps(reference_to_json_dict(h))
+
+    @pytest.mark.parametrize("case", ["drawn", "empty", "non_finite", "64_qubits"])
+    def test_terms_text_as_indent_2_dump(self, case):
+        # terms_json is the text json.dumps(..., indent=2) nests at depth 1,
+        # with json's NaN and Infinity for the floats whose repr is not JSON
+        n = 64 if case == "64_qubits" else 7
+        h = drawn_sum(n, 10, 40, np.random.default_rng(24))
+        if case == "empty":
+            h = replace(h, x=h.x[:0], z=h.z[:0], c=h.c[:0])
+        elif case == "non_finite":
+            h = replace(h, c=np.concatenate([[np.nan, np.inf, -np.inf], h.c[3:]]))
+        expected = json.dumps(to_json_dict(h), indent=2)
+        assert expected == f'{{\n  "n_qubits": {n},\n  "terms": {terms_json(h)}\n}}'
 
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
     def test_fixture_bytes_as_word_by_word_rendering(self, fixture_dir, name):
