@@ -27,9 +27,10 @@ masks, ``_sort`` is the one stable sort of a key (argsort or ``lexsort``,
 the same permutation), and ``_group`` the one grouping: the sorted table of
 distinct keys and each row's slot in it, the same at either width.
 ``_sorted_keys`` is ``_group`` from masks to masks; ``_canonical`` (so
-``pack`` and ``from_json_dict``) and the Jordan-Wigner table in ``mapping``
-take their keys and slots from it, and ``_canonical`` sums each key's rows
-by slot, left to right in row order, as the scalar references do.
+``pack`` and ``from_json_dict``) takes its keys and slots from it and sums
+each key's rows by slot, left to right in row order, as the scalar
+references do.  The Jordan-Wigner table in ``mapping`` is kept as its key
+between blocks and grouped by ``_group`` directly.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records, per layer, where each row and each spawned row

@@ -12,13 +12,21 @@ words (correct by construction for any size): mode j carries
 
 so a product of F ladder factors expands into 2**F Pauli products, one per
 choice of the X or the Y half of each factor.  ``_ladder_rows`` expands
-``_BLOCK`` ladder products at a time in numpy: the x and z masks of each
-product, its mod-4 phase (integer arithmetic, as in ``pauli.raw_multiply``)
-and its coefficient v * 0.5**F times that power of i.  The block bounds the
+``_BLOCK`` ladder products at a time in numpy.  A product's Pauli products
+share one x mask, the XOR of its factors' bits; each one's z is the XOR of
+the factors' Z strings and the bits of its Y halves, built by doubling the
+rows once per factor.  Its mod-4 phase k (integer arithmetic, as in
+``pauli.raw_multiply``) telescopes: the y-counts before and after each
+factor cancel, leaving 2 per Y half of an annihilator, 2 per factor whose
+bit is set in the z before it, and -popcount(x & z) of the whole row.
+Every factor, Z..Z X or Z..Z iY, is a real matrix, so a row's coefficient
+i**k v 0.5**F is +-v 0.5**F, real for an even-y word and imaginary for an
+odd-y one: each row carries that one float64.  The block bounds the
 temporaries whatever the number of integrals.
 
-``_accumulate`` adds the rows into one table of keys, kept in (x, z) order,
-with ``np.add.at``, which adds each key's rows one by one in the order they
+``_accumulate`` adds the rows into one table of keys, kept in (x, z) order
+as its ``_packed._key`` and regrouped per block by ``_packed._group``, with
+``np.add.at``, which adds each key's rows one by one in the order they
 come.  That generation order is: the core energy, then h1 in ``np.nonzero``
 order times spin, then g2 in ``np.nonzero`` order times the (sigma, tau)
 spin pattern, and each ladder product's Pauli products in
@@ -27,8 +35,10 @@ spin pattern, and each ladder product's Pauli products in
 every coefficient's bits.  The table is the returned ``PackedSum``, already
 canonical.  ``penalize`` adds canonical sums with ``_packed._add``.
 
-Real molecular integrals always leave a real, even-y-count Pauli sum; a
-residual imaginary part signals inconsistent input and raises.
+Real molecular integrals always leave a real, even-y-count Pauli sum;
+complex integrals are rejected up front, a residual odd-y coefficient
+signals inconsistent input and raises, and a coefficient that overflowed
+to inf or NaN is a domain error.
 """
 
 from __future__ import annotations
@@ -39,16 +49,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _packed
-from ._packed import PackedSum, _sorted_keys
+from ._packed import PackedSum, _group, _key, _masks
 from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
 from .pauli import render_masks
 from .pauli_sum import MAX_QUBITS, ReferenceState
 
 # Ladder products expanded at once, 2**F Pauli rows each: the block bounds
-# the temporaries; larger blocks raised the benchmark's peak RSS.
-_BLOCK = 512
-_PHASE = np.array([1.0, 1j, -1.0, -1j])  # i**k
+# the temporaries, and each block re-sorts the table once.
+_BLOCK = 1024
 
 # Spin of each ladder factor, one row per spin pattern: a^dag_ps a_qs for h1,
 # a^dag_p(sigma) a^dag_r(tau) a_s(tau) a_q(sigma) for g2.
@@ -57,80 +66,86 @@ _TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 
 
 
 def _ladder_rows(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
-    """Pauli rows (x, z, complex c) of ladder products, ``_BLOCK`` at a time.
+    """Pauli rows (x, z, c) of ladder products, ``_BLOCK`` at a time.
 
     Product (i, s) is values[i] times the factors a_j, j = 2 * orbitals[f][i]
     + spins[s, f], with a^dag where ``dagger[f]``, left to right; products run
     i-major, and each expands into its Pauli products in ``itertools.product``
     order (the X half of a factor before its Y half, the first factor slowest).
+    A product's rows share one x, shape (B, 1); z and c are per row, shape
+    (B, 2**F), c the real coefficient or, for an odd-y word, the imaginary
+    one.
     """
     n_spin, n_fac = spins.shape
-    # per Pauli product and factor: 1 where it takes the Y half
-    half = (np.arange(1 << n_fac)[:, None] >> np.arange(n_fac - 1, -1, -1)) & 1
-    # the Y half carries +i/2 (a) or -i/2 (a^dag): that power of i
-    y_phase = [(half[:, f] * (3 if dagger[f] else 1)).astype(np.uint8) for f in range(n_fac)]
-    half = half.astype(bool)
     one = np.uint64(1)
     n_products = len(values) * n_spin
     for start in range(0, n_products, _BLOCK):
         i, s = np.divmod(np.arange(start, min(start + _BLOCK, n_products)), n_spin)
-        x = np.zeros((len(i), 1 << n_fac), dtype=np.uint64)
+        x = np.zeros((len(i), 1), dtype=np.uint64)
         z = np.zeros_like(x)
         k = np.zeros(x.shape, dtype=np.uint8)  # wraps mod 256, so stays right mod 4
         m = values[i]
         for f in range(n_fac):
             bit = one << (2 * orbitals[f][i] + spins[s, f]).astype(np.uint64)[:, None]
-            wz = np.where(half[:, f], (bit - one) | bit, bit - one)
-            # (x, z) * (bit, wz) = i**k' (x ^ bit, z ^ wz), k' as in
-            # pauli.raw_multiply; the Y half adds its own power of i
-            k += np.bitwise_count(x & z)
-            k += np.bitwise_count(bit & wz)
-            k += 2 * np.bitwise_count(z & bit)
-            k += y_phase[f]
+            # the phase of pauli.raw_multiply, telescoped: 2 where bit j is
+            # set in the z so far, 2 for the Y half of an a (i from the
+            # y-count times its +i), none for an a^dag's (i times -i), and
+            # -popcount(x & z) of the finished row
+            k += np.bitwise_count(z & bit) << 1
             x ^= bit
-            z ^= wz
-            k -= np.bitwise_count(x & z)
+            z ^= bit - one
+            z = np.stack((z, z ^ bit), axis=-1).reshape(len(i), -1)
+            k = np.stack((k, k + (0 if dagger[f] else 2)), axis=-1).reshape(len(i), -1)
             m = m * 0.5
-        c = _PHASE[k & 3]
-        c *= m[:, None]
-        yield x.ravel(), z.ravel(), c.ravel()
+        k -= np.bitwise_count(x & z)
+        # i**k times m: +-m, real for even k and imaginary for odd k
+        yield x, z, np.where(k & 2, -m[:, None], m[:, None])
 
 
 def _accumulate(n_qubits: int, blocks):
     """Sum row blocks (x, z, c) into one key table: (x, z, c) per key, keys
-    in (x, z) order, each c the left-to-right sum of its rows."""
-    x = z = np.zeros(0, dtype=np.uint64)
-    c = np.zeros(0, dtype=np.complex128)
+    in (x, z) order, each c the left-to-right sum of its rows.
+
+    Between blocks the table is its ``_packed._key`` and a float column.  An
+    overflow is left as inf or NaN for ``_collapse`` to report.
+    """
+    key = _key(n_qubits, *(np.zeros(0, dtype=np.uint64),) * 2)
+    c = np.zeros(0)
     for bx, bz, bc in blocks:
         n_old = len(c)
-        slot, x, z = _sorted_keys(n_qubits, np.concatenate([x, bx]), np.concatenate([z, bz]))
-        table = np.zeros(len(x), dtype=np.complex128)
+        rows = (np.broadcast_to(col, bc.shape).ravel() for col in _key(n_qubits, bx, bz))
+        slot, key = _group(tuple(np.concatenate([old, new]) for old, new in zip(key, rows)))
+        table = np.zeros(len(key[0]))
         table[slot[:n_old]] = c
-        np.add.at(table, slot[n_old:], bc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(table, slot[n_old:], bc.ravel())
         c = table
-    return x, z, c
+    return (*_masks(n_qubits, key), c)
 
 
 def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10) -> PackedSum:
     """The real sum of a key table; only cancellation dust may be discarded.
 
-    Real input integrals leave odd-y words with exactly cancelling
-    coefficients up to float addition order, so anything beyond ``tol``
-    times the coefficient scale is a genuine hermiticity violation.
+    An odd-y word's c is its imaginary coefficient.  Real input integrals
+    leave those exactly cancelling up to float addition order, so anything
+    beyond ``tol`` times the coefficient scale is a genuine hermiticity
+    violation.
     """
+    bad = np.flatnonzero(~np.isfinite(c))
+    if len(bad):
+        word = render_masks(int(x[bad[0]]), int(z[bad[0]]))
+        raise ValueError(f"non-finite coefficient {float(c[bad[0]])!r} on {word}")
     mag = np.abs(c)
     scale = float(np.max(mag, initial=1.0))
     odd = (np.bitwise_count(x & z) & 1).astype(bool)
-    bad = np.where(odd, mag, np.abs(c.imag)) > tol * scale
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        word = render_masks(int(x[i]), int(z[i]))
-        ci = complex(c[i])
-        if odd[i]:
-            raise HermiticityError(f"odd y-count word {word} with coefficient {ci:.3e}")
-        raise HermiticityError(f"imaginary coefficient {ci:.3e} on {word}")
-    keep = ~odd & (c.real != 0.0)
-    return PackedSum(n_qubits, x[keep], z[keep], c.real[keep])
+    bad = np.flatnonzero(odd & (mag > tol * scale))
+    if len(bad):
+        word = render_masks(int(x[bad[0]]), int(z[bad[0]]))
+        raise HermiticityError(
+            f"odd y-count word {word} with coefficient {complex(0.0, c[bad[0]]):.3e}"
+        )
+    keep = ~odd & (c != 0.0)
+    return PackedSum(n_qubits, x[keep], z[keep], c[keep])
 
 
 def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
@@ -144,6 +159,8 @@ def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
         raise CapacityError(
             f"{mi.n_spatial} spatial orbitals exceeds the {MAX_QUBITS // 2}-orbital bound"
         )
+    if np.iscomplexobj(mi.h1) or np.iscomplexobj(mi.g2):
+        raise HermiticityError("complex integral values")
     if not np.all(np.isfinite(mi.h1)) or not np.all(np.isfinite(mi.g2)):
         raise ValueError("non-finite integral values")
     if not math.isfinite(mi.core_energy):
@@ -152,7 +169,7 @@ def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
 
     def rows():
         identity = np.zeros(1, dtype=np.uint64)
-        yield identity, identity, np.array([complex(mi.core_energy)])
+        yield identity, identity, np.array([float(mi.core_energy)])
         one = np.nonzero(mi.h1)
         yield from _ladder_rows(one, _ONE_BODY_SPINS, (True, False), mi.h1[one])
         two = np.nonzero(mi.g2)
@@ -223,7 +240,7 @@ def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     p, q = np.divmod(np.arange(n_orb * n_orb), n_orb)
 
     def rows():
-        yield np.zeros(sz_z.size, dtype=np.uint64), sz_z.ravel(), sz_c.ravel().astype(complex)
+        yield np.zeros(1, dtype=np.uint64), sz_z.ravel(), sz_c.ravel()
         yield from _ladder_rows(
             (p, p, q, q), np.array([[1, 0, 0, 1]]), (True, False, True, False), np.ones(len(p))
         )

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from iqcc.pauli_sum import from_json_dict, to_json_dict
 from helpers import fcidump_text, random_symmetric_integrals
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SYNTH = Path(__file__).parent.parent / "bench" / "synth.py"
 
 
 @pytest.fixture()
@@ -422,6 +424,21 @@ class TestRun:
         digest = json.loads(out.read_text())["manifest"]["determinism"]["numeric_digest"]
         assert digest.startswith(prefix)
 
+    def test_synth_transform_command_digest(self, runner, tmp_path):
+        # the synth_transform benchmark command: 24 qubits, 336,721 Pauli
+        # rows over many expansion blocks, reduced to 7,537 terms
+        spec = importlib.util.spec_from_file_location("bench_synth", SYNTH)
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        path = tmp_path / "synth.fcidump"
+        synth.write_fcidump(path, 12, 8, 1)
+        out = tmp_path / "h.json"
+        result = runner.invoke(main, ["transform", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        data = json.loads(out.read_text())
+        assert len(data["terms"]) == 7537
+        assert data["manifest"]["determinism"]["numeric_digest"].startswith("840d3fdd449c6efb")
+
     @pytest.mark.parametrize(
         "fixture, n_terms, prefix",
         [("lih.fcidump", 631, "403c737e74b90a29"), ("h4.fcidump", 185, "9e89ce5e6f3f0484")],
@@ -465,6 +482,24 @@ class TestNonFiniteCoreEnergy:
         result = runner.invoke(main, [command, str(path), "-o", str(out)])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert f"error: non-finite core energy {float(value)!r}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
+class TestOverflowingIntegrals:
+    @pytest.mark.parametrize("command", ["transform", "run"])
+    def test_rejected(self, runner, tmp_path, command):
+        # finite integrals whose identity coefficient overflows: a transform
+        # would write "coeff": Infinity and a run report inf energies
+        path = tmp_path / "overflow.fcidump"
+        path.write_text(
+            "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+            "1.7e308 1 1 0 0\n1.7e308 2 2 0 0\n0.0 0 0 0 0\n"
+        )
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [command, str(path), "-o", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "error: non-finite coefficient inf on I" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
