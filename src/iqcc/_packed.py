@@ -33,28 +33,37 @@ references do.  The Jordan-Wigner table in ``mapping`` is kept as its key
 between blocks and grouped by ``_group`` directly.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
-generators once and records, per layer, where each row and each spawned row
-lands.  It keys its input once and splits the last layer's table into
-masks once; in between, a layer takes its anticommuting rows from the key
-by index, drops each temporary as soon as it is last used, and checks the
-caller's term budget on its input plus spawned rows before it concatenates
-or sorts them.  ``_replay`` then dresses by scatter alone, with no sort and no
-search, and ``run_plan`` drops the exact zeros once at the end.  A generator
-only XORs its x mask into a word, so dressing keeps every row in its coset
-of the GF(2) span of the generators' x masks (``span_split``).  An iteration
-plans the rows in the span once: its optimizer replays the plan at many
-amplitudes, cut to the rows that reach the diagonal by one backward sweep
-(``live_plan``), and its final dressing replays it once at the optimum.  The
-other rows never reach the diagonal, so they are dressed only at the end,
-one generator at a time through ``dress_packed`` (a one-layer plan, so only
-one layer's index arrays are alive at a time), and ``merge`` sorts the two
-disjoint parts into one sum by ``_sort`` alone (``_add`` is the add of sums
-that share keys); both arrive sorted, and up to 32 qubits the stable argsort
-of the one-column key, a timsort, finds the two runs and merges them in
-linear time.  Each layer is linear in its input and the energy is d . c_L,
-with d the signed indicator of the diagonal rows (``_reference_sign``), so
-``energy_and_gradient`` sums d * c_L for the energy and takes the gradient
-by one reverse pass of d through the same index arrays.
+generators once and records each layer as one list of contributions
+(``PlanLayer``): every input row's base row, taking 1 or cos(t), then every
+anticommuting row's spawned row, taking +-sin(t).  It keys its input once
+and splits the last layer's table into masks once; in between, a layer
+takes its anticommuting rows from the key by index, keeps ``_group``'s
+slots as its output rows, and checks the caller's term budget on its input
+plus spawned rows before it concatenates or sorts them.  ``_replay`` then
+dresses a layer by one gather, one multiply and one ``np.bincount``, with
+no sort and no search, and ``run_plan`` drops the exact zeros once at the
+end.  ``np.bincount`` adds each output row's base and spawn products in list
+order, base first, from +0.0: the same two floats as the term-by-term
+reference, so every non-zero coefficient is bit for bit the same; an exact
+-0.0 becomes +0.0, and such a row never reaches the energy (which skips
+c == 0) nor a non-zero sum.  A generator only XORs its x mask into a word,
+so dressing keeps every row in its coset of the GF(2) span of the
+generators' x masks (``span_split``).  An iteration plans the rows in the
+span once: its optimizer replays the plan at many amplitudes, cut to the
+rows that reach the diagonal by one backward sweep (``live_plan``, whose
+layers list their base rows quiet first, so that each factor covers a
+slice), and its final dressing replays it once at the optimum.  The other
+rows never reach the diagonal, so they are dressed only at the end, one
+generator at a time, by a one-layer plan replayed once (``dress_packed``).
+``merge`` sorts the coset's and the other rows' sums into one by ``_sort``
+alone (``_add`` is the add of sums that share keys); both arrive sorted, and
+up to 32 qubits the stable argsort of the one-column key, a timsort, finds
+the runs and merges them in linear time.  Each layer is linear in its input
+and the energy is d . c_L, with d the signed indicator of the diagonal rows
+(``_reference_sign``), so ``energy_and_gradient`` sums d * c_L for the
+energy and takes the gradient by one reverse pass of d through the same
+contributions: one gather of lambda, the two gradient sums over slices and
+one ``np.bincount`` per layer.
 """
 
 from __future__ import annotations
@@ -214,21 +223,35 @@ def merge(a: PackedSum, b: PackedSum) -> PackedSum:
 
 @dataclass(frozen=True)
 class PlanLayer:
-    """Row structure of one dressing step: rows in, where they land, rows out.
+    """One dressing step as a list of contributions: contribution i adds its
+    source input row, times its factor, to the output row ``dest[i]``, and
+    ``np.bincount`` sums each output row's contributions in list order.
 
-    In a plan from ``plan_chain`` every input row has a base row, ``src`` is
-    ``slice(None)`` and ``spawn_src`` is ``anti``, the same array;
-    ``live_plan`` cuts each array to the rows that reach a kept row.  Indices
-    are intp: numpy converts any other index type on every use.
+    The list holds the base rows [0, n_base), then the spawned rows, whose
+    factor is sign * sin(t).  A base row's factor is 1 where its input row
+    commutes with the generator (a quiet row), else cos(t).  Each part is
+    ascending in its source row.
+
+    * A ``live_plan`` cut (``DressPlan.cut``) lists in ``src`` the source
+      of every contribution, and its base rows are the quiet ones
+      [0, n_quiet), then the anticommuting ones [n_quiet, n_base).  Its
+      signs are float64: a cut is replayed at many amplitudes, and a double
+      times an int8 array takes about twice as long as times a float64 one.
+    * A ``plan_chain`` layer keeps ``_group``'s slots as ``dest``, with no
+      gather: its base rows are its n_base input rows in order, and ``src``
+      lists the sources of its spawned rows only.  Those are the
+      anticommuting rows, one spawn each, and their base rows take cos(t)
+      by index.  ``n_quiet`` counts the quiet rows, and its signs are int8,
+      an eighth of the bytes.
+
+    Indices are intp: numpy converts any other index type on every use.
     """
 
-    src: np.ndarray | slice  # input rows with a base row, ascending
-    base_dest: np.ndarray  # per ``src`` row: its base row in the next layer
-    anti: np.ndarray  # anticommuting input rows with a base row, ascending
-    anti_dest: np.ndarray  # per ``anti`` row: its base row, which takes c*cos(t)
-    spawn_src: np.ndarray  # anticommuting input rows with a spawned row, ascending
-    pos: np.ndarray  # bool per spawned row: k == 1, i.e. it gets +sin(t)
-    spawn_dest: np.ndarray  # per spawned row: its row in the next layer
+    src: np.ndarray
+    dest: np.ndarray  # output row of each contribution
+    sign: np.ndarray  # per spawned row: 1 where it gets +sin(t), else -1
+    n_quiet: int
+    n_base: int
     n_out: int
 
 
@@ -237,8 +260,9 @@ class DressPlan:
     """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer: every key any amplitude can
-    reach, or in a ``live_plan`` cut the diagonal ones.  ``len`` is the
-    number of input rows.  Layer j takes the j-th amplitude of a replay.
+    reach, or in a ``live_plan`` cut (``cut`` True) the diagonal ones.
+    ``len`` is the number of input rows.  Layer j takes the j-th amplitude
+    of a replay.
     """
 
     n_qubits: int
@@ -246,9 +270,26 @@ class DressPlan:
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
     z: np.ndarray
+    cut: bool = False
 
     def __len__(self) -> int:
         return len(self.c)
+
+
+def _scale(layer: PlanLayer, w: np.ndarray, cut: bool, cos_t, sin_t) -> np.ndarray:
+    """``w``, one entry per contribution of ``layer``, times each one's
+    factor, in place; ``cut`` says which form the layer has."""
+    w[slice(layer.n_quiet, layer.n_base) if cut else layer.src] *= cos_t
+    w[layer.n_base:] *= layer.sign * sin_t
+    return w
+
+
+def _bincount(rows: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The sum of ``weights`` at each row 0..n-1, added in list order from
+    +0.0; float64 also with no weights, where ``np.bincount`` gives int64."""
+    if len(rows) == 0:
+        return np.zeros(n)
+    return np.bincount(rows, weights, n)
 
 
 def _y_count(n_qubits: int, key: tuple) -> np.ndarray:
@@ -261,12 +302,13 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
     """Sort each layer of the chain once: the plan ``run_plan`` replays.
 
     Every layer works on the input's ``_key``, built once, and groups its
-    input and spawned rows with one ``_group``; the last layer's table is
-    split into masks once.  No row is dropped along the way, so every layer
-    holds all keys that some amplitudes reach; base and spawned keys are
-    each unique, so a key gets at most one of each.  A layer whose input and
-    spawned rows number more than ``max_terms`` raises
-    :class:`CapacityError` before they are concatenated.
+    input and spawned rows with one ``_group``, whose slots are the layer's
+    ``dest`` as they come; the last layer's table is split into masks once.
+    No row is dropped along the way, so every layer holds all keys that some
+    amplitudes reach; base and spawned keys are each unique, so a key gets
+    at most one of each.  A layer whose input and spawned rows number more
+    than ``max_terms`` raises :class:`CapacityError` before they are
+    concatenated.
     """
     n = p.n_qubits
     key = _key(n, p.x, p.z)
@@ -289,21 +331,20 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
         parents = tuple(col[rows] for col in key)
         spawned = tuple(col ^ w for col, w in zip(parents, word))
         # a spawned row gets +sin(t) of its parent's coefficient where k == 1,
-        # -sin(t) elsewhere; uint8 wraps mod 256, which keeps k right mod 4;
-        # the last column holds z in its low bits, so & tx reads z & tx
+        # -sin(t) where k == 3, so its sign is 2 - k, an int8; uint8 wraps mod
+        # 256, which keeps k right mod 4 and makes 2 - 3 the int8 -1; the last
+        # column holds z in its low bits, so & tx reads z & tx
         k = (
             _y_count(n, parents)
             + np.uint8(gen.y_count())
             - _y_count(n, spawned)
             + 2 * np.bitwise_count(parents[-1] & tx)
         ) & 3
+        sign = (np.uint8(2) - k).view(np.int8)
         del parents
         slot, key = _group(tuple(np.concatenate(pair) for pair in zip(key, spawned)))
         del spawned
-        base_dest, spawn_dest = slot[:n_in], slot[n_in:]
-        layers.append(PlanLayer(
-            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(key[0])
-        ))
+        layers.append(PlanLayer(rows, slot, sign, n_in - len(rows), n_in, len(key[0])))
     return DressPlan(n, p.c, tuple(layers), *_masks(n, key))
 
 
@@ -314,57 +355,65 @@ def live_plan(plan: DressPlan) -> DressPlan:
     A last-layer row is read if it is diagonal: only those carry the energy
     and only those start the reverse pass of ``energy_and_gradient``.  An
     earlier row is live if its base row or its spawned row is.  One backward
-    sweep numbers each layer's live input rows in order, which is the output
-    numbering of the layer before, so ``run_plan`` gives the diagonal rows in
-    the same order and with the same values as from ``plan``, and the rows
-    the cut drops add only zeros to the gradient.
+    sweep masks each layer's contributions by ``live[dest]`` and numbers its
+    live input rows in order, which is the output numbering of the layer
+    before, so ``run_plan`` gives the diagonal rows in the same order and
+    with the same values as from ``plan``, and the rows the cut drops add
+    only zeros to the gradient.  The cut lists its base rows quiet first,
+    so that each factor covers one slice.
     """
+    if plan.cut:
+        raise ValueError("live_plan cuts a plan from plan_chain, not a cut plan")
     live = diagonal = plan.x == 0
     row_out = np.cumsum(live, dtype=np.intp) - 1
     n_out = int(np.count_nonzero(live))
     layers = []
     for layer in reversed(plan.layers):
-        if layer.spawn_src is not layer.anti:
-            raise ValueError("live_plan cuts a plan from plan_chain, not a cut plan")
-        keep_base = live[layer.base_dest]
-        keep_anti = keep_base[layer.anti]  # anti_dest is base_dest[anti]
-        keep_spawn = live[layer.spawn_dest]
-        live = keep_base.copy()
-        live[layer.anti[keep_spawn]] = True
+        n_in = layer.n_base
+        keep = live[layer.dest]
+        base = keep[:n_in]  # the kept base rows, by input row
+        cos = layer.src[base[layer.src]]
+        spawned = np.flatnonzero(keep[n_in:])
+        spawn_src = layer.src[spawned]
+        live = base.copy()
+        live[spawn_src] = True
+        base[layer.src] = False  # now the kept quiet rows
+        quiet = np.flatnonzero(base)
         row_in = np.cumsum(live, dtype=np.intp) - 1
-        n_in = int(np.count_nonzero(live))
         layers.append(PlanLayer(
-            # ascending and distinct, so every live row when there are as many
-            slice(None) if np.count_nonzero(keep_base) == n_in else row_in[keep_base],
-            row_out[layer.base_dest[keep_base]],
-            row_in[layer.anti[keep_anti]],
-            row_out[layer.anti_dest[keep_anti]],
-            row_in[layer.anti[keep_spawn]],
-            layer.pos[keep_spawn],
-            row_out[layer.spawn_dest[keep_spawn]],
+            row_in[np.concatenate((quiet, cos, spawn_src))],
+            row_out[layer.dest[np.concatenate((quiet, cos, n_in + spawned))]],
+            layer.sign[spawned].astype(np.float64),
+            len(quiet),
+            len(quiet) + len(cos),
             n_out,
         ))
-        row_out, n_out = row_in, n_in
+        row_out, n_out = row_in, int(np.count_nonzero(live))
     layers = tuple(reversed(layers))
-    return replace(plan, c=plan.c[live], layers=layers, x=plan.x[diagonal], z=plan.z[diagonal])
+    return replace(
+        plan, c=plan.c[live], layers=layers, x=plan.x[diagonal], z=plan.z[diagonal], cut=True
+    )
 
 
-def _replay(plan: DressPlan, amplitudes):
-    """The coefficients of each layer of ``plan`` at ``amplitudes``, the
-    input first.
+def _trig(plan: DressPlan, amplitudes) -> list:
+    """(cos(t), sin(t)) of each amplitude, one per layer of ``plan``, else
+    ``ValueError``."""
+    if len(amplitudes) != len(plan.layers):
+        raise ValueError(f"{len(amplitudes)} amplitudes for {len(plan.layers)} plan layers")
+    return [(np.cos(t), np.sin(t)) for t in amplitudes]
 
-    A base row keeps c or takes c*cos(t), a spawned row adds +-c*sin(t) to
-    its key; -(c*s) and c*(-s) are the same double, so the sign rides on s.
+
+def _replay(plan: DressPlan, trig):
+    """The coefficients of each layer of ``plan`` at the amplitudes of
+    ``trig``, the input first: per layer one gather, one multiply and one
+    bincount.  -(c*s) and c*(-s) are the same double, so the sign rides on s.
     """
     c = plan.c
     yield c
-    for layer, t in zip(plan.layers, amplitudes, strict=True):
-        sin_t = np.sin(t)
-        out = np.zeros(layer.n_out)
-        out[layer.base_dest] = c[layer.src]
-        out[layer.anti_dest] = c[layer.anti] * np.cos(t)
-        out[layer.spawn_dest] += c[layer.spawn_src] * np.where(layer.pos, sin_t, -sin_t)
-        c = out
+    for layer, (cos_t, sin_t) in zip(plan.layers, trig):
+        # a plan_chain layer's base rows are its input rows, in order
+        w = c[layer.src] if plan.cut else np.concatenate((c, c[layer.src]))
+        c = _bincount(layer.dest, _scale(layer, w, plan.cut, cos_t, sin_t), layer.n_out)
         yield c
 
 
@@ -372,11 +421,12 @@ def run_plan(plan: DressPlan, amplitudes) -> PackedSum:
     """The sum of ``plan`` dressed at ``amplitudes``.
 
     Bit for bit what ``dress_packed`` gives one generator at a time: a key's
-    base and spawn contributions are summed in the same order, and an exact
-    zero kept between layers only ever adds zero to another key.  Only the
-    layer being built and its input are alive at a time.
+    base and spawn contributions are the same two floats, summed in the same
+    order, and an exact zero kept between layers only ever adds zero to
+    another key.  Only the layer being built and its input are alive at a
+    time.
     """
-    for c in _replay(plan, amplitudes):
+    for c in _replay(plan, _trig(plan, amplitudes)):
         pass
     keep = c != 0.0
     return PackedSum(plan.n_qubits, plan.x[keep], plan.z[keep], c[keep])
@@ -386,7 +436,7 @@ def _sum(a: np.ndarray) -> float:
     """Left-to-right sum.  An exact zero leaves a non-zero partial sum as it
     is, so a ``live_plan`` cut, which drops only zero products, gives the sum
     of the full plan; ``np.sum`` and ``np.dot`` block by length instead."""
-    return float(np.cumsum(a)[-1]) if len(a) else 0.0
+    return float(a.cumsum()[-1]) if len(a) else 0.0
 
 
 def energy_and_gradient(
@@ -394,38 +444,42 @@ def energy_and_gradient(
 ) -> tuple[float, list[float]]:
     """<0|H_L|0> and its derivative in each amplitude, from one plan.
 
-    ``plan`` is a ``plan_chain`` plan or its ``live_plan`` cut (the same
-    numbers), with one amplitude per layer, else ``ValueError``.  E = d . c_L
-    with d the signed indicator of the diagonal rows: the energy sums d * c_L
-    over the non-zero diagonal rows in key order, the array that
-    ``expectation_packed`` sums for ``run_plan``'s sum.  lambda = dE/dc
-    pulls back from d through each layer: a base row copies lambda, an anti
-    row takes lambda*cos(t), a parent adds +-sin(t) lambda of its spawned
-    row.  With c a layer's input and lambda its output, dE/dt is
-    cos(t) sum(+-lambda[spawn_dest] c[spawn_src]) - sin(t) sum(lambda[anti_dest] c[anti]).
+    ``plan`` is a ``live_plan`` cut, with one amplitude per layer, else
+    ``ValueError``; a ``plan_chain`` plan is cut first, which gives the same
+    numbers.  E = d . c_L with d the signed indicator of the diagonal rows:
+    the energy sums d * c_L over the non-zero diagonal rows in key order, the
+    array that ``expectation_packed`` sums for ``run_plan``'s sum.  lambda = dE/dc
+    pulls back from d through each layer: one gather of lambda at the
+    contributions' output rows, times their factors, summed at their source
+    rows.  With c a layer's input, dE/dt is cos(t) times the sum of
+    sign * lambda * c over the spawned rows, minus sin(t) times the sum of
+    lambda * c over the anticommuting base rows, each left to right in
+    source order.
     """
     if plan.n_qubits != ref.n_qubits:
         raise DimensionError("sum and reference state qubit counts differ")
-    cs = list(_replay(plan, amplitudes))
-    diagonal, c = plan.x == 0, cs[-1]
-    lam = np.where(diagonal, _reference_sign(plan.z, ref), 0.0)
-    energy = float(np.sum((lam * c)[diagonal & (c != 0.0)]))
+    trig = _trig(plan, amplitudes)
+    if not plan.cut:
+        plan = live_plan(plan)
+    cs = list(_replay(plan, trig))
+    c = cs[-1]
+    lam = _reference_sign(plan.z, ref)  # every row of a cut is diagonal
+    energy = float(np.sum((lam * c)[c != 0.0]))
     grad = [0.0] * len(plan.layers)
     for k in reversed(range(len(plan.layers))):
-        layer, t, c = plan.layers[k], amplitudes[k], cs[k]
-        sin_t, cos_t = np.sin(t), np.cos(t)
-        spawn = lam[layer.spawn_dest] * c[layer.spawn_src]
+        layer, (cos_t, sin_t), c = plan.layers[k], trig[k], cs[k]
+        lam = lam[layer.dest]
+        # the anticommuting base rows, then the spawned ones
+        at_anti = lam[layer.n_quiet:layer.n_base]
+        c_anti = c[layer.src[layer.n_quiet:]]
+        c_anti, c_spawn = c_anti[:len(at_anti)], c_anti[len(at_anti):]
         grad[k] = float(
-            cos_t * _sum(np.where(layer.pos, spawn, -spawn))
-            - sin_t * _sum(lam[layer.anti_dest] * c[layer.anti])
+            cos_t * _sum(lam[layer.n_base:] * c_spawn * layer.sign)
+            - sin_t * _sum(at_anti * c_anti)
         )
         if k == 0:
             break  # no amplitude reads the input rows' lambda
-        back = np.zeros(len(c))
-        back[layer.src] = lam[layer.base_dest]
-        back[layer.anti] = lam[layer.anti_dest] * cos_t
-        back[layer.spawn_src] += lam[layer.spawn_dest] * np.where(layer.pos, sin_t, -sin_t)
-        lam = back
+        lam = _bincount(layer.src, _scale(layer, lam, True, cos_t, sin_t), len(c))
     return energy, grad
 
 

@@ -183,13 +183,16 @@ def _gap_csv_paths(prefix: str) -> list[str]:
 
 def _guard(fn):
     """Map domain errors to exit code 1 (usage errors exit 2 via click), after
-    rejecting an output path in a missing directory, or one that is a
-    directory, before any work is done."""
+    rejecting an output path in a missing or unwritable directory, or one
+    that is a directory, before any work is done."""
 
     def wrapper(*args, **kwargs):
         for path in filter(None, map(kwargs.get, ("output", "csv_path", "csv_prefix"))):
-            if not os.path.isdir(os.path.dirname(path) or "."):
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
                 raise click.UsageError(f"no directory {os.path.dirname(path)!r} for {path!r}")
+            if not os.access(directory, os.W_OK):
+                raise click.UsageError(f"directory {directory!r} of {path!r} is not writable")
         # click checks -o and --csv against a directory; the prefix names two files
         prefix = kwargs.get("csv_prefix")
         for path in _gap_csv_paths(prefix) if prefix else ():

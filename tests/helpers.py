@@ -1,9 +1,9 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
-the mask-form plan, two-pass live-cut, object-ranking and block-statistics
-references, a sort spy, an independent fermionic oracle, the
-whole-space spin-resolved spectrum, and the dense word matrix, reference
-vector and ansatz unitary."""
+the mask-form plan, two-pass live-cut, three-scatter evaluation,
+object-ranking and block-statistics references, a sort spy, an independent
+fermionic oracle, the whole-space spin-resolved spectrum, and the dense word
+matrix, reference vector and ansatz unitary."""
 
 import itertools
 import math
@@ -153,8 +153,9 @@ def reference_dress(h: PackedSum, t_gen: PauliWord, t_opt: float) -> PackedSum:
 def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
     """``_packed.plan_chain`` by boolean masks and its own ``np.lexsort``:
     the anticommuting rows and each layer's output keys are compressed by
-    mask, the rows listed by a separate ``flatnonzero``.  Every ``PlanLayer``
-    array of the plan must equal this one's."""
+    mask, the rows listed by a separate ``flatnonzero``, and the spawn signs
+    picked by ``np.where``.  Every ``PlanLayer`` field of the plan must equal
+    this one's."""
     x, z = p.x, p.z
     layers = []
     for gen in generators:
@@ -168,6 +169,7 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
             - np.bitwise_count(nx & nz)
             + 2 * np.bitwise_count(az & tx)
         ) & 3
+        n_in = len(x)
         x, z = np.concatenate([x, nx]), np.concatenate([z, nz])
         order = np.lexsort((z, x))
         x, z = x[order], z[order]
@@ -175,67 +177,118 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
         boundary[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
         dest = np.empty(len(order), dtype=np.intp)
         dest[order] = np.cumsum(boundary) - 1
-        base_dest, spawn_dest = dest[: len(anti)], dest[len(anti) :]
-        rows = np.flatnonzero(anti)
         x, z = x[boundary], z[boundary]
-        layers.append(PlanLayer(
-            slice(None), base_dest, rows, base_dest[rows], rows, k == 1, spawn_dest, len(x)
-        ))
+        sign = np.where(k == 1, 1, -1).astype(np.int8)
+        n_quiet = int(np.count_nonzero(~anti))
+        layers.append(PlanLayer(np.flatnonzero(anti), dest, sign, n_quiet, n_in, len(x)))
     return DressPlan(p.n_qubits, p.c, tuple(layers), x, z)
 
 
 def reference_live_plan(plan: DressPlan) -> DressPlan:
     """``_packed.live_plan`` in two passes per layer: each layer is cut on its
-    own, its input rows gathered from ``np.arange`` and its live input rows
-    scattered into zeros, then both row numberings are counted afresh.
-    Every ``PlanLayer`` field of the cut must equal this one's."""
+    own from a mask over all its contributions, with their sources listed
+    from ``np.arange`` and the live input rows scattered into zeros, then
+    both row numberings are counted afresh.  Every ``PlanLayer`` field of
+    the cut must equal this one's."""
 
     def cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
-        src = np.arange(n_in)[layer.src]
-        keep_base = live_out[layer.base_dest]
-        keep_anti = live_out[layer.anti_dest]
-        keep_spawn = live_out[layer.spawn_dest]
+        src = np.concatenate([np.arange(n_in), layer.src])  # every contribution's source
+        is_base = np.arange(len(src)) < n_in
+        is_anti = np.zeros(n_in, dtype=bool)
+        is_anti[layer.src] = True
+        keep = live_out[layer.dest]
         live_in = np.zeros(n_in, dtype=bool)
-        live_in[src[keep_base]] = True
-        live_in[layer.spawn_src[keep_spawn]] = True
+        live_in[src[keep]] = True
         row_in = np.cumsum(live_in, dtype=np.intp) - 1
         row_out = np.cumsum(live_out, dtype=np.intp) - 1
-        kept_src = row_in[src[keep_base]]
+        quiet = np.flatnonzero(keep & is_base & ~is_anti[src])
+        cos = np.flatnonzero(keep & is_base & is_anti[src])
+        spawn = np.flatnonzero(keep & ~is_base)
+        pick = np.concatenate([quiet, cos, spawn])
         cut = PlanLayer(
-            slice(None) if len(kept_src) == np.count_nonzero(live_in) else kept_src,
-            row_out[layer.base_dest[keep_base]],
-            row_in[layer.anti[keep_anti]],
-            row_out[layer.anti_dest[keep_anti]],
-            row_in[layer.spawn_src[keep_spawn]],
-            layer.pos[keep_spawn],
-            row_out[layer.spawn_dest[keep_spawn]],
+            row_in[src[pick]],
+            row_out[layer.dest[pick]],
+            layer.sign[spawn - n_in].astype(np.float64),
+            len(quiet),
+            len(quiet) + len(cos),
             int(np.count_nonzero(live_out)),
         )
         return cut, live_in
 
     live = plan.x == 0
     x, z = plan.x[live], plan.z[live]
-    n_in = [len(plan.c)] + [layer.n_out for layer in plan.layers[:-1]]
     layers = []
-    for layer, n in zip(reversed(plan.layers), reversed(n_in)):
-        layer, live = cut_layer(layer, n, live)
+    for layer in reversed(plan.layers):
+        layer, live = cut_layer(layer, layer.n_base, live)
         layers.append(layer)
-    return DressPlan(plan.n_qubits, plan.c[live], tuple(reversed(layers)), x, z)
+    return DressPlan(plan.n_qubits, plan.c[live], tuple(reversed(layers)), x, z, cut=True)
+
+
+def _scatter_form(layer: PlanLayer, cut: bool):
+    """A layer's rows in the three-scatter form of the replay: (src,
+    base_dest, anti, anti_dest, spawn_src, pos, spawn_dest).  ``src`` and
+    ``base_dest`` cover every base row, ``anti`` and ``anti_dest`` the
+    anticommuting ones, and ``pos`` is True where a spawned row gets
+    +sin(t)."""
+    base_dest, spawn_dest = layer.dest[:layer.n_base], layer.dest[layer.n_base:]
+    if cut:
+        src, spawn_src = layer.src[:layer.n_base], layer.src[layer.n_base:]
+        anti = layer.src[layer.n_quiet:layer.n_base]
+        anti_dest = layer.dest[layer.n_quiet:layer.n_base]
+    else:
+        src, spawn_src = slice(None), layer.src
+        anti, anti_dest = layer.src, base_dest[layer.src]
+    return src, base_dest, anti, anti_dest, spawn_src, layer.sign > 0, spawn_dest
+
+
+def reference_energy_and_gradient(plan: DressPlan, amplitudes, ref: ReferenceState):
+    """``_packed.energy_and_gradient`` by three scatters per layer: the base
+    rows are written, the anticommuting ones overwritten with c cos(t), and
+    the spawns added; the reverse pass scatters lambda back the same way.
+    Energy and gradient must be ``==`` to these."""
+    forms = [_scatter_form(layer, plan.cut) for layer in plan.layers]
+    cs = [plan.c]
+    for layer, (src, base_dest, anti, anti_dest, spawn_src, pos, spawn_dest), t in zip(
+        plan.layers, forms, amplitudes, strict=True
+    ):
+        c, sin_t = cs[-1], np.sin(t)
+        out = np.zeros(layer.n_out)
+        out[base_dest] = c[src]
+        out[anti_dest] = c[anti] * np.cos(t)
+        out[spawn_dest] += c[spawn_src] * np.where(pos, sin_t, -sin_t)
+        cs.append(out)
+    diagonal, c = plan.x == 0, cs[-1]
+    lam = np.where(diagonal, _packed._reference_sign(plan.z, ref), 0.0)
+    energy = float(np.sum((lam * c)[diagonal & (c != 0.0)]))
+    grad = [0.0] * len(plan.layers)
+    for k in reversed(range(len(plan.layers))):
+        src, base_dest, anti, anti_dest, spawn_src, pos, spawn_dest = forms[k]
+        t, c = amplitudes[k], cs[k]
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        spawn = lam[spawn_dest] * c[spawn_src]
+        grad[k] = float(
+            cos_t * _packed._sum(np.where(pos, spawn, -spawn))
+            - sin_t * _packed._sum(lam[anti_dest] * c[anti])
+        )
+        back = np.zeros(len(c))
+        back[src] = lam[base_dest]
+        back[anti] = lam[anti_dest] * cos_t
+        back[spawn_src] += lam[spawn_dest] * np.where(pos, sin_t, -sin_t)
+        lam = back
+    return energy, grad
 
 
 def assert_same_plan(a: DressPlan, b: DressPlan):
     """Every field of two plans and of each of their layers is equal, index
     arrays with their dtype."""
-    assert a.n_qubits == b.n_qubits
+    assert a.n_qubits == b.n_qubits and a.cut == b.cut
     assert a.c.tobytes() == b.c.tobytes()
     assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
     assert len(a.layers) == len(b.layers)
     for la, lb in zip(a.layers, b.layers):
         for name in PlanLayer.__dataclass_fields__:
             va, vb = getattr(la, name), getattr(lb, name)
-            if isinstance(va, slice) or isinstance(vb, slice):
-                assert isinstance(va, slice) and isinstance(vb, slice) and va == vb, name
-            elif isinstance(va, np.ndarray):
+            if isinstance(va, np.ndarray):
                 assert va.dtype == vb.dtype and np.array_equal(va, vb), name
             else:
                 assert va == vb, name
@@ -350,10 +403,12 @@ class _ScalarAccumulator:
             self.add(x, z, c)
 
     def to_real_sum(self, tol: float = 1e-10) -> dict[tuple[int, int], float]:
-        """{(x, z): real coefficient}, keys in generation order."""
+        """{(x, z): real coefficient}, keys in key order (x, then z), so a
+        hermiticity error names the first bad key in that order, as
+        ``mapping._collapse`` does."""
         scale = max(max((abs(c) for c in self.terms.values()), default=1.0), 1.0)
         raw: dict[tuple[int, int], float] = {}
-        for (x, z), c in self.terms.items():
+        for (x, z), c in sorted(self.terms.items()):
             word = PauliWord(x, z, self.n_qubits)
             if (x & z).bit_count() % 2 == 1:
                 if abs(c) > tol * scale:

@@ -526,6 +526,34 @@ class TestOutputDirectory:
         assert "Traceback" not in result.output
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "command, option, name",
+        [("run", "-o", "out.json"), ("run", "--csv", "t.csv"), ("gap", "-o", "g.json"),
+         ("gap", "--csv-prefix", "t"), ("transform", "-o", "out.json")],
+        ids=["run_output", "run_csv", "gap_output", "gap_csv_prefix", "transform_output"],
+    )
+    def test_unwritable_directory_rejected_before_load(
+        self, runner, tmp_path, monkeypatch, command, option, name
+    ):
+        # mode bits do not stop root from writing, so the check itself is
+        # made to fail: the directory of the one path looks unwritable
+        calls = []
+        monkeypatch.setattr(cli, "load_fcidump", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "run_iqcc", lambda *args: calls.append(args))
+        monkeypatch.setattr(driver, "run_iqcc", lambda *args: calls.append(args))
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda p, mode: real_access(p, mode) and os.fspath(p) != str(locked)
+        )
+        path = str(locked / name)
+        result = runner.invoke(main, [command, str(FIXTURES / "h2.fcidump"), option, path])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"directory {str(locked)!r} of {path!r} is not writable" in result.output
+        assert "Traceback" not in result.output
+        assert calls == [] and list(locked.iterdir()) == []
+
     @pytest.mark.parametrize("state", ["singlet", "triplet"])
     def test_gap_csv_path_that_is_a_directory_rejected_before_run(
         self, runner, tmp_path, monkeypatch, state

@@ -149,6 +149,37 @@ class TestHermiticityErrors:
             reference_jordan_wigner(mi)
         assert str(err.value) == str(ref_err.value)
 
+    @pytest.mark.parametrize("tensor, n_rejected", [("h1", 300), ("g2", 247)])
+    def test_first_bad_word_in_key_order(self, tensor, n_rejected):
+        # seeds 0-299, 2-3 orbitals, one asymmetric entry on symmetric
+        # integrals: both name the first bad word in key order.  With an
+        # asymmetric h1 entry the bad words all come from one orbital pair,
+        # whose first word is first in either order; an asymmetric g2 entry
+        # leaves words whose generation order differs from key order
+        rejected = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 4))
+            h1 = rng.normal(size=(n, n))
+            mi = MolecularIntegrals(0.0, 0.5 * (h1 + h1.T), np.zeros((n,) * 4), n, n)
+            if tensor == "h1":
+                p, q = (int(v) for v in rng.choice(n, size=2, replace=False))
+                mi.h1[p, q] += 0.25  # past the constructor's symmetry check
+            else:  # (pq|rs) with p != q, whose partner (qp|rs) stays 0
+                p, q = (int(v) for v in rng.choice(n, size=2, replace=False))
+                r, s = (int(v) for v in rng.integers(0, n, size=2))
+                mi.g2[p, q, r, s] = 1.0 + rng.random()
+            messages = []
+            for expand in (jordan_wigner, reference_jordan_wigner):
+                try:
+                    expand(mi)
+                    messages.append(None)
+                except HermiticityError as err:
+                    messages.append(str(err))
+            assert messages[0] == messages[1], seed
+            rejected += messages[0] is not None
+        assert rejected == n_rejected  # the rest leave no odd-y word
+
     def test_complex_h1_leaves_imaginary_coefficient(self):
         # real integrals give every even-y word a real coefficient, term by
         # term, so the expansion carries one float per row and complex input

@@ -1,5 +1,8 @@
 """The per-iteration dressing plan and the coset filter against one-shot dressing."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from helpers import (
     random_generator,
     random_hermitian_sum,
     reference_dress,
+    reference_energy_and_gradient,
     reference_live_plan,
     reference_plan_chain,
     spy_sort,
@@ -71,9 +75,11 @@ class TestRunPlan:
         for h, gens, _ts in _cases(33, False):
             plan = _packed.plan_chain(h, gens)
             for layer in plan.layers:
-                assert len(np.unique(layer.base_dest)) == len(layer.base_dest)
-                assert len(np.unique(layer.spawn_dest)) == len(layer.spawn_dest)
-                assert len(layer.spawn_dest) == len(layer.anti) == len(layer.pos)
+                base, spawn = layer.dest[:layer.n_base], layer.dest[layer.n_base:]
+                assert len(np.unique(base)) == len(base)
+                assert len(np.unique(spawn)) == len(spawn)
+                assert len(spawn) == len(layer.src) == len(layer.sign)
+                assert layer.n_quiet + len(layer.src) == layer.n_base
 
     def test_amplitude_count_must_match(self):
         rng = np.random.default_rng(34)
@@ -101,19 +107,16 @@ def _commuting_rows(p: _packed.PackedSum, gen: PauliWord) -> _packed.PackedSum:
 class TestPlanIdentity:
     """``plan_chain`` takes rows by index where the mask form
     (``reference_plan_chain``) compresses by mask: every array of the plan
-    is the same, index arrays intp."""
+    is the same, index arrays intp and signs int8."""
 
     @staticmethod
     def _assert_same_plan(p, gens):
         got, want = _packed.plan_chain(p, gens), reference_plan_chain(p, gens)
-        assert got.c is p.c
-        assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
-        for a, b in zip(got.layers, want.layers, strict=True):
-            assert a.src == b.src == slice(None) and a.n_out == b.n_out
-            for field in ("base_dest", "anti", "anti_dest", "spawn_src", "spawn_dest"):
-                u, v = getattr(a, field), getattr(b, field)
-                assert u.dtype == v.dtype == np.intp and np.array_equal(u, v), field
-            assert a.pos.dtype == b.pos.dtype == bool and np.array_equal(a.pos, b.pos)
+        assert got.c is p.c and not got.cut
+        assert_same_plan(got, want)
+        for layer in got.layers:
+            assert layer.src.dtype == layer.dest.dtype == np.intp
+            assert layer.sign.dtype == np.int8
         return got
 
     @pytest.mark.parametrize("n", [1, 5, 12, 31, 32, 33, 63, 64])
@@ -127,11 +130,93 @@ class TestPlanIdentity:
             # a generator that anticommutes with no row of its input
             quiet = _commuting_rows(p, gens[0])
             plan = self._assert_same_plan(quiet, gens)
-            assert len(plan.layers[0].anti) == 0 and plan.layers[0].n_out == len(quiet)
+            assert len(plan.layers[0].src) == 0 and plan.layers[0].n_out == len(quiet)
         empty = np.array([], dtype=np.uint64)
         plan = self._assert_same_plan(_packed.PackedSum(n, empty, empty, np.array([])),
                                       [_wide_generator(n, rng)])
         assert plan.layers[0].n_out == 0
+
+
+class TestThreeScatterReference:
+    """An evaluation is one gather, one multiply and one bincount per layer
+    each way; its energy and gradient are ``==`` to the three-scatter replay
+    and reverse pass (``reference_energy_and_gradient``), on a plan and on
+    its cut."""
+
+    @staticmethod
+    def _check(plan, ts, ref):
+        for evaluated in (plan, _packed.live_plan(plan)):
+            got = _packed.energy_and_gradient(evaluated, ts, ref)
+            assert got == reference_energy_and_gradient(evaluated, ts, ref)
+
+    def test_h4_gap_evaluations(self, tmp_path, monkeypatch):
+        # every evaluation of the benchmark's h4_gap command
+        from click.testing import CliRunner
+
+        from iqcc import driver
+        from iqcc.cli import main
+
+        real = driver.qcc_energy_and_gradient
+        same = []
+
+        def checked(plan, ts, ref):
+            got = real(plan, ts, ref)
+            same.append(got == reference_energy_and_gradient(plan, ts, ref))
+            return got
+
+        monkeypatch.setattr(driver, "qcc_energy_and_gradient", checked)
+        fixture = Path(__file__).parent / "fixtures" / "h4.fcidump"
+        out = tmp_path / "gap.json"
+        argv = ["gap", str(fixture), "--generators", "4", "-o", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        digest = json.loads(out.read_text())["manifest"]["determinism"]["numeric_digest"]
+        assert digest.startswith("a6fb5f61c13d3edf")
+        assert len(same) == 155 and all(same)
+
+    @pytest.mark.parametrize("zero_amplitude", [False, True])
+    def test_seeded_plans(self, zero_amplitude):
+        rng = np.random.default_rng(52 + zero_amplitude)
+        for h, gens, ts in _cases(53 + zero_amplitude, zero_amplitude):
+            n = h.n_qubits
+            plan, _ = coset_plan(h, gens)
+            self._check(plan, ts, ReferenceState(int(rng.integers(1 << n)), n))
+
+    def test_empty_layers(self):
+        rng = np.random.default_rng(54)
+        n = 6
+        p = random_hermitian_sum(n, 40, rng)
+        gens = [random_generator(n, rng) for _ in range(3)]
+        ref = ReferenceState(0b000111, n)
+        ts = [0.4, -0.2, 0.1]
+        # a first layer with no anticommuting row, so no spawned row
+        plan = _packed.plan_chain(_commuting_rows(p, gens[0]), gens)
+        assert len(plan.layers[0].src) == 0
+        self._check(plan, ts, ref)
+        # no rows at all: every layer is empty, and the replay stays float64
+        empty = np.array([], dtype=np.uint64)
+        plan = _packed.plan_chain(_packed.PackedSum(n, empty, empty, np.array([])), gens)
+        assert all(len(layer.dest) == 0 for layer in plan.layers)
+        self._check(plan, ts, ref)
+        assert _packed.energy_and_gradient(plan, ts, ref) == (0.0, [0.0, 0.0, 0.0])
+        assert _packed.run_plan(plan, ts).c.dtype == np.float64
+        # rows, but none that reaches the diagonal: the cut's layers are empty
+        off = pack([(parse_word("X0", n), 0.5)], n)
+        plan = _packed.plan_chain(off, [parse_word("Y1", n)])
+        live = _packed.live_plan(plan)
+        assert len(live) == 0 and len(live.layers[0].dest) == 0
+        self._check(plan, [0.3], ref)
+
+    @pytest.mark.parametrize("n", [33, 64])
+    def test_wide(self, n):
+        rng = np.random.default_rng(55 + n)
+        for _ in range(4):
+            p = drawn_sum(n, int(rng.integers(1, 30)), int(rng.integers(1, 200)), rng)
+            gens = [_wide_generator(n, rng) for _ in range(int(rng.integers(1, 5)))]
+            gens += [gens[0]]
+            ts = [float(rng.normal()) for _ in gens]
+            occupation = int(rng.integers(0, 1 << n, dtype=np.uint64))
+            self._check(_packed.plan_chain(p, gens), ts, ReferenceState(occupation, n))
 
 
 class TestTermBudget:
@@ -141,7 +226,7 @@ class TestTermBudget:
         rng = np.random.default_rng(80)
         p = random_hermitian_sum(6, 60, rng)
         gen = random_generator(6, rng)
-        n_layer = len(p) + len(_packed.plan_chain(p, [gen]).layers[0].anti)
+        n_layer = len(p) + len(_packed.plan_chain(p, [gen]).layers[0].src)
         sizes = spy_sort(monkeypatch)
         for over in (
             lambda: _packed.plan_chain(p, [gen], n_layer - 1),
@@ -300,10 +385,10 @@ class TestLivePlan:
             assert len(live) <= len(plan) and len(live.x) <= len(plan.x)
             for cut, layer in zip(live.layers, plan.layers, strict=True):
                 assert cut.n_out <= layer.n_out
-                assert len(cut.base_dest) <= len(layer.base_dest)
-                assert len(cut.anti) <= len(layer.anti)
-                assert len(cut.spawn_src) == len(cut.spawn_dest) == len(cut.pos)
-                assert len(cut.spawn_dest) <= len(layer.spawn_dest)
+                assert cut.n_base <= layer.n_base
+                assert cut.n_base - cut.n_quiet <= len(layer.src)
+                assert len(cut.src) == len(cut.dest) == cut.n_base + len(cut.sign)
+                assert len(cut.sign) <= len(layer.sign)
             full_rows += sum(layer.n_out for layer in plan.layers)
             live_rows += sum(layer.n_out for layer in live.layers)
         assert live_rows < full_rows  # the cut drops rows on these sums
