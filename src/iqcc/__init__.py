@@ -23,6 +23,6 @@ from .engine import (
 from .errors import IqccError
 from .fcidump import CASWindow, MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
 from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin_operators
-from .optimizer import OptimizationConfig, OptimizationResult, minimize
+from .optimizer import OptimizationResult, minimize
 from .pauli import PauliWord, commutes, multiply, parse_word, render_word
 from .pauli_sum import ReferenceState, dress_sequence, prune

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -33,29 +33,16 @@ from .driver import (
 )
 from .errors import IqccError, IterationAbort
 from .fcidump import CASWindow, load_fcidump, select_cas
-from .mapping import SpinPenalty, jordan_wigner, reference_state, spin_operators
-from .optimizer import OptimizationConfig
+from .mapping import jordan_wigner, reference_state, spin_operators
 from .pauli import parse_word
 # to_json_dict stays bound here, where bench/spans.py times it
 from .pauli_sum import MAX_QUBITS, _json_key, from_json_dict, terms_json, to_json_dict
 
-# IqccConfig fields that are nested sections; their fields are flat config
-# keys, the penalty's as mu/spin
-_SECTIONS = ("penalty", "optimizer")
-_OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizationConfig))
-
-
-def _flat_config(cfg: IqccConfig) -> dict:
-    flat = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _SECTIONS}
-    flat.update(mu=cfg.penalty.mu, spin=cfg.penalty.s)
-    flat.update({key: getattr(cfg.optimizer, key) for key in _OPTIMIZER_KEYS})
-    return flat
-
-
-_DEFAULTS = _flat_config(IqccConfig())
+# the config keys are IqccConfig's fields
+_DEFAULTS = asdict(IqccConfig())
 _CONFIG_KEYS = {key: type(value) for key, value in _DEFAULTS.items()}
 # JSON types a config-file value may have; never a bool, though it subclasses int
-_JSON_TYPES = {int: int, float: (int, float), str: str}
+_JSON_TYPES = {int: int, float: (int, float)}
 
 
 def _sha256(path: Path) -> str:
@@ -104,14 +91,6 @@ def _resolve_config(config_path: str | None, overrides: dict, fixed=(), **comman
         if key in given:
             raise click.UsageError(f"{key!r} is set by the command, not by a flag or --config")
     return {**_DEFAULTS, **command_defaults, **given}
-
-
-def _iqcc_config(resolved: dict) -> IqccConfig:
-    return IqccConfig(
-        **{f.name: resolved[f.name] for f in fields(IqccConfig) if f.name not in _SECTIONS},
-        penalty=SpinPenalty(mu=resolved["mu"], s=resolved["spin"]),
-        optimizer=OptimizationConfig(**{key: resolved[key] for key in _OPTIMIZER_KEYS}),
-    )
 
 
 def _manifest(input_path: Path, config: dict, started: str, digest: str | None) -> dict:
@@ -276,8 +255,6 @@ _RUN_OPTIONS = [
     click.option("--mu", type=float, default=None, help="spin penalty strength"),
     click.option("--spin", type=float, default=None, help="target spin quantum number"),
     click.option("--memory-budget", "memory_budget_terms", type=int, default=None),
-    click.option("--importance-measure", type=click.Choice(["amplitude", "gradient"]),
-                 default=None),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config file mirroring these flags"),
 ]
@@ -301,7 +278,7 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
     """One iQCC run on an FCIDUMP or qubit-Hamiltonian JSON."""
     started = _now()
     resolved = _resolve_config(config_path, overrides)
-    cfg = _iqcc_config(resolved)
+    cfg = IqccConfig(**resolved)
     h, ref = _load_problem(input_path, n_electrons, ms2)
     result = run_iqcc(h, ref, cfg)
     report = {
@@ -327,7 +304,7 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
     started = _now()
     # the gap runs s=0 and s=1 itself, so its manifest records no spin
     resolved = _resolve_config(config_path, overrides, fixed=("spin",), mu=0.25)
-    cfg = _iqcc_config(resolved)
+    cfg = IqccConfig(**resolved)
     del resolved["spin"]
     mi = load_fcidump(fcidump)
     window = _window_from_flags(mi, active_occ, active_virt)

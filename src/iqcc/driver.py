@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _packed
 from .engine import (
-    IMPORTANCE_MEASURES,
     MAX_GENERATORS,
     RankedGenerator,
     coset_plan,
@@ -48,7 +47,7 @@ from .engine import (
 from .errors import CapacityError, IterationAbort, OptimizationError
 from .fcidump import CASWindow, MolecularIntegrals, select_cas
 from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state
-from .optimizer import OptimizationConfig, minimize
+from .optimizer import MAX_EVALUATIONS, minimize
 from .pauli_sum import ReferenceState, dress_sequence, prune
 
 HARTREE_TO_EV = 27.211386245988  # CODATA
@@ -56,16 +55,28 @@ HARTREE_TO_EV = 27.211386245988  # CODATA
 
 @dataclass(frozen=True)
 class IqccConfig:
+    """The settings of a run, one field per config key.
+
+    ``mu`` and ``spin`` are the spin penalty's strength and target spin
+    quantum number (``penalty``); ``max_evaluations`` caps the objective
+    evaluations of each iteration's L-BFGS run.
+    """
+
     generators_per_iteration: int = 8
     max_iterations: int = 100
     energy_convergence: float = 1e-5  # Hartree
     prune_threshold: float = 1e-10
-    penalty: SpinPenalty = field(default_factory=SpinPenalty)
+    mu: float = 0.0
+    spin: float = 0.0
     memory_budget_terms: int = 50_000_000
-    importance_measure: str = "amplitude"
-    optimizer: OptimizationConfig = field(default_factory=OptimizationConfig)
+    max_evaluations: int = MAX_EVALUATIONS
+
+    @property
+    def penalty(self) -> SpinPenalty:
+        return SpinPenalty(mu=self.mu, s=self.spin)
 
     def __post_init__(self):
+        self.penalty  # checks mu and spin
         if not 1 <= self.generators_per_iteration <= MAX_GENERATORS:
             raise CapacityError(
                 f"generators_per_iteration outside 1..{MAX_GENERATORS}"
@@ -79,8 +90,8 @@ class IqccConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.memory_budget_terms <= 0:
             raise ValueError("memory_budget_terms must be positive")
-        if self.importance_measure not in IMPORTANCE_MEASURES:
-            raise ValueError(f"unknown importance measure {self.importance_measure!r}")
+        if self.max_evaluations <= 0:
+            raise ValueError("max_evaluations must be positive")
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
     or at ``cfg.max_iterations``.  Numeric failures and capacity overruns
     raise :class:`IterationAbort` carrying the partial trajectory.
     """
-    h = penalize(h0, cfg.penalty) if cfg.penalty.mu > 0 else h0
+    h = penalize(h0, cfg.penalty) if cfg.mu > 0 else h0
     e_prev = initial_energy = _packed.expectation_packed(h, ref)
     budget = cfg.memory_budget_terms
     blocks = _packed.block_statistics(h, ref)
@@ -190,9 +201,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
 
     for index in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
-        selected, remainder = rank_generators(
-            blocks, h.n_qubits, cfg.generators_per_iteration, cfg.importance_measure
-        )
+        selected, remainder = rank_generators(blocks, h.n_qubits, cfg.generators_per_iteration)
         if not selected:
             converged = True
             break
@@ -204,7 +213,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             live = _packed.live_plan(plan)
             optimized_terms, evaluated_terms = len(plan), len(live)
             opt = minimize(lambda t: qcc_energy_and_gradient(live, t, ref),
-                           np.array([g.t_estimate for g in selected]), cfg.optimizer)
+                           np.array([g.t_estimate for g in selected]), cfg.max_evaluations)
             del live
             amplitudes = tuple(opt.t_opt.tolist())
             # the coset's dressing is the plan's replay; the plan is freed
@@ -319,8 +328,8 @@ def singlet_triplet_gap(
 ) -> GapResult:
     """Two penalized runs over the same integrals: s=0 closed shell, s=1 ROHF.
 
-    The penalty strength is shared (``cfg.penalty.mu``); the spin quantum
-    number is overridden per state.  The gap is reported in eV.
+    The penalty strength is shared (``cfg.mu``); the spin quantum number
+    is overridden per state.  The gap is reported in eV.
     """
     if window is not None:
         mi = select_cas(mi, window)
@@ -328,12 +337,11 @@ def singlet_triplet_gap(
         raise ValueError("gap workflow needs an even electron count")
     h = jordan_wigner(mi)
     n_qubits = 2 * mi.n_spatial
-    mu = cfg.penalty.mu
 
     ref_s = reference_state(mi.n_electrons, n_qubits, ms2=0)
     ref_t = reference_state(mi.n_electrons, n_qubits, ms2=2)
-    run_s = run_iqcc(h, ref_s, replace(cfg, penalty=SpinPenalty(mu=mu, s=0.0)))
-    run_t = run_iqcc(h, ref_t, replace(cfg, penalty=SpinPenalty(mu=mu, s=1.0)))
+    run_s = run_iqcc(h, ref_s, replace(cfg, spin=0.0))
+    run_t = run_iqcc(h, ref_t, replace(cfg, spin=1.0))
     return gap_from_runs(run_s, run_t)
 
 

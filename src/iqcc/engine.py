@@ -9,8 +9,9 @@ an exact sinusoid
 
 where the signed w is the slope dE/dt at t = 0 (its magnitude is the omega of
 the ranking formulas) and D = <0| T H T - H |0>.  The closed-form global
-minimizer of that sinusoid provides both the importance measure |t| and the
-warm start for the multi-generator optimization.  ``rank_generators`` reads
+minimizer t of that sinusoid provides both the importance |t|, by which the
+generators are ranked, and the warm start for the multi-generator
+optimization.  ``rank_generators`` reads
 the (x-supports, w, D) arrays of ``_packed.block_statistics``, orders the
 blocks by one ``np.lexsort`` and makes ``RankedGenerator``s of the selected
 ones only; the rest stay x-supports, which is all the PT correction reads.
@@ -45,7 +46,6 @@ from .pauli import PauliWord, render_word
 from .pauli_sum import ReferenceState, dress_sequence
 
 MAX_GENERATORS = 16
-IMPORTANCE_MEASURES = ("amplitude", "gradient")
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,23 @@ def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
 
 
 def rank_generators(
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_qubits: int,
-    top_l: int,
-    measure: str = "amplitude",
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray], n_qubits: int, top_l: int
 ) -> tuple[list[RankedGenerator], np.ndarray]:
     """The canonical generators of the Ising blocks of ``blocks`` (the arrays
-    of ``_packed.block_statistics``) ranked by importance: the top ``top_l``
-    as ``RankedGenerator``s over ``n_qubits``, the x-supports of the rest.
+    of ``_packed.block_statistics``) ranked by importance |t_estimate|, the
+    magnitude of the closed-form optimal amplitude: the top ``top_l`` as
+    ``RankedGenerator``s over ``n_qubits``, the x-supports of the rest.
 
-    ``measure`` selects |optimal amplitude| (default) or |gradient| = omega.
     Ties break on ``PauliWord.sort_key``, which for a canonical generator (z
     the lowest bit of x) is (weight of x, x).
     """
     if not 1 <= top_l <= MAX_GENERATORS:
         raise CapacityError(f"top_l {top_l} outside 1..{MAX_GENERATORS}")
-    if measure not in IMPORTANCE_MEASURES:
-        raise ValueError(f"unknown importance measure {measure!r}")
     xs, omega_signed, d_values = blocks
     omegas, ds = omega_signed.tolist(), d_values.tolist()
     # math.atan2 and math.hypot per block: numpy's need not give the same bits
     t_est = [estimate_amplitude(w, d)[0] for w, d in zip(omegas, ds)]
-    importance = np.abs(t_est if measure == "amplitude" else omega_signed)
+    importance = np.abs(t_est)
     order = np.lexsort((xs, np.bitwise_count(xs), -importance))
     selected = [
         RankedGenerator(

@@ -26,7 +26,9 @@ class MolecularIntegrals:
     """One- and two-electron integrals over spatial orbitals, in Hartree.
 
     ``g2[p, q, r, s]`` is the chemists' integral (pq|rs); ``ms2`` is twice
-    the z-projection of the target state's spin.
+    the z-projection of the target state's spin.  h1 must be symmetric and
+    g2 must have the 8-fold permutational symmetry of real orbitals, to
+    within 1e-12, when the integrals are constructed.
     """
 
     core_energy: float
@@ -43,16 +45,9 @@ class MolecularIntegrals:
             raise ValueError("g2 shape inconsistent with n_spatial")
         if np.max(np.abs(self.h1 - self.h1.T), initial=0.0) > 1e-12:
             raise ValueError("h1 is not symmetric")
-
-    def validate_symmetries(self, tol: float = 1e-12) -> None:
-        """Check the 8-fold permutational symmetry of g2."""
-        g = self.g2
-        for perm in (
-            g.transpose(1, 0, 2, 3),
-            g.transpose(0, 1, 3, 2),
-            g.transpose(2, 3, 0, 1),
-        ):
-            if np.max(np.abs(g - perm), initial=0.0) > tol:
+        # (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq) generate all eight
+        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            if np.max(np.abs(self.g2 - self.g2.transpose(axes)), initial=0.0) > 1e-12:
                 raise ValueError("g2 violates permutational symmetry")
 
 
@@ -234,8 +229,7 @@ def select_cas(mi: MolecularIntegrals, window: CASWindow) -> MolecularIntegrals:
     """
     frozen = list(window.frozen_occupied)
     active = list(window.active)
-    if set(frozen) & set(active):
-        raise ValueError("frozen and active orbitals overlap")
+    # CASWindow partitions its orbitals, so frozen and active are disjoint
     if max(frozen + active, default=-1) >= mi.n_spatial:
         raise ValueError("window indices exceed orbital range")
     if not active:

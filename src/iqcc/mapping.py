@@ -26,7 +26,8 @@ temporaries whatever the number of integrals.
 
 ``_accumulate`` adds the rows into one table of keys, kept in (x, z) order
 as its ``_packed._key`` and regrouped per block by ``_packed._group``, with
-``np.add.at``, which adds each key's rows one by one in the order they
+one ``np.bincount`` per block over the table's sums and then the block's
+rows, which adds each key's rows one by one, from +0.0, in the order they
 come.  That generation order is: the core energy, then h1 in ``np.nonzero``
 order times spin, then g2 in ``np.nonzero`` order times the (sigma, tau)
 spin pattern, and each ladder product's Pauli products in
@@ -112,14 +113,9 @@ def _accumulate(n_qubits: int, blocks):
     key = _key(n_qubits, *(np.zeros(0, dtype=np.uint64),) * 2)
     c = np.zeros(0)
     for bx, bz, bc in blocks:
-        n_old = len(c)
         rows = (np.broadcast_to(col, bc.shape).ravel() for col in _key(n_qubits, bx, bz))
         slot, key = _group(tuple(np.concatenate([old, new]) for old, new in zip(key, rows)))
-        table = np.zeros(len(key[0]))
-        table[slot[:n_old]] = c
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(table, slot[n_old:], bc.ravel())
-        c = table
+        c = np.bincount(slot, np.concatenate([c, bc.ravel()]), len(key[0]))
     return (*_masks(n_qubits, key), c)
 
 

@@ -2,29 +2,22 @@
 
 A thin wrapper around scipy's limited-memory BFGS with our convergence
 contract: converged means the gradient infinity-norm at the returned point is
-at or below the configured tolerance; L-BFGS keeps 10 corrections.  The
-objective is smooth and 2*pi periodic per coordinate; no bounds are imposed.
+at or below ``GRADIENT_TOLERANCE`` (1e-8), which is also L-BFGS's ``gtol``;
+L-BFGS keeps 10 corrections and stops after ``max_evaluations`` objective
+evaluations (``MAX_EVALUATIONS`` unless the caller sets it).  The objective
+is smooth and 2*pi periodic per coordinate; no bounds are imposed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OptimizationError
 
-
-@dataclass(frozen=True)
-class OptimizationConfig:
-    gradient_tolerance: float = 1e-8
-    max_evaluations: int = 200
-
-    def __post_init__(self):
-        tol_ok = 0 < self.gradient_tolerance < math.inf  # False for NaN
-        if not tol_ok or self.max_evaluations <= 0:
-            raise ValueError("optimization settings must be positive and finite")
+GRADIENT_TOLERANCE = 1e-8
+MAX_EVALUATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,7 @@ class OptimizationResult:
 
 
 def minimize(
-    value_and_gradient, t0, cfg: OptimizationConfig | None = None
+    value_and_gradient, t0, max_evaluations: int = MAX_EVALUATIONS
 ) -> OptimizationResult:
     """L-BFGS from t0 on ``value_and_gradient(v) -> (float, array)``.
 
@@ -49,7 +42,6 @@ def minimize(
     """
     from scipy.optimize import minimize as scipy_minimize
 
-    cfg = cfg or OptimizationConfig()
     t0 = np.asarray(t0, dtype=float)
     if t0.size == 0:
         raise ValueError("empty amplitude vector")
@@ -68,10 +60,10 @@ def minimize(
         jac=True,
         method="L-BFGS-B",
         options={
-            "maxfun": cfg.max_evaluations,
+            "maxfun": max_evaluations,
             # explicit, so that the iterates do not depend on scipy's default
             "maxcor": 10,
-            "gtol": cfg.gradient_tolerance,
+            "gtol": GRADIENT_TOLERANCE,
             "ftol": 1e-15,
         },
     )
@@ -80,7 +72,7 @@ def minimize(
         t_opt=np.asarray(res.x, dtype=float),
         energy=float(res.fun),
         evaluations=int(res.nfev),
-        converged=grad_norm <= cfg.gradient_tolerance,
+        converged=grad_norm <= GRADIENT_TOLERANCE,
         gradient_norm=grad_norm,
         message=str(res.message),
     )

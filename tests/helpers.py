@@ -49,22 +49,21 @@ def assert_same(a: PackedSum, b: PackedSum):
     assert a.c.tobytes() == b.c.tobytes()
 
 
-def rank_sum(h: PackedSum, ref: ReferenceState, top_l: int, measure: str = "amplitude"):
+def rank_sum(h: PackedSum, ref: ReferenceState, top_l: int):
     """``rank_generators`` on the block statistics of ``h``."""
-    return rank_generators(_packed.block_statistics(h, ref), h.n_qubits, top_l, measure)
+    return rank_generators(_packed.block_statistics(h, ref), h.n_qubits, top_l)
 
 
-def reference_rank_generators(blocks, n_qubits: int, top_l: int, measure: str = "amplitude"):
+def reference_rank_generators(blocks, n_qubits: int, top_l: int):
     """``rank_generators`` by objects: a ``RankedGenerator`` for every block,
-    sorted by (-importance, ``PauliWord.sort_key``).  Returns (top ``top_l``,
+    sorted by (-|t_estimate|, ``PauliWord.sort_key``).  Returns (top ``top_l``,
     the rest), both as ``RankedGenerator`` lists."""
     ranked = []
     for x_support, omega_signed, d_val in zip(*(a.tolist() for a in blocks)):
         gen = derive_canonical_generator(PauliWord(x_support, 0, n_qubits))
         t_est, _ = estimate_amplitude(omega_signed, d_val)
-        importance = abs(t_est) if measure == "amplitude" else abs(omega_signed)
         ranked.append(
-            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, importance)
+            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, abs(t_est))
         )
     ranked.sort(key=lambda r: (-r.importance, r.generator.sort_key()))
     return ranked[:top_l], ranked[top_l:]

@@ -29,7 +29,7 @@ from iqcc.engine import (
     qcc_energy_and_gradient,
 )
 from iqcc.errors import CapacityError
-from iqcc.mapping import SpinPenalty, reference_state
+from iqcc.mapping import reference_state
 from iqcc.oracle import to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -104,9 +104,7 @@ class TestAcceptance:
         for name, problem in (("h2", h2_problem), ("h2_stretched", h2_stretched_problem)):
             mi, h, _ = problem
             ref_t = reference_state(2, 4, ms2=2)
-            cfg = IqccConfig(
-                generators_per_iteration=2, penalty=SpinPenalty(mu=0.25, s=1.0)
-            )
+            cfg = IqccConfig(generators_per_iteration=2, mu=0.25, spin=1.0)
             res = run_iqcc(h, ref_t, cfg)
             e_oracle = reference_values[name]["fci_triplet"]
             err = abs(res.final_energy - e_oracle)
@@ -114,7 +112,7 @@ class TestAcceptance:
             details.append(f"{name}: triplet err={err:.2e}")
 
             gap = singlet_triplet_gap(
-                mi, None, IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25))
+                mi, None, IqccConfig(generators_per_iteration=2, mu=0.25)
             )
             oracle_gap = (
                 reference_values[name]["fci_triplet"]
@@ -344,7 +342,7 @@ class TestAcceptance:
             generators_per_iteration=8,
             energy_convergence=1e-6,
             max_iterations=40,
-            penalty=SpinPenalty(mu=0.25),
+            mu=0.25,
         )
         gap = singlet_triplet_gap(mi, None, cfg)
         fci = reference_values["lih"]

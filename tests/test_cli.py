@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 import iqcc
 from iqcc import cli, driver
-from iqcc.cli import _CONFIG_KEYS, _iqcc_config, _resolve_config, main
+from iqcc.cli import _CONFIG_KEYS, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
 from iqcc.fcidump import CASWindow, load_fcidump, select_cas
@@ -319,7 +320,7 @@ class TestRun:
         assert result.exit_code == 1
         assert "finite" in result.output
 
-    @pytest.mark.parametrize("key", ["prune_threshold", "gradient_tolerance", "mu"])
+    @pytest.mark.parametrize("key", ["prune_threshold", "mu"])
     def test_non_finite_config_value_rejected(self, runner, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"{key}": NaN}}')
@@ -338,25 +339,12 @@ class TestRun:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert "error: spin must be finite and >= 0" in result.output
 
-    def test_unknown_importance_measure_rejected_before_load(
-        self, runner, tmp_path, monkeypatch
-    ):
-        def no_load(*args):
-            raise AssertionError("the input was read")
-
-        monkeypatch.setattr(cli, "_load_problem", no_load)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"importance_measure": "foo"}))
-        result = runner.invoke(
-            main, ["run", str(FIXTURES / "h2.fcidump"), "--config", str(cfg)]
-        )
-        assert result.exit_code == 1
-        assert "unknown importance measure 'foo'" in result.output
-
     def test_unknown_config_key(self, runner, tmp_path):
-        # rank_on_bare, enable_pt and memory_depth were keys once: an old
-        # config file that still has one is a usage error like any unknown key
-        for key in ("bogus", "rank_on_bare", "enable_pt", "memory_depth"):
+        # rank_on_bare, enable_pt, memory_depth, importance_measure and
+        # gradient_tolerance were keys once: an old config file that still has
+        # one is a usage error like any unknown key
+        for key in ("bogus", "rank_on_bare", "enable_pt", "memory_depth",
+                    "importance_measure", "gradient_tolerance"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: True}))
             result = runner.invoke(
@@ -365,8 +353,9 @@ class TestRun:
             assert result.exit_code == 2
             assert f"unknown config keys: ['{key}']" in result.output
 
-    # the ranking-source pair and the PT pair, both removed
-    @pytest.mark.parametrize("flag", ["--rank-on-bare", "--rank-on-penalized", "--pt", "--no-pt"])
+    # the ranking-source pair, the PT pair and the ranking measure, all removed
+    @pytest.mark.parametrize("flag", ["--rank-on-bare", "--rank-on-penalized", "--pt", "--no-pt",
+                                      "--importance-measure"])
     def test_removed_ranking_flag_rejected(self, runner, flag):
         result = runner.invoke(main, ["run", str(FIXTURES / "h2.fcidump"), flag])
         assert result.exit_code == 2
@@ -576,7 +565,7 @@ class TestOutputDirectory:
 
 class TestConfigDefaults:
     def test_defaults_build_the_default_config(self):
-        assert _iqcc_config(_resolve_config(None, {})) == IqccConfig()
+        assert IqccConfig(**_resolve_config(None, {})) == IqccConfig()
 
     def test_config_keys(self):
         assert _CONFIG_KEYS == {
@@ -587,10 +576,10 @@ class TestConfigDefaults:
             "mu": float,
             "spin": float,
             "memory_budget_terms": int,
-            "importance_measure": str,
-            "gradient_tolerance": float,
             "max_evaluations": int,
         }
+        # one field per key, and no other
+        assert set(_CONFIG_KEYS) == {f.name for f in fields(IqccConfig)}
 
 
 class TestImports:

@@ -54,9 +54,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             IqccConfig(prune_threshold=-1e-3)
 
-    def test_unknown_importance_measure(self):
-        with pytest.raises(ValueError, match="importance measure"):
-            IqccConfig(importance_measure="foo")
+    def test_penalty_from_mu_and_spin(self):
+        assert IqccConfig(mu=0.25, spin=1.0).penalty == SpinPenalty(mu=0.25, s=1.0)
+        with pytest.raises(ValueError, match="penalty strength"):
+            IqccConfig(mu=-0.1)
+        with pytest.raises(ValueError, match="spin must be finite"):
+            IqccConfig(spin=float("nan"))
 
 
 class TestRunIqcc:
@@ -208,8 +211,7 @@ def _six_iterations(problem, generators: int, mu: float, prune_threshold: float)
     and every entangler of its records in order."""
     _, h, ref = problem
     cfg = IqccConfig(generators_per_iteration=generators, energy_convergence=1e-12,
-                     max_iterations=6, prune_threshold=prune_threshold,
-                     penalty=SpinPenalty(mu=mu))
+                     max_iterations=6, prune_threshold=prune_threshold, mu=mu)
     res = run_iqcc(h, ref, cfg)
     assert len(res.records) == 6
     pairs = [(g.generator, t) for r in res.records
@@ -302,7 +304,7 @@ class TestOneRepresentation:
         counted(_packed, "unpack")
         counted(driver_mod, "dress_sequence")
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
-                         energy_convergence=1e-12, penalty=penalty)
+                         energy_convergence=1e-12, mu=penalty.mu, spin=penalty.s)
         res = run_iqcc(h, ref, cfg)
         assert len(res.records) == 3
         assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3}
@@ -338,8 +340,7 @@ class TestBlockStatisticsOncePerSum:
 
         monkeypatch.setattr(_packed, "block_statistics", spy)
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
-                         energy_convergence=1e-12,
-                         penalty=SpinPenalty(mu=0.25 if penalized else 0.0))
+                         energy_convergence=1e-12, mu=0.25 if penalized else 0.0)
         res = run_iqcc(h, ref, cfg)
         n = len(res.records)
         assert n == 3
@@ -409,14 +410,14 @@ class TestGap:
 
     def test_gap_invariant(self, h2_problem):
         mi, _, _ = h2_problem
-        cfg = IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25))
+        cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         gap = singlet_triplet_gap(mi, None, cfg)
         assert abs(gap.gap_ev - (gap.e_triplet - gap.e_singlet) * HARTREE_TO_EV) < 1e-12
         assert len(gap.trajectories) == 2
 
     def test_h2_gap_matches_spin_resolved_oracle(self, h2_problem):
         mi, h, _ = h2_problem
-        cfg = IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25))
+        cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         gap = singlet_triplet_gap(mi, None, cfg)
         s2, sz = spin_operators(4)
         e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
@@ -432,7 +433,7 @@ class TestGap:
     def test_lih_cas_gap_matches_spin_resolved_oracle(self, lih_problem, occ, virt, generators):
         mi, _, _ = lih_problem
         window = CASWindow.from_counts(mi, occ, virt)
-        cfg = IqccConfig(generators_per_iteration=generators, penalty=SpinPenalty(mu=0.25))
+        cfg = IqccConfig(generators_per_iteration=generators, mu=0.25)
         gap = singlet_triplet_gap(mi, window, cfg)
         h = jordan_wigner(select_cas(mi, window))
         assert h.n_qubits == 2 * (occ + virt)
@@ -530,7 +531,7 @@ class TestTripletStatePurity:
         # and measure <S^2> with the dense oracle
         _, h, _ = h2_stretched_problem
         ref_t = reference_state(2, 4, ms2=2)
-        cfg = IqccConfig(generators_per_iteration=2, penalty=SpinPenalty(mu=0.25, s=1.0))
+        cfg = IqccConfig(generators_per_iteration=2, mu=0.25, spin=1.0)
         res = run_iqcc(h, ref_t, cfg)
         entanglers = [
             (g.generator, t)

@@ -280,18 +280,6 @@ class TestRanking:
         b = rank_sum(h, ref, 8)
         assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
-    def test_gradient_measure_option(self, h2_problem):
-        _, h, ref = h2_problem
-        sel_a, _ = rank_sum(h, ref, 2, measure="amplitude")
-        sel_g, _ = rank_sum(h, ref, 2, measure="gradient")
-        for r in sel_g:
-            assert r.importance == r.omega
-
-    def test_unknown_measure(self, h2_problem):
-        _, h, ref = h2_problem
-        with pytest.raises(ValueError, match="importance measure"):
-            rank_sum(h, ref, 2, measure="foo")
-
     def test_top_l_capacity(self, h2_problem):
         _, h, ref = h2_problem
         with pytest.raises(CapacityError):
@@ -303,9 +291,8 @@ class TestRankingReference:
     ``RankedGenerator`` for every block, sorted by (-importance,
     ``PauliWord.sort_key``)."""
 
-    @pytest.mark.parametrize("measure", ["amplitude", "gradient"])
-    def test_selected_and_remainder_order(self, measure):
-        rng = np.random.default_rng(70 + (measure == "gradient"))
+    def test_selected_and_remainder_order(self):
+        rng = np.random.default_rng(70)
         ties = 0
         for _ in range(80):
             n = int(rng.integers(1, 11))
@@ -315,8 +302,8 @@ class TestRankingReference:
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             blocks = _packed.block_statistics(h, ref)
             top_l = int(rng.integers(1, 17))
-            selected, remainder = rank_generators(blocks, n, top_l, measure)
-            want_sel, want_rest = reference_rank_generators(blocks, n, top_l, measure)
+            selected, remainder = rank_generators(blocks, n, top_l)
+            want_sel, want_rest = reference_rank_generators(blocks, n, top_l)
             assert selected == want_sel
             for got, want in zip(selected, want_sel):  # the same bits, as Python floats
                 for name in ("omega", "omega_signed", "d_value", "t_estimate", "importance"):

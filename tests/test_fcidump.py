@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iqcc.errors import FcidumpError
-from iqcc.fcidump import CASWindow, load_fcidump, parse_fcidump, select_cas
+from iqcc.fcidump import CASWindow, MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
 
 from helpers import random_symmetric_integrals
 
@@ -24,8 +24,10 @@ class TestParse:
     def test_h2_fixture(self, fixture_dir):
         mi = load_fcidump(fixture_dir / "h2.fcidump")
         assert mi.n_spatial == 2 and mi.n_electrons == 2
+        # the constructor checked h1's symmetry and g2's 8-fold symmetry
         assert np.max(np.abs(mi.h1 - mi.h1.T)) < 1e-12
-        mi.validate_symmetries(1e-12)
+        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+            assert np.max(np.abs(mi.g2 - mi.g2.transpose(axes))) < 1e-12
 
     def test_symmetry_expansion(self):
         text = MINIMAL + "  1.2300000000000000E-01    2    1    2    2\n"
@@ -37,6 +39,23 @@ class TestParse:
         text = MINIMAL + "  4.0000000000000000E-01    2    1    0    0\n"
         mi = parse_fcidump(text)
         assert mi.h1[1, 0] == 0.4 and mi.h1[0, 1] == 0.4
+
+    # the first symmetry each tensor breaks, in the constructor's order:
+    # (pq|rs) = (qp|rs), (pq|rs) = (pq|sr), and (pq|rs) = (rs|pq) with the
+    # other two kept
+    @pytest.mark.parametrize(
+        "entries",
+        [[(0, 1, 0, 0)], [(0, 0, 0, 1)], [(0, 0, 0, 1), (0, 0, 1, 0)]],
+        ids=["qp_rs", "pq_sr", "rs_pq"],
+    )
+    def test_asymmetric_g2_rejected_at_construction(self, entries):
+        g2 = np.zeros((2,) * 4)
+        for idx in entries:
+            g2[idx] = 0.3
+        with pytest.raises(ValueError, match="g2 violates permutational symmetry"):
+            MolecularIntegrals(0.0, -np.eye(2), g2, 2, 2)
+        # within the 1e-12 tolerance the same tensor is accepted
+        MolecularIntegrals(0.0, -np.eye(2), 1e-13 * g2, 2, 2)
 
     def test_fortran_d_exponent(self):
         text = MINIMAL.replace("7.5000000000000000E-01", "7.5D-01")
@@ -127,6 +146,25 @@ class TestCasWindow:
         with pytest.raises(ValueError):
             CASWindow(2, 1, (0,), (0, 1, 2), ())  # orbital 0 frozen and active
         select_cas(mi, CASWindow(1, 1, (0,), (1, 2), ()))  # sane window passes
+
+    def test_lih_windows_load(self, fixture_dir):
+        # every window of the 12-qubit fixture folds to integrals the
+        # constructor accepts, g2 symmetry check included
+        mi = load_fcidump(fixture_dir / "lih.fcidump")
+        for n_occ in range(3):
+            for n_virt in range(1, 5):
+                out = select_cas(mi, CASWindow.from_counts(mi, n_occ, n_virt))
+                assert out.n_spatial == n_occ + n_virt
+
+    def test_window_beyond_orbitals_rejected(self):
+        mi = random_symmetric_integrals(2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="window indices exceed orbital range"):
+            select_cas(mi, CASWindow(1, 1, (0,), (1, 2), ()))
+
+    def test_empty_window_rejected(self):
+        mi = random_symmetric_integrals(2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="empty active space"):
+            select_cas(mi, CASWindow(0, 0, (0, 1), (), ()))
 
     def test_folding_formulas_explicit(self):
         # one frozen orbital; compare against the mean-field formulas

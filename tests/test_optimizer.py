@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from iqcc.driver import IqccConfig
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import OptimizationError
-from iqcc.optimizer import OptimizationConfig, minimize
+from iqcc.optimizer import minimize
 
 from helpers import rank_sum
 
@@ -78,15 +79,13 @@ class TestMinimize:
         def g(v):
             return -3 * np.sin(3 * v) + 0.02 * v
 
-        cfg = OptimizationConfig(max_evaluations=5)
-        minimize(lambda v: (f(v), g(v)), np.full(4, 0.7), cfg)
+        minimize(lambda v: (f(v), g(v)), np.full(4, 0.7), max_evaluations=5)
         assert len(calls) <= 7  # maxfun plus scipy's final polish evaluations
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizationConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizationConfig(max_evaluations=0)
+        # the evaluation cap is a run setting, checked where a run is configured
+        with pytest.raises(ValueError, match="max_evaluations"):
+            IqccConfig(max_evaluations=0)
 
     def test_fused_callable(self):
         def vag(v):
