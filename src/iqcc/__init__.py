@@ -21,8 +21,8 @@ from .engine import (
     rank_generators,
 )
 from .errors import IqccError
-from .fcidump import CASWindow, MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
-from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin_operators
+from .fcidump import MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
+from .mapping import jordan_wigner, penalize, reference_state, spin_operators
 from .optimizer import OptimizationResult, minimize
 from .pauli import PauliWord, commutes, multiply, parse_word, render_word
 from .pauli_sum import ReferenceState, dress_sequence, prune

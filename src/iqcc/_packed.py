@@ -515,6 +515,15 @@ def x_group_slice(p: PackedSum, wx: int) -> tuple[int, int]:
     return lo, hi
 
 
+def check_finite(x: np.ndarray, z: np.ndarray, c: np.ndarray) -> None:
+    """Raise ValueError on the first row (x, z, c) whose coefficient is inf
+    or NaN, naming its word."""
+    bad = np.flatnonzero(~np.isfinite(c))
+    if len(bad):
+        word = render_masks(int(x[bad[0]]), int(z[bad[0]]))
+        raise ValueError(f"non-finite coefficient {float(c[bad[0]])!r} on {word}")
+
+
 def check_even_y(p: PackedSum) -> None:
     """Raise :class:`HermiticityError` on the first odd-y word of ``p``: its
     matrix is imaginary, and the engine treats real Hamiltonians only."""

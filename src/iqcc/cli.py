@@ -32,7 +32,7 @@ from .driver import (
     trajectory_csv,
 )
 from .errors import IqccError, IterationAbort
-from .fcidump import CASWindow, load_fcidump, select_cas
+from .fcidump import MolecularIntegrals, load_fcidump, select_cas
 from .mapping import jordan_wigner, reference_state, spin_operators
 from .pauli import parse_word
 # to_json_dict stays bound here, where bench/spans.py times it
@@ -147,12 +147,13 @@ def _digest_gap(result: GapResult) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _window_from_flags(mi, active_occ, active_virt) -> CASWindow | None:
-    if active_occ is None and active_virt is None:
-        return None
-    if active_occ is None or active_virt is None:
+def _load_integrals(fcidump: Path, active_occ, active_virt) -> MolecularIntegrals:
+    """The FCIDUMP's integrals, cut to the CAS window of the two flags when
+    they are given; a lone flag is a usage error before the file is read."""
+    if (active_occ is None) != (active_virt is None):
         raise click.UsageError("--active-occ and --active-virt must be given together")
-    return CASWindow.from_counts(mi, active_occ, active_virt)
+    mi = load_fcidump(fcidump)
+    return mi if active_occ is None else select_cas(mi, active_occ, active_virt)
 
 
 def _gap_csv_paths(prefix: str) -> list[str]:
@@ -206,10 +207,7 @@ def main():
 def transform(fcidump, active_occ, active_virt, output):
     """FCIDUMP -> qubit Hamiltonian JSON (with electron-count metadata)."""
     started = _now()
-    mi = load_fcidump(fcidump)
-    window = _window_from_flags(mi, active_occ, active_virt)
-    if window is not None:
-        mi = select_cas(mi, window)
+    mi = _load_integrals(fcidump, active_occ, active_virt)
     h = jordan_wigner(mi)
     # the terms are a function of the arrays: hash those, in key order, little-endian
     arrays = (h.x.astype("<u8"), h.z.astype("<u8"), h.c.astype("<f8"))
@@ -306,11 +304,12 @@ def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **ove
     resolved = _resolve_config(config_path, overrides, fixed=("spin",), mu=0.25)
     cfg = IqccConfig(**resolved)
     del resolved["spin"]
-    mi = load_fcidump(fcidump)
-    window = _window_from_flags(mi, active_occ, active_virt)
-    result = singlet_triplet_gap(mi, window, cfg)
+    mi = _load_integrals(fcidump, active_occ, active_virt)
+    result = singlet_triplet_gap(mi, cfg)
+    # the window is recorded as transform records it, null without flags
+    config = {**resolved, "active_occ": active_occ, "active_virt": active_virt}
     report = {
-        "manifest": _manifest(fcidump, resolved, started, _digest_gap(result)),
+        "manifest": _manifest(fcidump, config, started, _digest_gap(result)),
         "result": result.to_json_dict(),
     }
     if csv_prefix:

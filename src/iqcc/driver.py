@@ -45,8 +45,8 @@ from .engine import (
     rank_generators,
 )
 from .errors import CapacityError, IterationAbort, OptimizationError
-from .fcidump import CASWindow, MolecularIntegrals, select_cas
-from .mapping import SpinPenalty, jordan_wigner, penalize, reference_state
+from .fcidump import MolecularIntegrals
+from .mapping import jordan_wigner, penalize, reference_state
 from .optimizer import MAX_EVALUATIONS, minimize
 from .pauli_sum import ReferenceState, dress_sequence, prune
 
@@ -57,9 +57,10 @@ HARTREE_TO_EV = 27.211386245988  # CODATA
 class IqccConfig:
     """The settings of a run, one field per config key.
 
-    ``mu`` and ``spin`` are the spin penalty's strength and target spin
-    quantum number (``penalty``); ``max_evaluations`` caps the objective
-    evaluations of each iteration's L-BFGS run.
+    ``mu`` and ``spin`` are the strength and the target spin quantum number
+    of the spin penalty that ``run_iqcc`` adds (``penalize``);
+    ``max_evaluations`` caps the objective evaluations of each iteration's
+    L-BFGS run.
     """
 
     generators_per_iteration: int = 8
@@ -71,17 +72,16 @@ class IqccConfig:
     memory_budget_terms: int = 50_000_000
     max_evaluations: int = MAX_EVALUATIONS
 
-    @property
-    def penalty(self) -> SpinPenalty:
-        return SpinPenalty(mu=self.mu, s=self.spin)
-
     def __post_init__(self):
-        self.penalty  # checks mu and spin
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("penalty strength must be finite and >= 0")
+        if not 0 <= self.spin < math.inf:
+            raise ValueError(f"spin must be finite and >= 0: {self.spin!r}")
         if not 1 <= self.generators_per_iteration <= MAX_GENERATORS:
             raise CapacityError(
                 f"generators_per_iteration outside 1..{MAX_GENERATORS}"
             )
-        # chained comparisons are False for NaN, so NaN is rejected too
         if not 0 < self.energy_convergence < math.inf:
             raise ValueError("energy_convergence must be positive and finite")
         if not 0 <= self.prune_threshold < math.inf:
@@ -186,13 +186,13 @@ def pt_correction(
 def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
-    Ranking, optimizer and PT read ``h0`` penalized (``cfg.penalty``), the
-    one sum being minimized, as it is dressed.  Stops when the energy change
-    drops to ``cfg.energy_convergence``, when no off-diagonal blocks remain,
-    or at ``cfg.max_iterations``.  Numeric failures and capacity overruns
+    Ranking, optimizer and PT read ``h0`` penalized (``cfg.mu`` and
+    ``cfg.spin``), the one sum being minimized, as it is dressed.  Stops when
+    the energy change drops to ``cfg.energy_convergence``, when no
+    off-diagonal blocks remain, or at ``cfg.max_iterations``.  Numeric failures and capacity overruns
     raise :class:`IterationAbort` carrying the partial trajectory.
     """
-    h = penalize(h0, cfg.penalty) if cfg.mu > 0 else h0
+    h = penalize(h0, cfg.mu, cfg.spin)
     e_prev = initial_energy = _packed.expectation_packed(h, ref)
     budget = cfg.memory_budget_terms
     blocks = _packed.block_statistics(h, ref)
@@ -321,18 +321,13 @@ def gap_from_runs(singlet: RunResult, triplet: RunResult) -> GapResult:
     )
 
 
-def singlet_triplet_gap(
-    mi: MolecularIntegrals,
-    window: CASWindow | None,
-    cfg: IqccConfig,
-) -> GapResult:
+def singlet_triplet_gap(mi: MolecularIntegrals, cfg: IqccConfig) -> GapResult:
     """Two penalized runs over the same integrals: s=0 closed shell, s=1 ROHF.
 
+    A CAS gap takes integrals already cut to the window (``select_cas``).
     The penalty strength is shared (``cfg.mu``); the spin quantum number
     is overridden per state.  The gap is reported in eV.
     """
-    if window is not None:
-        mi = select_cas(mi, window)
     if mi.n_electrons % 2:
         raise ValueError("gap workflow needs an even electron count")
     h = jordan_wigner(mi)

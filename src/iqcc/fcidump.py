@@ -7,6 +7,10 @@ indices nonzero is the two-electron integral (ij|kl).  Records with
 k = l = 0 carry one-electron integrals, the all-zero record carries the core
 (nuclear repulsion plus any folded mean-field) energy, and ``value i 0 0 0``
 orbital-energy records are accepted and ignored.
+
+A CAS window is two counts, the active occupied and the active virtual
+orbitals around the Fermi level: ``select_cas(mi, n_occ, n_virt)`` folds the
+orbitals below the window into the core and drops those above it.
 """
 
 from __future__ import annotations
@@ -164,93 +168,54 @@ def load_fcidump(path) -> MolecularIntegrals:
 # -- CAS windowing ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CASWindow:
-    """Partition of the spatial orbitals around the Fermi level.
+def select_cas(
+    mi: MolecularIntegrals, n_occ_active: int, n_virt_active: int
+) -> MolecularIntegrals:
+    """Restrict the integrals to the window of the ``n_occ_active`` highest
+    occupied and ``n_virt_active`` lowest virtual orbitals by index.
 
-    ``frozen_occupied`` orbitals are folded into the core at mean field,
-    ``active`` orbitals survive, ``discarded_virtual`` orbitals are dropped.
-    """
-
-    n_occ_active: int
-    n_virt_active: int
-    frozen_occupied: tuple[int, ...]
-    active: tuple[int, ...]
-    discarded_virtual: tuple[int, ...]
-
-    def __post_init__(self):
-        everything = sorted(self.frozen_occupied + self.active + self.discarded_virtual)
-        if everything != list(range(len(everything))):
-            raise ValueError("window does not partition the orbital range")
-        if len(self.active) != self.n_occ_active + self.n_virt_active:
-            raise ValueError("active orbital count inconsistent with window sizes")
-
-    @classmethod
-    def from_counts(
-        cls, mi: MolecularIntegrals, n_occ_active: int, n_virt_active: int
-    ) -> "CASWindow":
-        """Window of the highest occupied / lowest virtual orbitals by index.
-
-        Orbitals are assumed energy-ordered, occupied first (the Hartree-Fock
-        convention of the upstream integrals).
-        """
-        n_alpha = (mi.n_electrons + mi.ms2) // 2
-        n_beta = mi.n_electrons - n_alpha
-        if n_occ_active < 0 or n_virt_active < 0:
-            raise ValueError("window sizes must be non-negative")
-        if n_occ_active > n_alpha:
-            raise ValueError(f"only {n_alpha} occupied orbitals available")
-        if n_virt_active > mi.n_spatial - n_alpha:
-            raise ValueError(f"only {mi.n_spatial - n_alpha} virtual orbitals available")
-        n_frozen = n_alpha - n_occ_active
-        if n_frozen > n_beta:
-            raise ValueError("frozen orbitals must be doubly occupied")
-        active = tuple(range(n_frozen, n_alpha + n_virt_active))
-        if not active:
-            raise ValueError("empty active space")
-        return cls(
-            n_occ_active,
-            n_virt_active,
-            tuple(range(n_frozen)),
-            active,
-            tuple(range(n_alpha + n_virt_active, mi.n_spatial)),
-        )
-
-
-def select_cas(mi: MolecularIntegrals, window: CASWindow) -> MolecularIntegrals:
-    """Restrict the integrals to the active window with frozen-core folding.
-
-    The frozen doubly occupied orbitals enter at mean field:
+    Orbitals are assumed energy-ordered, occupied first (the Hartree-Fock
+    convention of the upstream integrals): those below the window are frozen
+    and those above it dropped.  The frozen doubly occupied orbitals enter at
+    mean field:
 
         core' = core + sum_i 2 h_ii + sum_ij (2 (ii|jj) - (ij|ji))
         h'_pq = h_pq + sum_i (2 (pq|ii) - (pi|iq))
 
     with i, j over frozen orbitals and p, q over active ones.
     """
-    frozen = list(window.frozen_occupied)
-    active = list(window.active)
-    # CASWindow partitions its orbitals, so frozen and active are disjoint
-    if max(frozen + active, default=-1) >= mi.n_spatial:
-        raise ValueError("window indices exceed orbital range")
-    if not active:
+    n_alpha = (mi.n_electrons + mi.ms2) // 2
+    n_beta = mi.n_electrons - n_alpha
+    if n_occ_active < 0 or n_virt_active < 0:
+        raise ValueError("window sizes must be non-negative")
+    if n_occ_active > n_alpha:
+        raise ValueError(f"only {n_alpha} occupied orbitals available")
+    if n_virt_active > mi.n_spatial - n_alpha:
+        raise ValueError(f"only {mi.n_spatial - n_alpha} virtual orbitals available")
+    n_frozen = n_alpha - n_occ_active
+    if n_frozen > n_beta:
+        raise ValueError("frozen orbitals must be doubly occupied")
+    if n_occ_active + n_virt_active == 0:
         raise ValueError("empty active space")
+    # a header whose NELEC and MS2 differ in parity can leave fewer active
+    # electrons than |MS2|
+    n_e = mi.n_electrons - 2 * n_frozen
+    if n_e < abs(mi.ms2):
+        raise ValueError("frozen window leaves an inconsistent electron count")
 
     h1, g2 = mi.h1, mi.g2
     core = mi.core_energy
-    for i in frozen:
+    for i in range(n_frozen):
         core += 2.0 * h1[i, i]
-        for j in frozen:
+        for j in range(n_frozen):
             core += 2.0 * g2[i, i, j, j] - g2[i, j, j, i]
 
-    act = np.array(active)
+    act = np.arange(n_frozen, n_alpha + n_virt_active)
     h_eff = h1[np.ix_(act, act)].copy()
-    for i in frozen:
+    for i in range(n_frozen):
         coulomb = g2[np.ix_(act, act)][:, :, i, i]          # (pq|ii)
         exchange = g2[act][:, i, i][:, act]                  # (pi|iq)
         h_eff += 2.0 * coulomb - exchange
 
     g_eff = g2[np.ix_(act, act, act, act)].copy()
-    n_e = mi.n_electrons - 2 * len(frozen)
-    if n_e < 0 or n_e < abs(mi.ms2):
-        raise ValueError("frozen window leaves an inconsistent electron count")
-    return MolecularIntegrals(core, h_eff, g_eff, n_e, len(active), mi.ms2)
+    return MolecularIntegrals(core, h_eff, g_eff, n_e, len(act), mi.ms2)

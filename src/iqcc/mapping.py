@@ -34,18 +34,18 @@ spin pattern, and each ladder product's Pauli products in
 ``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
 ``tests/helpers.py``).  Float addition is not associative, so the order fixes
 every coefficient's bits.  The table is the returned ``PackedSum``, already
-canonical.  ``penalize`` adds canonical sums with ``_packed._add``.
+canonical.  ``penalize(h, mu, s)`` adds canonical sums with ``_packed._add``.
 
 Real molecular integrals always leave a real, even-y-count Pauli sum;
 complex integrals are rejected up front, a residual odd-y coefficient
 signals inconsistent input and raises, and a coefficient that overflowed
-to inf or NaN is a domain error.
+to inf or NaN is a domain error (``_packed.check_finite``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,10 +127,7 @@ def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10) -> PackedSum:
     beyond ``tol`` times the coefficient scale is a genuine hermiticity
     violation.
     """
-    bad = np.flatnonzero(~np.isfinite(c))
-    if len(bad):
-        word = render_masks(int(x[bad[0]]), int(z[bad[0]]))
-        raise ValueError(f"non-finite coefficient {float(c[bad[0]])!r} on {word}")
+    _packed.check_finite(x, z, c)
     mag = np.abs(c)
     scale = float(np.max(mag, initial=1.0))
     odd = (np.bitwise_count(x & z) & 1).astype(bool)
@@ -244,28 +241,15 @@ def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     return _collapse(n_qubits, *_accumulate(n_qubits, rows())), s_z
 
 
-@dataclass(frozen=True)
-class SpinPenalty:
-    """Penalty mu * (S^2 - s(s+1) S_z) added to the Hamiltonian.
+def penalize(h: PackedSum, mu: float, s: float) -> PackedSum:
+    """h + mu (S^2 - s(s+1) S_z); returns h unchanged when mu == 0.
 
-    s >= 0 is the spin quantum number of the target state (s(s+1) is the same
-    for s and -s-1); s = 0 reduces the penalty to mu * S^2.
+    s >= 0 is the spin quantum number of the target state (s(s+1) is the
+    same for s and -s-1); s = 0 reduces the penalty to mu * S^2.
+    ``IqccConfig`` checks that mu and s are finite and >= 0.
     """
-
-    mu: float = 0.0
-    s: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.mu < math.inf:  # False for NaN
-            raise ValueError("penalty strength must be finite and >= 0")
-        if not 0 <= self.s < math.inf:  # False for NaN
-            raise ValueError(f"spin must be finite and >= 0: {self.s!r}")
-
-
-def penalize(h: PackedSum, p: SpinPenalty) -> PackedSum:
-    """h + mu (S^2 - s(s+1) S_z); returns h unchanged when mu == 0."""
-    if p.mu == 0.0:
+    if mu == 0.0:
         return h
     s_squared, s_z = spin_operators(h.n_qubits)
-    w = _packed._add(s_squared, replace(s_z, c=-1.0 * (p.s * (p.s + 1.0) * s_z.c)))
-    return _packed._add(h, replace(w, c=p.mu * w.c))
+    w = _packed._add(s_squared, replace(s_z, c=-1.0 * (s * (s + 1.0) * s_z.c)))
+    return _packed._add(h, replace(w, c=mu * w.c))

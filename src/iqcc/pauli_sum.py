@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import CapacityError, DimensionError, InvalidGeneratorError
-from .pauli import PauliWord, parse_masks, render_masks, render_word, render_words
+from .pauli import PauliWord, parse_masks, render_word, render_words
 
 if TYPE_CHECKING:  # _packed builds on this module
     from ._packed import PackedSum
@@ -200,9 +200,6 @@ def from_json_dict(data: dict) -> PackedSum:
         z.append(zi)
         c.append(float(ci))
     p = _packed._canonical(n, np.array(x, np.uint64), np.array(z, np.uint64), np.array(c))
-    bad = np.flatnonzero(~np.isfinite(p.c))
-    if len(bad):
-        word = render_masks(int(p.x[bad[0]]), int(p.z[bad[0]]))
-        raise ValueError(f"non-finite coefficient {float(p.c[bad[0]])!r} on {word}")
+    _packed.check_finite(p.x, p.z, p.c)
     _packed.check_even_y(p)
     return p

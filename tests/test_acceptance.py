@@ -112,7 +112,7 @@ class TestAcceptance:
             details.append(f"{name}: triplet err={err:.2e}")
 
             gap = singlet_triplet_gap(
-                mi, None, IqccConfig(generators_per_iteration=2, mu=0.25)
+                mi, IqccConfig(generators_per_iteration=2, mu=0.25)
             )
             oracle_gap = (
                 reference_values[name]["fci_triplet"]
@@ -344,7 +344,7 @@ class TestAcceptance:
             max_iterations=40,
             mu=0.25,
         )
-        gap = singlet_triplet_gap(mi, None, cfg)
+        gap = singlet_triplet_gap(mi, cfg)
         fci = reference_values["lih"]
         errors = (
             abs(gap.e_singlet - fci["fci_singlet"]),

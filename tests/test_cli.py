@@ -16,7 +16,7 @@ from iqcc import cli, driver
 from iqcc.cli import _CONFIG_KEYS, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
-from iqcc.fcidump import CASWindow, load_fcidump, select_cas
+from iqcc.fcidump import load_fcidump, select_cas
 from iqcc.mapping import jordan_wigner, spin_operators
 from iqcc.oracle import spin_resolved_spectrum
 from iqcc.pauli import PauliWord
@@ -103,7 +103,7 @@ class TestTransform:
         mi = load_fcidump(path)
         flags = []
         if window:
-            mi = select_cas(mi, CASWindow.from_counts(mi, *window))
+            mi = select_cas(mi, *window)
             flags = ["--active-occ", str(window[0]), "--active-virt", str(window[1])]
         terms = to_json_dict(jordan_wigner(mi))
         out = tmp_path / "h.json"
@@ -563,6 +563,91 @@ class TestOutputDirectory:
         assert calls == [] and not out.exists()
 
 
+def _window_argv(command: str, path, window, out) -> list[str]:
+    """``command`` on ``path`` with the CAS window flags (occ, virt) where given."""
+    flags = ["--active-occ", str(window[0]), "--active-virt", str(window[1])] if window else []
+    extra = ["--generators", "4"] if command == "gap" else []
+    return [command, str(path), *flags, *extra, "-o", str(out)]
+
+
+def _fixture_with_header(tmp_path, name: str, header: str) -> Path:
+    """The fixture ``name`` with its first line replaced by ``header``."""
+    lines = (FIXTURES / f"{name}.fcidump").read_text().splitlines(keepends=True)
+    path = tmp_path / f"{name}_edited.fcidump"
+    path.write_text(header + "\n" + "".join(lines[1:]))
+    return path
+
+
+class TestCasWindowCommands:
+    """``transform`` and ``gap`` through --active-occ/--active-virt."""
+
+    def test_transform_digest(self, runner, tmp_path):
+        # the frozen-core window of LiH: 6 qubits, 2 active electrons
+        out = tmp_path / "h.json"
+        result = runner.invoke(main, _window_argv("transform", FIXTURES / "lih.fcidump", (1, 2), out))
+        assert result.exit_code == 0, result.output
+        data = json.loads(out.read_text())
+        assert len(data["terms"]) == 62
+        assert data["manifest"]["determinism"]["numeric_digest"].startswith("784f7b66d12516e4")
+
+    def test_gap_digest(self, runner, tmp_path):
+        out = tmp_path / "gap.json"
+        result = runner.invoke(main, _window_argv("gap", FIXTURES / "lih.fcidump", (1, 2), out))
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert len(report["result"]["singlet"]["iterations"]) == 2
+        assert len(report["result"]["triplet"]["iterations"]) == 1
+        assert report["manifest"]["determinism"]["numeric_digest"].startswith("a88f7e1c3778dbe0")
+
+    @pytest.mark.parametrize("window", [None, (1, 2)], ids=["full", "cas"])
+    def test_gap_manifest_records_window(self, runner, tmp_path, window):
+        # the window is part of what a replay of the report needs
+        out = tmp_path / "gap.json"
+        argv = _window_argv("gap", FIXTURES / "lih.fcidump", window, out)
+        result = runner.invoke(main, [*argv, "--max-iterations", "1"])
+        assert result.exit_code == 0, result.output
+        config = json.loads(out.read_text())["manifest"]["config"]
+        want = window or (None, None)
+        assert (config["active_occ"], config["active_virt"]) == want
+
+    @pytest.mark.parametrize("command", ["transform", "gap"])
+    @pytest.mark.parametrize(
+        "header, window, message",
+        [
+            (None, (3, 1), "only 2 occupied orbitals available"),
+            (None, (1, 9), "only 4 virtual orbitals available"),
+            (None, (-1, 1), "window sizes must be non-negative"),
+            (None, (0, 0), "empty active space"),
+            # a triplet H2 header: no doubly occupied orbital to freeze
+            ("&FCI NORB=2,NELEC=2,MS2=2,", (1, 0), "frozen orbitals must be doubly occupied"),
+            # NELEC and MS2 of different parity: the frozen orbital leaves
+            # one electron for an MS2 of 2
+            ("&FCI NORB=2,NELEC=3,MS2=2,", (1, 0),
+             "frozen window leaves an inconsistent electron count"),
+        ],
+        ids=["occ_3", "virt_9", "negative", "empty", "open_shell_frozen", "odd_parity"],
+    )
+    def test_bad_window_rejected(self, runner, tmp_path, command, header, window, message):
+        path = FIXTURES / "lih.fcidump"
+        if header:
+            path = _fixture_with_header(tmp_path, "h2", header)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, _window_argv(command, path, window, out))
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "gap"])
+    def test_lone_flag_rejected_before_load(self, runner, tmp_path, command):
+        # a usage error, before the file (which would not parse) is read
+        path = tmp_path / "bad.fcidump"
+        path.write_text("not an FCIDUMP\n")
+        result = runner.invoke(main, [command, str(path), "--active-occ", "1"])
+        assert result.exit_code == 2
+        assert "--active-occ and --active-virt must be given together" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestConfigDefaults:
     def test_defaults_build_the_default_config(self):
         assert IqccConfig(**_resolve_config(None, {})) == IqccConfig()
@@ -623,7 +708,7 @@ class TestGap:
         assert result.exit_code == 0, result.output
         report = json.loads(out.read_text())["result"]
         mi = load_fcidump(FIXTURES / "lih.fcidump")
-        h = jordan_wigner(select_cas(mi, CASWindow.from_counts(mi, 1, 2)))
+        h = jordan_wigner(select_cas(mi, 1, 2))
         s2, sz = spin_operators(6)
         e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
         e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
@@ -639,7 +724,7 @@ class TestGap:
         real = driver.run_iqcc
 
         def spy(h, ref, cfg):
-            penalties.append(cfg.penalty)
+            penalties.append((cfg.mu, cfg.spin))
             return real(h, ref, cfg)
 
         monkeypatch.setattr(driver, "run_iqcc", spy)
@@ -654,7 +739,7 @@ class TestGap:
         assert result.exit_code == 0, result.output
         config = json.loads(out.read_text())["manifest"]["config"]
         assert config["mu"] == mu and config["max_iterations"] == 1
-        assert [(p.mu, p.s) for p in penalties] == [(mu, 0.0), (mu, 1.0)]
+        assert penalties == [(mu, 0.0), (mu, 1.0)]
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_spin_rejected(self, runner, tmp_path, monkeypatch, source):

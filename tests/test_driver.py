@@ -17,8 +17,8 @@ from iqcc.driver import (
 )
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
-from iqcc.fcidump import CASWindow, select_cas
-from iqcc.mapping import SpinPenalty, jordan_wigner, penalize, reference_state, spin_operators
+from iqcc.fcidump import select_cas
+from iqcc.mapping import jordan_wigner, penalize, reference_state, spin_operators
 from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -40,7 +40,7 @@ class TestConfig:
         assert cfg.energy_convergence == 1e-5
         assert cfg.prune_threshold == 1e-10
         assert cfg.max_iterations == 100
-        assert cfg.penalty.mu == 0.0
+        assert cfg.mu == 0.0 and cfg.spin == 0.0
 
     def test_l_cap(self):
         with pytest.raises(CapacityError):
@@ -55,7 +55,8 @@ class TestConfig:
             IqccConfig(prune_threshold=-1e-3)
 
     def test_penalty_from_mu_and_spin(self):
-        assert IqccConfig(mu=0.25, spin=1.0).penalty == SpinPenalty(mu=0.25, s=1.0)
+        cfg = IqccConfig(mu=0.25, spin=1.0)
+        assert (cfg.mu, cfg.spin) == (0.25, 1.0)
         with pytest.raises(ValueError, match="penalty strength"):
             IqccConfig(mu=-0.1)
         with pytest.raises(ValueError, match="spin must be finite"):
@@ -216,7 +217,7 @@ def _six_iterations(problem, generators: int, mu: float, prune_threshold: float)
     assert len(res.records) == 6
     pairs = [(g.generator, t) for r in res.records
              for g, t in zip(r.selected_generators, r.amplitudes)]
-    return res, penalize(h, cfg.penalty), pairs
+    return res, penalize(h, cfg.mu, cfg.spin), pairs
 
 
 class TestWholeSumDressing:
@@ -281,7 +282,7 @@ class TestTrajectoryBound:
 
 
 class TestOneRepresentation:
-    @pytest.mark.parametrize("penalty", [SpinPenalty(), SpinPenalty(mu=0.25)])
+    @pytest.mark.parametrize("penalty", [{}, {"mu": 0.25}])
     def test_packed_once_never_unpacked(self, h4_problem, monkeypatch, penalty):
         # the Hamiltonian arrives packed and stays packed through the
         # penalty, every evaluation, dress and prune: a run neither packs nor
@@ -304,7 +305,7 @@ class TestOneRepresentation:
         counted(_packed, "unpack")
         counted(driver_mod, "dress_sequence")
         cfg = IqccConfig(generators_per_iteration=4, max_iterations=3,
-                         energy_convergence=1e-12, mu=penalty.mu, spin=penalty.s)
+                         energy_convergence=1e-12, **penalty)
         res = run_iqcc(h, ref, cfg)
         assert len(res.records) == 3
         assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3}
@@ -346,7 +347,7 @@ class TestBlockStatisticsOncePerSum:
         assert n == 3
         assert len(calls) == n + 1
         # the first ranking reads the sum being minimized
-        assert calls[0] == len(penalize(h, cfg.penalty) if penalized else h)
+        assert calls[0] == len(penalize(h, cfg.mu, cfg.spin))
         assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[penalized])
         assert [r.energy_with_pt.hex() for r in res.records] == list(self.WITH_PT[penalized])
 
@@ -411,14 +412,14 @@ class TestGap:
     def test_gap_invariant(self, h2_problem):
         mi, _, _ = h2_problem
         cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
-        gap = singlet_triplet_gap(mi, None, cfg)
+        gap = singlet_triplet_gap(mi, cfg)
         assert abs(gap.gap_ev - (gap.e_triplet - gap.e_singlet) * HARTREE_TO_EV) < 1e-12
         assert len(gap.trajectories) == 2
 
     def test_h2_gap_matches_spin_resolved_oracle(self, h2_problem):
         mi, h, _ = h2_problem
         cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
-        gap = singlet_triplet_gap(mi, None, cfg)
+        gap = singlet_triplet_gap(mi, cfg)
         s2, sz = spin_operators(4)
         e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
         e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
@@ -432,10 +433,10 @@ class TestGap:
                              ids=["frozen_core", "no_virtuals"])
     def test_lih_cas_gap_matches_spin_resolved_oracle(self, lih_problem, occ, virt, generators):
         mi, _, _ = lih_problem
-        window = CASWindow.from_counts(mi, occ, virt)
+        cas = select_cas(mi, occ, virt)
         cfg = IqccConfig(generators_per_iteration=generators, mu=0.25)
-        gap = singlet_triplet_gap(mi, window, cfg)
-        h = jordan_wigner(select_cas(mi, window))
+        gap = singlet_triplet_gap(cas, cfg)
+        h = jordan_wigner(cas)
         assert h.n_qubits == 2 * (occ + virt)
         s2, sz = spin_operators(h.n_qubits)
         e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
@@ -448,7 +449,7 @@ class TestGap:
         mi, _, _ = h2_problem
         bad = type(mi)(mi.core_energy, mi.h1, mi.g2, 1, mi.n_spatial, 1)
         with pytest.raises(ValueError):
-            singlet_triplet_gap(bad, None, IqccConfig())
+            singlet_triplet_gap(bad, IqccConfig())
 
 
 class TestWarmStartEfficiency:

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from iqcc.errors import FcidumpError
-from iqcc.fcidump import CASWindow, MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
+from iqcc.fcidump import MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
 
 from helpers import random_symmetric_integrals
 
@@ -115,8 +117,7 @@ class TestCasWindow:
     def test_identity_window(self):
         rng = np.random.default_rng(0)
         mi = random_symmetric_integrals(4, rng, core=0.3)
-        window = CASWindow.from_counts(mi, mi.n_electrons // 2, 4 - mi.n_electrons // 2)
-        out = select_cas(mi, window)
+        out = select_cas(mi, mi.n_electrons // 2, 4 - mi.n_electrons // 2)
         assert out.core_energy == mi.core_energy
         assert np.array_equal(out.h1, mi.h1)
         assert np.array_equal(out.g2, mi.g2)
@@ -125,27 +126,14 @@ class TestCasWindow:
     def test_freeze_all_occupied_rejected(self, fixture_dir):
         mi = load_fcidump(fixture_dir / "h2.fcidump")
         with pytest.raises(ValueError):
-            CASWindow.from_counts(mi, 0, 0)
+            select_cas(mi, 0, 0)
 
     def test_lih_core_window(self, fixture_dir):
         mi = load_fcidump(fixture_dir / "lih.fcidump")
-        window = CASWindow.from_counts(mi, 1, 1)
-        assert window.frozen_occupied == (0,)
-        assert window.active == (1, 2)
-        assert window.discarded_virtual == (3, 4, 5)
-        out = select_cas(mi, window)
+        # orbital 0 frozen, 1 and 2 active, 3 to 5 dropped
+        out = select_cas(mi, 1, 1)
         assert out.n_spatial == 2 and out.n_electrons == 2
-
-    def test_window_partition_validation(self):
-        with pytest.raises(ValueError):
-            CASWindow(1, 1, (0,), (2, 3), ())  # skips orbital 1
-
-    def test_overlapping_frozen_active_rejected(self):
-        rng = np.random.default_rng(1)
-        mi = random_symmetric_integrals(3, rng)
-        with pytest.raises(ValueError):
-            CASWindow(2, 1, (0,), (0, 1, 2), ())  # orbital 0 frozen and active
-        select_cas(mi, CASWindow(1, 1, (0,), (1, 2), ()))  # sane window passes
+        assert np.array_equal(out.g2, mi.g2[1:3, 1:3, 1:3, 1:3])
 
     def test_lih_windows_load(self, fixture_dir):
         # every window of the 12-qubit fixture folds to integrals the
@@ -153,25 +141,19 @@ class TestCasWindow:
         mi = load_fcidump(fixture_dir / "lih.fcidump")
         for n_occ in range(3):
             for n_virt in range(1, 5):
-                out = select_cas(mi, CASWindow.from_counts(mi, n_occ, n_virt))
+                out = select_cas(mi, n_occ, n_virt)
                 assert out.n_spatial == n_occ + n_virt
-
-    def test_window_beyond_orbitals_rejected(self):
-        mi = random_symmetric_integrals(2, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="window indices exceed orbital range"):
-            select_cas(mi, CASWindow(1, 1, (0,), (1, 2), ()))
 
     def test_empty_window_rejected(self):
         mi = random_symmetric_integrals(2, np.random.default_rng(3))
         with pytest.raises(ValueError, match="empty active space"):
-            select_cas(mi, CASWindow(0, 0, (0, 1), (), ()))
+            select_cas(mi, 0, 0)
 
     def test_folding_formulas_explicit(self):
         # one frozen orbital; compare against the mean-field formulas
         rng = np.random.default_rng(2)
-        mi = random_symmetric_integrals(3, rng, core=0.11)
-        window = CASWindow(1, 1, (0,), (1, 2), ())
-        out = select_cas(mi, window)
+        mi = replace(random_symmetric_integrals(3, rng, core=0.11), n_electrons=4)
+        out = select_cas(mi, 1, 1)  # orbital 0 frozen, 1 and 2 active
         h1, g2 = mi.h1, mi.g2
         core_expect = 0.11 + 2 * h1[0, 0] + 2 * g2[0, 0, 0, 0] - g2[0, 0, 0, 0]
         assert abs(out.core_energy - core_expect) < 1e-12

@@ -3,10 +3,10 @@ import pytest
 
 from iqcc import mapping
 from iqcc._packed import expectation_packed, pack, unpack
+from iqcc.driver import IqccConfig
 from iqcc.errors import CapacityError, HermiticityError
-from iqcc.fcidump import CASWindow, MolecularIntegrals, load_fcidump, select_cas
+from iqcc.fcidump import MolecularIntegrals, load_fcidump, select_cas
 from iqcc.mapping import (
-    SpinPenalty,
     jordan_wigner,
     penalize,
     reference_state,
@@ -258,7 +258,7 @@ class TestSpinOperators:
 class TestPenalize:
     def test_mu_zero_unchanged(self, h2_problem):
         _, h, _ = h2_problem
-        assert penalize(h, SpinPenalty(mu=0.0, s=1.0)) is h
+        assert penalize(h, 0.0, 1.0) is h
 
     def test_s_zero_is_pure_s_squared(self, h2_problem):
         _, h, _ = h2_problem
@@ -266,7 +266,7 @@ class TestPenalize:
         want = terms_dict(h)
         for key, c in terms_dict(s2).items():
             want[key] = want.get(key, 0.0) + 0.3 * c
-        got = penalize(h, SpinPenalty(mu=0.3, s=0.0))
+        got = penalize(h, 0.3, 0.0)
         assert terms_dict(got) == {key: c for key, c in want.items() if c != 0.0}
 
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
@@ -274,24 +274,25 @@ class TestPenalize:
     def test_bit_equal_to_dict_order_add(self, fixture_dir, name, s):
         h = jordan_wigner(load_fcidump(fixture_dir / f"{name}.fcidump"))
         for mu in (0.25, 0.3, 0.5):
-            assert_same(penalize(h, SpinPenalty(mu=mu, s=s)), reference_penalize(h, mu, s))
+            assert_same(penalize(h, mu, s), reference_penalize(h, mu, s))
 
+    # the config checks the penalty's mu and s
     def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            SpinPenalty(mu=-0.1, s=0.0)
+        with pytest.raises(ValueError, match="penalty strength must be finite and >= 0"):
+            IqccConfig(mu=-0.1, spin=0.0)
 
     @pytest.mark.parametrize("mu", [0.0, 0.25])
     @pytest.mark.parametrize("s", [-1.0, -2.0, -0.5])
     def test_negative_spin_rejected(self, mu, s):
         # s(s+1) is the same for s and -s-1, so -1 and -2 would alias s = 0 and 1
         with pytest.raises(ValueError, match="spin must be finite and >= 0"):
-            SpinPenalty(mu=mu, s=s)
+            IqccConfig(mu=mu, spin=s)
 
     def test_stretched_h2_sector_ground_is_triplet(self, h2_stretched_problem):
         # within the S_z = +1 sector the penalized ground state is a pure
         # triplet (the penalty removes higher-spin contamination there)
         _, h, _ = h2_stretched_problem
-        hp = penalize(h, SpinPenalty(mu=0.25, s=1.0))
+        hp = penalize(h, 0.25, 1.0)
         s2m = to_matrix(spin_operators(4)[0])
         szm = to_matrix(spin_operators(4)[1])
         hm = to_matrix(hp)
@@ -313,9 +314,8 @@ class TestFrozenCore:
         # folding then mapping == mapping then exact projection onto the
         # frozen-core sector, elementwise (LiH, 1s frozen)
         mi = load_fcidump(fixture_dir / "lih.fcidump")
-        window = CASWindow.from_counts(mi, 1, mi.n_spatial - 2)
-        folded = jordan_wigner(select_cas(mi, window))
-        full = to_matrix(jordan_wigner(select_cas(mi, CASWindow.from_counts(mi, 2, 4))))
+        folded = jordan_wigner(select_cas(mi, 1, mi.n_spatial - 2))
+        full = to_matrix(jordan_wigner(select_cas(mi, 2, 4)))
 
         n_act = 2 * (mi.n_spatial - 1)
         dim = 1 << n_act
@@ -326,8 +326,7 @@ class TestFrozenCore:
 
     def test_folded_fci_matches_projected_fci(self, fixture_dir, reference_values):
         mi = load_fcidump(fixture_dir / "lih.fcidump")
-        window = CASWindow.from_counts(mi, 1, mi.n_spatial - 2)
-        folded = jordan_wigner(select_cas(mi, window))
+        folded = jordan_wigner(select_cas(mi, 1, mi.n_spatial - 2))
         e_folded, _ = ground_state(folded)
 
         full = to_matrix(jordan_wigner(mi))
