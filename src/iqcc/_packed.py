@@ -60,10 +60,10 @@ alone (``_add`` is the add of sums that share keys); both arrive sorted, and
 up to 32 qubits the stable argsort of the one-column key, a timsort, finds
 the runs and merges them in linear time.  Each layer is linear in its input
 and the energy is d . c_L, with d the signed indicator of the diagonal rows
-(``_reference_sign``), so ``energy_and_gradient`` sums d * c_L for the
-energy and takes the gradient by one reverse pass of d through the same
-contributions: one gather of lambda, the two gradient sums over slices and
-one ``np.bincount`` per layer.
+(``_reference_sign``, taken once per cut), so ``energy_and_gradient`` sums
+d * c_L for the energy and takes the gradient by one reverse pass of d
+through the same contributions: one gather of lambda, the two gradient sums
+over slices and one ``np.bincount`` per layer.
 """
 
 from __future__ import annotations
@@ -260,9 +260,11 @@ class DressPlan:
     """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer: every key any amplitude can
-    reach, or in a ``live_plan`` cut (``cut`` True) the diagonal ones.
-    ``len`` is the number of input rows.  Layer j takes the j-th amplitude
-    of a replay.
+    reach, or in a ``live_plan`` cut (``cut`` True) the diagonal ones.  A
+    cut is made for one reference state, ``ref``, and holds ``d``, the
+    reference sign of each of its rows (``_reference_sign``), from which
+    every evaluation's reverse pass starts.  ``len`` is the number of input
+    rows.  Layer j takes the j-th amplitude of a replay.
     """
 
     n_qubits: int
@@ -270,7 +272,12 @@ class DressPlan:
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
     z: np.ndarray
-    cut: bool = False
+    ref: ReferenceState | None = None  # a cut's reference state
+    d: np.ndarray | None = None  # a cut's read-only +-1.0 per row
+
+    @property
+    def cut(self) -> bool:
+        return self.ref is not None
 
     def __len__(self) -> int:
         return len(self.c)
@@ -348,9 +355,9 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
     return DressPlan(n, p.c, tuple(layers), *_masks(n, key))
 
 
-def live_plan(plan: DressPlan) -> DressPlan:
+def live_plan(plan: DressPlan, ref: ReferenceState) -> DressPlan:
     """``plan``, a plan from ``plan_chain``, cut to the rows an optimizer
-    evaluation reads; a plan already cut raises ``ValueError``.
+    evaluation in ``ref`` reads; a plan already cut raises ``ValueError``.
 
     A last-layer row is read if it is diagonal: only those carry the energy
     and only those start the reverse pass of ``energy_and_gradient``.  An
@@ -360,7 +367,8 @@ def live_plan(plan: DressPlan) -> DressPlan:
     before, so ``run_plan`` gives the diagonal rows in the same order and
     with the same values as from ``plan``, and the rows the cut drops add
     only zeros to the gradient.  The cut lists its base rows quiet first,
-    so that each factor covers one slice.
+    so that each factor covers one slice.  The reference signs of the
+    diagonal rows are taken here, once per cut, not once per evaluation.
     """
     if plan.cut:
         raise ValueError("live_plan cuts a plan from plan_chain, not a cut plan")
@@ -389,9 +397,12 @@ def live_plan(plan: DressPlan) -> DressPlan:
             n_out,
         ))
         row_out, n_out = row_in, int(np.count_nonzero(live))
-    layers = tuple(reversed(layers))
+    z = plan.z[diagonal]
+    d = _reference_sign(z, ref)
+    d.flags.writeable = False
     return replace(
-        plan, c=plan.c[live], layers=layers, x=plan.x[diagonal], z=plan.z[diagonal], cut=True
+        plan, c=plan.c[live], layers=tuple(reversed(layers)), x=plan.x[diagonal], z=z,
+        ref=ref, d=d,
     )
 
 
@@ -408,12 +419,12 @@ def _replay(plan: DressPlan, trig):
     ``trig``, the input first: per layer one gather, one multiply and one
     bincount.  -(c*s) and c*(-s) are the same double, so the sign rides on s.
     """
-    c = plan.c
+    c, cut = plan.c, plan.cut
     yield c
     for layer, (cos_t, sin_t) in zip(plan.layers, trig):
         # a plan_chain layer's base rows are its input rows, in order
-        w = c[layer.src] if plan.cut else np.concatenate((c, c[layer.src]))
-        c = _bincount(layer.dest, _scale(layer, w, plan.cut, cos_t, sin_t), layer.n_out)
+        w = c[layer.src] if cut else np.concatenate((c, c[layer.src]))
+        c = _bincount(layer.dest, _scale(layer, w, cut, cos_t, sin_t), layer.n_out)
         yield c
 
 
@@ -444,14 +455,15 @@ def energy_and_gradient(
 ) -> tuple[float, list[float]]:
     """<0|H_L|0> and its derivative in each amplitude, from one plan.
 
-    ``plan`` is a ``live_plan`` cut, with one amplitude per layer, else
-    ``ValueError``; a ``plan_chain`` plan is cut first, which gives the same
-    numbers.  E = d . c_L with d the signed indicator of the diagonal rows:
-    the energy sums d * c_L over the non-zero diagonal rows in key order, the
-    array that ``expectation_packed`` sums for ``run_plan``'s sum.  lambda = dE/dc
-    pulls back from d through each layer: one gather of lambda at the
-    contributions' output rows, times their factors, summed at their source
-    rows.  With c a layer's input, dE/dt is cos(t) times the sum of
+    ``plan`` is a ``live_plan`` cut for ``ref``, with one amplitude per
+    layer, else ``ValueError``; a ``plan_chain`` plan is cut first, which
+    gives the same numbers.  E = d . c_L with d the signed indicator of the
+    diagonal rows, the cut's ``d``: the energy sums d * c_L over the non-zero
+    diagonal rows in key order, the array that ``expectation_packed`` sums
+    for ``run_plan``'s sum.  lambda = dE/dc pulls back from d through each
+    layer: one gather of lambda at the contributions' output rows, times
+    their factors, summed at their source rows.  With c a layer's input,
+    dE/dt is cos(t) times the sum of
     sign * lambda * c over the spawned rows, minus sin(t) times the sum of
     lambda * c over the anticommuting base rows, each left to right in
     source order.
@@ -460,10 +472,12 @@ def energy_and_gradient(
         raise DimensionError("sum and reference state qubit counts differ")
     trig = _trig(plan, amplitudes)
     if not plan.cut:
-        plan = live_plan(plan)
+        plan = live_plan(plan, ref)
+    elif plan.ref != ref:
+        raise ValueError("the cut was made for another reference state")
     cs = list(_replay(plan, trig))
     c = cs[-1]
-    lam = _reference_sign(plan.z, ref)  # every row of a cut is diagonal
+    lam = plan.d  # every row of a cut is diagonal
     energy = float(np.sum((lam * c)[c != 0.0]))
     grad = [0.0] * len(plan.layers)
     for k in reversed(range(len(plan.layers))):

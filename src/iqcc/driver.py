@@ -210,7 +210,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
         try:
             plan, outside = coset_plan(h, gens, budget)
             # the cut gives the plan's numbers; it lives only while L-BFGS runs
-            live = _packed.live_plan(plan)
+            live = _packed.live_plan(plan, ref)
             optimized_terms, evaluated_terms = len(plan), len(live)
             opt = minimize(lambda t: qcc_energy_and_gradient(live, t, ref),
                            np.array([g.t_estimate for g in selected]), cfg.max_evaluations)

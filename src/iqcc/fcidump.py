@@ -99,6 +99,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError(f"NORB must be positive, got {norb}")
     if not 0 <= nelec <= 2 * norb:
         raise FcidumpError(f"NELEC {nelec} out of range for NORB {norb}")
+    if abs(ms2) > nelec or (nelec - ms2) % 2:
+        raise FcidumpError(f"MS2 {ms2} inconsistent with NELEC {nelec}")
 
     h1 = np.zeros((norb, norb))
     g2 = np.zeros((norb, norb, norb, norb))
@@ -197,8 +199,8 @@ def select_cas(
         raise ValueError("frozen orbitals must be doubly occupied")
     if n_occ_active + n_virt_active == 0:
         raise ValueError("empty active space")
-    # a header whose NELEC and MS2 differ in parity can leave fewer active
-    # electrons than |MS2|
+    # integrals constructed with NELEC and MS2 of different parity (a parsed
+    # header has them consistent) can leave fewer active electrons than |MS2|
     n_e = mi.n_electrons - 2 * n_frozen
     if n_e < abs(mi.ms2):
         raise ValueError("frozen window leaves an inconsistent electron count")

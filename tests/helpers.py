@@ -183,12 +183,12 @@ def reference_plan_chain(p: PackedSum, generators) -> DressPlan:
     return DressPlan(p.n_qubits, p.c, tuple(layers), x, z)
 
 
-def reference_live_plan(plan: DressPlan) -> DressPlan:
+def reference_live_plan(plan: DressPlan, ref: ReferenceState) -> DressPlan:
     """``_packed.live_plan`` in two passes per layer: each layer is cut on its
     own from a mask over all its contributions, with their sources listed
     from ``np.arange`` and the live input rows scattered into zeros, then
-    both row numberings are counted afresh.  Every ``PlanLayer`` field of
-    the cut must equal this one's."""
+    both row numberings are counted afresh; the reference signs are counted
+    bit by bit.  Every ``PlanLayer`` field of the cut must equal this one's."""
 
     def cut_layer(layer: PlanLayer, n_in: int, live_out: np.ndarray):
         src = np.concatenate([np.arange(n_in), layer.src])  # every contribution's source
@@ -220,7 +220,8 @@ def reference_live_plan(plan: DressPlan) -> DressPlan:
     for layer in reversed(plan.layers):
         layer, live = cut_layer(layer, layer.n_base, live)
         layers.append(layer)
-    return DressPlan(plan.n_qubits, plan.c[live], tuple(reversed(layers)), x, z, cut=True)
+    d = np.array([-1.0 if bin(int(w) & ref.occupation).count("1") % 2 else 1.0 for w in z])
+    return DressPlan(plan.n_qubits, plan.c[live], tuple(reversed(layers)), x, z, ref, d)
 
 
 def _scatter_form(layer: PlanLayer, cut: bool):
@@ -280,8 +281,9 @@ def reference_energy_and_gradient(plan: DressPlan, amplitudes, ref: ReferenceSta
 def assert_same_plan(a: DressPlan, b: DressPlan):
     """Every field of two plans and of each of their layers is equal, index
     arrays with their dtype."""
-    assert a.n_qubits == b.n_qubits and a.cut == b.cut
+    assert a.n_qubits == b.n_qubits and a.cut == b.cut and a.ref == b.ref
     assert a.c.tobytes() == b.c.tobytes()
+    assert (a.d is None and b.d is None) or a.d.tobytes() == b.d.tobytes()
     assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
     assert len(a.layers) == len(b.layers)
     for la, lb in zip(a.layers, b.layers):
@@ -572,7 +574,8 @@ def fcidump_text(mi) -> str:
 
 
 def random_symmetric_integrals(n_spatial: int, rng, core: float = 0.0):
-    """Random integrals with full permutational symmetry."""
+    """Random integrals with full permutational symmetry: n_spatial
+    electrons at the lowest spin, an MS2 of 0 or 1."""
     from iqcc.fcidump import MolecularIntegrals
 
     h1 = rng.normal(size=(n_spatial, n_spatial))
@@ -581,7 +584,7 @@ def random_symmetric_integrals(n_spatial: int, rng, core: float = 0.0):
     g2 = g2 + g2.transpose(1, 0, 2, 3)
     g2 = g2 + g2.transpose(0, 1, 3, 2)
     g2 = g2 + g2.transpose(2, 3, 0, 1)
-    return MolecularIntegrals(core, h1, g2, n_spatial, n_spatial)
+    return MolecularIntegrals(core, h1, g2, n_spatial, n_spatial, n_spatial % 2)
 
 
 def reference_spin_resolved_spectrum(

@@ -475,6 +475,23 @@ class TestNonFiniteCoreEnergy:
         assert not out.exists()
 
 
+class TestInconsistentSpin:
+    @pytest.mark.parametrize("header", ["&FCI NORB=2,NELEC=3,MS2=2,", "&FCI NORB=2,NELEC=1,MS2=3,"],
+                             ids=["parity", "above_nelec"])
+    @pytest.mark.parametrize("command", ["transform", "run"])
+    def test_rejected_at_load(self, runner, tmp_path, command, header):
+        # no determinant has these electron and spin counts; a transform
+        # would write a qubit JSON that run rejects after the mapping
+        path = _fixture_with_header(tmp_path, "h2", header)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [command, str(path), "-o", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        nelec, ms2 = (int(part.split("=")[1]) for part in header.split(",")[1:3])
+        assert result.output.splitlines() == [f"error: MS2 {ms2} inconsistent with NELEC {nelec}"]
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestOverflowingIntegrals:
     @pytest.mark.parametrize("command", ["transform", "run"])
     def test_rejected(self, runner, tmp_path, command):
@@ -620,10 +637,9 @@ class TestCasWindowCommands:
             (None, (0, 0), "empty active space"),
             # a triplet H2 header: no doubly occupied orbital to freeze
             ("&FCI NORB=2,NELEC=2,MS2=2,", (1, 0), "frozen orbitals must be doubly occupied"),
-            # NELEC and MS2 of different parity: the frozen orbital leaves
-            # one electron for an MS2 of 2
-            ("&FCI NORB=2,NELEC=3,MS2=2,", (1, 0),
-             "frozen window leaves an inconsistent electron count"),
+            # NELEC and MS2 of different parity: rejected at load, before
+            # the window is cut
+            ("&FCI NORB=2,NELEC=3,MS2=2,", (1, 0), "MS2 2 inconsistent with NELEC 3"),
         ],
         ids=["occ_3", "virt_9", "negative", "empty", "open_shell_frozen", "odd_parity"],
     )
@@ -668,15 +684,27 @@ class TestConfigDefaults:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # the optimizer imports scipy.optimize when it runs, not at import
+    def test_cli_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # neither importing the cli nor a gap or a run loads scipy.optimize,
+        # scipy.linalg or scipy.sparse: the optimizer loads scipy's compiled
+        # L-BFGS-B kernel on its own
         package_root = str(Path(iqcc.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        code = "import sys, iqcc.cli; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        commands = [
+            ["gap", str(FIXTURES / "h2.fcidump"), "--generators", "2", "-o", str(tmp_path / "g.json")],
+            ["run", str(FIXTURES / "h4.fcidump"), "-o", str(tmp_path / "r.json")],
+        ]
+        loaded = "print(*(m in sys.modules for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')))"
+        for code in (
+            f"import sys, iqcc.cli\n{loaded}",
+            f"import sys, iqcc.cli\nfor argv in {commands!r}:\n"
+            f"    iqcc.cli.main(argv, standalone_mode=False)\n{loaded}",
+        ):
+            out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                                 capture_output=True, text=True)
+            assert out.stdout.splitlines()[-1] == "False False False"
+        assert (tmp_path / "g.json").exists() and (tmp_path / "r.json").exists()
 
 
 class TestGap:

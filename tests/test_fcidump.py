@@ -107,6 +107,17 @@ class TestParse:
         with pytest.raises(FcidumpError, match="line 6"):
             parse_fcidump(text)
 
+    @pytest.mark.parametrize("nelec, ms2", [(3, 2), (2, 1), (1, 3), (2, -4), (0, 2)])
+    def test_spin_inconsistent_with_electrons(self, nelec, ms2):
+        text = f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n"
+        with pytest.raises(FcidumpError, match=f"^MS2 {ms2} inconsistent with NELEC {nelec}$"):
+            parse_fcidump(text)
+
+    @pytest.mark.parametrize("nelec, ms2", [(3, 1), (3, -3), (2, 2), (0, 0)])
+    def test_spin_consistent_with_electrons(self, nelec, ms2):
+        mi = parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n")
+        assert (mi.n_electrons, mi.ms2) == (nelec, ms2)
+
     def test_slash_terminated_header(self):
         text = "&FCI NORB=1,NELEC=2,MS2=0,\n/\n  2.0000000000000000E-01    1    1    0    0\n"
         mi = parse_fcidump(text)
@@ -122,6 +133,14 @@ class TestCasWindow:
         assert np.array_equal(out.h1, mi.h1)
         assert np.array_equal(out.g2, mi.g2)
         assert out.n_electrons == mi.n_electrons
+
+    def test_inconsistent_electron_count_rejected(self):
+        # integrals constructed directly, not parsed, with NELEC and MS2 of
+        # different parity: the frozen orbital leaves one electron for MS2 2
+        rng = np.random.default_rng(1)
+        mi = replace(random_symmetric_integrals(2, rng), n_electrons=3, ms2=2)
+        with pytest.raises(ValueError, match="inconsistent electron count"):
+            select_cas(mi, 1, 0)
 
     def test_freeze_all_occupied_rejected(self, fixture_dir):
         mi = load_fcidump(fixture_dir / "h2.fcidump")

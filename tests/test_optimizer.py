@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iqcc import optimizer
 from iqcc.driver import IqccConfig
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import OptimizationError
@@ -93,6 +94,49 @@ class TestMinimize:
 
         res = minimize(vag, np.zeros(2))
         assert np.max(np.abs(res.t_opt - 1.0)) < 1e-8
+
+
+class TestScipyReference:
+    """``minimize`` is scipy's L-BFGS-B loop around scipy's own compiled
+    kernel: it gives what ``scipy.optimize.minimize`` gives, bit for bit.
+    This is the one check of the kernel's calling convention."""
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3], ids=["exact", "offset_gradient"])
+    @pytest.mark.parametrize("cap", [3, 10, 200])
+    def test_same_as_scipy_minimize(self, cap, offset):
+        # w . cos(A v + c) + 0.01 |v|^2; a gradient off by a constant makes
+        # line searches fail, where the kernel hands back the last iterate
+        from scipy.optimize import minimize as scipy_minimize
+
+        rng = np.random.default_rng(cap + int(10 * offset))
+        messages = set()
+        for _ in range(25):
+            n = int(rng.integers(1, 12))
+            a, c, w = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=n)
+
+            def vag(v):
+                angle = a @ v + c
+                value = float(w @ np.cos(angle) + 0.01 * v @ v)
+                return value, 0.02 * v - a.T @ (w * np.sin(angle)) + offset
+
+            t0 = rng.normal(size=n)
+            ours = minimize(vag, t0, cap)
+            ref = scipy_minimize(
+                vag, t0, jac=True, method="L-BFGS-B",
+                options={"maxcor": 10, "gtol": 1e-8, "ftol": 1e-15, "maxfun": cap},
+            )
+            assert np.array_equal(ours.t_opt, ref.x)
+            assert ours.energy == ref.fun
+            assert ours.evaluations == ref.nfev
+            assert ours.message == ref.message
+            assert ours.gradient_norm == np.max(np.abs(ref.jac))
+            messages.add(ours.message.split(":")[0])
+        assert messages >= ({"ABNORMAL"} if offset else {"STOP"} if cap < 200 else {"CONVERGENCE"})
+
+    def test_kernel_signature_checked(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_SETULB", "setulb(m,x,l,u,nbd,f,g)")
+        with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+            optimizer._setulb.__wrapped__()
 
 
 class TestOnQccProblem:

@@ -145,7 +145,7 @@ class TestThreeScatterReference:
 
     @staticmethod
     def _check(plan, ts, ref):
-        for evaluated in (plan, _packed.live_plan(plan)):
+        for evaluated in (plan, _packed.live_plan(plan, ref)):
             got = _packed.energy_and_gradient(evaluated, ts, ref)
             assert got == reference_energy_and_gradient(evaluated, ts, ref)
 
@@ -203,7 +203,7 @@ class TestThreeScatterReference:
         # rows, but none that reaches the diagonal: the cut's layers are empty
         off = pack([(parse_word("X0", n), 0.5)], n)
         plan = _packed.plan_chain(off, [parse_word("Y1", n)])
-        live = _packed.live_plan(plan)
+        live = _packed.live_plan(plan, ref)
         assert len(live) == 0 and len(live.layers[0].dest) == 0
         self._check(plan, [0.3], ref)
 
@@ -284,14 +284,14 @@ class TestFilteredEvaluation:
 
     def test_amplitude_count_mismatch_rejected(self):
         # one amplitude per layer of the plan, for the plan and its cut alike,
-        # and a reference over the plan's qubits
+        # and a reference over the plan's qubits, for a cut the one it was made for
         rng = np.random.default_rng(38)
         n = 4
         p = random_hermitian_sum(n, 20, rng)
         gens = [parse_word("Y0 X1", n), parse_word("X2 Y3", n)]
         plan, _ = coset_plan(p, gens)
         ref = ReferenceState(0b0011, n)
-        for evaluated in (plan, _packed.live_plan(plan)):
+        for evaluated in (plan, _packed.live_plan(plan, ref)):
             _, grad = qcc_energy_and_gradient(evaluated, [0.2, -0.1], ref)
             assert len(grad) == len(gens)
             for ts in ([0.2], [0.2, -0.1, 0.3], []):
@@ -299,6 +299,9 @@ class TestFilteredEvaluation:
                     qcc_energy_and_gradient(evaluated, ts, ref)
             with pytest.raises(DimensionError):
                 qcc_energy_and_gradient(evaluated, [0.2, -0.1], ReferenceState(0b0011, n + 1))
+        # a cut holds the reference signs of its rows: it is evaluated in its own state
+        with pytest.raises(ValueError, match="another reference state"):
+            qcc_energy_and_gradient(evaluated, [0.2, -0.1], ReferenceState(0b0101, n))
 
     def test_evaluation_sorts_nothing(self, monkeypatch):
         # the Hamiltonian is planned by coset_plan and cut by live_plan; an
@@ -307,7 +310,8 @@ class TestFilteredEvaluation:
         n = 6
         gens = [random_generator(n, rng) for _ in range(4)]
         plan, _ = coset_plan(random_hermitian_sum(n, 60, rng), gens)
-        live = _packed.live_plan(plan)
+        ref = ReferenceState(0b000111, n)
+        live = _packed.live_plan(plan, ref)
 
         def no_sort(*args):
             raise AssertionError("an evaluation sorted keys")
@@ -315,7 +319,7 @@ class TestFilteredEvaluation:
         monkeypatch.setattr(_packed, "_sort", no_sort)
         ts = [float(rng.normal()) for _ in gens]
         for evaluated in (plan, live):
-            _, grad = qcc_energy_and_gradient(evaluated, ts, ReferenceState(0b000111, n))
+            _, grad = qcc_energy_and_gradient(evaluated, ts, ref)
             assert len(grad) == len(gens)
 
 
@@ -347,7 +351,7 @@ class TestReversePass:
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
-            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan), ts, ref)
+            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan, ref), ts, ref)
             for j, g in enumerate(grad):
                 up, dn = list(ts), list(ts)
                 up[j] += step
@@ -364,7 +368,7 @@ class TestReversePass:
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
             want = _packed.expectation_packed(_packed.run_plan(plan, ts), ref)
-            for evaluated in (plan, _packed.live_plan(plan)):
+            for evaluated in (plan, _packed.live_plan(plan, ref)):
                 energy, _ = _packed.energy_and_gradient(evaluated, ts, ref)
                 assert energy == want
 
@@ -378,7 +382,7 @@ class TestLivePlan:
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
-            live = _packed.live_plan(plan)
+            live = _packed.live_plan(plan, ref)
             assert qcc_energy_and_gradient(live, ts, ref) == qcc_energy_and_gradient(
                 plan, ts, ref
             )
@@ -395,9 +399,11 @@ class TestLivePlan:
 
     def test_cut_equals_two_pass_reference(self):
         # every field of every cut layer, on the seeded sums of every depth
+        rng = np.random.default_rng(44)
         for h, gens, _ts in _cases(44, False):
+            ref = ReferenceState(int(rng.integers(1 << h.n_qubits)), h.n_qubits)
             plan, _ = coset_plan(h, gens)
-            assert_same_plan(_packed.live_plan(plan), reference_live_plan(plan))
+            assert_same_plan(_packed.live_plan(plan, ref), reference_live_plan(plan, ref))
 
     def test_lih_ground_cuts_equal_two_pass_reference(self, lih_problem, monkeypatch):
         # the plans of the benchmark's lih_ground command: L=8, 1e-6 Ha, 4 iterations
@@ -405,9 +411,9 @@ class TestLivePlan:
         real = _packed.live_plan
         cuts = []
 
-        def checked(plan):
-            live = real(plan)
-            assert_same_plan(live, reference_live_plan(plan))
+        def checked(plan, ref):
+            live = real(plan, ref)
+            assert_same_plan(live, reference_live_plan(plan, ref))
             cuts.append(len(live))
             return live
 
@@ -419,9 +425,10 @@ class TestLivePlan:
     def test_cut_of_a_cut_raises(self):
         # the sweep reads the full layer's form; a cut plan does not have it
         for h, gens, _ts in _cases(44, False):
+            ref = ReferenceState(0, h.n_qubits)
             plan, _ = coset_plan(h, gens)
             with pytest.raises(ValueError, match="cut plan"):
-                _packed.live_plan(_packed.live_plan(plan))
+                _packed.live_plan(_packed.live_plan(plan, ref), ref)
 
 
 class TestSplitDressing:
@@ -463,7 +470,7 @@ class TestSplitDressing:
         gens = [parse_word("Y0", n), parse_word("Y0 Z2", n)]
         plan, rest = self._check(h, gens, [0.7, -0.4])
         assert len(plan) == 0 and len(rest) == len(h)
-        assert len(_packed.live_plan(plan)) == 0
+        assert len(_packed.live_plan(plan, ReferenceState(0b0011, n))) == 0
 
 
 class TestSortedKeys:
