@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from ._packed import PackedSum, pack, unpack
+from ._packed import PackedSum
 from .driver import (
     GapResult,
     IqccConfig,
@@ -13,16 +13,10 @@ from .driver import (
     run_iqcc,
     singlet_triplet_gap,
 )
-from .engine import (
-    RankedGenerator,
-    derive_canonical_generator,
-    estimate_amplitude,
-    qcc_energy,
-    rank_generators,
-)
+from .engine import RankedGenerator, estimate_amplitude, rank_generators
 from .errors import IqccError
 from .fcidump import MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
 from .mapping import jordan_wigner, penalize, reference_state, spin_operators
 from .optimizer import OptimizationResult, minimize
-from .pauli import PauliWord, commutes, multiply, parse_word, render_word
+from .pauli import PauliWord, parse_word, render_word
 from .pauli_sum import ReferenceState, dress_sequence, prune

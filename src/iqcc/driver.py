@@ -289,10 +289,6 @@ class GapResult:
     singlet: RunResult
     triplet: RunResult
 
-    @property
-    def trajectories(self) -> tuple[tuple[IterationRecord, ...], tuple[IterationRecord, ...]]:
-        return (self.singlet.records, self.triplet.records)
-
     def to_json_dict(self) -> dict:
         return {
             "e_singlet": self.e_singlet,

@@ -11,39 +11,38 @@ where the signed w is the slope dE/dt at t = 0 (its magnitude is the omega of
 the ranking formulas) and D = <0| T H T - H |0>.  The closed-form global
 minimizer t of that sinusoid provides both the importance |t|, by which the
 generators are ranked, and the warm start for the multi-generator
-optimization.  ``rank_generators`` reads
-the (x-supports, w, D) arrays of ``_packed.block_statistics``, orders the
-blocks by one ``np.lexsort`` and makes ``RankedGenerator``s of the selected
-ones only; the rest stay x-supports, which is all the PT correction reads.
+optimization.  ``rank_generators`` reads the (x-supports, w, D) arrays of
+``_packed.block_statistics``, orders the blocks by one ``np.lexsort`` and
+makes ``RankedGenerator``s of the selected ones only, each generator built
+from its block's x; the rest stay x-supports, which is all the PT correction
+reads.
 
 An Ansatz is a sequence of (generator, amplitude) pairs; no type wraps it.
 Its energy is evaluated by exact symbolic conjugation (dressing) of the
-Hamiltonian: ``qcc_energy`` dresses through ``dress_sequence`` and projects.
-An optimizer evaluates one set of generators at many amplitudes, so the
-Hamiltonian is first split into the rows those generators can bring to the
-diagonal and the rest, and the former are planned once (``coset_plan``);
-each evaluation then replays the plan, cut to the rows that reach the
-diagonal, and sorts nothing.  The energy is linear in every layer of the
-plan, so the gradient is one reverse pass of the diagonal through the same
-plan.  The same plan, replayed once at the optimum, dresses those rows into
-the next Hamiltonian.  Dressing, energy and gradient are the kernels in
-``_packed``; an evaluation is ``qcc_energy_and_gradient(plan, amplitudes,
-ref)``, which is the kernel.
+Hamiltonian, then projection onto the reference state.  An optimizer
+evaluates one set of generators at many amplitudes, so the Hamiltonian is
+first split into the rows those generators can bring to the diagonal and
+the rest, and the former are planned once (``coset_plan``); each evaluation
+then replays the plan, cut to the rows that reach the diagonal, and sorts
+nothing.  The energy is linear in every layer of the plan, so the gradient
+is one reverse pass of the diagonal through the same plan.  The same plan,
+replayed once at the optimum, dresses those rows into the next Hamiltonian.
+Dressing, energy and gradient are the kernels in ``_packed``; an evaluation
+is ``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _packed
 from ._packed import PackedSum
-from .errors import CapacityError, InvalidGeneratorError
+from .errors import CapacityError
 from .pauli import PauliWord, render_word
-from .pauli_sum import ReferenceState, dress_sequence
 
 MAX_GENERATORS = 16
 
@@ -67,16 +66,6 @@ class RankedGenerator:
             "t_estimate": self.t_estimate,
             "importance": self.importance,
         }
-
-
-def derive_canonical_generator(x_string: PauliWord) -> PauliWord:
-    """Replace the lowest-index x of an X-string with y."""
-    if not x_string.is_x_string():
-        raise InvalidGeneratorError(
-            f"{render_word(x_string)} is not a non-trivial X-string"
-        )
-    jmin_bit = x_string.x & -x_string.x
-    return PauliWord(x_string.x, jmin_bit, x_string.n_qubits)
 
 
 def estimate_amplitude(omega_signed: float, d: float) -> tuple[float, float]:
@@ -104,8 +93,8 @@ def rank_generators(
     magnitude of the closed-form optimal amplitude: the top ``top_l`` as
     ``RankedGenerator``s over ``n_qubits``, the x-supports of the rest.
 
-    Ties break on ``PauliWord.sort_key``, which for a canonical generator (z
-    the lowest bit of x) is (weight of x, x).
+    Ties break on (weight of x, x).  A block's generator is its x with the
+    lowest x replaced by y: z is the lowest set bit of x.
     """
     if not 1 <= top_l <= MAX_GENERATORS:
         raise CapacityError(f"top_l {top_l} outside 1..{MAX_GENERATORS}")
@@ -115,12 +104,13 @@ def rank_generators(
     t_est = [estimate_amplitude(w, d)[0] for w, d in zip(omegas, ds)]
     importance = np.abs(t_est)
     order = np.lexsort((xs, np.bitwise_count(xs), -importance))
+    top = order[:top_l]
     selected = [
         RankedGenerator(
-            derive_canonical_generator(PauliWord(int(xs[i]), 0, n_qubits)),
+            PauliWord(x, x & -x, n_qubits),
             abs(omegas[i]), omegas[i], ds[i], t_est[i], float(importance[i]),
         )
-        for i in order[:top_l].tolist()
+        for i, x in zip(top.tolist(), xs[top].tolist())
     ]
     return selected, xs[order[top_l:]]
 
@@ -138,14 +128,6 @@ def coset_plan(
     """
     inside, outside = _packed.span_split(h, generators)
     return _packed.plan_chain(inside, generators, max_terms), outside
-
-
-def qcc_energy(
-    h: PackedSum, pairs: Iterable[tuple[PauliWord, float]], ref: ReferenceState
-) -> float:
-    """<0| U^dag H U |0> for the (generator, amplitude) pairs, in Ansatz order:
-    ``h`` dressed by ``dress_sequence``, then projected."""
-    return _packed.expectation_packed(dress_sequence(h, pairs), ref)
 
 
 # the kernel itself, under the name the driver looks up at each evaluation

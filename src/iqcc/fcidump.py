@@ -32,7 +32,8 @@ class MolecularIntegrals:
     ``g2[p, q, r, s]`` is the chemists' integral (pq|rs); ``ms2`` is twice
     the z-projection of the target state's spin.  h1 must be symmetric and
     g2 must have the 8-fold permutational symmetry of real orbitals, to
-    within 1e-12, when the integrals are constructed.
+    within 1e-12, when the integrals are constructed; both are then kept as
+    read-only copies, so a checked symmetry cannot be broken afterwards.
     """
 
     core_energy: float
@@ -53,6 +54,10 @@ class MolecularIntegrals:
         for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
             if np.max(np.abs(self.g2 - self.g2.transpose(axes)), initial=0.0) > 1e-12:
                 raise ValueError("g2 violates permutational symmetry")
+        for name in ("h1", "g2"):
+            frozen = np.array(getattr(self, name))
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
 
 def parse_fcidump(text: str) -> MolecularIntegrals:

@@ -15,10 +15,11 @@ choice of the X or the Y half of each factor.  ``_ladder_rows`` expands
 ``_BLOCK`` ladder products at a time in numpy.  A product's Pauli products
 share one x mask, the XOR of its factors' bits; each one's z is the XOR of
 the factors' Z strings and the bits of its Y halves, built by doubling the
-rows once per factor.  Its mod-4 phase k (integer arithmetic, as in
-``pauli.raw_multiply``) telescopes: the y-counts before and after each
-factor cancel, leaving 2 per Y half of an annihilator, 2 per factor whose
-bit is set in the z before it, and -popcount(x & z) of the whole row.
+rows once per factor.  Its mod-4 phase k (integer arithmetic, as in the
+word product ``raw_multiply`` of ``tests/helpers.py``) telescopes: the
+y-counts before and after each factor cancel, leaving 2 per Y half of an
+annihilator, 2 per factor whose bit is set in the z before it, and
+-popcount(x & z) of the whole row.
 Every factor, Z..Z X or Z..Z iY, is a real matrix, so a row's coefficient
 i**k v 0.5**F is +-v 0.5**F, real for an even-y word and imaginary for an
 odd-y one: each row carries that one float64.  The block bounds the
@@ -88,10 +89,10 @@ def _ladder_rows(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
         m = values[i]
         for f in range(n_fac):
             bit = one << (2 * orbitals[f][i] + spins[s, f]).astype(np.uint64)[:, None]
-            # the phase of pauli.raw_multiply, telescoped: 2 where bit j is
-            # set in the z so far, 2 for the Y half of an a (i from the
-            # y-count times its +i), none for an a^dag's (i times -i), and
-            # -popcount(x & z) of the finished row
+            # the word product's phase (raw_multiply in tests/helpers.py),
+            # telescoped: 2 where bit j is set in the z so far, 2 for the Y
+            # half of an a (i from the y-count times its +i), none for an
+            # a^dag's (i times -i), and -popcount(x & z) of the finished row
             k += np.bitwise_count(z & bit) << 1
             x ^= bit
             z ^= bit - one

@@ -128,7 +128,9 @@ def minimize(
     cap above 15000 could reach it.  One fused callable lets the objective
     and its gradient share work (the QCC energy and gradient come from the
     same dressed Hamiltonian).  Non-finite objective values abort with the
-    offending point attached.
+    offending point attached.  A failed line search (ABNORMAL) returns the
+    last iterate, as the kernel leaves it, with the objective there; scipy
+    returns the last trial value as its energy.
     """
     t0 = np.asarray(t0, dtype=float)
     if t0.size == 0:
@@ -151,6 +153,7 @@ def minimize(
     x = np.array(t0.ravel(), dtype=np.float64)
     n, m = x.size, _CORRECTIONS
     point, f, grad = evaluate(x)
+    f_iterate = f  # the objective at the last accepted iterate
     # the kernel writes g back when a line search fails, so it gets a copy
     g = np.zeros(n)
     low, up, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)  # nbd 0: no bounds
@@ -166,10 +169,13 @@ def minimize(
                 point, f, grad = evaluate(x)
             g[:] = grad
         elif task[0] == 1:  # NEW_X: an iteration is done
+            f_iterate = f
             if evaluations > max_evaluations:
                 task[:] = 5, 502  # STOP: the evaluation cap
         else:
             break
+    if task[0] == 8:  # ABNORMAL: the kernel put x and g back to the last iterate
+        f = f_iterate
     grad_norm = float(np.max(np.abs(g)))
     return OptimizationResult(
         t_opt=x,

@@ -8,8 +8,8 @@ diag(+1, -1) in basis order (unoccupied, occupied).
 
 Sums are ``PackedSum``s.  One assembly (``_columns``) builds a sum's matrix
 columns at ascending basis states from its word masks: ``to_sparse`` (all
-states, up to 16 qubits), ``to_matrix`` (dense, up to 12) and the (electron
-count, m_s) blocks of ``spin_resolved_spectrum`` (up to 16) use it.
+states) and the (electron count, m_s) blocks of ``spin_resolved_spectrum``
+use it, both up to 16 qubits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy.sparse.linalg as spla
 from ._packed import PackedSum
 from .errors import CapacityError, IqccError
 
-DENSE_QUBIT_LIMIT = 12
 SPARSE_QUBIT_LIMIT = 16
 
 _I_POW = np.array([1, 1j, -1, -1j])
@@ -51,13 +50,6 @@ def to_sparse(p: PackedSum) -> sp.csr_matrix:
     if p.n_qubits > SPARSE_QUBIT_LIMIT:
         raise CapacityError(f"{p.n_qubits} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
     return _columns(p, np.arange(1 << p.n_qubits))
-
-
-def to_matrix(p: PackedSum) -> np.ndarray:
-    """Dense 2^N x 2^N realization of a Pauli sum."""
-    if p.n_qubits > DENSE_QUBIT_LIMIT:
-        raise CapacityError(f"{p.n_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
-    return to_sparse(p).toarray()
 
 
 def _sector_block(p: PackedSum, states: np.ndarray) -> np.ndarray:

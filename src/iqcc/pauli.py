@@ -1,4 +1,4 @@
-"""Exact algebra of Pauli words over N qubits.
+"""Pauli words over N qubits: their masks and their text form.
 
 A word is stored in symplectic form as two bitmasks: bit j of ``x`` means an
 x-factor acts on qubit j, bit j of ``z`` means a z-factor acts there.  A qubit
@@ -7,9 +7,9 @@ with both bits set carries y, under the fixed convention
     y = i * x * z,
 
 so the operator encoded by the masks is  i**y_count * X^x * Z^z,  which is
-always hermitian.  A word is its two masks and carries no phase: a product
-returns its power of the imaginary unit beside the word (``multiply``).  All
-phase bookkeeping is integer arithmetic mod 4, never floating point.
+always hermitian.  A word is its two masks and carries no phase; the kernels
+that multiply words (``_packed``, ``mapping``) keep the power of the
+imaginary unit as an integer mod 4, never as a floating-point number.
 """
 
 from __future__ import annotations
@@ -43,15 +43,6 @@ class PauliWord:
                 f"mask exceeds {self.n_qubits} qubits: x={self.x:#x} z={self.z:#x}"
             )
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliWord":
-        return cls(0, 0, n_qubits)
-
-    @classmethod
-    def single(cls, axis: str, qubit: int, n_qubits: int) -> "PauliWord":
-        xb, zb = _AXIS_TO_BITS[axis.upper()]
-        return cls(xb << qubit, zb << qubit, n_qubits)
-
     def weight(self) -> int:
         """Number of qubits the word acts on non-trivially."""
         return (self.x | self.z).bit_count()
@@ -60,60 +51,11 @@ class PauliWord:
         """Number of y factors; even iff the word is a real operator."""
         return (self.x & self.z).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    def is_x_string(self) -> bool:
-        """True iff the word is a nonempty product of x factors only."""
-        return self.z == 0 and self.x != 0
-
-    def sort_key(self) -> tuple[int, int, int]:
-        """Total order: by weight, then lexicographically on the masks."""
-        return (self.weight(), self.x, self.z)
-
-    def axis(self, qubit: int) -> str:
-        xb = (self.x >> qubit) & 1
-        zb = (self.z >> qubit) & 1
-        return ("I", "X", "Z", "Y")[xb + 2 * zb]
-
     def __str__(self) -> str:
         return render_word(self)
 
     def __repr__(self) -> str:
         return f"PauliWord({render_word(self)!r}, n_qubits={self.n_qubits})"
-
-
-def raw_multiply(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
-    """Mask-level product: (ax,az) * (bx,bz) == i**k * (cx,cz), phase-free words.
-
-    The phase exponent k follows from counting the y factors of each operand
-    and of the product, plus the anticommutations needed to move b's
-    x-factors past a's z-factors.
-    """
-    cx = ax ^ bx
-    cz = az ^ bz
-    k = (
-        (ax & az).bit_count()
-        + (bx & bz).bit_count()
-        - (cx & cz).bit_count()
-        + 2 * (az & bx).bit_count()
-    ) % 4
-    return cx, cz, k
-
-
-def multiply(a: PauliWord, b: PauliWord) -> tuple[PauliWord, int]:
-    """Product of two words: a * b == i**k * c."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    cx, cz, k = raw_multiply(a.x, a.z, b.x, b.z)
-    return PauliWord(cx, cz, a.n_qubits), k
-
-
-def commutes(a: PauliWord, b: PauliWord) -> bool:
-    """True iff ab == ba: the symplectic form <a.x,b.z> + <a.z,b.x> is even."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
 def render_word(w: PauliWord) -> str:

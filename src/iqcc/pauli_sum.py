@@ -17,9 +17,9 @@ Hamiltonian); a missing key, a non-list ``terms`` or a non-string word is a
   ``tests/helpers.py``.
 * ``prune`` drops small terms and reports the dropped absolute weight, an
   upper bound on the spectral-norm perturbation.
-* ``to_json_dict`` writes the terms in ``PauliWord.sort_key`` order (weight,
-  then the masks), rendered from the masks; ``from_json_dict`` parses the
-  words to masks and sums duplicate words in ``_packed._canonical``.
+* ``to_json_dict`` writes the terms in (weight, x, z) order, rendered from
+  the masks; ``from_json_dict`` parses the words to masks and sums
+  duplicate words in ``_packed._canonical``.
 * ``terms_json`` is the text ``json.dumps(..., indent=2)`` writes for
   ``to_json_dict``'s terms, built in the same order from the same
   ``pauli.render_words`` blob with no per-term dict; ``iqcc transform``
@@ -59,8 +59,8 @@ def check_qubit_bound(n_qubits: int) -> None:
 class ReferenceState:
     """Fixed qubit product state: bit j set means qubit j occupied (spin-down).
 
-    Occupied means z-eigenvalue -1.  The state never changes during iQCC
-    iterations.
+    Occupied means z-eigenvalue -1, and ``occupation`` is the state's index
+    in the oracle's basis.  The state never changes during iQCC iterations.
     """
 
     occupation: int
@@ -69,10 +69,6 @@ class ReferenceState:
     def __post_init__(self):
         if self.occupation & ~((1 << self.n_qubits) - 1):
             raise DimensionError("occupation mask exceeds qubit count")
-
-    def basis_index(self) -> int:
-        """Index of this state in the oracle's basis (qubit 0 = LSB)."""
-        return self.occupation
 
 
 def dress_sequence(
@@ -124,13 +120,13 @@ def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
 
 
 def _sorted_terms(p: PackedSum) -> tuple[list[str], list[float]]:
-    """The rendered words and the coefficients in ``PauliWord.sort_key`` order."""
+    """The rendered words and the coefficients in (weight, x, z) order."""
     order = np.lexsort((p.z, p.x, np.bitwise_count(p.x | p.z)))
     return render_words(p.x[order], p.z[order], p.n_qubits), p.c[order].tolist()
 
 
 def to_json_dict(p: PackedSum) -> dict:
-    """JSON-ready form, terms in ``PauliWord.sort_key`` order.
+    """JSON-ready form, terms in (weight, x, z) order.
 
     A float's repr round-trips it, so the coefficients keep all their bits.
     """

@@ -2,13 +2,18 @@
 """Generate the committed FCIDUMP fixtures and frozen reference values.
 
 Self-contained STO-3G integrals (McMurchie-Davidson recursions), restricted
-Hartree-Fock with DIIS, MO transformation, and an FCIDUMP writer.  Run once
-from the repository root:
+Hartree-Fock with DIIS, MO transformation, and an FCIDUMP writer.  It was
+run once, from the repository root:
 
     python tests/fixtures/make_fixtures.py
 
-The script rebuilds h2 / h2_stretched / h4 / lih FCIDUMP files and
-reference_values.json.  Reference SCF energies come straight from the SCF
+and wrote the h2 / h2_stretched / h4 / lih FCIDUMP files and
+reference_values.json.  The committed files are the anchors, not this
+script: a rerun does not reproduce them.  It rewrites h4.fcidump and
+lih.fcidump with integrals that differ from about the 11th digit and moves
+the stored FCI values by up to 7e-14 Ha, so every pin derived from an
+FCIDUMP (digests, transform outputs, reference energies) would move with
+them.  Do not rerun it over the committed fixtures.  Reference SCF energies come straight from the SCF
 loop here (independent of the package's qubit pipeline); FCI-level values are
 recorded from the package's exact-diagonalization oracle at creation time and
 serve as regression anchors.  Literature cross-checks (Hartree, STO-3G):

@@ -2,8 +2,8 @@
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
 the mask-form plan, two-pass live-cut, three-scatter evaluation,
 object-ranking and block-statistics references, a sort spy, an independent
-fermionic oracle, the whole-space spin-resolved spectrum, and the dense word
-matrix, reference vector and ansatz unitary."""
+fermionic oracle, the whole-space spin-resolved spectrum, the word product,
+and the dense matrix, reference vector and ansatz unitary."""
 
 import itertools
 import math
@@ -19,15 +19,10 @@ from iqcc._packed import (
     pack,
     x_group_slice,
 )
-from iqcc.engine import (
-    RankedGenerator,
-    derive_canonical_generator,
-    estimate_amplitude,
-    rank_generators,
-)
+from iqcc.engine import RankedGenerator, estimate_amplitude, rank_generators
 from iqcc.errors import HermiticityError, IqccError
-from iqcc.oracle import to_matrix
-from iqcc.pauli import PauliWord, raw_multiply, render_word
+from iqcc.oracle import to_sparse
+from iqcc.pauli import PauliWord, render_word
 from iqcc.pauli_sum import ReferenceState
 
 
@@ -39,6 +34,24 @@ def terms_dict(p: PackedSum) -> dict[tuple[int, int], float]:
 def from_terms_dict(n_qubits: int, terms: dict) -> PackedSum:
     """The packed sum of a {(x, z): coefficient} dict with distinct keys."""
     return pack([(PauliWord(x, z, n_qubits), c) for (x, z), c in terms.items()], n_qubits)
+
+
+def raw_multiply(ax: int, az: int, bx: int, bz: int) -> tuple[int, int, int]:
+    """Mask-level product: (ax,az) * (bx,bz) == i**k * (cx,cz), phase-free words.
+
+    The phase exponent k follows from counting the y factors of each operand
+    and of the product, plus the anticommutations needed to move b's
+    x-factors past a's z-factors.
+    """
+    cx = ax ^ bx
+    cz = az ^ bz
+    k = (
+        (ax & az).bit_count()
+        + (bx & bz).bit_count()
+        - (cx & cz).bit_count()
+        + 2 * (az & bx).bit_count()
+    ) % 4
+    return cx, cz, k
 
 
 def assert_same(a: PackedSum, b: PackedSum):
@@ -56,16 +69,17 @@ def rank_sum(h: PackedSum, ref: ReferenceState, top_l: int):
 
 def reference_rank_generators(blocks, n_qubits: int, top_l: int):
     """``rank_generators`` by objects: a ``RankedGenerator`` for every block,
-    sorted by (-|t_estimate|, ``PauliWord.sort_key``).  Returns (top ``top_l``,
-    the rest), both as ``RankedGenerator`` lists."""
+    sorted by (-|t_estimate|, weight, x), its generator the block's x with
+    the lowest x made y.  Returns (top ``top_l``, the rest), both as
+    ``RankedGenerator`` lists."""
     ranked = []
     for x_support, omega_signed, d_val in zip(*(a.tolist() for a in blocks)):
-        gen = derive_canonical_generator(PauliWord(x_support, 0, n_qubits))
+        gen = PauliWord(x_support, x_support & -x_support, n_qubits)
         t_est, _ = estimate_amplitude(omega_signed, d_val)
         ranked.append(
             RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, abs(t_est))
         )
-    ranked.sort(key=lambda r: (-r.importance, r.generator.sort_key()))
+    ranked.sort(key=lambda r: (-r.importance, r.generator.weight(), r.generator.x))
     return ranked[:top_l], ranked[top_l:]
 
 
@@ -497,10 +511,10 @@ def reference_penalize(h: PackedSum, mu: float, s: float) -> PackedSum:
 
 def reference_to_json_dict(p: PackedSum) -> dict:
     """The JSON form word by word: each term a ``PauliWord``, sorted by
-    ``PauliWord.sort_key`` and rendered by ``render_word``."""
+    (weight, x, z) and rendered by ``render_word``."""
     words = sorted(
         ((PauliWord(x, z, p.n_qubits), c) for (x, z), c in terms_dict(p).items()),
-        key=lambda wc: wc[0].sort_key(),
+        key=lambda wc: (wc[0].weight(), wc[0].x, wc[0].z),
     )
     return {
         "n_qubits": p.n_qubits,
@@ -630,13 +644,18 @@ def reference_spin_resolved_spectrum(
     raise IqccError(f"no eigenstates in spin sector (s={s}, m_s={m_s})")
 
 
+def to_matrix(p: PackedSum) -> np.ndarray:
+    """Dense 2^N x 2^N matrix of a packed sum, from the oracle's sparse one."""
+    return to_sparse(p).toarray()
+
+
 def word_matrix(w: PauliWord) -> np.ndarray:
     return to_matrix(pack([(w, 1.0)], w.n_qubits))
 
 
 def reference_vector(ref: ReferenceState) -> np.ndarray:
     vec = np.zeros(1 << ref.n_qubits, dtype=complex)
-    vec[ref.basis_index()] = 1.0
+    vec[ref.occupation] = 1.0
     return vec
 
 

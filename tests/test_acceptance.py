@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import iqcc
+from iqcc._packed import expectation_packed
 from iqcc.driver import (
     HARTREE_TO_EV,
     IqccConfig,
@@ -25,16 +26,14 @@ from iqcc.engine import (
     MAX_GENERATORS,
     coset_plan,
     estimate_amplitude,
-    qcc_energy,
     qcc_energy_and_gradient,
 )
 from iqcc.errors import CapacityError
 from iqcc.mapping import reference_state
-from iqcc.oracle import to_matrix
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import random_generator, random_hermitian_sum
+from helpers import random_generator, random_hermitian_sum, to_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -196,8 +195,8 @@ class TestAcceptance:
                 dn[j] -= step
                 fd.append(
                     (
-                        qcc_energy(h, zip(gens, up), ref)
-                        - qcc_energy(h, zip(gens, dn), ref)
+                        expectation_packed(dress_sequence(h, zip(gens, up)), ref)
+                        - expectation_packed(dress_sequence(h, zip(gens, dn)), ref)
                     )
                     / (2 * step)
                 )

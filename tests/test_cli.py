@@ -214,7 +214,7 @@ class TestRun:
 
     def test_qubit_json_input_needs_electrons(self, runner, tmp_path):
         ham = tmp_path / "h.json"
-        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), 1.0)], 2))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord(0, 0, 2), 1.0)], 2))))
         result = runner.invoke(main, ["run", str(ham)])
         assert result.exit_code == 2
 
@@ -818,7 +818,7 @@ class TestGap:
 class TestOracle:
     def test_identity_hamiltonian(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), -0.25)], 2))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord(0, 0, 2), -0.25)], 2))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["energy"] == pytest.approx(-0.25, abs=1e-12)
@@ -856,7 +856,7 @@ class TestOracle:
 
     def test_capacity_error(self, runner, tmp_path):
         ham = tmp_path / "big.json"
-        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(20), 1.0)], 20))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord(0, 0, 20), 1.0)], 20))))
         result = runner.invoke(main, ["oracle", str(ham)])
         assert result.exit_code == 1
 
@@ -878,7 +878,7 @@ class TestOracle:
 
     def test_bad_sector_usage(self, runner, tmp_path):
         ham = tmp_path / "id.json"
-        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord.identity(2), 1.0)], 2))))
+        ham.write_text(json.dumps(to_json_dict(pack([(PauliWord(0, 0, 2), 1.0)], 2))))
         result = runner.invoke(main, ["oracle", str(ham), "--sector", "banana"])
         assert result.exit_code == 2
 

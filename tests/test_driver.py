@@ -19,7 +19,7 @@ from iqcc.engine import estimate_amplitude
 from iqcc.errors import CapacityError, IterationAbort
 from iqcc.fcidump import select_cas
 from iqcc.mapping import jordan_wigner, penalize, reference_state, spin_operators
-from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix
+from iqcc.oracle import ground_state, spin_resolved_spectrum
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
@@ -30,6 +30,7 @@ from helpers import (
     rank_sum,
     reference_vector,
     spy_sort,
+    to_matrix,
 )
 
 
@@ -414,7 +415,7 @@ class TestGap:
         cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         gap = singlet_triplet_gap(mi, cfg)
         assert abs(gap.gap_ev - (gap.e_triplet - gap.e_singlet) * HARTREE_TO_EV) < 1e-12
-        assert len(gap.trajectories) == 2
+        assert gap.singlet.records and gap.triplet.records
 
     def test_h2_gap_matches_spin_resolved_oracle(self, h2_problem):
         mi, h, _ = h2_problem

@@ -42,6 +42,15 @@ class TestParse:
         mi = parse_fcidump(text)
         assert mi.h1[1, 0] == 0.4 and mi.h1[0, 1] == 0.4
 
+    def test_integrals_read_only(self):
+        # a checked symmetry cannot be broken afterwards, nor by the caller
+        h1 = -np.eye(2)
+        mi = MolecularIntegrals(0.0, h1, np.zeros((2,) * 4), 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            mi.h1[0, 1] = 0.3
+        h1[0, 1] = 0.3
+        assert mi.h1[0, 1] == 0.0 and not mi.g2.flags.writeable
+
     # the first symmetry each tensor breaks, in the constructor's order:
     # (pq|rs) = (qp|rs), (pq|rs) = (pq|sr), and (pq|rs) = (rs|pq) with the
     # other two kept

@@ -12,8 +12,8 @@ from iqcc.mapping import (
     reference_state,
     spin_operators,
 )
-from iqcc.oracle import ground_state, to_matrix
-from iqcc.pauli import PauliWord
+from iqcc.oracle import ground_state
+from iqcc.pauli import PauliWord, parse_word
 
 from helpers import (
     assert_same,
@@ -23,6 +23,7 @@ from helpers import (
     reference_penalize,
     reference_spin_operators,
     terms_dict,
+    to_matrix,
 )
 
 
@@ -67,7 +68,7 @@ class TestJordanWigner:
     def test_number_conservation(self, h2_problem):
         _, h, _ = h2_problem
         n_op = pack(
-            [(PauliWord.identity(4), 2.0)] + [(PauliWord.single("Z", q, 4), -0.5) for q in range(4)],
+            [(PauliWord(0, 0, 4), 2.0)] + [(parse_word(f"Z{q}", 4), -0.5) for q in range(4)],
             4,
         )
         hm, nm = to_matrix(h), to_matrix(n_op)
@@ -142,6 +143,7 @@ class TestAgainstScalarReference:
 class TestHermiticityErrors:
     def test_asymmetric_h1_leaves_odd_y_word(self):
         mi = MolecularIntegrals(0.0, np.array([[0.0, 0.1], [0.1, 0.0]]), np.zeros((2,) * 4), 2, 2)
+        mi.h1.setflags(write=True)  # the instance's own copy, read-only after its check
         mi.h1[1, 0] = 0.3  # past the constructor's symmetry check
         with pytest.raises(HermiticityError, match="odd y-count word Y0 Z1 X2 ") as err:
             jordan_wigner(mi)
@@ -162,6 +164,7 @@ class TestHermiticityErrors:
             n = int(rng.integers(2, 4))
             h1 = rng.normal(size=(n, n))
             mi = MolecularIntegrals(0.0, 0.5 * (h1 + h1.T), np.zeros((n,) * 4), n, n)
+            getattr(mi, tensor).setflags(write=True)  # the instance's own copy
             if tensor == "h1":
                 p, q = (int(v) for v in rng.choice(n, size=2, replace=False))
                 mi.h1[p, q] += 0.25  # past the constructor's symmetry check

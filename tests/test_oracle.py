@@ -6,8 +6,8 @@ from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
 from iqcc.fcidump import MolecularIntegrals
 from iqcc.mapping import jordan_wigner, spin_operators
-from iqcc.oracle import ground_state, spin_resolved_spectrum, to_matrix, to_sparse
-from iqcc.pauli import PauliWord, multiply, parse_word
+from iqcc.oracle import ground_state, spin_resolved_spectrum, to_sparse
+from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import (
@@ -15,8 +15,10 @@ from helpers import (
     random_generator,
     random_hermitian_sum,
     random_symmetric_integrals,
+    raw_multiply,
     reference_spin_resolved_spectrum,
     reference_vector,
+    to_matrix,
     word_matrix,
 )
 
@@ -32,7 +34,7 @@ PAULI_1Q = {
 
 class TestToMatrix:
     def test_identity(self):
-        assert np.allclose(to_matrix(pack([(PauliWord.identity(3), 1.0)], 3)), np.eye(8))
+        assert np.allclose(to_matrix(pack([(PauliWord(0, 0, 3), 1.0)], 3)), np.eye(8))
 
     def test_z0_basis_order(self):
         # documented convention: index 0 unoccupied (+1), index 1 occupied (-1)
@@ -55,26 +57,28 @@ class TestToMatrix:
             w = PauliWord(x, z, n)
             kron = np.eye(1)
             for q in reversed(range(n)):
-                kron = np.kron(kron, PAULI_1Q[w.axis(q)])
+                kron = np.kron(kron, PAULI_1Q["IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]])
             assert np.allclose(word_matrix(w), kron, atol=1e-12)
 
     def test_multiplication_homomorphism_exhaustive(self):
         words = [PauliWord(x, z, 2) for x in range(4) for z in range(4)]
         for a in words:
             for b in words:
-                # matrix(a) @ matrix(b) == i^k matrix(c) with (c, k) = multiply(a, b)
-                c, k = multiply(a, b)
-                rhs = (1, 1j, -1, -1j)[k] * word_matrix(c)
+                # matrix(a) @ matrix(b) == i^k matrix(c), (c, k) the reference product
+                cx, cz, k = raw_multiply(a.x, a.z, b.x, b.z)
+                rhs = (1, 1j, -1, -1j)[k] * word_matrix(PauliWord(cx, cz, 2))
                 assert np.allclose(word_matrix(a) @ word_matrix(b), rhs, atol=1e-12)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(2)
         h = random_hermitian_sum(5, 20, rng)
-        assert np.allclose(to_sparse(h).toarray(), to_matrix(h))
+        words = sum(c * word_matrix(PauliWord(x, z, 5)) for x, z, c in
+                    zip(h.x.tolist(), h.z.tolist(), h.c.tolist()))
+        assert np.allclose(to_sparse(h).toarray(), words)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            to_matrix(pack([], 20))
+            to_sparse(pack([], 20))
         with pytest.raises(CapacityError):
             ground_state(pack([], 20))
         s2, sz = spin_operators(18)
@@ -84,7 +88,7 @@ class TestToMatrix:
 
 class TestGroundState:
     def test_constant(self):
-        e, _ = ground_state(pack([(PauliWord.identity(2), -0.75)], 2))
+        e, _ = ground_state(pack([(PauliWord(0, 0, 2), -0.75)], 2))
         assert abs(e + 0.75) < 1e-12
 
     @pytest.mark.parametrize("n", [10, 11])

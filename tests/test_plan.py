@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from iqcc import _packed
-from iqcc._packed import pack
+from iqcc._packed import expectation_packed, pack
 from iqcc.driver import IqccConfig, run_iqcc
-from iqcc.engine import coset_plan, qcc_energy, qcc_energy_and_gradient
+from iqcc.engine import coset_plan, qcc_energy_and_gradient
 from iqcc.errors import CapacityError, DimensionError
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -356,8 +356,8 @@ class TestReversePass:
                 up, dn = list(ts), list(ts)
                 up[j] += step
                 dn[j] -= step
-                fd = (qcc_energy(h, zip(gens, up), ref)
-                      - qcc_energy(h, zip(gens, dn), ref)) / (2 * step)
+                fd = (expectation_packed(dress_sequence(h, zip(gens, up)), ref)
+                      - expectation_packed(dress_sequence(h, zip(gens, dn)), ref)) / (2 * step)
                 assert abs(g - fd) <= 1e-8 * max(abs(fd), 1.0)
 
     @pytest.mark.parametrize("zero_amplitude", [False, True])
