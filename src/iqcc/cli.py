@@ -82,14 +82,10 @@ def _load_config_file(path: str | None) -> dict:
     return {k: _CONFIG_KEYS[k](v) for k, v in data.items()}
 
 
-def _resolve_config(config_path: str | None, overrides: dict, fixed=(), **command_defaults):
-    """Defaults, then the command's own defaults, then the file, then flags;
-    the command sets the keys in ``fixed`` itself, so neither may give one."""
+def _resolve_config(config_path: str | None, overrides: dict, **command_defaults):
+    """Defaults, then the command's own defaults, then the file, then flags."""
     given = _load_config_file(config_path)
     given.update({k: v for k, v in overrides.items() if v is not None})
-    for key in fixed:
-        if key in given:
-            raise click.UsageError(f"{key!r} is set by the command, not by a flag or --config")
     return {**_DEFAULTS, **command_defaults, **given}
 
 
@@ -226,7 +222,8 @@ def transform(fcidump, active_occ, active_virt, output):
 
 
 def _load_problem(input_path: Path, n_electrons, ms2):
-    """Hamiltonian + reference from either FCIDUMP or qubit-JSON input."""
+    """Hamiltonian, electron count and MS2 of the reference from either
+    FCIDUMP or qubit-JSON input; a flag overrides the input's value."""
     text = input_path.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         data = json.loads(text)
@@ -240,8 +237,7 @@ def _load_problem(input_path: Path, n_electrons, ms2):
         h = jordan_wigner(mi)
         n_e = n_electrons if n_electrons is not None else mi.n_electrons
         m = ms2 if ms2 is not None else mi.ms2
-    ref = reference_state(n_e, h.n_qubits, ms2=m)
-    return h, ref
+    return h, n_e, m
 
 
 _RUN_OPTIONS = [
@@ -251,7 +247,6 @@ _RUN_OPTIONS = [
     click.option("--energy-convergence", type=float, default=None),
     click.option("--prune-threshold", type=float, default=None),
     click.option("--mu", type=float, default=None, help="spin penalty strength"),
-    click.option("--spin", type=float, default=None, help="target spin quantum number"),
     click.option("--memory-budget", "memory_budget_terms", type=int, default=None),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config file mirroring these flags"),
@@ -277,10 +272,12 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
     started = _now()
     resolved = _resolve_config(config_path, overrides)
     cfg = IqccConfig(**resolved)
-    h, ref = _load_problem(input_path, n_electrons, ms2)
-    result = run_iqcc(h, ref, cfg)
+    h, n_e, m = _load_problem(input_path, n_electrons, ms2)
+    # the penalty targets the reference's spin, so the manifest records it
+    result = run_iqcc(h, reference_state(n_e, h.n_qubits, m), cfg)
+    config = {**resolved, "n_electrons": n_e, "ms2": m}
     report = {
-        "manifest": _manifest(input_path, resolved, started, _digest_run(result)),
+        "manifest": _manifest(input_path, config, started, _digest_run(result)),
         "result": result.to_json_dict(),
     }
     if csv_path:
@@ -300,10 +297,8 @@ def run(input_path, n_electrons, ms2, csv_path, output, config_path, **overrides
 def gap(fcidump, active_occ, active_virt, csv_prefix, output, config_path, **overrides):
     """Singlet/triplet gap: two penalized runs over the same integrals."""
     started = _now()
-    # the gap runs s=0 and s=1 itself, so its manifest records no spin
-    resolved = _resolve_config(config_path, overrides, fixed=("spin",), mu=0.25)
+    resolved = _resolve_config(config_path, overrides, mu=0.25)
     cfg = IqccConfig(**resolved)
-    del resolved["spin"]
     mi = _load_integrals(fcidump, active_occ, active_virt)
     result = singlet_triplet_gap(mi, cfg)
     # the window is recorded as transform records it, null without flags

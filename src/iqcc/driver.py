@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,9 @@ HARTREE_TO_EV = 27.211386245988  # CODATA
 class IqccConfig:
     """The settings of a run, one field per config key.
 
-    ``mu`` and ``spin`` are the strength and the target spin quantum number
-    of the spin penalty that ``run_iqcc`` adds (``penalize``);
-    ``max_evaluations`` caps the objective evaluations of each iteration's
-    L-BFGS run.
+    ``mu`` is the strength of the spin penalty (``penalize``, whose target
+    is the reference's spin); ``max_evaluations`` caps the objective
+    evaluations of each iteration's L-BFGS run.
     """
 
     generators_per_iteration: int = 8
@@ -68,7 +67,6 @@ class IqccConfig:
     energy_convergence: float = 1e-5  # Hartree
     prune_threshold: float = 1e-10
     mu: float = 0.0
-    spin: float = 0.0
     memory_budget_terms: int = 50_000_000
     max_evaluations: int = MAX_EVALUATIONS
 
@@ -76,8 +74,6 @@ class IqccConfig:
         # chained comparisons are False for NaN, so NaN is rejected too
         if not 0 <= self.mu < math.inf:
             raise ValueError("penalty strength must be finite and >= 0")
-        if not 0 <= self.spin < math.inf:
-            raise ValueError(f"spin must be finite and >= 0: {self.spin!r}")
         if not 1 <= self.generators_per_iteration <= MAX_GENERATORS:
             raise CapacityError(
                 f"generators_per_iteration outside 1..{MAX_GENERATORS}"
@@ -186,13 +182,14 @@ def pt_correction(
 def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
-    Ranking, optimizer and PT read ``h0`` penalized (``cfg.mu`` and
-    ``cfg.spin``), the one sum being minimized, as it is dressed.  Stops when
-    the energy change drops to ``cfg.energy_convergence``, when no
-    off-diagonal blocks remain, or at ``cfg.max_iterations``.  Numeric failures and capacity overruns
-    raise :class:`IterationAbort` carrying the partial trajectory.
+    Ranking, optimizer and PT read ``h0`` penalized (``cfg.mu``, targeting
+    the spin of ``ref``), the one sum being minimized, as it is dressed.
+    Stops when the energy change drops to ``cfg.energy_convergence``, when
+    no off-diagonal blocks remain, or at ``cfg.max_iterations``.  Numeric
+    failures and capacity overruns raise :class:`IterationAbort` carrying
+    the partial trajectory.
     """
-    h = penalize(h0, cfg.mu, cfg.spin)
+    h = penalize(h0, cfg.mu, ref)
     e_prev = initial_energy = _packed.expectation_packed(h, ref)
     budget = cfg.memory_budget_terms
     blocks = _packed.block_statistics(h, ref)
@@ -318,11 +315,11 @@ def gap_from_runs(singlet: RunResult, triplet: RunResult) -> GapResult:
 
 
 def singlet_triplet_gap(mi: MolecularIntegrals, cfg: IqccConfig) -> GapResult:
-    """Two penalized runs over the same integrals: s=0 closed shell, s=1 ROHF.
+    """Two penalized runs over the same integrals and ``cfg``, from the
+    closed-shell (MS2 0) and the ROHF (MS2 2) reference.
 
     A CAS gap takes integrals already cut to the window (``select_cas``).
-    The penalty strength is shared (``cfg.mu``); the spin quantum number
-    is overridden per state.  The gap is reported in eV.
+    The gap is reported in eV.
     """
     if mi.n_electrons % 2:
         raise ValueError("gap workflow needs an even electron count")
@@ -331,8 +328,8 @@ def singlet_triplet_gap(mi: MolecularIntegrals, cfg: IqccConfig) -> GapResult:
 
     ref_s = reference_state(mi.n_electrons, n_qubits, ms2=0)
     ref_t = reference_state(mi.n_electrons, n_qubits, ms2=2)
-    run_s = run_iqcc(h, ref_s, replace(cfg, spin=0.0))
-    run_t = run_iqcc(h, ref_t, replace(cfg, spin=1.0))
+    run_s = run_iqcc(h, ref_s, cfg)
+    run_t = run_iqcc(h, ref_t, cfg)
     return gap_from_runs(run_s, run_t)
 
 

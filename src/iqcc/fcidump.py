@@ -30,10 +30,11 @@ class MolecularIntegrals:
     """One- and two-electron integrals over spatial orbitals, in Hartree.
 
     ``g2[p, q, r, s]`` is the chemists' integral (pq|rs); ``ms2`` is twice
-    the z-projection of the target state's spin.  h1 must be symmetric and
-    g2 must have the 8-fold permutational symmetry of real orbitals, to
-    within 1e-12, when the integrals are constructed; both are then kept as
-    read-only copies, so a checked symmetry cannot be broken afterwards.
+    the z-projection of the target state's spin, >= 0 in a parsed file.  h1
+    must be symmetric and g2 must have the 8-fold permutational symmetry of
+    real orbitals, to within 1e-12, when the integrals are constructed; both
+    are then kept as read-only copies, so a checked symmetry cannot be
+    broken afterwards.
     """
 
     core_energy: float
@@ -106,6 +107,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError(f"NELEC {nelec} out of range for NORB {norb}")
     if abs(ms2) > nelec or (nelec - ms2) % 2:
         raise FcidumpError(f"MS2 {ms2} inconsistent with NELEC {nelec}")
+    if ms2 < 0:  # the reference puts the majority spin in the alpha orbitals
+        raise FcidumpError(f"MS2 {ms2} must be >= 0")
 
     h1 = np.zeros((norb, norb))
     g2 = np.zeros((norb, norb, norb, norb))

@@ -35,7 +35,7 @@ spin pattern, and each ladder product's Pauli products in
 ``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
 ``tests/helpers.py``).  Float addition is not associative, so the order fixes
 every coefficient's bits.  The table is the returned ``PackedSum``, already
-canonical.  ``penalize(h, mu, s)`` adds canonical sums with ``_packed._add``.
+canonical.  ``penalize(h, mu, ref)`` adds canonical sums with ``_packed._add``.
 
 Real molecular integrals always leave a real, even-y-count Pauli sum;
 complex integrals are rejected up front, a residual odd-y coefficient
@@ -175,20 +175,16 @@ def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
     return _collapse(n_qubits, *_accumulate(n_qubits, rows()))
 
 
-def reference_state(n_e: int, n_qubits: int, ms2: int | None = None) -> ReferenceState:
-    """Hartree-Fock product state.
-
-    With ``ms2`` unset the first n_e qubits are occupied, which under the
-    interleaved convention is the closed-shell (or minimally polarized)
-    determinant.  An explicit ``ms2`` builds the ROHF-style determinant with
+def reference_state(n_e: int, n_qubits: int, ms2: int) -> ReferenceState:
+    """Hartree-Fock product state: the ROHF-style determinant with
     (n_e + ms2)/2 alpha and (n_e - ms2)/2 beta electrons in the lowest
-    orbitals of each spin.
+    orbitals of each spin, ms2 >= 0 (the alpha electrons are the majority).
     """
     if not 0 <= n_e <= n_qubits:
         raise ValueError(f"electron count {n_e} out of range for {n_qubits} qubits")
-    if ms2 is None:
-        return ReferenceState((1 << n_e) - 1, n_qubits)
-    if (n_e + ms2) % 2 or ms2 < 0:
+    if ms2 < 0:
+        raise ValueError(f"ms2={ms2} must be >= 0")
+    if (n_e + ms2) % 2:
         raise ValueError(f"ms2={ms2} inconsistent with {n_e} electrons")
     n_alpha = (n_e + ms2) // 2
     n_beta = n_e - n_alpha
@@ -242,15 +238,21 @@ def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     return _collapse(n_qubits, *_accumulate(n_qubits, rows())), s_z
 
 
-def penalize(h: PackedSum, mu: float, s: float) -> PackedSum:
-    """h + mu (S^2 - s(s+1) S_z); returns h unchanged when mu == 0.
+def penalize(h: PackedSum, mu: float, ref: ReferenceState) -> PackedSum:
+    """h + mu (S^2 - s(s+1) S_z) with s = MS2/2 of the reference ``ref``;
+    returns h unchanged when mu == 0.
 
-    s >= 0 is the spin quantum number of the target state (s(s+1) is the
-    same for s and -s-1); s = 0 reduces the penalty to mu * S^2.
-    ``IqccConfig`` checks that mu and s are finite and >= 0.
+    MS2 is ref's occupied alpha (even) qubits less its beta (odd) ones.  Only
+    MS2 0 (mu S^2) and 2 leave the state of spin s and m_s = s unpenalized:
+    any other MS2 raises ``ValueError``.  ``IqccConfig`` checks mu.
     """
     if mu == 0.0:
         return h
+    bits = format(ref.occupation, f"0{ref.n_qubits}b")[::-1]  # qubit q at index q
+    ms2 = bits[0::2].count("1") - bits[1::2].count("1")
+    if ms2 not in (0, 2):
+        raise ValueError(f"the spin penalty targets MS2 0 or 2, not the reference's MS2 {ms2}")
+    s = ms2 / 2
     s_squared, s_z = spin_operators(h.n_qubits)
     w = _packed._add(s_squared, replace(s_z, c=-1.0 * (s * (s + 1.0) * s_z.c)))
     return _packed._add(h, replace(w, c=mu * w.c))

@@ -5,10 +5,10 @@ words as (x, z) masks, sorted by key, with real coefficients and no zeros.
 ``from_json_dict`` rejects at load a sum over more than ``MAX_QUBITS`` (64)
 qubits (:class:`CapacityError`), a negative qubit count, a qubit count or
 electron metadata (``n_electrons``, ``ms2``, where given) that is not a JSON
-integer or a coefficient that is not a JSON number (a JSON bool is neither),
-a non-finite coefficient and an odd-y word (an imaginary matrix in a real
-Hamiltonian); a missing key, a non-list ``terms`` or a non-string word is a
-``ValueError`` naming the key.
+integer, a negative ``ms2``, a coefficient that is not a JSON number (a JSON
+bool is neither), a non-finite coefficient and an odd-y word (an imaginary
+matrix in a real Hamiltonian); a missing key, a non-list ``terms`` or a
+non-string word is a ``ValueError`` naming the key.
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -184,6 +184,8 @@ def from_json_dict(data: dict) -> PackedSum:
     for key in ("n_qubits", "n_electrons", "ms2"):  # the electron counts where given
         if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
             raise ValueError(f"{key} needs a JSON integer: {data[key]!r:.80}")
+    if data.get("ms2", 0) < 0:
+        raise ValueError(f"ms2 {data['ms2']} must be >= 0")
     check_qubit_bound(n)
     x, z, c = [], [], []
     for term in _json_key(data, "terms", "qubit JSON", list):

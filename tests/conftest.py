@@ -17,7 +17,7 @@ def reference_values():
 def _problem(name):
     mi = load_fcidump(FIXTURES / f"{name}.fcidump")
     h = jordan_wigner(mi)
-    ref = reference_state(mi.n_electrons, 2 * mi.n_spatial)
+    ref = reference_state(mi.n_electrons, 2 * mi.n_spatial, mi.ms2)
     return mi, h, ref
 
 

@@ -392,7 +392,7 @@ def main():
 
         mi = load_fcidump(path)
         h_qubit = jordan_wigner(mi)
-        ref = reference_state(n_e, 2 * mi.n_spatial)
+        ref = reference_state(n_e, 2 * mi.n_spatial, mi.ms2)
         e_ref = expectation_packed(h_qubit, ref)
         print(f"   <0|H|0>:          {e_ref:.10f} Ha  (delta vs SCF {e_ref - e_scf:+.3e})")
         if abs(e_ref - e_scf) > 1e-8:

@@ -103,7 +103,7 @@ class TestAcceptance:
         for name, problem in (("h2", h2_problem), ("h2_stretched", h2_stretched_problem)):
             mi, h, _ = problem
             ref_t = reference_state(2, 4, ms2=2)
-            cfg = IqccConfig(generators_per_iteration=2, mu=0.25, spin=1.0)
+            cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
             res = run_iqcc(h, ref_t, cfg)
             e_oracle = reference_values[name]["fci_triplet"]
             err = abs(res.final_energy - e_oracle)

@@ -150,6 +150,7 @@ JSON_BAD_METADATA = {
     "string_electrons": {"n_electrons": "2"},
     "string_ms2": {"ms2": "0"},
     "bool_electrons": {"n_electrons": True, "ms2": 1},
+    "negative_ms2": {"ms2": -2},
 }
 JSON_DEFECTS = {
     "negative_qubits": "negative qubit count -4",
@@ -163,6 +164,7 @@ JSON_DEFECTS = {
     "string_electrons": "n_electrons needs a JSON integer: '2'",
     "string_ms2": "ms2 needs a JSON integer: '0'",
     "bool_electrons": "n_electrons needs a JSON integer: True",
+    "negative_ms2": "ms2 -2 must be >= 0",
 }
 
 # qubit JSON of a bad structure, and the start of the domain error it gives
@@ -313,7 +315,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "flag, value",
         [("--prune-threshold", "nan"), ("--prune-threshold", "inf"),
-         ("--energy-convergence", "nan"), ("--mu", "nan"), ("--spin", "-inf")],
+         ("--energy-convergence", "nan"), ("--mu", "nan"), ("--mu", "inf")],
     )
     def test_non_finite_flag_rejected(self, runner, flag, value):
         result = runner.invoke(main, ["run", str(FIXTURES / "h2.fcidump"), flag, value])
@@ -332,19 +334,21 @@ class TestRun:
 
     @pytest.mark.parametrize("spin", ["-1", "-0.5"])
     def test_negative_spin_rejected(self, runner, spin):
-        # s(s+1) is the same for s and -s-1: -1 would run a singlet penalty
+        # s(s+1) is the same for s and -s-1: a reference of MS2 -2 would run
+        # a singlet penalty; the target is the reference's, whose MS2 is >= 0
+        ms2 = int(2 * float(spin))
         result = runner.invoke(
-            main, ["run", str(FIXTURES / "h2.fcidump"), "--spin", spin, "--mu", "0.25"]
+            main, ["run", str(FIXTURES / "h2.fcidump"), "--ms2", str(ms2), "--mu", "0.25"]
         )
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "error: spin must be finite and >= 0" in result.output
+        assert result.output.splitlines() == [f"error: ms2={ms2} must be >= 0"]
 
     def test_unknown_config_key(self, runner, tmp_path):
-        # rank_on_bare, enable_pt, memory_depth, importance_measure and
-        # gradient_tolerance were keys once: an old config file that still has
-        # one is a usage error like any unknown key
+        # rank_on_bare, enable_pt, memory_depth, importance_measure,
+        # gradient_tolerance and spin were keys once: an old config file that
+        # still has one is a usage error like any unknown key
         for key in ("bogus", "rank_on_bare", "enable_pt", "memory_depth",
-                    "importance_measure", "gradient_tolerance"):
+                    "importance_measure", "gradient_tolerance", "spin"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: True}))
             result = runner.invoke(
@@ -490,6 +494,73 @@ class TestInconsistentSpin:
         assert result.output.splitlines() == [f"error: MS2 {ms2} inconsistent with NELEC {nelec}"]
         assert "Traceback" not in result.output
         assert not out.exists()
+
+
+class TestNegativeMs2:
+    @pytest.mark.parametrize(
+        "command, name, window",
+        [("transform", "h2", None), ("run", "h2", None), ("gap", "h2", None),
+         ("transform", "lih", (1, 2)), ("gap", "lih", (1, 2))],
+        ids=["transform", "run", "gap", "transform_window", "gap_window"],
+    )
+    def test_rejected_at_load(self, runner, tmp_path, command, name, window):
+        # the reference holds the majority spin in its alpha orbitals; a
+        # window of MS2 -2 would put the Fermi level at the minority spin
+        norb, nelec = {"h2": (2, 2), "lih": (6, 4)}[name]
+        path = _fixture_with_header(tmp_path, name, f"&FCI NORB={norb},NELEC={nelec},MS2=-2,")
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, _window_argv(command, path, window, out))
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: MS2 -2 must be >= 0"]
+        assert not out.exists()
+
+
+class TestPenaltyTarget:
+    """The penalty targets the reference's own spin (H4, L=4): the MS2 of
+    ``--ms2``, with the header's 4 electrons unless ``--n-electrons`` is given."""
+
+    @pytest.mark.parametrize(
+        "mu, flags, want",
+        [
+            ("0.25", ["--ms2", "0"], "fci_singlet"),
+            ("0.25", ["--ms2", "2"], "fci_triplet"),
+            ("0.25", ["--ms2", "4"], "MS2 4"),
+            ("0.25", ["--ms2", "1", "--n-electrons", "3"], "MS2 1"),
+            ("0", ["--ms2", "4"], "quintet"),
+        ],
+        ids=["singlet", "triplet", "quintet", "doublet", "quintet_unpenalized"],
+    )
+    def test_final_energy(self, runner, tmp_path, monkeypatch, reference_values, mu, flags, want):
+        ranked = []
+        real = driver.rank_generators
+
+        def spy(*args):
+            ranked.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(driver, "rank_generators", spy)
+        out = tmp_path / "run.json"
+        result = runner.invoke(main, ["run", str(FIXTURES / "h4.fcidump"), "--generators", "4",
+                                      "--mu", mu, *flags, "-o", str(out)])
+        if want.startswith("MS2"):
+            # rejected before the first iteration
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+            assert result.output.splitlines() == [
+                f"error: the spin penalty targets MS2 0 or 2, not the reference's {want}"
+            ]
+            assert ranked == [] and not out.exists()
+            return
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        if want == "quintet":
+            # four alpha electrons in four orbitals: the one quintet determinant
+            h = jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump"))
+            target = spin_resolved_spectrum(h, *spin_operators(8), (2.0, 2.0))
+            assert target == pytest.approx(-0.9660440, abs=1e-7)
+        else:
+            target = reference_values["h4"][want]
+        assert abs(report["result"]["final_energy"] - target) < 2e-5
+        assert report["manifest"]["config"]["ms2"] == int(flags[1])
 
 
 class TestOverflowingIntegrals:
@@ -675,7 +746,6 @@ class TestConfigDefaults:
             "energy_convergence": float,
             "prune_threshold": float,
             "mu": float,
-            "spin": float,
             "memory_budget_terms": int,
             "max_evaluations": int,
         }
@@ -752,7 +822,7 @@ class TestGap:
         real = driver.run_iqcc
 
         def spy(h, ref, cfg):
-            penalties.append((cfg.mu, cfg.spin))
+            penalties.append((cfg.mu, ref.occupation))
             return real(h, ref, cfg)
 
         monkeypatch.setattr(driver, "run_iqcc", spy)
@@ -767,26 +837,33 @@ class TestGap:
         assert result.exit_code == 0, result.output
         config = json.loads(out.read_text())["manifest"]["config"]
         assert config["mu"] == mu and config["max_iterations"] == 1
-        assert penalties == [(mu, 0.0), (mu, 1.0)]
+        # one config for both runs: the references set the targets
+        assert penalties == [(mu, 0b0011), (mu, 0b0101)]
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_spin_rejected(self, runner, tmp_path, monkeypatch, source):
-        # the gap runs s=0 and s=1 itself; a spin from the user would be ignored
+        # the reference's MS2 is the one spin input: --spin and a spin key are
+        # usage errors, raised before any run
         runs = []
         monkeypatch.setattr(driver, "run_iqcc", lambda *args: runs.append(args))
+        monkeypatch.setattr(cli, "run_iqcc", lambda *args: runs.append(args))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"spin": 3.0} if source == "file" else {}))
-        flags = ["--spin", "3"] if source == "flag" else []
-        result = runner.invoke(
-            main, ["gap", str(FIXTURES / "h2.fcidump"), "--config", str(cfg), *flags]
-        )
-        assert result.exit_code == 2
-        assert "'spin' is set by the command" in result.output
+        cfg.write_text(json.dumps({"spin": 1.0} if source == "file" else {}))
+        flags = ["--spin", "1"] if source == "flag" else []
+        for command in ("gap", "run"):
+            result = runner.invoke(
+                main, [command, str(FIXTURES / "h2.fcidump"), "--config", str(cfg), *flags]
+            )
+            assert result.exit_code == 2
+            want = "No such option" if source == "flag" else "unknown config keys: ['spin']"
+            assert want in result.output and "spin" in result.output
+            assert "Traceback" not in result.output
         assert runs == []
 
     @pytest.mark.parametrize("command", ["gap", "run"])
     def test_spin_in_manifest_of_run_only(self, runner, tmp_path, command):
-        # a gap runs s=0 and s=1, so one resolved spin would misreport it
+        # a run records the electron count and MS2 of its reference, which
+        # the penalty targets; a gap runs MS2 0 and 2, and records neither
         out = tmp_path / "report.json"
         result = runner.invoke(
             main,
@@ -795,7 +872,9 @@ class TestGap:
         )
         assert result.exit_code == 0, result.output
         config = json.loads(out.read_text())["manifest"]["config"]
-        assert ("spin" in config) == (command == "run")
+        assert "spin" not in config
+        spin = {key: config[key] for key in ("n_electrons", "ms2") if key in config}
+        assert spin == ({"n_electrons": 2, "ms2": 0} if command == "run" else {})
 
     def test_negative_mu_rejected(self, runner):
         result = runner.invoke(

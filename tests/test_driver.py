@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from iqcc import _packed
+from iqcc import _packed, driver
 from iqcc._packed import pack
 from iqcc.driver import (
     HARTREE_TO_EV,
@@ -41,7 +41,7 @@ class TestConfig:
         assert cfg.energy_convergence == 1e-5
         assert cfg.prune_threshold == 1e-10
         assert cfg.max_iterations == 100
-        assert cfg.mu == 0.0 and cfg.spin == 0.0
+        assert cfg.mu == 0.0
 
     def test_l_cap(self):
         with pytest.raises(CapacityError):
@@ -55,13 +55,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             IqccConfig(prune_threshold=-1e-3)
 
-    def test_penalty_from_mu_and_spin(self):
-        cfg = IqccConfig(mu=0.25, spin=1.0)
-        assert (cfg.mu, cfg.spin) == (0.25, 1.0)
+    def test_penalty_from_mu_and_spin(self, h2_problem, monkeypatch):
+        # the strength is the config's, the target spin the reference's own
+        _, h, _ = h2_problem
+        ref_t = reference_state(2, 4, ms2=2)
+        calls = []
+        real = driver.penalize
+
+        def spy(p, mu, ref):
+            calls.append((p, mu, ref))
+            return real(p, mu, ref)
+
+        monkeypatch.setattr(driver, "penalize", spy)
+        run_iqcc(h, ref_t, IqccConfig(mu=0.25, max_iterations=0))
+        assert len(calls) == 1 and calls[0][0] is h and calls[0][1:] == (0.25, ref_t)
         with pytest.raises(ValueError, match="penalty strength"):
             IqccConfig(mu=-0.1)
-        with pytest.raises(ValueError, match="spin must be finite"):
-            IqccConfig(spin=float("nan"))
+        with pytest.raises(TypeError, match="spin"):
+            IqccConfig(spin=1.0)
 
 
 class TestRunIqcc:
@@ -218,7 +229,7 @@ def _six_iterations(problem, generators: int, mu: float, prune_threshold: float)
     assert len(res.records) == 6
     pairs = [(g.generator, t) for r in res.records
              for g, t in zip(r.selected_generators, r.amplitudes)]
-    return res, penalize(h, cfg.mu, cfg.spin), pairs
+    return res, penalize(h, cfg.mu, ref), pairs
 
 
 class TestWholeSumDressing:
@@ -348,7 +359,7 @@ class TestBlockStatisticsOncePerSum:
         assert n == 3
         assert len(calls) == n + 1
         # the first ranking reads the sum being minimized
-        assert calls[0] == len(penalize(h, cfg.mu, cfg.spin))
+        assert calls[0] == len(penalize(h, cfg.mu, ref))
         assert [r.energy.hex() for r in res.records] == list(self.ENERGIES[penalized])
         assert [r.energy_with_pt.hex() for r in res.records] == list(self.WITH_PT[penalized])
 
@@ -533,7 +544,7 @@ class TestTripletStatePurity:
         # and measure <S^2> with the dense oracle
         _, h, _ = h2_stretched_problem
         ref_t = reference_state(2, 4, ms2=2)
-        cfg = IqccConfig(generators_per_iteration=2, mu=0.25, spin=1.0)
+        cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         res = run_iqcc(h, ref_t, cfg)
         entanglers = [
             (g.generator, t)

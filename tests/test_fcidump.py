@@ -122,10 +122,16 @@ class TestParse:
         with pytest.raises(FcidumpError, match=f"^MS2 {ms2} inconsistent with NELEC {nelec}$"):
             parse_fcidump(text)
 
-    @pytest.mark.parametrize("nelec, ms2", [(3, 1), (3, -3), (2, 2), (0, 0)])
+    @pytest.mark.parametrize("nelec, ms2", [(3, 1), (3, 3), (2, 2), (0, 0)])
     def test_spin_consistent_with_electrons(self, nelec, ms2):
         mi = parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n")
         assert (mi.n_electrons, mi.ms2) == (nelec, ms2)
+
+    @pytest.mark.parametrize("nelec, ms2", [(3, -1), (3, -3), (2, -2)])
+    def test_negative_spin_rejected(self, nelec, ms2):
+        # the reference puts the majority spin in the alpha orbitals
+        with pytest.raises(FcidumpError, match=f"^MS2 {ms2} must be >= 0$"):
+            parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n")
 
     def test_slash_terminated_header(self):
         text = "&FCI NORB=1,NELEC=2,MS2=0,\n/\n  2.0000000000000000E-01    1    1    0    0\n"

@@ -50,7 +50,7 @@ class TestJordanWigner:
     def test_number_operator_form(self):
         mi = MolecularIntegrals(0.0, np.array([[0.3]]), np.zeros((1, 1, 1, 1)), 2, 1)
         h = jordan_wigner(mi)
-        assert abs(expectation_packed(h, reference_state(2, 2)) - 0.6) < 1e-14
+        assert abs(expectation_packed(h, reference_state(2, 2, 0)) - 0.6) < 1e-14
 
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(0)
@@ -197,14 +197,14 @@ class TestHermiticityErrors:
 
 class TestReferenceState:
     def test_empty(self):
-        assert reference_state(0, 4).occupation == 0
+        assert reference_state(0, 4, 0).occupation == 0
 
     def test_full(self):
-        assert reference_state(4, 4).occupation == 0b1111
+        assert reference_state(4, 4, 0).occupation == 0b1111
 
     def test_h2_matches_scf(self, h2_problem, reference_values):
         _, h, _ = h2_problem
-        e = expectation_packed(h, reference_state(2, 4))
+        e = expectation_packed(h, reference_state(2, 4, 0))
         assert abs(e - reference_values["h2"]["scf_energy"]) < 1e-10
 
     def test_open_shell_ms2(self):
@@ -213,19 +213,23 @@ class TestReferenceState:
         assert ref.occupation == 0b0101
 
     def test_default_is_contiguous(self):
-        assert reference_state(3, 6).occupation == 0b111
+        # the lowest MS2 fills the first n_e qubits under the interleaved convention
+        assert reference_state(3, 6, 1).occupation == 0b111
+        assert reference_state(4, 6, 0).occupation == 0b1111
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            reference_state(5, 4)
-        with pytest.raises(ValueError):
+            reference_state(5, 4, 1)
+        with pytest.raises(ValueError, match="^ms2=1 inconsistent with 2 electrons$"):
             reference_state(2, 8, ms2=1)  # parity mismatch
+        with pytest.raises(ValueError, match="^ms2=-2 must be >= 0$"):
+            reference_state(2, 8, ms2=-2)  # the alpha electrons are the majority
 
 
 class TestSpinOperators:
     def test_closed_shell_expectations(self):
         s2, sz = spin_operators(4)
-        ref = reference_state(2, 4)
+        ref = reference_state(2, 4, 0)
         assert abs(expectation_packed(s2, ref)) < 1e-14
         assert abs(expectation_packed(sz, ref)) < 1e-14
 
@@ -261,41 +265,54 @@ class TestSpinOperators:
 class TestPenalize:
     def test_mu_zero_unchanged(self, h2_problem):
         _, h, _ = h2_problem
-        assert penalize(h, 0.0, 1.0) is h
+        # nothing but mu is read: not even a reference the penalty rejects
+        assert penalize(h, 0.0, reference_state(1, 4, 1)) is h
 
     def test_s_zero_is_pure_s_squared(self, h2_problem):
-        _, h, _ = h2_problem
+        _, h, ref = h2_problem
         s2, _ = spin_operators(4)
         want = terms_dict(h)
         for key, c in terms_dict(s2).items():
             want[key] = want.get(key, 0.0) + 0.3 * c
-        got = penalize(h, 0.3, 0.0)
+        got = penalize(h, 0.3, ref)
         assert terms_dict(got) == {key: c for key, c in want.items() if c != 0.0}
 
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_bit_equal_to_dict_order_add(self, fixture_dir, name, s):
-        h = jordan_wigner(load_fcidump(fixture_dir / f"{name}.fcidump"))
+        # the target is the reference's s = MS2/2: the singlet and the triplet
+        # are today's operators; MS2 1 (one electron fewer) is rejected
+        mi = load_fcidump(fixture_dir / f"{name}.fcidump")
+        h = jordan_wigner(mi)
+        ms2 = int(2 * s)
+        ref = reference_state(mi.n_electrons - ms2 % 2, h.n_qubits, ms2)
         for mu in (0.25, 0.3, 0.5):
-            assert_same(penalize(h, mu, s), reference_penalize(h, mu, s))
+            if s == 0.5:
+                with pytest.raises(ValueError, match="not the reference's MS2 1$"):
+                    penalize(h, mu, ref)
+            else:
+                assert_same(penalize(h, mu, ref), reference_penalize(h, mu, s))
 
-    # the config checks the penalty's mu and s
+    # the config checks the penalty's mu
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError, match="penalty strength must be finite and >= 0"):
-            IqccConfig(mu=-0.1, spin=0.0)
+            IqccConfig(mu=-0.1)
 
     @pytest.mark.parametrize("mu", [0.0, 0.25])
     @pytest.mark.parametrize("s", [-1.0, -2.0, -0.5])
-    def test_negative_spin_rejected(self, mu, s):
-        # s(s+1) is the same for s and -s-1, so -1 and -2 would alias s = 0 and 1
-        with pytest.raises(ValueError, match="spin must be finite and >= 0"):
-            IqccConfig(mu=mu, spin=s)
+    def test_negative_spin_rejected(self, h2_problem, mu, s):
+        # s(s+1) is the same for s and -s-1, so -1 and -2 would alias s = 0
+        # and 1; the target is the reference's MS2/2, and no reference has a
+        # negative MS2
+        _, h, _ = h2_problem
+        with pytest.raises(ValueError, match=f"^ms2={int(2 * s)} must be >= 0$"):
+            penalize(h, mu, reference_state(2, 4, int(2 * s)))
 
     def test_stretched_h2_sector_ground_is_triplet(self, h2_stretched_problem):
         # within the S_z = +1 sector the penalized ground state is a pure
         # triplet (the penalty removes higher-spin contamination there)
         _, h, _ = h2_stretched_problem
-        hp = penalize(h, 0.25, 1.0)
+        hp = penalize(h, 0.25, reference_state(2, 4, 2))
         s2m = to_matrix(spin_operators(4)[0])
         szm = to_matrix(spin_operators(4)[1])
         hm = to_matrix(hp)
