@@ -24,8 +24,9 @@ rows and is the one place its width is chosen: up to 32 qubits one uint64
 column, x shifted above z, whose argsort is faster than ``lexsort`` of the
 pair; above, the two columns (x, z).  ``_masks`` splits a key back into
 masks, ``_sort`` is the one stable sort of a key (argsort or ``lexsort``,
-the same permutation), and ``_group`` the one grouping: the sorted table of
-distinct keys and each row's slot in it, the same at either width.
+the same permutation), ``_rank`` the one search of a sorted key, and
+``_group`` the one grouping: the sorted table of distinct keys and each
+row's slot in it, the same at either width.
 ``_sorted_keys`` is ``_group`` from masks to masks; ``_canonical`` (so
 ``pack`` and ``from_json_dict``) takes its keys and slots from it and sums
 each key's rows by slot, left to right in row order, as the scalar
@@ -55,11 +56,11 @@ layers list their base rows quiet first, so that each factor covers a
 slice), and its final dressing replays it once at the optimum.  The other
 rows never reach the diagonal, so they are dressed only at the end, one
 generator at a time, by a one-layer plan replayed once (``dress_packed``).
-``merge`` sorts the coset's and the other rows' sums into one by ``_sort``
-alone (``_add`` is the add of sums that share keys); both arrive sorted, and
-up to 32 qubits the stable argsort of the one-column key, a timsort, finds
-the runs and merges them in linear time.  Each layer is linear in its input
-and the energy is d . c_L, with d the signed indicator of the diagonal rows
+``merge`` joins the coset's and the other rows' sums, which share no key,
+without a sort (``_add`` is the add of sums that share keys): ``_rank``
+finds where each row of one falls among the other's keys, and every row is
+placed at its index in the union.  Each layer is linear in its input and
+the energy is d . c_L, with d the signed indicator of the diagonal rows
 (``_reference_sign``, taken once per cut), so ``energy_and_gradient`` sums
 d * c_L for the energy and takes the gradient by one reverse pass of d
 through the same contributions: one gather of lambda, the two gradient sums
@@ -78,6 +79,7 @@ from .pauli import PauliWord, render_masks
 from .pauli_sum import ReferenceState, check_qubit_bound
 
 _D_CHUNK_ENTRIES = 1 << 18  # blocks x diagonal rows per D chunk: ~17 bytes each at the peak
+_PAIR = np.dtype([("x", np.uint64), ("z", np.uint64)])  # a two-column key's row
 
 
 def _reference_sign(z: np.ndarray, ref: ReferenceState) -> np.ndarray:
@@ -117,6 +119,16 @@ def _sort(key: tuple) -> np.ndarray:
     if len(key) == 1:
         return np.argsort(key[0], kind="stable")
     return np.lexsort(key[::-1])
+
+
+def _rank(table: tuple, key: tuple) -> np.ndarray:
+    """The number of rows of ``table``, a sorted key from ``_key``, that sort
+    before each row of ``key``: one ``searchsorted`` of a one-column key; of
+    two, of their (x, z) pairs viewed as one structured column, which
+    ``searchsorted`` orders field by field."""
+    if len(table) == 1:
+        return np.searchsorted(table[0], key[0])
+    return np.searchsorted(*(np.column_stack(k).view(_PAIR).ravel() for k in (table, key)))
 
 
 def _group(key: tuple):
@@ -214,11 +226,21 @@ def span_split(p: PackedSum, generators) -> tuple[PackedSum, PackedSum]:
 
 
 def merge(a: PackedSum, b: PackedSum) -> PackedSum:
-    """``a + b`` for two canonical sums with no key in common."""
-    key = _key(a.n_qubits, np.concatenate([a.x, b.x]), np.concatenate([a.z, b.z]))
-    order = _sort(key)
-    x, z = _masks(a.n_qubits, tuple(col[order] for col in key))
-    return PackedSum(a.n_qubits, x, z, np.concatenate([a.c, b.c])[order])
+    """``a + b`` for two canonical sums with no key in common, sorting
+    nothing: row i of b goes to index i plus the number of a's keys below
+    it, and a's rows fill the other indices in order."""
+    n = a.n_qubits
+    at = _rank(_key(n, a.x, a.z), _key(n, b.x, b.z))
+    at += np.arange(len(b))
+    rest = np.ones(len(a) + len(b), dtype=bool)
+    rest[at] = False
+    out = []
+    for col_a, col_b in ((a.x, b.x), (a.z, b.z), (a.c, b.c)):
+        col = np.empty(len(rest), dtype=col_a.dtype)
+        col[at] = col_b
+        col[rest] = col_a
+        out.append(col)
+    return PackedSum(n, *out)
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,21 @@ A run holds one Hamiltonian, the penalized sum being minimized: ranking,
 optimizer and PT all read it.  Each iteration decomposes it into its block
 statistics (``_packed.block_statistics``), ranks one canonical generator
 per X-string block on those arrays, warm-starts the top L amplitudes from
-the closed-form estimates, and plans the dressing of the rows in the span of
-those generators' x masks (``coset_plan``).  It minimizes the QCC energy on
-that plan, cut to the rows an evaluation reads (``live_plan``): each L-BFGS
-evaluation is ``qcc_energy_and_gradient`` of the cut at its amplitudes.  It
-then folds the optimized entanglers into the Hamiltonian by exact dressing:
-the plan replayed once at the optimum, merged with the dressing of the rows
-outside the span, which no evaluation needed.  It then prunes numerically
-dead terms and adds a perturbative estimate of the energy still recoverable
-from the generators that were not selected.  The reference state never
-changes.  The Hamiltonian is a ``PackedSum`` from the mapping through every
-stage and into ``RunResult.final_hamiltonian``.
+the closed-form estimates, splits off the rows in the span of those
+generators' x masks (``_packed.span_split``) and plans their dressing
+(``_packed.plan_chain``).  It minimizes the QCC energy on that plan, cut to
+the rows an evaluation reads (``live_plan``): each L-BFGS evaluation is
+``qcc_energy_and_gradient`` of the cut at its amplitudes.  It then folds
+the optimized entanglers into the Hamiltonian by exact dressing: the plan
+replayed once at the optimum, merged with the dressing of the rows outside
+the span, which no evaluation needed.  It then prunes numerically dead
+terms and adds a perturbative estimate of the energy still recoverable from
+the generators that were not selected.  Each stage frees the sum it read
+once the next one holds its rows: the split frees the Hamiltonian, the plan
+the rows it planned, and ``_packed.merge`` places the two dressed parts
+without a sort.  The reference state never changes.  The Hamiltonian is a
+``PackedSum`` from the mapping through every stage and into
+``RunResult.final_hamiltonian``.
 
 The records are the one account of what a run applied: record r applied
 exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
@@ -39,7 +43,6 @@ from . import _packed
 from .engine import (
     MAX_GENERATORS,
     RankedGenerator,
-    coset_plan,
     estimate_amplitude,
     qcc_energy_and_gradient,
     rank_generators,
@@ -205,7 +208,12 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
 
         gens = tuple(g.generator for g in selected)
         try:
-            plan, outside = coset_plan(h, gens, budget)
+            # each sum is freed once the next stage holds its rows: the plan
+            # keeps only the coefficients of the rows inside the span
+            inside, outside = _packed.span_split(h, gens)
+            del h
+            plan = _packed.plan_chain(inside, gens, budget)
+            del inside
             # the cut gives the plan's numbers; it lives only while L-BFGS runs
             live = _packed.live_plan(plan, ref)
             optimized_terms, evaluated_terms = len(plan), len(live)

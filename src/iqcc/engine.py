@@ -22,25 +22,24 @@ Its energy is evaluated by exact symbolic conjugation (dressing) of the
 Hamiltonian, then projection onto the reference state.  An optimizer
 evaluates one set of generators at many amplitudes, so the Hamiltonian is
 first split into the rows those generators can bring to the diagonal and
-the rest, and the former are planned once (``coset_plan``); each evaluation
-then replays the plan, cut to the rows that reach the diagonal, and sorts
-nothing.  The energy is linear in every layer of the plan, so the gradient
-is one reverse pass of the diagonal through the same plan.  The same plan,
-replayed once at the optimum, dresses those rows into the next Hamiltonian.
-Dressing, energy and gradient are the kernels in ``_packed``; an evaluation
-is ``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
+the rest (``_packed.span_split``), and the former are planned once
+(``_packed.plan_chain``); each evaluation then replays the plan, cut to the
+rows that reach the diagonal, and sorts nothing.  The energy is linear in
+every layer of the plan, so the gradient is one reverse pass of the
+diagonal through the same plan.  The same plan, replayed once at the
+optimum, dresses those rows into the next Hamiltonian.  Dressing, energy
+and gradient are the kernels in ``_packed``; an evaluation is
+``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _packed
-from ._packed import PackedSum
 from .errors import CapacityError
 from .pauli import PauliWord, render_word
 
@@ -113,21 +112,6 @@ def rank_generators(
         for i, x in zip(top.tolist(), xs[top].tolist())
     ]
     return selected, xs[order[top_l:]]
-
-
-def coset_plan(
-    h: PackedSum, generators: Sequence[PauliWord], max_terms: int | None = None
-) -> tuple[_packed.DressPlan, PackedSum]:
-    """Split ``h`` on the span of the generators' x masks (``span_split``):
-    the dressing plan of the rows inside it, and the rows outside it.
-
-    A generator only XORs its x mask into a word, so dressing keeps every row
-    in its coset: only the plan's rows reach the energy or the gradient, and
-    the dressed ``h`` is the plan's replay plus the other rows' dressing.
-    ``max_terms`` bounds each layer of the plan (``_packed.plan_chain``).
-    """
-    inside, outside = _packed.span_split(h, generators)
-    return _packed.plan_chain(inside, generators, max_terms), outside
 
 
 # the kernel itself, under the name the driver looks up at each evaluation

@@ -30,10 +30,12 @@ class MolecularIntegrals:
     """One- and two-electron integrals over spatial orbitals, in Hartree.
 
     ``g2[p, q, r, s]`` is the chemists' integral (pq|rs); ``ms2`` is twice
-    the z-projection of the target state's spin, >= 0 in a parsed file.  h1
-    must be symmetric and g2 must have the 8-fold permutational symmetry of
-    real orbitals, to within 1e-12, when the integrals are constructed; both
-    are then kept as read-only copies, so a checked symmetry cannot be
+    the z-projection of the target state's spin, from 0 to ``n_electrons``
+    and of their parity (the reference puts the majority spin in the alpha
+    orbitals).  h1 must be symmetric and g2 must have the 8-fold
+    permutational symmetry of real orbitals, to within 1e-12.  Each of these
+    is checked when the integrals are constructed (``ValueError``); h1 and
+    g2 are then kept as read-only copies, so a checked symmetry cannot be
     broken afterwards.
     """
 
@@ -45,6 +47,13 @@ class MolecularIntegrals:
     ms2: int = 0
 
     def __post_init__(self):
+        ms2, n_e = self.ms2, self.n_electrons
+        if ms2 < 0:
+            raise ValueError(f"MS2 {ms2} of {n_e} electrons must be >= 0")
+        if ms2 > n_e:
+            raise ValueError(f"MS2 {ms2} exceeds the {n_e} electrons")
+        if (n_e - ms2) % 2:
+            raise ValueError(f"MS2 {ms2} and the {n_e} electrons differ in parity")
         if self.h1.shape != (self.n_spatial, self.n_spatial):
             raise ValueError("h1 shape inconsistent with n_spatial")
         if self.g2.shape != (self.n_spatial,) * 4:
@@ -207,11 +216,6 @@ def select_cas(
         raise ValueError("frozen orbitals must be doubly occupied")
     if n_occ_active + n_virt_active == 0:
         raise ValueError("empty active space")
-    # integrals constructed with NELEC and MS2 of different parity (a parsed
-    # header has them consistent) can leave fewer active electrons than |MS2|
-    n_e = mi.n_electrons - 2 * n_frozen
-    if n_e < abs(mi.ms2):
-        raise ValueError("frozen window leaves an inconsistent electron count")
 
     h1, g2 = mi.h1, mi.g2
     core = mi.core_energy
@@ -228,4 +232,5 @@ def select_cas(
         h_eff += 2.0 * coulomb - exchange
 
     g_eff = g2[np.ix_(act, act, act, act)].copy()
+    n_e = mi.n_electrons - 2 * n_frozen
     return MolecularIntegrals(core, h_eff, g_eff, n_e, len(act), mi.ms2)

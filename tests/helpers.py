@@ -1,9 +1,10 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
 the mask-form plan, two-pass live-cut, three-scatter evaluation,
-object-ranking and block-statistics references, a sort spy, an independent
-fermionic oracle, the whole-space spin-resolved spectrum, the word product,
-and the dense matrix, reference vector and ansatz unitary."""
+object-ranking and block-statistics references, a sort spy, the coset plan
+of an iteration, an independent fermionic oracle, the whole-space
+spin-resolved spectrum, the word product, and the dense matrix, reference
+vector and ansatz unitary."""
 
 import itertools
 import math
@@ -120,6 +121,14 @@ def spy_sort(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_packed, "_sort", spy)
     return sizes
+
+
+def coset_plan(h: PackedSum, generators, max_terms: int | None = None):
+    """The dressing plan of the rows of ``h`` in the span of the generators'
+    x masks, and the other rows: ``span_split``, then ``plan_chain`` of the
+    rows inside, as an iteration of ``run_iqcc`` plans them."""
+    inside, outside = _packed.span_split(h, generators)
+    return _packed.plan_chain(inside, generators, max_terms), outside
 
 
 def random_generator(n_qubits: int, rng) -> PauliWord:

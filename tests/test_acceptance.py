@@ -22,18 +22,13 @@ from iqcc.driver import (
     run_iqcc,
     singlet_triplet_gap,
 )
-from iqcc.engine import (
-    MAX_GENERATORS,
-    coset_plan,
-    estimate_amplitude,
-    qcc_energy_and_gradient,
-)
+from iqcc.engine import MAX_GENERATORS, estimate_amplitude, qcc_energy_and_gradient
 from iqcc.errors import CapacityError
 from iqcc.mapping import reference_state
 from iqcc.pauli import parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
-from helpers import random_generator, random_hermitian_sum, to_matrix
+from helpers import coset_plan, random_generator, random_hermitian_sum, to_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

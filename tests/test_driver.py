@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +192,31 @@ class TestRunIqcc:
         v = u @ reference_vector(ref)
         dense = float(np.real(np.vdot(v, to_matrix(h) @ v)))
         assert abs(dense - res.final_energy) < 1e-9
+
+    def test_input_sum_released_before_planning(self, lih_problem, monkeypatch):
+        # an iteration drops the sum it split before it plans the coset: no
+        # input sum the run made is alive while any plan is built (the coset
+        # plan, then the outside rows' one-layer plans); the first
+        # iteration's input is the caller's h, unpenalized
+        _, h, ref = lih_problem
+        inputs, seen = [], []
+        split, plan_chain = _packed.span_split, _packed.plan_chain
+
+        def spy_split(p, generators):
+            if p is not h:
+                inputs.append(weakref.ref(p))
+            return split(p, generators)
+
+        def spy_plan(*args):
+            seen.append([r() is not None for r in inputs])
+            return plan_chain(*args)
+
+        monkeypatch.setattr(_packed, "span_split", spy_split)
+        monkeypatch.setattr(_packed, "plan_chain", spy_plan)
+        cfg = IqccConfig(generators_per_iteration=8, energy_convergence=1e-6, max_iterations=4)
+        assert len(run_iqcc(h, ref, cfg).records) == 4
+        assert len(inputs) == 3 and len(seen[-1]) == 3
+        assert not any(any(alive) for alive in seen)
 
 
 class TestFinalHamiltonianPinned:

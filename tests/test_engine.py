@@ -4,12 +4,13 @@ import pytest
 from iqcc import _packed
 from iqcc._packed import expectation_packed, pack
 from iqcc.errors import CapacityError, HermiticityError
-from iqcc.engine import coset_plan, estimate_amplitude, qcc_energy_and_gradient, rank_generators
+from iqcc.engine import estimate_amplitude, qcc_energy_and_gradient, rank_generators
 from iqcc.pauli import PauliWord, parse_word, render_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
 
 from helpers import (
     ansatz_unitary,
+    coset_plan,
     drawn_sum,
     random_generator,
     random_hermitian_sum,

@@ -133,6 +133,28 @@ class TestParse:
         with pytest.raises(FcidumpError, match=f"^MS2 {ms2} must be >= 0$"):
             parse_fcidump(f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n")
 
+    @pytest.mark.parametrize(
+        "nelec, ms2, message",
+        [
+            (2, -2, "MS2 -2 of 2 electrons must be >= 0"),
+            (3, -1, "MS2 -1 of 3 electrons must be >= 0"),
+            (2, 4, "MS2 4 exceeds the 2 electrons"),
+            (0, 2, "MS2 2 exceeds the 0 electrons"),
+            (3, 0, "MS2 0 and the 3 electrons differ in parity"),
+            (2, 1, "MS2 1 and the 2 electrons differ in parity"),
+        ],
+    )
+    def test_spin_rejected_at_construction(self, nelec, ms2, message):
+        # parse_fcidump rejects these headers with its own messages; the
+        # constructor rejects them for integrals built directly
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MolecularIntegrals(0.0, -np.eye(2), np.zeros((2,) * 4), nelec, 2, ms2)
+
+    @pytest.mark.parametrize("nelec, ms2", [(0, 0), (1, 1), (3, 1), (3, 3), (4, 2)])
+    def test_spin_accepted_at_construction(self, nelec, ms2):
+        mi = MolecularIntegrals(0.0, -np.eye(2), np.zeros((2,) * 4), nelec, 2, ms2)
+        assert (mi.n_electrons, mi.ms2) == (nelec, ms2)
+
     def test_slash_terminated_header(self):
         text = "&FCI NORB=1,NELEC=2,MS2=0,\n/\n  2.0000000000000000E-01    1    1    0    0\n"
         mi = parse_fcidump(text)
@@ -149,13 +171,17 @@ class TestCasWindow:
         assert np.array_equal(out.g2, mi.g2)
         assert out.n_electrons == mi.n_electrons
 
-    def test_inconsistent_electron_count_rejected(self):
-        # integrals constructed directly, not parsed, with NELEC and MS2 of
-        # different parity: the frozen orbital leaves one electron for MS2 2
+    def test_inconsistent_electron_count_rejected(self, fixture_dir):
+        # integrals that could give a window fewer active electrons than MS2
+        # (NELEC and MS2 of different parity) or more than the header's (a
+        # negative MS2) cannot be constructed, so no window is ever cut
         rng = np.random.default_rng(1)
-        mi = replace(random_symmetric_integrals(2, rng), n_electrons=3, ms2=2)
-        with pytest.raises(ValueError, match="inconsistent electron count"):
-            select_cas(mi, 1, 0)
+        with pytest.raises(ValueError, match="^MS2 2 and the 3 electrons differ in parity$"):
+            replace(random_symmetric_integrals(2, rng), n_electrons=3, ms2=2)
+        mi = load_fcidump(fixture_dir / "lih.fcidump")
+        with pytest.raises(ValueError, match="^MS2 -2 of 4 electrons must be >= 0$"):
+            replace(mi, ms2=-2)
+        assert select_cas(mi, 1, 2).n_electrons == 2
 
     def test_freeze_all_occupied_rejected(self, fixture_dir):
         mi = load_fcidump(fixture_dir / "h2.fcidump")
@@ -186,7 +212,7 @@ class TestCasWindow:
     def test_folding_formulas_explicit(self):
         # one frozen orbital; compare against the mean-field formulas
         rng = np.random.default_rng(2)
-        mi = replace(random_symmetric_integrals(3, rng, core=0.11), n_electrons=4)
+        mi = replace(random_symmetric_integrals(3, rng, core=0.11), n_electrons=4, ms2=0)
         out = select_cas(mi, 1, 1)  # orbital 0 frozen, 1 and 2 active
         h1, g2 = mi.h1, mi.g2
         core_expect = 0.11 + 2 * h1[0, 0] + 2 * g2[0, 0, 0, 0] - g2[0, 0, 0, 0]

@@ -163,7 +163,7 @@ class TestHermiticityErrors:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 4))
             h1 = rng.normal(size=(n, n))
-            mi = MolecularIntegrals(0.0, 0.5 * (h1 + h1.T), np.zeros((n,) * 4), n, n)
+            mi = MolecularIntegrals(0.0, 0.5 * (h1 + h1.T), np.zeros((n,) * 4), n, n, n % 2)
             getattr(mi, tensor).setflags(write=True)  # the instance's own copy
             if tensor == "h1":
                 p, q = (int(v) for v in rng.choice(n, size=2, replace=False))
@@ -188,7 +188,7 @@ class TestHermiticityErrors:
         # term, so the expansion carries one float per row and complex input
         # is rejected before it; the scalar reference finds the imaginary
         # coefficient it would leave
-        mi = MolecularIntegrals(0.0, np.array([[0.3j]]), np.zeros((1,) * 4), 1, 1)
+        mi = MolecularIntegrals(0.0, np.array([[0.3j]]), np.zeros((1,) * 4), 1, 1, 1)
         with pytest.raises(HermiticityError, match="^complex integral values$"):
             jordan_wigner(mi)
         with pytest.raises(HermiticityError, match="imaginary coefficient .* on I$"):

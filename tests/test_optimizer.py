@@ -7,7 +7,7 @@ from iqcc.engine import estimate_amplitude
 from iqcc.errors import OptimizationError
 from iqcc.optimizer import minimize
 
-from helpers import rank_sum
+from helpers import coset_plan, rank_sum
 
 
 def quadratic(v):
@@ -146,7 +146,7 @@ class TestScipyReference:
 
 class TestOnQccProblem:
     def test_h2_single_amplitude_matches_closed_form(self, h2_problem):
-        from iqcc.engine import coset_plan, qcc_energy_and_gradient
+        from iqcc.engine import qcc_energy_and_gradient
 
         _, h, ref = h2_problem
         sel, _ = rank_sum(h, ref, 1)

@@ -261,7 +261,7 @@ class TestSpinResolved:
         site = np.arange(n_sites)
         g2 = np.zeros((n_sites,) * 4)
         g2[site, site, site, site] = 4.0  # on-site repulsion U = 4 |t|
-        h = jordan_wigner(MolecularIntegrals(0.0, -(ring + ring.T), g2, n_sites, n_sites))
+        h = jordan_wigner(MolecularIntegrals(0.0, -(ring + ring.T), g2, n_sites, n_sites, 1))
         s2, sz = spin_operators(14)
         e_up, e_down = (spin_resolved_spectrum(h, s2, sz, (1.0, m)) for m in (1.0, -1.0))
         assert np.isfinite(e_up) and abs(e_up - e_down) < 1e-9

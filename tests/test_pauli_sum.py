@@ -285,6 +285,57 @@ class TestWidthBoundary:
         assert_same(merged, p)
 
 
+class TestMerge:
+    """``merge`` places the rows of two canonical sums with no key in common
+    at their indices in the sorted union, on either side of the 32-qubit key
+    boundary, and sorts nothing."""
+
+    @staticmethod
+    def _splits(n: int, seed: int):
+        """(a, b, their sorted union) for parts of a canonical sum over ``n``
+        qubits: random sides, b wholly before or after a, an empty side, both
+        empty."""
+        rng = np.random.default_rng(seed)
+        x, z = _boundary_masks(n, 300, rng), _boundary_masks(n, 300, rng)
+        p = _packed._canonical(n, x, z, rng.normal(size=300))
+        assert len(p) > 20
+
+        def rows(mask):
+            return _packed.PackedSum(n, p.x[mask], p.z[mask], p.c[mask])
+
+        side = rng.random(len(p)) < 0.5
+        low = np.arange(len(p)) < len(p) // 3
+        none = np.zeros(len(p), dtype=bool)
+        return [
+            (rows(side), rows(~side), p),
+            (rows(~low), rows(low), p),
+            (rows(low), rows(~low), p),
+            (rows(none), p, p),
+            (p, rows(none), p),
+            (rows(none), rows(none), rows(none)),
+        ]
+
+    @pytest.mark.parametrize("n", [4, 32, 33, 63, 64])
+    def test_sorted_union(self, n):
+        for a, b, union in self._splits(n, 110 + n):
+            merged = _packed.merge(a, b)
+            assert_same(merged, union)
+            assert merged.x.dtype == merged.z.dtype == np.uint64 and merged.c.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [4, 33])
+    def test_sorts_nothing(self, n, monkeypatch):
+        splits = self._splits(n, 120 + n)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("merge sorted keys")
+
+        monkeypatch.setattr(_packed, "_sort", no_sort)
+        monkeypatch.setattr(np, "argsort", no_sort)
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        for a, b, _ in splits:
+            _packed.merge(a, b)
+
+
 class TestPrune:
     def test_zero_threshold(self):
         rng = np.random.default_rng(13)

@@ -9,7 +9,7 @@ import pytest
 from iqcc import _packed
 from iqcc._packed import expectation_packed, pack
 from iqcc.driver import IqccConfig, run_iqcc
-from iqcc.engine import coset_plan, qcc_energy_and_gradient
+from iqcc.engine import qcc_energy_and_gradient
 from iqcc.errors import CapacityError, DimensionError
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import ReferenceState, dress_sequence
@@ -18,6 +18,7 @@ from helpers import (
     assert_same,
     assert_same_plan,
     chain_gradient,
+    coset_plan,
     drawn_sum,
     random_generator,
     random_hermitian_sum,
