@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from ._packed import PackedSum
+from ._packed import PackedSum, ReferenceState
 from .driver import (
     GapResult,
     IqccConfig,
@@ -19,4 +19,4 @@ from .fcidump import MolecularIntegrals, load_fcidump, parse_fcidump, select_cas
 from .mapping import jordan_wigner, penalize, reference_state, spin_operators
 from .optimizer import OptimizationResult, minimize
 from .pauli import PauliWord, parse_word, render_word
-from .pauli_sum import ReferenceState, dress_sequence, prune
+from .pauli_sum import dress_sequence, prune

@@ -1,23 +1,27 @@
 """Vectorized kernels over packed Pauli-sum arrays: the one implementation of
 dressing, ranking statistics, energy and gradient.
 
-``PackedSum`` is the one Pauli-sum type of the package: three parallel
-arrays, x and z masks as uint64 and float64 coefficients, lexsorted by
-(x, z) with exact duplicates merged and exact zeros dropped.  ``_canonical``
-puts rows in that form, ``pack`` builds a sum from (PauliWord, coefficient)
-pairs and ``unpack`` lists them again.  The uint64 masks bound the envelope
-at ``pauli_sum.MAX_QUBITS`` (64) qubits; ``pack`` rejects wider sums with
-:class:`CapacityError`.  Dressing reproduces the scalar term-by-term
-reference (``reference_dress`` in ``tests/helpers.py``) bit for bit, because
-every output key receives at most two float contributions and addition is
-commutative in IEEE 754.  With x the primary key each x-group is one slice,
-which ``block_statistics`` reduces over, and the diagonal (x == 0) rows are
-the first rows: ``block_statistics`` and ``expectation_packed`` take them as
-a prefix slice, found by one binary search, and the off-diagonal rows as the
-rest.  The ranking and the PT correction read ``block_statistics``' arrays
-as they are.  A block's D is one left-to-right sum over the diagonal rows in
-key order, whatever the row and block counts: a cumsum, not a matmul, whose
-summation order BLAS picks by thread count.
+The bottom layer of the Pauli-sum code: it imports only ``pauli`` and
+``errors``.  ``PackedSum`` is the one Pauli-sum type of the package: three
+parallel arrays, x and z masks as uint64 and float64 coefficients,
+lexsorted by (x, z) with exact duplicates merged and exact zeros dropped.
+``_canonical`` puts rows in that form, ``pack`` builds a sum from
+(PauliWord, coefficient) pairs and ``unpack`` lists them again.  The uint64
+masks bound the envelope at ``MAX_QUBITS`` (64) qubits
+(``check_qubit_bound``); ``pack`` rejects wider sums with
+:class:`CapacityError`.  ``ReferenceState`` is the product state that the
+expectation, the ranking statistics and a cut are taken in.  Dressing
+reproduces the scalar term-by-term reference (``reference_dress`` in
+``tests/helpers.py``) bit for bit, because every output key receives at
+most two float contributions and addition is commutative in IEEE 754.  With
+x the primary key each x-group is one slice, which ``block_statistics``
+reduces over, and the diagonal (x == 0) rows are the first rows:
+``block_statistics`` and ``expectation_packed`` take them as a prefix
+slice, found by one binary search, and the off-diagonal rows as the rest.
+The ranking and the PT correction read ``block_statistics``' arrays as they
+are.  A block's D is one left-to-right sum over the diagonal rows in key
+order, whatever the row and block counts: a sum down a column, not a
+matmul, whose summation order BLAS picks by thread count.
 
 Rows are put in key order in one place.  ``_key`` builds the sort key of
 rows and is the one place its width is chosen: up to 32 qubits one uint64
@@ -26,12 +30,11 @@ pair; above, the two columns (x, z).  ``_masks`` splits a key back into
 masks, ``_sort`` is the one stable sort of a key (argsort or ``lexsort``,
 the same permutation), ``_rank`` the one search of a sorted key, and
 ``_group`` the one grouping: the sorted table of distinct keys and each
-row's slot in it, the same at either width.
-``_sorted_keys`` is ``_group`` from masks to masks; ``_canonical`` (so
-``pack`` and ``from_json_dict``) takes its keys and slots from it and sums
-each key's rows by slot, left to right in row order, as the scalar
-references do.  The Jordan-Wigner table in ``mapping`` is kept as its key
-between blocks and grouped by ``_group`` directly.
+row's slot in it, the same at either width.  ``_canonical`` (so ``pack``
+and ``from_json_dict``) groups the rows' key by ``_group``, splits the table
+by ``_masks`` and sums each key's rows by slot, left to right in row order,
+as the scalar references do.  The Jordan-Wigner table in ``mapping`` is
+kept as its key between blocks and grouped by ``_group`` too.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records each layer as one list of contributions
@@ -61,10 +64,11 @@ without a sort (``_add`` is the add of sums that share keys): ``_rank``
 finds where each row of one falls among the other's keys, and every row is
 placed at its index in the union.  Each layer is linear in its input and
 the energy is d . c_L, with d the signed indicator of the diagonal rows
-(``_reference_sign``, taken once per cut), so ``energy_and_gradient`` sums
-d * c_L for the energy and takes the gradient by one reverse pass of d
-through the same contributions: one gather of lambda, the two gradient sums
-over slices and one ``np.bincount`` per layer.
+(``_reference_sign``, taken once per cut and held by it), so
+``energy_and_gradient``, whose one input is a cut, sums d * c_L for the
+energy and takes the gradient by one reverse pass of d through the same
+contributions: one gather of lambda, the two gradient sums over slices and
+one ``np.bincount`` per layer.
 """
 
 from __future__ import annotations
@@ -76,10 +80,34 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, HermiticityError
 from .pauli import PauliWord, render_masks
-from .pauli_sum import ReferenceState, check_qubit_bound
 
-_D_CHUNK_ENTRIES = 1 << 18  # blocks x diagonal rows per D chunk: ~17 bytes each at the peak
+MAX_QUBITS = 64  # width of the uint64 masks
+_D_CHUNK_ENTRIES = 1 << 18  # diagonal rows x blocks per D chunk: ~9 bytes each at the peak
 _PAIR = np.dtype([("x", np.uint64), ("z", np.uint64)])  # a two-column key's row
+
+
+def check_qubit_bound(n_qubits: int) -> None:
+    """Reject a negative qubit count, or one wider than the masks."""
+    if n_qubits < 0:
+        raise DimensionError(f"negative qubit count {n_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit bound")
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceState:
+    """Fixed qubit product state: bit j set means qubit j occupied (spin-down).
+
+    Occupied means z-eigenvalue -1, and ``occupation`` is the state's index
+    in the oracle's basis.  The state never changes during iQCC iterations.
+    """
+
+    occupation: int
+    n_qubits: int
+
+    def __post_init__(self):
+        if self.occupation & ~((1 << self.n_qubits) - 1):
+            raise DimensionError("occupation mask exceeds qubit count")
 
 
 def _reference_sign(z: np.ndarray, ref: ReferenceState) -> np.ndarray:
@@ -151,16 +179,11 @@ def _group(key: tuple):
     return slot, table
 
 
-def _sorted_keys(n_qubits: int, x: np.ndarray, z: np.ndarray):
-    """``_group`` of the rows' ``_key``, its table as masks: (slot, x, z)."""
-    slot, table = _group(_key(n_qubits, x, z))
-    return (slot, *_masks(n_qubits, table))
-
-
 def _canonical(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PackedSum:
     """The rows (x, z, c) as a canonical sum: sorted, each key's rows summed
     left to right in row order, zeros dropped."""
-    slot, x, z = _sorted_keys(n_qubits, x, z)
+    slot, table = _group(_key(n_qubits, x, z))
+    x, z = _masks(n_qubits, table)
     summed = np.bincount(slot, weights=c, minlength=len(x))
     keep = summed != 0.0
     return PackedSum(n_qubits, x[keep], z[keep], summed[keep])
@@ -282,11 +305,11 @@ class DressPlan:
     """The dressing of a fixed sum by fixed generators, at any amplitudes.
 
     ``x``/``z`` are the keys of the last layer: every key any amplitude can
-    reach, or in a ``live_plan`` cut (``cut`` True) the diagonal ones.  A
-    cut is made for one reference state, ``ref``, and holds ``d``, the
-    reference sign of each of its rows (``_reference_sign``), from which
-    every evaluation's reverse pass starts.  ``len`` is the number of input
-    rows.  Layer j takes the j-th amplitude of a replay.
+    reach, or in a ``live_plan`` cut the diagonal ones.  A plan is a cut
+    when it holds ``d``, the sign of each of its rows in the reference state
+    it was cut for (``_reference_sign``), from which every evaluation's
+    reverse pass starts.  ``len`` is the number of input rows.  Layer j
+    takes the j-th amplitude of a replay.
     """
 
     n_qubits: int
@@ -294,12 +317,11 @@ class DressPlan:
     layers: tuple[PlanLayer, ...]
     x: np.ndarray
     z: np.ndarray
-    ref: ReferenceState | None = None  # a cut's reference state
     d: np.ndarray | None = None  # a cut's read-only +-1.0 per row
 
     @property
     def cut(self) -> bool:
-        return self.ref is not None
+        return self.d is not None
 
     def __len__(self) -> int:
         return len(self.c)
@@ -379,7 +401,8 @@ def plan_chain(p: PackedSum, generators, max_terms: int | None = None) -> DressP
 
 def live_plan(plan: DressPlan, ref: ReferenceState) -> DressPlan:
     """``plan``, a plan from ``plan_chain``, cut to the rows an optimizer
-    evaluation in ``ref`` reads; a plan already cut raises ``ValueError``.
+    evaluation in ``ref`` reads; a plan already cut raises ``ValueError``,
+    and a reference over another qubit count :class:`DimensionError`.
 
     A last-layer row is read if it is diagonal: only those carry the energy
     and only those start the reverse pass of ``energy_and_gradient``.  An
@@ -394,6 +417,8 @@ def live_plan(plan: DressPlan, ref: ReferenceState) -> DressPlan:
     """
     if plan.cut:
         raise ValueError("live_plan cuts a plan from plan_chain, not a cut plan")
+    if plan.n_qubits != ref.n_qubits:
+        raise DimensionError("sum and reference state qubit counts differ")
     live = diagonal = plan.x == 0
     row_out = np.cumsum(live, dtype=np.intp) - 1
     n_out = int(np.count_nonzero(live))
@@ -423,8 +448,7 @@ def live_plan(plan: DressPlan, ref: ReferenceState) -> DressPlan:
     d = _reference_sign(z, ref)
     d.flags.writeable = False
     return replace(
-        plan, c=plan.c[live], layers=tuple(reversed(layers)), x=plan.x[diagonal], z=z,
-        ref=ref, d=d,
+        plan, c=plan.c[live], layers=tuple(reversed(layers)), x=plan.x[diagonal], z=z, d=d
     )
 
 
@@ -472,38 +496,31 @@ def _sum(a: np.ndarray) -> float:
     return float(a.cumsum()[-1]) if len(a) else 0.0
 
 
-def energy_and_gradient(
-    plan: DressPlan, amplitudes, ref: ReferenceState
-) -> tuple[float, list[float]]:
-    """<0|H_L|0> and its derivative in each amplitude, from one plan.
+def energy_and_gradient(cut: DressPlan, amplitudes) -> tuple[float, list[float]]:
+    """<0|H_L|0> and its derivative in each amplitude, in the reference state
+    ``cut`` was made for.
 
-    ``plan`` is a ``live_plan`` cut for ``ref``, with one amplitude per
-    layer, else ``ValueError``; a ``plan_chain`` plan is cut first, which
-    gives the same numbers.  E = d . c_L with d the signed indicator of the
-    diagonal rows, the cut's ``d``: the energy sums d * c_L over the non-zero
-    diagonal rows in key order, the array that ``expectation_packed`` sums
-    for ``run_plan``'s sum.  lambda = dE/dc pulls back from d through each
+    ``cut`` is a ``live_plan`` cut with one amplitude per layer, else
+    ``ValueError``.  E = d . c_L with d the signed indicator of the diagonal
+    rows, the cut's ``d``: the energy sums d * c_L over the non-zero diagonal
+    rows in key order, the array that ``expectation_packed`` sums for
+    ``run_plan``'s sum.  lambda = dE/dc pulls back from d through each
     layer: one gather of lambda at the contributions' output rows, times
     their factors, summed at their source rows.  With c a layer's input,
-    dE/dt is cos(t) times the sum of
-    sign * lambda * c over the spawned rows, minus sin(t) times the sum of
-    lambda * c over the anticommuting base rows, each left to right in
-    source order.
+    dE/dt is cos(t) times the sum of sign * lambda * c over the spawned
+    rows, minus sin(t) times the sum of lambda * c over the anticommuting
+    base rows, each left to right in source order.
     """
-    if plan.n_qubits != ref.n_qubits:
-        raise DimensionError("sum and reference state qubit counts differ")
-    trig = _trig(plan, amplitudes)
-    if not plan.cut:
-        plan = live_plan(plan, ref)
-    elif plan.ref != ref:
-        raise ValueError("the cut was made for another reference state")
-    cs = list(_replay(plan, trig))
+    if not cut.cut:
+        raise ValueError("energy_and_gradient evaluates a live_plan cut, not a full plan")
+    trig = _trig(cut, amplitudes)
+    cs = list(_replay(cut, trig))
     c = cs[-1]
-    lam = plan.d  # every row of a cut is diagonal
+    lam = cut.d  # every row of a cut is diagonal
     energy = float(np.sum((lam * c)[c != 0.0]))
-    grad = [0.0] * len(plan.layers)
-    for k in reversed(range(len(plan.layers))):
-        layer, (cos_t, sin_t), c = plan.layers[k], trig[k], cs[k]
+    grad = [0.0] * len(cut.layers)
+    for k in reversed(range(len(cut.layers))):
+        layer, (cos_t, sin_t), c = cut.layers[k], trig[k], cs[k]
         lam = lam[layer.dest]
         # the anticommuting base rows, then the spawned ones
         at_anti = lam[layer.n_quiet:layer.n_base]
@@ -577,9 +594,9 @@ def block_statistics(
     omega_signed = <0|I_k|0> times the reference z-eigenvalue at the lowest
     x position (the sign of dE/dt at t=0 for the canonical generator), and
     D = <0|T H T - H|0> = -2 * sum of diagonal terms anticommuting with the
-    generator, left to right in key order: a cumsum along each block's row of
-    a blocks x diagonal-rows array, in chunks of ``_D_CHUNK_ENTRIES``, not a
-    matmul, whose order BLAS picks by thread count.  Raises on odd-y words
+    generator, left to right in key order: one sum down each block's column
+    of a diagonal-rows x blocks array, in chunks of ``_D_CHUNK_ENTRIES``, not
+    a matmul, whose order BLAS picks by thread count.  Raises on odd-y words
     (non-hermitian input).
     """
     check_even_y(p)
@@ -603,7 +620,10 @@ def block_statistics(
     if n_diag:
         step = max(1, _D_CHUNK_ENTRIES // n_diag)
         for lo in range(0, len(xs), step):
-            # a uint8 of 0 or 1 is a valid bool: the mask is a view, not a compare
-            odd = (np.bitwise_count(xs[lo:lo + step, None] & diag_z) & 1).view(bool)
-            d_values[lo:lo + step] = np.cumsum(np.where(odd, minus_2v, 0.0), axis=1)[:, -1]
+            # numpy sums down the rows of two or more columns left to right,
+            # and a lone column pairwise: a zero x, which meets no row, pads
+            # the chunk.  A uint8 of 0 or 1 is a valid bool: a view, not a compare.
+            x_cols = np.append(xs[lo:lo + step], np.uint64(0))
+            odd = (np.bitwise_count(diag_z[:, None] & x_cols) & 1).view(bool)
+            d_values[lo:lo + step] = np.where(odd, minus_2v[:, None], 0.0).sum(axis=0)[:-1]
     return xs, omega_signed, d_values

@@ -22,6 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__
+from ._packed import MAX_QUBITS
 from .driver import (
     GapResult,
     IqccConfig,
@@ -36,7 +37,7 @@ from .fcidump import MolecularIntegrals, load_fcidump, select_cas
 from .mapping import jordan_wigner, reference_state, spin_operators
 from .pauli import parse_word
 # to_json_dict stays bound here, where bench/spans.py times it
-from .pauli_sum import MAX_QUBITS, _json_key, from_json_dict, terms_json, to_json_dict
+from .pauli_sum import _json_key, from_json_dict, terms_json, to_json_dict
 
 # the config keys are IqccConfig's fields
 _DEFAULTS = asdict(IqccConfig())

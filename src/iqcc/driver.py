@@ -7,18 +7,19 @@ per X-string block on those arrays, warm-starts the top L amplitudes from
 the closed-form estimates, splits off the rows in the span of those
 generators' x masks (``_packed.span_split``) and plans their dressing
 (``_packed.plan_chain``).  It minimizes the QCC energy on that plan, cut to
-the rows an evaluation reads (``live_plan``): each L-BFGS evaluation is
-``qcc_energy_and_gradient`` of the cut at its amplitudes.  It then folds
-the optimized entanglers into the Hamiltonian by exact dressing: the plan
-replayed once at the optimum, merged with the dressing of the rows outside
-the span, which no evaluation needed.  It then prunes numerically dead
-terms and adds a perturbative estimate of the energy still recoverable from
-the generators that were not selected.  Each stage frees the sum it read
-once the next one holds its rows: the split frees the Hamiltonian, the plan
-the rows it planned, and ``_packed.merge`` places the two dressed parts
-without a sort.  The reference state never changes.  The Hamiltonian is a
-``PackedSum`` from the mapping through every stage and into
-``RunResult.final_hamiltonian``.
+the rows an evaluation reads in the reference state (``live_plan``): each
+L-BFGS evaluation is ``qcc_energy_and_gradient(cut, amplitudes)``, and the
+cut carries its reference signs.  It then folds the optimized entanglers
+into the Hamiltonian by exact dressing: the plan replayed once at the
+optimum, merged with the dressing of the rows outside the span, which no
+evaluation needed.  It then prunes numerically dead terms and adds a
+perturbative estimate of the energy still recoverable from the generators
+that were not selected.  Each stage frees the sum it read once the next one
+holds its rows: the split frees the Hamiltonian, the plan the rows it
+planned, each generator's step on the outside rows the step before it, and
+``_packed.merge`` places the two dressed parts without a sort.  The
+reference state never changes.  The Hamiltonian is a ``PackedSum`` from the
+mapping through every stage and into ``RunResult.final_hamiltonian``.
 
 The records are the one account of what a run applied: record r applied
 exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
@@ -51,7 +52,7 @@ from .errors import CapacityError, IterationAbort, OptimizationError
 from .fcidump import MolecularIntegrals
 from .mapping import jordan_wigner, penalize, reference_state
 from .optimizer import MAX_EVALUATIONS, minimize
-from .pauli_sum import ReferenceState, dress_sequence, prune
+from .pauli_sum import dress_sequence, prune
 
 HARTREE_TO_EV = 27.211386245988  # CODATA
 
@@ -140,7 +141,7 @@ class RunResult:
     final_energy: float
     final_energy_with_pt: float
     converged: bool
-    reference: ReferenceState
+    reference: _packed.ReferenceState
     final_hamiltonian: _packed.PackedSum
 
     @property
@@ -172,17 +173,19 @@ def pt_correction(
 
     omega and D are read from ``blocks``, the ``_packed.block_statistics`` of
     the current, freshly dressed Hamiltonian; a support with no block there
-    adds nothing.  Summed in rank order, every summand <= 0.
+    adds nothing: one ``searchsorted`` of the sorted supports and an
+    equality test find the blocks.  Summed in rank order, every summand <= 0.
     """
     xs, omega_signed, d_values = blocks
-    found = np.searchsorted(xs, remainder[np.isin(remainder, xs)])
+    at = np.searchsorted(xs, remainder)
+    found = at[np.append(xs, np.uint64(0))[at] == remainder]  # no block has x == 0
     total = 0.0
     for w, d in zip(omega_signed[found].tolist(), d_values[found].tolist()):
         total += estimate_amplitude(w, d)[1]
     return total
 
 
-def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> RunResult:
+def run_iqcc(h0: _packed.PackedSum, ref: _packed.ReferenceState, cfg: IqccConfig) -> RunResult:
     """Iterate rank -> optimize -> dress -> prune -> correct until converged.
 
     Ranking, optimizer and PT read ``h0`` penalized (``cfg.mu``, targeting
@@ -217,22 +220,23 @@ def run_iqcc(h0: _packed.PackedSum, ref: ReferenceState, cfg: IqccConfig) -> Run
             # the cut gives the plan's numbers; it lives only while L-BFGS runs
             live = _packed.live_plan(plan, ref)
             optimized_terms, evaluated_terms = len(plan), len(live)
-            opt = minimize(lambda t: qcc_energy_and_gradient(live, t, ref),
+            opt = minimize(lambda t: qcc_energy_and_gradient(live, t),
                            np.array([g.t_estimate for g in selected]), cfg.max_evaluations)
             del live
             amplitudes = tuple(opt.t_opt.tolist())
             # the coset's dressing is the plan's replay; the plan is freed
-            # before the rows outside the coset are dressed one generator at a
-            # time, and both parts once they are merged
+            # before the rows outside the coset are dressed, and both parts
+            # once they are merged
             coset = _packed.run_plan(plan, amplitudes)
             del plan
-            dressed = dress_sequence(outside, zip(gens, amplitudes), budget)
-            del outside
-            n_terms = len(coset) + len(dressed)  # the rows merge allocates
+            for pair in zip(gens, amplitudes):
+                # one call per generator: one call for all L holds the undressed rows to the end
+                outside = dress_sequence(outside, (pair,), budget)
+            n_terms = len(coset) + len(outside)  # the rows merge allocates
             if n_terms > budget:
                 raise CapacityError(f"term count {n_terms} exceeds budget {budget}")
-            h = _packed.merge(coset, dressed)
-            del coset, dressed
+            h = _packed.merge(coset, outside)
+            del coset, outside
             h, dropped = prune(h, cfg.prune_threshold)
         except CapacityError as exc:
             raise IterationAbort(f"{exc} at iteration {index}", records=records) from exc

@@ -29,7 +29,9 @@ every layer of the plan, so the gradient is one reverse pass of the
 diagonal through the same plan.  The same plan, replayed once at the
 optimum, dresses those rows into the next Hamiltonian.  Dressing, energy
 and gradient are the kernels in ``_packed``; an evaluation is
-``qcc_energy_and_gradient(plan, amplitudes, ref)``, which is the kernel.
+``qcc_energy_and_gradient(cut, amplitudes)``, which is the kernel: ``cut``
+is the plan's ``live_plan`` cut, which carries the reference signs of its
+rows.
 """
 
 from __future__ import annotations

@@ -51,11 +51,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import _packed
-from ._packed import PackedSum, _group, _key, _masks
+from ._packed import MAX_QUBITS, PackedSum, ReferenceState, _group, _key, _masks
 from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
 from .pauli import render_masks
-from .pauli_sum import MAX_QUBITS, ReferenceState
 
 # Ladder products expanded at once, 2**F Pauli rows each: the block bounds
 # the temporaries, and each block re-sorts the table once.

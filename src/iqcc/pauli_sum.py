@@ -2,9 +2,11 @@
 
 Coefficients are in Hartree throughout.  A sum is a ``_packed.PackedSum``:
 words as (x, z) masks, sorted by key, with real coefficients and no zeros.
-``from_json_dict`` rejects at load a sum over more than ``MAX_QUBITS`` (64)
-qubits (:class:`CapacityError`), a negative qubit count, a qubit count or
-electron metadata (``n_electrons``, ``ms2``, where given) that is not a JSON
+This module builds on ``_packed``, which it imports once, and looks its
+kernels up on that module at each call.  ``from_json_dict`` rejects at load
+a sum over more than ``_packed.MAX_QUBITS`` (64) qubits
+(:class:`CapacityError`), a negative qubit count, a qubit count or electron
+metadata (``n_electrons``, ``ms2``, where given) that is not a JSON
 integer, a negative ``ms2``, a coefficient that is not a JSON number (a JSON
 bool is neither), a non-finite coefficient and an odd-y word (an imaginary
 matrix in a real Hamiltonian); a missing key, a non-list ``terms`` or a
@@ -15,8 +17,9 @@ non-string word is a ``ValueError`` naming the key.
   keeps cos(t) of its coefficient and spawns i*P*T with a sin(t)-weighted
   real coefficient.  It is tested against the scalar ``reference_dress`` in
   ``tests/helpers.py``.
-* ``prune`` drops small terms and reports the dropped absolute weight, an
-  upper bound on the spectral-norm perturbation.
+* ``prune`` drops the terms with |c| below the threshold and reports their
+  absolute weight, summed left to right by ``_packed._sum``: an upper bound
+  on the spectral-norm perturbation.
 * ``to_json_dict`` writes the terms in (weight, x, z) order, rendered from
   the masks; ``from_json_dict`` parses the words to masks and sums
   duplicate words in ``_packed._canonical``.
@@ -33,47 +36,19 @@ are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import replace
+from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, InvalidGeneratorError
+from . import _packed
+from .errors import DimensionError, InvalidGeneratorError
 from .pauli import PauliWord, parse_masks, render_word, render_words
-
-if TYPE_CHECKING:  # _packed builds on this module
-    from ._packed import PackedSum
-
-MAX_QUBITS = 64  # width of the uint64 masks of the packed kernels
-
-
-def check_qubit_bound(n_qubits: int) -> None:
-    """Reject a negative qubit count, or one wider than the packed masks."""
-    if n_qubits < 0:
-        raise DimensionError(f"negative qubit count {n_qubits}")
-    if n_qubits > MAX_QUBITS:
-        raise CapacityError(f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit bound")
-
-
-@dataclass(frozen=True, slots=True)
-class ReferenceState:
-    """Fixed qubit product state: bit j set means qubit j occupied (spin-down).
-
-    Occupied means z-eigenvalue -1, and ``occupation`` is the state's index
-    in the oracle's basis.  The state never changes during iQCC iterations.
-    """
-
-    occupation: int
-    n_qubits: int
-
-    def __post_init__(self):
-        if self.occupation & ~((1 << self.n_qubits) - 1):
-            raise DimensionError("occupation mask exceeds qubit count")
 
 
 def dress_sequence(
-    p: PackedSum, gens: Iterable[tuple[PauliWord, float]], max_terms: int | None = None
-) -> PackedSum:
+    p: _packed.PackedSum, gens: Iterable[tuple[PauliWord, float]], max_terms: int | None = None
+) -> _packed.PackedSum:
     """Conjugate the packed sum ``p`` by each (generator, amplitude) pair in
     Ansatz order; returns a packed sum, ``p`` itself when every amplitude is 0.
 
@@ -92,15 +67,13 @@ def dress_sequence(
             )
         if not math.isfinite(t_opt):
             raise ValueError(f"non-finite amplitude {t_opt!r}")
-    from . import _packed
-
     for t_gen, t_opt in pairs:
         # looked up on the module per call, where the benchmark's tracer patches it
         p = _packed.dress_packed(p, t_gen, t_opt, max_terms)
     return p
 
 
-def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
+def prune(p: _packed.PackedSum, threshold: float) -> tuple[_packed.PackedSum, float]:
     """Drop terms with |coefficient| < threshold; report dropped weight."""
     if not 0 <= threshold < math.inf:  # False for NaN
         raise ValueError("prune threshold must be finite and >= 0")
@@ -109,23 +82,22 @@ def prune(p: PackedSum, threshold: float) -> tuple[PackedSum, float]:
     mag = abs(p.c)
     keep = mag >= threshold
     # gathered by index: a mask scattered row by row compresses ~4x slower;
-    # cumsum adds left to right, unlike np.sum (pairwise): the CSV and the
-    # digest hold the weight's last bits
+    # the weight is summed left to right, unlike np.sum (pairwise): the CSV
+    # and the digest hold its last bits
     kept, small = np.flatnonzero(keep), mag[np.flatnonzero(~keep)]
-    dropped = float(np.cumsum(small)[-1]) if len(small) else 0.0
-    return replace(p, x=p.x[kept], z=p.z[kept], c=p.c[kept]), dropped
+    return replace(p, x=p.x[kept], z=p.z[kept], c=p.c[kept]), _packed._sum(small)
 
 
 # -- serialization ---------------------------------------------------------
 
 
-def _sorted_terms(p: PackedSum) -> tuple[list[str], list[float]]:
+def _sorted_terms(p: _packed.PackedSum) -> tuple[list[str], list[float]]:
     """The rendered words and the coefficients in (weight, x, z) order."""
     order = np.lexsort((p.z, p.x, np.bitwise_count(p.x | p.z)))
     return render_words(p.x[order], p.z[order], p.n_qubits), p.c[order].tolist()
 
 
-def to_json_dict(p: PackedSum) -> dict:
+def to_json_dict(p: _packed.PackedSum) -> dict:
     """JSON-ready form, terms in (weight, x, z) order.
 
     A float's repr round-trips it, so the coefficients keep all their bits.
@@ -141,7 +113,7 @@ def to_json_dict(p: PackedSum) -> dict:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def terms_json(p: PackedSum) -> str:
+def terms_json(p: _packed.PackedSum) -> str:
     """``to_json_dict(p)["terms"]`` as ``json.dumps(..., indent=2)`` writes it
     as a value of the top-level object, byte for byte.
 
@@ -176,17 +148,15 @@ def _json_key(obj, key: str, where: str, kind: type = object):
     return obj[key]
 
 
-def from_json_dict(data: dict) -> PackedSum:
+def from_json_dict(data: dict) -> _packed.PackedSum:
     """``to_json_dict``'s inverse, with the load checks the module lists."""
-    from . import _packed
-
     n = _json_key(data, "n_qubits", "qubit JSON")
     for key in ("n_qubits", "n_electrons", "ms2"):  # the electron counts where given
         if isinstance(data.get(key, 0), bool) or not isinstance(data.get(key, 0), int):
             raise ValueError(f"{key} needs a JSON integer: {data[key]!r:.80}")
     if data.get("ms2", 0) < 0:
         raise ValueError(f"ms2 {data['ms2']} must be >= 0")
-    check_qubit_bound(n)
+    _packed.check_qubit_bound(n)
     x, z, c = [], [], []
     for term in _json_key(data, "terms", "qubit JSON", list):
         text = _json_key(term, "word", "a term")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import iqcc
+from iqcc import ReferenceState, _packed
 from iqcc._packed import expectation_packed
 from iqcc.driver import (
     HARTREE_TO_EV,
@@ -26,7 +27,7 @@ from iqcc.engine import MAX_GENERATORS, estimate_amplitude, qcc_energy_and_gradi
 from iqcc.errors import CapacityError
 from iqcc.mapping import reference_state
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import ReferenceState, dress_sequence
+from iqcc.pauli_sum import dress_sequence
 
 from helpers import coset_plan, random_generator, random_hermitian_sum, to_matrix
 
@@ -180,8 +181,8 @@ class TestAcceptance:
                 (random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)
             ]
             gens, ts = zip(*pairs)
-            plan, _ = coset_plan(h, gens)
-            _, grad = qcc_energy_and_gradient(plan, ts, ref)
+            live = _packed.live_plan(coset_plan(h, gens)[0], ref)
+            _, grad = qcc_energy_and_gradient(live, ts)
             fd = []
             for j in range(L):
                 up = list(ts)

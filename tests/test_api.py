@@ -1,7 +1,8 @@
 """Every function and method of ``src/iqcc`` has a caller in the package, and
 every name a module imports is used in it, or is a name the benchmark's
 tracer patches there (``bench/spans.py``): a definition that only tests
-reach belongs in ``tests/helpers.py`` or nowhere."""
+reach belongs in ``tests/helpers.py`` or nowhere.  The modules import one
+another without a cycle, so each layer builds only on the ones below it."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,45 @@ def test_every_import_is_used():
                     if name not in used and (f"iqcc.{path.stem}", name) not in patched:
                         unused.append(f"{path.stem}: {name}")
     assert not unused, f"imported and never used: {', '.join(unused)}"
+
+
+def _imported_modules(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The package modules ``tree`` imports anywhere, function-local imports
+    included: ``from . import m``, ``from .m import ...``, ``import iqcc.m``
+    and their absolute spellings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("iqcc.")}
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0 and path[0] != "iqcc":
+                continue  # outside the package
+            inside = path[1:] if node.level == 0 else [p for p in path if p]
+            if inside:
+                found.add(inside[0])
+            else:  # the package itself: the names are its modules
+                found |= {alias.name for alias in node.names}
+    return found & modules
+
+
+def test_module_imports_have_no_cycle():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    graph = {
+        module: _imported_modules(ast.parse((PACKAGE / f"{module}.py").read_text()), modules)
+        for module in sorted(modules)
+    }
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError(f"import cycle: {' -> '.join(cycle)}")
+        if module not in done:
+            for imported in sorted(graph[module]):
+                visit(imported, path + [module])
+            done.add(module)
+
+    for module in graph:
+        visit(module, [])

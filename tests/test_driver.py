@@ -1,10 +1,11 @@
 import hashlib
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from iqcc import _packed, driver
+from iqcc import ReferenceState, _packed, driver
 from iqcc._packed import pack
 from iqcc.driver import (
     HARTREE_TO_EV,
@@ -22,7 +23,7 @@ from iqcc.fcidump import select_cas
 from iqcc.mapping import jordan_wigner, penalize, reference_state, spin_operators
 from iqcc.oracle import ground_state, spin_resolved_spectrum
 from iqcc.pauli import parse_word
-from iqcc.pauli_sum import ReferenceState, dress_sequence
+from iqcc.pauli_sum import dress_sequence
 
 from helpers import (
     ansatz_unitary,
@@ -158,19 +159,24 @@ class TestRunIqcc:
         _, h, ref = h4_problem
         sizes = {}
 
-        def spy(name, fn):
+        def spy(name, fn, first):
             def wrapper(*args):
                 out = fn(*args)
-                # the first run_plan is the coset's; dress_packed makes the rest
-                sizes.setdefault(name, len(out))
+                # the first run_plan is the coset's, dress_packed makes the
+                # rest; the last dress_sequence gives the dressed outside rows
+                if first:
+                    sizes.setdefault(name, len(out))
+                else:
+                    sizes[name] = len(out)
                 return out
             return wrapper
 
         def no_merge(*args):
             raise AssertionError("merge ran over budget")
 
-        monkeypatch.setattr(_packed, "run_plan", spy("coset", _packed.run_plan))
-        monkeypatch.setattr(driver_mod, "dress_sequence", spy("outside", driver_mod.dress_sequence))
+        monkeypatch.setattr(_packed, "run_plan", spy("coset", _packed.run_plan, True))
+        monkeypatch.setattr(driver_mod, "dress_sequence",
+                            spy("outside", driver_mod.dress_sequence, False))
         monkeypatch.setattr(_packed, "merge", no_merge)
         cfg = IqccConfig(generators_per_iteration=4, memory_budget_terms=500)
         with pytest.raises(IterationAbort, match="term count 795 exceeds budget 500") as err:
@@ -217,6 +223,42 @@ class TestRunIqcc:
         assert len(run_iqcc(h, ref, cfg).records) == 4
         assert len(inputs) == 3 and len(seen[-1]) == 3
         assert not any(any(alive) for alive in seen)
+
+    def test_outside_rows_released_after_their_first_generator(self, lih_problem, monkeypatch):
+        # the rows outside the coset are dressed one generator per call: the
+        # iteration's undressed outside sum is freed once the first step has
+        # built its successor, so no later step holds it
+        _, h, ref = lih_problem
+        split, dress = _packed.span_split, _packed.dress_packed
+        outside, alive = [], []
+
+        def spy_split(p, generators):
+            parts = split(p, generators)
+            outside.append(weakref.ref(parts[1]))
+            alive.append([])
+            return parts
+
+        def spy_dress(*args):
+            alive[-1].append(outside[-1]() is not None)
+            return dress(*args)
+
+        monkeypatch.setattr(_packed, "span_split", spy_split)
+        monkeypatch.setattr(_packed, "dress_packed", spy_dress)
+        cfg = IqccConfig(generators_per_iteration=8, energy_convergence=1e-6, max_iterations=4)
+        assert len(run_iqcc(h, ref, cfg).records) == 4
+        assert alive == [[True] + [False] * 7] * 4
+
+    def test_stops_when_the_change_equals_the_tolerance(self, h4_problem):
+        # a run stops once |E_k - E_(k-1)| <= energy_convergence: a tolerance
+        # equal to the first iteration's change stops after it, and the next
+        # double below it runs on
+        _, h, ref = h4_problem
+        first = run_iqcc(h, ref, IqccConfig(generators_per_iteration=4, max_iterations=1))
+        change = abs(first.records[0].energy - first.initial_energy)
+        for tolerance, n_records in ((change, 1), (math.nextafter(change, 0.0), 2)):
+            cfg = IqccConfig(generators_per_iteration=4, energy_convergence=tolerance)
+            res = run_iqcc(h, ref, cfg)
+            assert res.converged and len(res.records) == n_records
 
 
 class TestFinalHamiltonianPinned:
@@ -324,7 +366,7 @@ class TestOneRepresentation:
     def test_packed_once_never_unpacked(self, h4_problem, monkeypatch, penalty):
         # the Hamiltonian arrives packed and stays packed through the
         # penalty, every evaluation, dress and prune: a run neither packs nor
-        # unpacks, and dresses its one sum once per iteration
+        # unpacks, and dresses its outside rows once per generator
         from iqcc import driver as driver_mod
 
         _, h, ref = h4_problem
@@ -346,7 +388,8 @@ class TestOneRepresentation:
                          energy_convergence=1e-12, **penalty)
         res = run_iqcc(h, ref, cfg)
         assert len(res.records) == 3
-        assert calls == {"pack": 0, "unpack": 0, "dress_sequence": 3}
+        n_gens = sum(len(r.amplitudes) for r in res.records)
+        assert n_gens == 12 and calls == {"pack": 0, "unpack": 0, "dress_sequence": n_gens}
         assert isinstance(res.final_hamiltonian, _packed.PackedSum)
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from iqcc import _packed
+from iqcc import ReferenceState, _packed
 from iqcc._packed import expectation_packed, pack
 from iqcc.errors import CapacityError, HermiticityError
 from iqcc.engine import estimate_amplitude, qcc_energy_and_gradient, rank_generators
 from iqcc.pauli import PauliWord, parse_word, render_word
-from iqcc.pauli_sum import ReferenceState, dress_sequence
+from iqcc.pauli_sum import dress_sequence
 
 from helpers import (
     ansatz_unitary,
@@ -378,8 +378,8 @@ class TestQccGradient:
         # dE/dt_j at t=0 is +omega_signed under the documented convention
         _, h, ref = h2_problem
         sel, _ = rank_sum(h, ref, 3)
-        plan, _ = coset_plan(h, [r.generator for r in sel])
-        _, grad = qcc_energy_and_gradient(plan, [0.0] * len(sel), ref)
+        live = _packed.live_plan(coset_plan(h, [r.generator for r in sel])[0], ref)
+        _, grad = qcc_energy_and_gradient(live, [0.0] * len(sel))
         for g, r in zip(grad, sel):
             assert abs(g - r.omega_signed) < 1e-12
 
@@ -387,9 +387,9 @@ class TestQccGradient:
         h = pack([(parse_word("Z0", 2), 1.0)], 2)
         gen = parse_word("Y1", 2)  # disjoint support: commutes with h
         ref = ReferenceState(0b01, 2)
-        plan, _ = coset_plan(h, [gen])
+        live = _packed.live_plan(coset_plan(h, [gen])[0], ref)
         for t in (0.0, 0.3, -1.2):
-            _, grad = qcc_energy_and_gradient(plan, [t], ref)
+            _, grad = qcc_energy_and_gradient(live, [t])
             assert abs(grad[0]) < 1e-14
 
     def test_finite_difference_agreement(self):
@@ -402,8 +402,8 @@ class TestQccGradient:
             L = int(rng.integers(1, 5))
             pairs = [(random_generator(n, rng), float(rng.normal() * 0.8)) for _ in range(L)]
             gens, ts = zip(*pairs)
-            plan, _ = coset_plan(h, gens)
-            energy, grad = qcc_energy_and_gradient(plan, ts, ref)
+            live = _packed.live_plan(coset_plan(h, gens)[0], ref)
+            energy, grad = qcc_energy_and_gradient(live, ts)
             fd = []
             for j in range(L):
                 up = list(ts)

@@ -183,6 +183,16 @@ class TestHermiticityErrors:
             rejected += messages[0] is not None
         assert rejected == n_rejected  # the rest leave no odd-y word
 
+    def test_odd_y_tolerance_scales_with_the_largest_coefficient(self):
+        # an odd-y coefficient above 1e-10 of the largest magnitude is a
+        # hermiticity violation; one below it is cancellation dust, dropped
+        x = z = np.array([0b00, 0b01], dtype=np.uint64)  # I and Y0
+        scale = 4.0
+        with pytest.raises(HermiticityError, match="odd y-count word Y0"):
+            mapping._collapse(2, x, z, np.array([scale, 1e-8 * scale]))
+        out = mapping._collapse(2, x, z, np.array([scale, 1e-11 * scale]))
+        assert out.x.tolist() == [0] and out.c.tolist() == [scale]
+
     def test_complex_h1_leaves_imaginary_coefficient(self):
         # real integrals give every even-y word a real coefficient, term by
         # term, so the expansion carries one float per row and complex input

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iqcc import optimizer
+from iqcc import _packed, optimizer
 from iqcc.driver import IqccConfig
 from iqcc.engine import estimate_amplitude
 from iqcc.errors import OptimizationError
@@ -151,10 +151,10 @@ class TestOnQccProblem:
         _, h, ref = h2_problem
         sel, _ = rank_sum(h, ref, 1)
         r = sel[0]
-        plan, _ = coset_plan(h, [r.generator])
+        live = _packed.live_plan(coset_plan(h, [r.generator])[0], ref)
 
         def vag(v):
-            e, g = qcc_energy_and_gradient(plan, v, ref)
+            e, g = qcc_energy_and_gradient(live, v)
             return e, np.asarray(g)
 
         res = minimize(vag, np.array([r.t_estimate]))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from iqcc import oracle
+from iqcc import ReferenceState, oracle
 from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.errors import CapacityError, IqccError
 from iqcc.fcidump import MolecularIntegrals
 from iqcc.mapping import jordan_wigner, spin_operators
 from iqcc.oracle import ground_state, spin_resolved_spectrum, to_sparse
 from iqcc.pauli import PauliWord, parse_word
-from iqcc.pauli_sum import ReferenceState, dress_sequence
+from iqcc.pauli_sum import dress_sequence
 
 from helpers import (
     ansatz_unitary,

@@ -15,14 +15,13 @@ from iqcc.errors import (
 )
 from iqcc.pauli import PauliWord, parse_word
 from iqcc.pauli_sum import (
-    ReferenceState,
     dress_sequence,
     from_json_dict,
     prune,
     terms_json,
     to_json_dict,
 )
-from iqcc import _packed
+from iqcc import ReferenceState, _packed
 from iqcc._packed import expectation_packed, pack, unpack
 from iqcc.fcidump import load_fcidump
 from iqcc.mapping import jordan_wigner
@@ -370,6 +369,13 @@ class TestPrune:
         diff = to_matrix(h) - to_matrix(out)
         norm = np.linalg.norm(diff, ord=2)
         assert norm <= dropped + 1e-12
+
+    def test_coefficient_at_the_threshold_kept(self):
+        # only |c| < threshold is dropped
+        h = pack([(parse_word("Z0", 2), 0.5), (parse_word("X0 X1", 2), -0.25)], 2)
+        out, dropped = prune(h, 0.25)
+        assert_same(out, h)
+        assert dropped == 0.0
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):

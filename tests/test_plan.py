@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iqcc import _packed
+from iqcc import ReferenceState, _packed
 from iqcc._packed import expectation_packed, pack
 from iqcc.driver import IqccConfig, run_iqcc
 from iqcc.engine import qcc_energy_and_gradient
 from iqcc.errors import CapacityError, DimensionError
 from iqcc.pauli import PauliWord, parse_word
-from iqcc.pauli_sum import ReferenceState, dress_sequence
+from iqcc.pauli_sum import dress_sequence
 
 from helpers import (
     assert_same,
@@ -140,15 +140,16 @@ class TestPlanIdentity:
 
 class TestThreeScatterReference:
     """An evaluation is one gather, one multiply and one bincount per layer
-    each way; its energy and gradient are ``==`` to the three-scatter replay
-    and reverse pass (``reference_energy_and_gradient``), on a plan and on
-    its cut."""
+    each way; the energy and gradient of a cut are ``==`` to the three-scatter
+    replay and reverse pass (``reference_energy_and_gradient``) of the full
+    plan and of the cut."""
 
     @staticmethod
     def _check(plan, ts, ref):
-        for evaluated in (plan, _packed.live_plan(plan, ref)):
-            got = _packed.energy_and_gradient(evaluated, ts, ref)
-            assert got == reference_energy_and_gradient(evaluated, ts, ref)
+        live = _packed.live_plan(plan, ref)
+        got = _packed.energy_and_gradient(live, ts)
+        assert got == reference_energy_and_gradient(plan, ts, ref)
+        assert got == reference_energy_and_gradient(live, ts, ref)
 
     def test_h4_gap_evaluations(self, tmp_path, monkeypatch):
         # every evaluation of the benchmark's h4_gap command
@@ -157,14 +158,21 @@ class TestThreeScatterReference:
         from iqcc import driver
         from iqcc.cli import main
 
-        real = driver.qcc_energy_and_gradient
-        same = []
+        real, real_cut = driver.qcc_energy_and_gradient, _packed.live_plan
+        same, planned = [], {}  # the full plan and the reference of each cut
 
-        def checked(plan, ts, ref):
-            got = real(plan, ts, ref)
+        def cut(plan, ref):
+            live = real_cut(plan, ref)
+            planned[id(live)] = plan, ref
+            return live
+
+        def checked(live, ts):
+            got = real(live, ts)
+            plan, ref = planned[id(live)]
             same.append(got == reference_energy_and_gradient(plan, ts, ref))
             return got
 
+        monkeypatch.setattr(_packed, "live_plan", cut)
         monkeypatch.setattr(driver, "qcc_energy_and_gradient", checked)
         fixture = Path(__file__).parent / "fixtures" / "h4.fcidump"
         out = tmp_path / "gap.json"
@@ -199,7 +207,7 @@ class TestThreeScatterReference:
         plan = _packed.plan_chain(_packed.PackedSum(n, empty, empty, np.array([])), gens)
         assert all(len(layer.dest) == 0 for layer in plan.layers)
         self._check(plan, ts, ref)
-        assert _packed.energy_and_gradient(plan, ts, ref) == (0.0, [0.0, 0.0, 0.0])
+        assert _packed.energy_and_gradient(_packed.live_plan(plan, ref), ts) == (0.0, [0.0] * 3)
         assert _packed.run_plan(plan, ts).c.dtype == np.float64
         # rows, but none that reaches the diagonal: the cut's layers are empty
         off = pack([(parse_word("X0", n), 0.5)], n)
@@ -260,9 +268,9 @@ class TestSpanFilter:
 class TestFilteredEvaluation:
     def _check(self, p, gens, ts, ref):
         plan, _ = coset_plan(p, gens)
-        filtered = qcc_energy_and_gradient(plan, ts, ref)
-        unfiltered = qcc_energy_and_gradient(_packed.plan_chain(p, gens), ts, ref)
-        assert filtered == unfiltered
+        filtered = qcc_energy_and_gradient(_packed.live_plan(plan, ref), ts)
+        unfiltered = _packed.live_plan(_packed.plan_chain(p, gens), ref)
+        assert filtered == qcc_energy_and_gradient(unfiltered, ts)
 
     def test_energy_and_gradient_equal_unfiltered(self):
         rng = np.random.default_rng(36)
@@ -284,25 +292,18 @@ class TestFilteredEvaluation:
         self._check(p, gens, [float(rng.normal()) for _ in gens], ReferenceState(0b00111, n))
 
     def test_amplitude_count_mismatch_rejected(self):
-        # one amplitude per layer of the plan, for the plan and its cut alike,
-        # and a reference over the plan's qubits, for a cut the one it was made for
+        # one amplitude per layer of the cut
         rng = np.random.default_rng(38)
         n = 4
         p = random_hermitian_sum(n, 20, rng)
         gens = [parse_word("Y0 X1", n), parse_word("X2 Y3", n)]
         plan, _ = coset_plan(p, gens)
-        ref = ReferenceState(0b0011, n)
-        for evaluated in (plan, _packed.live_plan(plan, ref)):
-            _, grad = qcc_energy_and_gradient(evaluated, [0.2, -0.1], ref)
-            assert len(grad) == len(gens)
-            for ts in ([0.2], [0.2, -0.1, 0.3], []):
-                with pytest.raises(ValueError):
-                    qcc_energy_and_gradient(evaluated, ts, ref)
-            with pytest.raises(DimensionError):
-                qcc_energy_and_gradient(evaluated, [0.2, -0.1], ReferenceState(0b0011, n + 1))
-        # a cut holds the reference signs of its rows: it is evaluated in its own state
-        with pytest.raises(ValueError, match="another reference state"):
-            qcc_energy_and_gradient(evaluated, [0.2, -0.1], ReferenceState(0b0101, n))
+        live = _packed.live_plan(plan, ReferenceState(0b0011, n))
+        _, grad = qcc_energy_and_gradient(live, [0.2, -0.1])
+        assert len(grad) == len(gens)
+        for ts in ([0.2], [0.2, -0.1, 0.3], []):
+            with pytest.raises(ValueError):
+                qcc_energy_and_gradient(live, ts)
 
     def test_evaluation_sorts_nothing(self, monkeypatch):
         # the Hamiltonian is planned by coset_plan and cut by live_plan; an
@@ -318,10 +319,8 @@ class TestFilteredEvaluation:
             raise AssertionError("an evaluation sorted keys")
 
         monkeypatch.setattr(_packed, "_sort", no_sort)
-        ts = [float(rng.normal()) for _ in gens]
-        for evaluated in (plan, live):
-            _, grad = qcc_energy_and_gradient(evaluated, ts, ref)
-            assert len(grad) == len(gens)
+        _, grad = qcc_energy_and_gradient(live, [float(rng.normal()) for _ in gens])
+        assert len(grad) == len(gens)
 
 
 class TestReversePass:
@@ -336,7 +335,7 @@ class TestReversePass:
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
-            _, grad = qcc_energy_and_gradient(plan, ts, ref)
+            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan, ref), ts)
             tildes = [_reference_chain(pack([(g, 1.0)], n), gens[j + 1 :], ts[j + 1 :])
                       for j, g in enumerate(gens)]
             want = np.array(chain_gradient(_reference_chain(h, gens, ts), tildes, ref))
@@ -352,7 +351,7 @@ class TestReversePass:
             n = h.n_qubits
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
-            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan, ref), ts, ref)
+            _, grad = qcc_energy_and_gradient(_packed.live_plan(plan, ref), ts)
             for j, g in enumerate(grad):
                 up, dn = list(ts), list(ts)
                 up[j] += step
@@ -369,9 +368,8 @@ class TestReversePass:
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
             want = _packed.expectation_packed(_packed.run_plan(plan, ts), ref)
-            for evaluated in (plan, _packed.live_plan(plan, ref)):
-                energy, _ = _packed.energy_and_gradient(evaluated, ts, ref)
-                assert energy == want
+            energy, _ = _packed.energy_and_gradient(_packed.live_plan(plan, ref), ts)
+            assert energy == want
 
 
 class TestLivePlan:
@@ -384,7 +382,7 @@ class TestLivePlan:
             ref = ReferenceState(int(rng.integers(1 << n)), n)
             plan, _ = coset_plan(h, gens)
             live = _packed.live_plan(plan, ref)
-            assert qcc_energy_and_gradient(live, ts, ref) == qcc_energy_and_gradient(
+            assert qcc_energy_and_gradient(live, ts) == reference_energy_and_gradient(
                 plan, ts, ref
             )
             assert len(live) <= len(plan) and len(live.x) <= len(plan.x)
@@ -430,6 +428,21 @@ class TestLivePlan:
             plan, _ = coset_plan(h, gens)
             with pytest.raises(ValueError, match="cut plan"):
                 _packed.live_plan(_packed.live_plan(plan, ref), ref)
+
+    def test_full_plan_is_no_evaluation_input(self):
+        # an evaluation reads the reference signs a cut holds; a full plan has none
+        for h, gens, ts in _cases(44, False):
+            plan, _ = coset_plan(h, gens)
+            with pytest.raises(ValueError, match="live_plan"):
+                _packed.energy_and_gradient(plan, ts)
+
+    def test_reference_of_another_width_raises(self):
+        rng = np.random.default_rng(38)
+        n = 4
+        plan, _ = coset_plan(random_hermitian_sum(n, 20, rng), [parse_word("Y0 X1", n)])
+        for width in (n - 1, n + 1):
+            with pytest.raises(DimensionError):
+                _packed.live_plan(plan, ReferenceState(0b0011, width))
 
 
 class TestSplitDressing:
@@ -502,7 +515,8 @@ class TestSortedKeys:
         xs, zs = _packed._masks(n, key)
         assert np.array_equal(xs, x) and np.array_equal(zs, z)
         # the distinct keys in lexsort order, each row's slot its key's rank
-        slot, kx, kz = _packed._sorted_keys(n, x, z)
+        slot, table = _packed._group(key)
+        kx, kz = _packed._masks(n, table)
         keys = list(dict.fromkeys(zip(x[want].tolist(), z[want].tolist())))
         assert list(zip(kx.tolist(), kz.tolist())) == keys
         rank = {key: i for i, key in enumerate(keys)}
