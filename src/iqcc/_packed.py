@@ -34,7 +34,8 @@ row's slot in it, the same at either width.  ``_canonical`` (so ``pack``
 and ``from_json_dict``) groups the rows' key by ``_group``, splits the table
 by ``_masks`` and sums each key's rows by slot, left to right in row order,
 as the scalar references do.  The Jordan-Wigner table in ``mapping`` is
-kept as its key between blocks and grouped by ``_group`` too.
+built by two ``_group`` calls too: one over its ladder products' signatures
+and one over the keys they imply.
 
 Dressing has one kernel.  ``plan_chain`` sorts each layer of a chain of
 generators once and records each layer as one list of contributions

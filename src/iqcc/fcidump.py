@@ -3,10 +3,11 @@
 The FCIDUMP convention: a namelist header ``&FCI NORB=.. NELEC=.. MS2=..``
 terminated by ``&END`` or ``/``, followed by free-format ``value i j k l``
 records with 1-based indices in chemists' ordering, so a record with all four
-indices nonzero is the two-electron integral (ij|kl).  Records with
-k = l = 0 carry one-electron integrals, the all-zero record carries the core
-(nuclear repulsion plus any folded mean-field) energy, and ``value i 0 0 0``
-orbital-energy records are accepted and ignored.
+indices nonzero is the two-electron integral (ij|kl).  A record
+``value i j 0 0`` with i, j > 0 carries a one-electron integral, the
+all-zero record carries the core (nuclear repulsion plus any folded
+mean-field) energy, and ``value i 0 0 0`` orbital-energy records are
+accepted and ignored; any other pattern of zero indices is rejected.
 
 A CAS window is two counts, the active occupied and the active virtual
 orbitals around the Fermi level: ``select_cas(mi, n_occ, n_virt)`` folds the
@@ -156,7 +157,7 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         if i == 0 and j == 0 and k == 0 and l == 0:
             if _record(("core",), value, idx + 1):
                 core = value
-        elif k == 0 and l == 0:
+        elif i > 0 and k == 0 and l == 0:
             if j == 0:
                 continue  # orbital-energy record
             if _record(("h", *sorted((i, j))), value, idx + 1):

@@ -11,31 +11,39 @@ words (correct by construction for any size): mode j carries
     a_j^dag   = Z_0 .. Z_{j-1} (X_j - i Y_j) / 2
 
 so a product of F ladder factors expands into 2**F Pauli products, one per
-choice of the X or the Y half of each factor.  ``_ladder_rows`` expands
-``_BLOCK`` ladder products at a time in numpy.  A product's Pauli products
+choice of the X or the Y half of each factor.  A product's Pauli products
 share one x mask, the XOR of its factors' bits; each one's z is the XOR of
-the factors' Z strings and the bits of its Y halves, built by doubling the
-rows once per factor.  Its mod-4 phase k (integer arithmetic, as in the
-word product ``raw_multiply`` of ``tests/helpers.py``) telescopes: the
-y-counts before and after each factor cancel, leaving 2 per Y half of an
-annihilator, 2 per factor whose bit is set in the z before it, and
--popcount(x & z) of the whole row.
+the factors' Z strings and the bits of its Y halves.  Its mod-4 phase k
+(integer arithmetic, as in the word product ``raw_multiply`` of
+``tests/helpers.py``) telescopes: the y-counts before and after each factor
+cancel, leaving 2 per Y half of an annihilator, 2 per factor whose bit is
+set in the z before it, and -popcount(x & z) of the whole row.
 Every factor, Z..Z X or Z..Z iY, is a real matrix, so a row's coefficient
 i**k v 0.5**F is +-v 0.5**F, real for an even-y word and imaginary for an
-odd-y one: each row carries that one float64.  The block bounds the
-temporaries whatever the number of integrals.
+odd-y one: each row carries that one float64.
 
-``_accumulate`` adds the rows into one table of keys, kept in (x, z) order
-as its ``_packed._key`` and regrouped per block by ``_packed._group``, with
-one ``np.bincount`` per block over the table's sums and then the block's
-rows, which adds each key's rows one by one, from +0.0, in the order they
-come.  That generation order is: the core energy, then h1 in ``np.nonzero``
-order times spin, then g2 in ``np.nonzero`` order times the (sigma, tau)
-spin pattern, and each ladder product's Pauli products in
-``itertools.product`` order (the scalar ``reference_jordan_wigner`` in
-``tests/helpers.py``).  Float addition is not associative, so the order fixes
-every coefficient's bits.  The table is the returned ``PackedSum``, already
-canonical.  ``penalize(h, mu, ref)`` adds canonical sums with ``_packed._add``.
+With d the OR of a product's factor bits, x lies in d and every row's z
+outside d is the same, zb, so the product's rows have the keys (x, zb | T)
+for the subsets T of d; its signature (x, zb, d) names them.  A row's
+z & d, packed to the bits of d, and its phase depend only on the ranks of
+the factors' bits among d's: ``_row_table`` expands them once per rank
+pattern, doubling the rows once per factor.  ``_ladder_products`` reduces
+``_BLOCK`` ladder products at a time to signature, rank pattern and
+v 0.5**F; the core energy and the S_z^2 rows are products of no factor, one
+row each (``_plain_rows``).  ``_accumulate`` groups the signatures with
+``_packed._group``, lists the keys each group implies and groups those: the
+sorted table of distinct keys, in two sorts whatever the number of rows.  A
+row's slot is its signature's first key plus its packed z & d, and
+``np.add.at`` adds each block's rows into the table's sums, one by one,
+from +0.0, in the order they come.  That generation order is: the core
+energy, then h1 in ``np.nonzero`` order times spin, then g2 in
+``np.nonzero`` order times the (sigma, tau) spin pattern, and each ladder
+product's Pauli products in ``itertools.product`` order (the scalar
+``reference_jordan_wigner`` in ``tests/helpers.py``).  Float addition is not
+associative, so the order fixes every coefficient's bits.  The block bounds
+the row temporaries whatever the number of integrals.  The table is the
+returned ``PackedSum``, already canonical.  ``penalize(h, mu, ref)`` adds
+canonical sums with ``_packed._add``.
 
 Real molecular integrals always leave a real, even-y-count Pauli sum;
 complex integrals are rejected up front, a residual odd-y coefficient
@@ -45,6 +53,7 @@ to inf or NaN is a domain error (``_packed.check_finite``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -56,8 +65,8 @@ from .errors import CapacityError, HermiticityError
 from .fcidump import MolecularIntegrals
 from .pauli import render_masks
 
-# Ladder products expanded at once, 2**F Pauli rows each: the block bounds
-# the temporaries, and each block re-sorts the table once.
+# Ladder products taken at once, 2**F rows each: the block bounds the
+# temporaries.
 _BLOCK = 1024
 
 # Spin of each ladder factor, one row per spin pattern: a^dag_ps a_qs for h1,
@@ -66,57 +75,117 @@ _ONE_BODY_SPINS = np.array([[0, 0], [1, 1]])
 _TWO_BODY_SPINS = np.array([[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]])
 
 
-def _ladder_rows(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
-    """Pauli rows (x, z, c) of ladder products, ``_BLOCK`` at a time.
+@functools.cache
+def _row_table(dagger: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a product of the ladder factors a, a^dag where
+    ``dagger[f]``, per rank pattern: (packed, negated), each row's z & d
+    packed to the bits of d and whether its coefficient is -v 0.5**F.
+
+    Pattern r gives factor f the packed bit 1 << ((r >> 2f) & 3), its bit's
+    rank among d's (at most 4 factors); the rows of a pattern run in
+    ``itertools.product`` order (the X half of a factor before its Y half,
+    the first factor slowest).
+    """
+    n_pat = 4 ** len(dagger)
+    pattern = np.arange(n_pat)[:, None]
+    x = np.zeros((n_pat, 1), dtype=np.uint8)
+    z = np.zeros_like(x)
+    k = np.zeros_like(x)  # wraps mod 256, so stays right mod 4
+    for f, dag in enumerate(dagger):
+        bit = (1 << ((pattern >> 2 * f) & 3)).astype(np.uint8)
+        # the word product's phase (raw_multiply in tests/helpers.py),
+        # telescoped: 2 where bit j is set in the z so far, 2 for the Y
+        # half of an a (i from the y-count times its +i), none for an
+        # a^dag's (i times -i), and -popcount(x & z) of the finished row
+        k += np.bitwise_count(z & bit) << 1
+        x ^= bit
+        z ^= bit - 1
+        z = np.stack((z, z ^ bit), axis=-1).reshape(n_pat, -1)
+        k = np.stack((k, k + (0 if dag else 2)), axis=-1).reshape(n_pat, -1)
+    k -= np.bitwise_count(x & z)
+    # i**k times v 0.5**F: +-v 0.5**F, real for even k and imaginary for odd k
+    negated = (k & 2).astype(bool)
+    for table in (z, negated):  # the cache hands them to every caller
+        table.setflags(write=False)
+    return z, negated
+
+
+def _ladder_products(orbitals, spins: np.ndarray, dagger, values: np.ndarray):
+    """Ladder products as (dagger, x, zb, d, pattern, m): which factors are
+    a^dag, then one entry of each array per product, ``_BLOCK`` products at
+    a time.
 
     Product (i, s) is values[i] times the factors a_j, j = 2 * orbitals[f][i]
     + spins[s, f], with a^dag where ``dagger[f]``, left to right; products run
-    i-major, and each expands into its Pauli products in ``itertools.product``
-    order (the X half of a factor before its Y half, the first factor slowest).
-    A product's rows share one x, shape (B, 1); z and c are per row, shape
-    (B, 2**F), c the real coefficient or, for an odd-y word, the imaginary
-    one.
+    i-major.  x is the XOR of its factors' bits and d their OR, zb the XOR of
+    their Z strings outside d, pattern the ranks of its factors' bits among
+    d's (``_row_table``) and m = values[i] 0.5**F.
     """
     n_spin, n_fac = spins.shape
     one = np.uint64(1)
     n_products = len(values) * n_spin
+    x, zb, d = (np.empty(n_products, dtype=np.uint64) for _ in range(3))
+    pattern = np.empty(n_products, dtype=np.uint8)
+    m = np.empty(n_products)
     for start in range(0, n_products, _BLOCK):
-        i, s = np.divmod(np.arange(start, min(start + _BLOCK, n_products)), n_spin)
-        x = np.zeros((len(i), 1), dtype=np.uint64)
-        z = np.zeros_like(x)
-        k = np.zeros(x.shape, dtype=np.uint8)  # wraps mod 256, so stays right mod 4
-        m = values[i]
-        for f in range(n_fac):
-            bit = one << (2 * orbitals[f][i] + spins[s, f]).astype(np.uint64)[:, None]
-            # the word product's phase (raw_multiply in tests/helpers.py),
-            # telescoped: 2 where bit j is set in the z so far, 2 for the Y
-            # half of an a (i from the y-count times its +i), none for an
-            # a^dag's (i times -i), and -popcount(x & z) of the finished row
-            k += np.bitwise_count(z & bit) << 1
-            x ^= bit
-            z ^= bit - one
-            z = np.stack((z, z ^ bit), axis=-1).reshape(len(i), -1)
-            k = np.stack((k, k + (0 if dagger[f] else 2)), axis=-1).reshape(len(i), -1)
-            m = m * 0.5
-        k -= np.bitwise_count(x & z)
-        # i**k times m: +-m, real for even k and imaginary for odd k
-        yield x, z, np.where(k & 2, -m[:, None], m[:, None])
+        block = slice(start, min(start + _BLOCK, n_products))
+        i, s = np.divmod(np.arange(block.start, block.stop), n_spin)
+        bits = [one << (2 * orbitals[f][i] + spins[s, f]).astype(np.uint64) for f in range(n_fac)]
+        below = [bit - one for bit in bits]  # the factors' Z strings
+        x[block] = functools.reduce(np.bitwise_xor, bits)
+        d[block] = bd = functools.reduce(np.bitwise_or, bits)
+        zb[block] = functools.reduce(np.bitwise_xor, below) & ~bd
+        pattern[block] = sum(np.bitwise_count(bd & zs) << 2 * f for f, zs in enumerate(below))
+        v = values[i]
+        for _ in range(n_fac):
+            v = v * 0.5
+        m[block] = v
+    return dagger, x, zb, d, pattern, m
 
 
-def _accumulate(n_qubits: int, blocks):
-    """Sum row blocks (x, z, c) into one key table: (x, z, c) per key, keys
-    in (x, z) order, each c the left-to-right sum of its rows.
+def _plain_rows(z, c):
+    """Diagonal rows (0, z, c) as products of no ladder factor: d = 0, one
+    row each."""
+    none = np.zeros(len(c), dtype=np.uint64)
+    return (), none, z, none, none.astype(np.uint8), c
 
-    Between blocks the table is its ``_packed._key`` and a float column.  An
-    overflow is left as inf or NaN for ``_collapse`` to report.
+
+def _accumulate(n_qubits: int, products) -> tuple:
+    """Sum the rows of products into one key table: (x, z, c) per key, keys
+    in (x, z) order, each c the left-to-right sum of its rows in generation
+    order.  A signature lists its keys (x, zb | T) with T over the subsets of
+    d in increasing order, the order of a row's packed z & d.  An overflow is
+    left as inf or NaN for ``_collapse`` to report.
     """
-    key = _key(n_qubits, *(np.zeros(0, dtype=np.uint64),) * 2)
-    c = np.zeros(0)
-    for bx, bz, bc in blocks:
-        rows = (np.broadcast_to(col, bc.shape).ravel() for col in _key(n_qubits, bx, bz))
-        slot, key = _group(tuple(np.concatenate([old, new]) for old, new in zip(key, rows)))
-        c = np.bincount(slot, np.concatenate([c, bc.ravel()]), len(key[0]))
-    return (*_masks(n_qubits, key), c)
+    x, zb, d = (np.concatenate([p[j] for p in products]) for j in (1, 2, 3))
+    # per qubit (x | zb, d) takes one of four values, as x lies in d and zb
+    # outside it: one key of two masks
+    group, signature = _group(_key(n_qubits, x | zb, d))
+    u, d = _masks(n_qubits, signature)
+    n_bits = np.bitwise_count(d)
+    n_keys = np.left_shift(1, n_bits, dtype=np.intp)
+    z = (u & ~d)[:, None]
+    rest = d
+    for _ in range(int(n_bits.max(initial=0))):
+        low = rest & (~rest + np.uint64(1))  # the lowest bit of d not yet taken
+        rest = rest ^ low
+        z = np.concatenate((z, z | low[:, None]), axis=1)
+    z = z[np.arange(z.shape[1]) < n_keys[:, None]]
+    slot, table = _group(_key(n_qubits, np.repeat(u & d, n_keys), z))
+    # each product's first key; a row's is that plus its packed z & d
+    first = (np.cumsum(n_keys) - n_keys)[group]
+    c = np.zeros(len(table[0]))
+    at = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dagger, *_, pattern, m in products:
+            packed, negated = _row_table(dagger)
+            base, at = first[at:at + len(m)], at + len(m)
+            for start in range(0, len(m), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                r, v = pattern[block], m[block, None]
+                rows = slot[base[block, None] + packed[r]]
+                np.add.at(c, rows.ravel(), np.where(negated[r], -v, v).ravel())
+    return (*_masks(n_qubits, table), c)
 
 
 def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10) -> PackedSum:
@@ -160,18 +229,16 @@ def jordan_wigner(mi: MolecularIntegrals) -> PackedSum:
         raise ValueError(f"non-finite core energy {mi.core_energy!r}")
     n_qubits = 2 * mi.n_spatial
 
-    def rows():
-        identity = np.zeros(1, dtype=np.uint64)
-        yield identity, identity, np.array([float(mi.core_energy)])
-        one = np.nonzero(mi.h1)
-        yield from _ladder_rows(one, _ONE_BODY_SPINS, (True, False), mi.h1[one])
-        two = np.nonzero(mi.g2)
-        p, q, r, s = two
-        yield from _ladder_rows(
+    one = np.nonzero(mi.h1)
+    p, q, r, s = two = np.nonzero(mi.g2)
+    products = (
+        _plain_rows(np.zeros(1, dtype=np.uint64), np.array([float(mi.core_energy)])),
+        _ladder_products(one, _ONE_BODY_SPINS, (True, False), mi.h1[one]),
+        _ladder_products(
             (p, r, s, q), _TWO_BODY_SPINS, (True, True, False, False), 0.5 * mi.g2[two]
-        )
-
-    return _collapse(n_qubits, *_accumulate(n_qubits, rows()))
+        ),
+    )
+    return _collapse(n_qubits, *_accumulate(n_qubits, products))
 
 
 def reference_state(n_e: int, n_qubits: int, ms2: int) -> ReferenceState:
@@ -228,13 +295,13 @@ def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     # S_- S_+ = sum_pq b^dag_p a_p a^dag_q b_q  (a: alpha mode, b: beta mode).
     p, q = np.divmod(np.arange(n_orb * n_orb), n_orb)
 
-    def rows():
-        yield np.zeros(1, dtype=np.uint64), sz_z.ravel(), sz_c.ravel()
-        yield from _ladder_rows(
+    products = (
+        _plain_rows(sz_z.ravel(), sz_c.ravel()),
+        _ladder_products(
             (p, p, q, q), np.array([[1, 0, 0, 1]]), (True, False, True, False), np.ones(len(p))
-        )
-
-    return _collapse(n_qubits, *_accumulate(n_qubits, rows())), s_z
+        ),
+    )
+    return _collapse(n_qubits, *_accumulate(n_qubits, products)), s_z
 
 
 def penalize(h: PackedSum, mu: float, ref: ReferenceState) -> PackedSum:

@@ -1,13 +1,16 @@
 """Shared test utilities: random operators, plain-dict views of packed sums,
 the scalar dressing, gradient, Jordan-Wigner, penalty and JSON references,
 the mask-form plan, two-pass live-cut, three-scatter evaluation,
-object-ranking and block-statistics references, a sort spy, the coset plan
-of an iteration, an independent fermionic oracle, the whole-space
-spin-resolved spectrum, the word product, and the dense matrix, reference
-vector and ansatz unitary."""
+object-ranking and block-statistics references, a sort spy, a tracemalloc
+peak, the benchmark's synthetic FCIDUMP, the coset plan of an iteration,
+an independent fermionic oracle, the whole-space spin-resolved spectrum, the
+word product, and the dense matrix, reference vector and ansatz unitary."""
 
+import importlib.util
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -120,6 +123,28 @@ def spy_sort(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_packed, "_sort", spy)
     return sizes
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of ``fn(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def synth_fcidump(directory: Path, seed: int) -> Path:
+    """The ``synth_transform`` benchmark's input for ``seed``: the 12-orbital,
+    8-electron FCIDUMP of ``bench/synth.py``, written to ``directory``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("bench_synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    fcidump = directory / f"synth-seed{seed}.fcidump"
+    synth.write_fcidump(fcidump, 12, 8, seed)
+    return fcidump
 
 
 def coset_plan(h: PackedSum, generators, max_terms: int | None = None):

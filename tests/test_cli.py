@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -22,10 +21,9 @@ from iqcc.oracle import spin_resolved_spectrum
 from iqcc.pauli import PauliWord
 from iqcc.pauli_sum import from_json_dict, to_json_dict
 
-from helpers import fcidump_text, random_symmetric_integrals
+from helpers import fcidump_text, random_symmetric_integrals, synth_fcidump
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SYNTH = Path(__file__).parent.parent / "bench" / "synth.py"
 
 
 @pytest.fixture()
@@ -420,11 +418,7 @@ class TestRun:
     def test_synth_transform_command_digest(self, runner, tmp_path):
         # the synth_transform benchmark command: 24 qubits, 336,721 Pauli
         # rows over many expansion blocks, reduced to 7,537 terms
-        spec = importlib.util.spec_from_file_location("bench_synth", SYNTH)
-        synth = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(synth)
-        path = tmp_path / "synth.fcidump"
-        synth.write_fcidump(path, 12, 8, 1)
+        path = synth_fcidump(tmp_path, 1)
         out = tmp_path / "h.json"
         result = runner.invoke(main, ["transform", str(path), "-o", str(out)])
         assert result.exit_code == 0, result.output

@@ -82,6 +82,15 @@ class TestParse:
         with pytest.raises(FcidumpError, match="line 6"):
             parse_fcidump(text)
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_zero_first_index_rejected(self, j):
+        # value 0 j 0 0 is no one-electron record: index i - 1 would wrap to
+        # the last orbital and set h1[norb - 1, j - 1]
+        text = MINIMAL + f"  5.0000000000000000E-01    0    {j}    0    0\n"
+        message = rf"^line 6: unsupported index pattern \(0, {j}, 0, 0\)$"
+        with pytest.raises(FcidumpError, match=message):
+            parse_fcidump(text)
+
     def test_conflicting_duplicate(self):
         text = (
             MINIMAL

@@ -22,8 +22,11 @@ from helpers import (
     reference_jordan_wigner,
     reference_penalize,
     reference_spin_operators,
+    spy_sort,
+    synth_fcidump,
     terms_dict,
     to_matrix,
+    traced_peak,
 )
 
 
@@ -138,6 +141,29 @@ class TestAgainstScalarReference:
         s2_ref, sz_ref = reference_spin_operators(n_qubits)
         assert_same(s2, s2_ref)
         assert_same(sz, sz_ref)
+
+
+class TestSyntheticInput:
+    """The ``synth_transform`` benchmark's 24-qubit input, seed 1: 336,721
+    Pauli rows of 21,108 ladder products and the core energy, reduced to
+    7,537 terms."""
+
+    @pytest.fixture(scope="class")
+    def mi(self, tmp_path_factory):
+        return load_fcidump(synth_fcidump(tmp_path_factory.mktemp("synth"), 1))
+
+    def test_two_sorts(self, mi, monkeypatch):
+        # the products' signatures (21,108 ladder products and the core
+        # energy), then the 28,025 keys they imply; the table of 24,533
+        # distinct keys is never re-sorted per block of rows
+        sizes = spy_sort(monkeypatch)
+        assert len(jordan_wigner(mi)) == 7537
+        assert sizes == [21_109, 28_025]
+
+    def test_peak_memory(self, mi):
+        # the row temporaries stay bounded by the block: holding every row's
+        # slot and coefficient would peak at ~17 MB
+        assert traced_peak(jordan_wigner, mi) < 4_000_000
 
 
 class TestHermiticityErrors:

@@ -1,8 +1,6 @@
-import importlib.util
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +32,7 @@ from helpers import (
     random_hermitian_sum,
     reference_dress,
     reference_to_json_dict,
+    synth_fcidump,
     terms_dict,
     to_matrix,
 )
@@ -582,14 +581,7 @@ class TestJson:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_synth_bytes_as_word_by_word_rendering(self, tmp_path, seed):
         # the benchmark's 12-orbital synthetic FCIDUMP, 7.5k terms
-        spec = importlib.util.spec_from_file_location(
-            "bench_synth", Path(__file__).resolve().parents[1] / "bench" / "synth.py"
-        )
-        synth = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(synth)
-        path = tmp_path / "synth.fcidump"
-        synth.write_fcidump(path, 12, 8, seed)
-        h = jordan_wigner(load_fcidump(path))
+        h = jordan_wigner(load_fcidump(synth_fcidump(tmp_path, seed)))
         text = json.dumps(to_json_dict(h))
         assert text == json.dumps(reference_to_json_dict(h))
         assert_same(from_json_dict(json.loads(text)), h)
