@@ -34,7 +34,7 @@ from .driver import (
 )
 from .errors import IqccError, IterationAbort
 from .fcidump import MolecularIntegrals, load_fcidump, select_cas
-from .mapping import jordan_wigner, reference_state, spin_operators
+from .mapping import jordan_wigner, reference_state
 from .pauli import parse_word
 # to_json_dict stays bound here, where bench/spans.py times it
 from .pauli_sum import _json_key, from_json_dict, terms_json, to_json_dict
@@ -134,10 +134,11 @@ def _digest_run(result: RunResult) -> str:
 
 
 def _digest_gap(result: GapResult) -> str:
-    payload = _hex_payload(result.singlet.records) + _hex_payload(
-        result.triplet.records,
-        result.e_singlet,
-        result.e_triplet,
+    singlet, triplet = result.singlet, result.triplet
+    payload = _hex_payload(singlet.records) + _hex_payload(
+        triplet.records,
+        singlet.final_energy,
+        triplet.final_energy,
         result.gap_ev,
         result.gap_with_pt_ev,
     )
@@ -341,8 +342,7 @@ def oracle(hamiltonian, sector, output):
         s, ms = float(s_str), float(ms_str)
     except ValueError:
         raise click.UsageError("--sector must look like '1,1'")
-    s_squared, s_z = spin_operators(h.n_qubits)
-    energy = spin_resolved_spectrum(h, s_squared, s_z, (s, ms))
+    energy = spin_resolved_spectrum(h, (s, ms))
     _write_json({"energy": energy, "s": s, "m_s": ms, "n_qubits": h.n_qubits}, output)
 
 

@@ -23,7 +23,10 @@ mapping through every stage and into ``RunResult.final_hamiltonian``.
 
 The records are the one account of what a run applied: record r applied
 exp(-i t T / 2), T = ``g.generator``, for each (g, t) in order in
-``zip(r.selected_generators, r.amplitudes)``.
+``zip(r.selected_generators, r.amplitudes)``.  A ``RunResult`` stores no
+final energy: it is the last record's, or the initial energy of a run
+without records.  A ``GapResult`` is its two runs, and its gaps are read
+off them.
 
 The perturbative correction is the sum of exact per-generator lowerings
 Delta_E = D/2 - sqrt((D/2)^2 + omega^2) over the non-selected generators,
@@ -138,11 +141,17 @@ class IterationRecord:
 class RunResult:
     records: tuple[IterationRecord, ...]
     initial_energy: float
-    final_energy: float
-    final_energy_with_pt: float
     converged: bool
     reference: _packed.ReferenceState
     final_hamiltonian: _packed.PackedSum
+
+    @property
+    def final_energy(self) -> float:
+        return self.records[-1].energy if self.records else self.initial_energy
+
+    @property
+    def final_energy_with_pt(self) -> float:
+        return self.records[-1].energy_with_pt if self.records else self.initial_energy
 
     @property
     def total_dropped_weight(self) -> float:
@@ -271,17 +280,7 @@ def run_iqcc(h0: _packed.PackedSum, ref: _packed.ReferenceState, cfg: IqccConfig
             break
         e_prev = energy
 
-    final_energy = records[-1].energy if records else initial_energy
-    final_pt = records[-1].energy_with_pt if records else initial_energy
-    return RunResult(
-        records=tuple(records),
-        initial_energy=initial_energy,
-        final_energy=final_energy,
-        final_energy_with_pt=final_pt,
-        converged=converged,
-        reference=ref,
-        final_hamiltonian=h,
-    )
+    return RunResult(tuple(records), initial_energy, converged, ref, h)
 
 
 # -- singlet/triplet gap ----------------------------------------------------
@@ -289,41 +288,31 @@ def run_iqcc(h0: _packed.PackedSum, ref: _packed.ReferenceState, cfg: IqccConfig
 
 @dataclass(frozen=True)
 class GapResult:
-    e_singlet: float
-    e_triplet: float
-    e_singlet_with_pt: float
-    e_triplet_with_pt: float
-    gap_ev: float
-    gap_with_pt_ev: float
     singlet: RunResult
     triplet: RunResult
 
+    @property
+    def gap_ev(self) -> float:
+        return (self.triplet.final_energy - self.singlet.final_energy) * HARTREE_TO_EV
+
+    @property
+    def gap_with_pt_ev(self) -> float:
+        s, t = self.singlet, self.triplet
+        return (t.final_energy_with_pt - s.final_energy_with_pt) * HARTREE_TO_EV
+
     def to_json_dict(self) -> dict:
+        s, t = self.singlet, self.triplet
         return {
-            "e_singlet": self.e_singlet,
-            "e_triplet": self.e_triplet,
-            "e_singlet_with_pt": self.e_singlet_with_pt,
-            "e_triplet_with_pt": self.e_triplet_with_pt,
+            "e_singlet": s.final_energy,
+            "e_triplet": t.final_energy,
+            "e_singlet_with_pt": s.final_energy_with_pt,
+            "e_triplet_with_pt": t.final_energy_with_pt,
             "gap_ev": self.gap_ev,
             "gap_with_pt_ev": self.gap_with_pt_ev,
             "hartree_to_ev": HARTREE_TO_EV,
-            "singlet": self.singlet.to_json_dict(),
-            "triplet": self.triplet.to_json_dict(),
+            "singlet": s.to_json_dict(),
+            "triplet": t.to_json_dict(),
         }
-
-
-def gap_from_runs(singlet: RunResult, triplet: RunResult) -> GapResult:
-    return GapResult(
-        e_singlet=singlet.final_energy,
-        e_triplet=triplet.final_energy,
-        e_singlet_with_pt=singlet.final_energy_with_pt,
-        e_triplet_with_pt=triplet.final_energy_with_pt,
-        gap_ev=(triplet.final_energy - singlet.final_energy) * HARTREE_TO_EV,
-        gap_with_pt_ev=(triplet.final_energy_with_pt - singlet.final_energy_with_pt)
-        * HARTREE_TO_EV,
-        singlet=singlet,
-        triplet=triplet,
-    )
 
 
 def singlet_triplet_gap(mi: MolecularIntegrals, cfg: IqccConfig) -> GapResult:
@@ -340,9 +329,7 @@ def singlet_triplet_gap(mi: MolecularIntegrals, cfg: IqccConfig) -> GapResult:
 
     ref_s = reference_state(mi.n_electrons, n_qubits, ms2=0)
     ref_t = reference_state(mi.n_electrons, n_qubits, ms2=2)
-    run_s = run_iqcc(h, ref_s, cfg)
-    run_t = run_iqcc(h, ref_t, cfg)
-    return gap_from_runs(run_s, run_t)
+    return GapResult(run_iqcc(h, ref_s, cfg), run_iqcc(h, ref_t, cfg))
 
 
 # -- bookkeeping ------------------------------------------------------------

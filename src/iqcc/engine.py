@@ -50,22 +50,21 @@ MAX_GENERATORS = 16
 
 @dataclass(frozen=True)
 class RankedGenerator:
-    """A canonical generator with its ranking data."""
+    """A canonical generator with the signed w, the D and the closed-form t
+    of its sinusoid; its report's omega and importance are |w| and |t|."""
 
     generator: PauliWord
-    omega: float
     omega_signed: float
     d_value: float
     t_estimate: float
-    importance: float
 
     def to_json_dict(self) -> dict:
         return {
             "word": render_word(self.generator),
-            "omega": self.omega,
+            "omega": abs(self.omega_signed),
             "d_value": self.d_value,
             "t_estimate": self.t_estimate,
-            "importance": self.importance,
+            "importance": abs(self.t_estimate),
         }
 
 
@@ -103,14 +102,10 @@ def rank_generators(
     omegas, ds = omega_signed.tolist(), d_values.tolist()
     # math.atan2 and math.hypot per block: numpy's need not give the same bits
     t_est = [estimate_amplitude(w, d)[0] for w, d in zip(omegas, ds)]
-    importance = np.abs(t_est)
-    order = np.lexsort((xs, np.bitwise_count(xs), -importance))
+    order = np.lexsort((xs, np.bitwise_count(xs), -np.abs(t_est)))
     top = order[:top_l]
     selected = [
-        RankedGenerator(
-            PauliWord(x, x & -x, n_qubits),
-            abs(omegas[i]), omegas[i], ds[i], t_est[i], float(importance[i]),
-        )
+        RankedGenerator(PauliWord(x, x & -x, n_qubits), omegas[i], ds[i], t_est[i])
         for i, x in zip(top.tolist(), xs[top].tolist())
     ]
     return selected, xs[order[top_l:]]

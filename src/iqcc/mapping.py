@@ -68,6 +68,11 @@ from .pauli import render_masks
 # Ladder products taken at once, 2**F rows each: the block bounds the
 # temporaries.
 _BLOCK = 1024
+# An odd-y coefficient up to this fraction of the largest |c| is
+# cancellation dust (``_collapse``).
+_ODD_Y_TOL = 1e-10
+# The alpha qubits 0, 2, 4, ... of every width up to 64.
+_ALPHA = 0x5555_5555_5555_5555
 
 # Spin of each ladder factor, one row per spin pattern: a^dag_ps a_qs for h1,
 # a^dag_p(sigma) a^dag_r(tau) a_s(tau) a_q(sigma) for g2.
@@ -188,19 +193,19 @@ def _accumulate(n_qubits: int, products) -> tuple:
     return (*_masks(n_qubits, table), c)
 
 
-def _collapse(n_qubits: int, x, z, c, tol: float = 1e-10) -> PackedSum:
+def _collapse(n_qubits: int, x, z, c) -> PackedSum:
     """The real sum of a key table; only cancellation dust may be discarded.
 
     An odd-y word's c is its imaginary coefficient.  Real input integrals
     leave those exactly cancelling up to float addition order, so anything
-    beyond ``tol`` times the coefficient scale is a genuine hermiticity
-    violation.
+    beyond ``_ODD_Y_TOL`` times the coefficient scale is a genuine
+    hermiticity violation.
     """
     _packed.check_finite(x, z, c)
     mag = np.abs(c)
     scale = float(np.max(mag, initial=1.0))
     odd = (np.bitwise_count(x & z) & 1).astype(bool)
-    bad = np.flatnonzero(odd & (mag > tol * scale))
+    bad = np.flatnonzero(odd & (mag > _ODD_Y_TOL * scale))
     if len(bad):
         word = render_masks(int(x[bad[0]]), int(z[bad[0]]))
         raise HermiticityError(
@@ -264,6 +269,14 @@ def reference_state(n_e: int, n_qubits: int, ms2: int) -> ReferenceState:
     return ReferenceState(occ, n_qubits)
 
 
+def occupation_ms2(occupation):
+    """MS2 of the basis state ``occupation``, an int or an integer array of
+    them: its occupied alpha (even) qubits less its occupied beta (odd) ones,
+    as int64."""
+    alpha = np.bitwise_count(occupation & _ALPHA).astype(np.int64)
+    return alpha - np.bitwise_count((occupation >> 1) & _ALPHA)
+
+
 def spin_operators(n_qubits: int) -> tuple[PackedSum, PackedSum]:
     """(S^2, S_z) over interleaved alpha/beta qubit pairs.
 
@@ -308,14 +321,13 @@ def penalize(h: PackedSum, mu: float, ref: ReferenceState) -> PackedSum:
     """h + mu (S^2 - s(s+1) S_z) with s = MS2/2 of the reference ``ref``;
     returns h unchanged when mu == 0.
 
-    MS2 is ref's occupied alpha (even) qubits less its beta (odd) ones.  Only
-    MS2 0 (mu S^2) and 2 leave the state of spin s and m_s = s unpenalized:
-    any other MS2 raises ``ValueError``.  ``IqccConfig`` checks mu.
+    MS2 is ``occupation_ms2`` of ref's occupation.  Only MS2 0 (mu S^2) and
+    2 leave the state of spin s and m_s = s unpenalized: any other MS2 raises
+    ``ValueError``.  ``IqccConfig`` checks mu.
     """
     if mu == 0.0:
         return h
-    bits = format(ref.occupation, f"0{ref.n_qubits}b")[::-1]  # qubit q at index q
-    ms2 = bits[0::2].count("1") - bits[1::2].count("1")
+    ms2 = occupation_ms2(ref.occupation)
     if ms2 not in (0, 2):
         raise ValueError(f"the spin penalty targets MS2 0 or 2, not the reference's MS2 {ms2}")
     s = ms2 / 2

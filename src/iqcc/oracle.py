@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from ._packed import PackedSum
 from .errors import CapacityError, IqccError
+from .mapping import occupation_ms2, spin_operators
 
 SPARSE_QUBIT_LIMIT = 16
 
@@ -97,33 +98,28 @@ def ground_state(h: PackedSum) -> tuple[float, np.ndarray]:
     return energy, vec
 
 
-def spin_resolved_spectrum(
-    h: PackedSum,
-    s_squared: PackedSum,
-    s_z: PackedSum,
-    sector: tuple[float, float],
-) -> float:
+def spin_resolved_spectrum(h: PackedSum, sector: tuple[float, float]) -> float:
     """Lowest eigenvalue of h among simultaneous (S^2, S_z) eigenstates.
 
     ``sector`` is (s, m_s) with s >= 0 and |m_s| <= s, else :class:`IqccError`
     (s(s+1) is the same for s and -s-1); states must have <S^2> within 1e-6
-    of s(s+1) and S_z within 1e-6 of m_s.  ``s_z`` must be diagonal.  Each
-    block of basis states with one electron count (popcount) and S_z = m_s
-    is diagonalized apart; ``h`` and ``s_squared`` must not leave a block,
-    and must commute on it.  Degenerate h-eigenspaces are resolved by
-    diagonalizing S^2 inside each cluster, so spin labels are sharp even
-    across multiplet degeneracies.
+    of s(s+1) and S_z within 1e-6 of m_s.  S^2 is ``spin_operators``'; a basis
+    state's S_z is half its ``occupation_ms2``.  Each block of basis states
+    with one electron count (popcount) and S_z = m_s is diagonalized apart;
+    ``h`` and S^2 must not leave a block, and must commute on it.  Degenerate
+    h-eigenspaces are resolved by diagonalizing S^2 inside each cluster, so
+    spin labels are sharp even across multiplet degeneracies.
     """
     n = h.n_qubits
     if n > SPARSE_QUBIT_LIMIT:
         raise CapacityError(f"{n} qubits exceeds sparse limit {SPARSE_QUBIT_LIMIT}")
-    if np.any(s_z.x):
-        raise IqccError("S_z has an off-diagonal word")
     s, m_s = sector
     if not abs(m_s) <= s:  # False for NaN; abs(m_s) >= 0, so also s >= 0
         raise IqccError(f"spin sector needs s >= 0 and |m_s| <= s: (s={s}, m_s={m_s})")
-    in_ms = np.abs(to_sparse(s_z).diagonal().real - m_s) < 1e-6
-    electrons = np.bitwise_count(np.arange(1 << n))
+    s_squared = spin_operators(n)[0]
+    basis = np.arange(1 << n)
+    in_ms = np.abs(0.5 * occupation_ms2(basis) - m_s) < 1e-6
+    electrons = np.bitwise_count(basis)
     lows = []
     for n_e in range(n + 1):
         states = np.flatnonzero(in_ms & (electrons == n_e))

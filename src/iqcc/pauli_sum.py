@@ -7,10 +7,11 @@ kernels up on that module at each call.  ``from_json_dict`` rejects at load
 a sum over more than ``_packed.MAX_QUBITS`` (64) qubits
 (:class:`CapacityError`), a negative qubit count, a qubit count or electron
 metadata (``n_electrons``, ``ms2``, where given) that is not a JSON
-integer, a negative ``ms2``, a coefficient that is not a JSON number (a JSON
-bool is neither), a non-finite coefficient and an odd-y word (an imaginary
-matrix in a real Hamiltonian); a missing key, a non-list ``terms`` or a
-non-string word is a ``ValueError`` naming the key.
+integer, a negative ``ms2``, an ``n_electrons`` outside 0..n_qubits, an
+``ms2`` above it or of the other parity, a coefficient that is not a JSON
+number (a JSON bool is neither), a non-finite coefficient and an odd-y word
+(an imaginary matrix in a real Hamiltonian); a missing key, a non-list
+``terms`` or a non-string word is a ``ValueError`` naming the key.
 
 * ``dress_sequence`` conjugates a sum by exp(-i t T / 2) for each purely
   imaginary word T of an Ansatz, exactly.  A word P anticommuting with T
@@ -157,6 +158,14 @@ def from_json_dict(data: dict) -> _packed.PackedSum:
     if data.get("ms2", 0) < 0:
         raise ValueError(f"ms2 {data['ms2']} must be >= 0")
     _packed.check_qubit_bound(n)
+    if "n_electrons" in data:  # as the FCIDUMP's NELEC and MS2 are checked
+        n_e, ms2 = data["n_electrons"], data.get("ms2", 0)
+        if not 0 <= n_e <= n:
+            raise ValueError(f"n_electrons {n_e} outside 0..{n} for {n} qubits")
+        if ms2 > n_e:
+            raise ValueError(f"ms2 {ms2} exceeds the {n_e} electrons")
+        if (n_e - ms2) % 2:
+            raise ValueError(f"ms2 {ms2} and the {n_e} electrons differ in parity")
     x, z, c = [], [], []
     for term in _json_key(data, "terms", "qubit JSON", list):
         text = _json_key(term, "word", "a term")

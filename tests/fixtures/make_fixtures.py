@@ -376,7 +376,7 @@ def main():
     sys.path.insert(0, str(here.parent.parent / "src"))
     from iqcc._packed import expectation_packed
     from iqcc.fcidump import load_fcidump
-    from iqcc.mapping import jordan_wigner, reference_state, spin_operators
+    from iqcc.mapping import jordan_wigner, reference_state
     from iqcc.oracle import ground_state, spin_resolved_spectrum
 
     reference = {}
@@ -408,9 +408,8 @@ def main():
             "fci_energy": e_fci,
             "jw_term_count": len(h_qubit),
         }
-        s2, sz = spin_operators(2 * mi.n_spatial)
-        entry["fci_singlet"] = spin_resolved_spectrum(h_qubit, s2, sz, (0.0, 0.0))
-        entry["fci_triplet"] = spin_resolved_spectrum(h_qubit, s2, sz, (1.0, 1.0))
+        entry["fci_singlet"] = spin_resolved_spectrum(h_qubit, (0.0, 0.0))
+        entry["fci_triplet"] = spin_resolved_spectrum(h_qubit, (1.0, 1.0))
         print(f"   S0 / T1:          {entry['fci_singlet']:.10f} / {entry['fci_triplet']:.10f}")
         reference[name] = entry
 

@@ -79,10 +79,8 @@ def reference_rank_generators(blocks, n_qubits: int, top_l: int):
     for x_support, omega_signed, d_val in zip(*(a.tolist() for a in blocks)):
         gen = PauliWord(x_support, x_support & -x_support, n_qubits)
         t_est, _ = estimate_amplitude(omega_signed, d_val)
-        ranked.append(
-            RankedGenerator(gen, abs(omega_signed), omega_signed, d_val, t_est, abs(t_est))
-        )
-    ranked.sort(key=lambda r: (-r.importance, r.generator.weight(), r.generator.x))
+        ranked.append(RankedGenerator(gen, omega_signed, d_val, t_est))
+    ranked.sort(key=lambda r: (-abs(r.t_estimate), r.generator.weight(), r.generator.x))
     return ranked[:top_l], ranked[top_l:]
 
 

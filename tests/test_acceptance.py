@@ -342,8 +342,8 @@ class TestAcceptance:
         gap = singlet_triplet_gap(mi, cfg)
         fci = reference_values["lih"]
         errors = (
-            abs(gap.e_singlet - fci["fci_singlet"]),
-            abs(gap.e_triplet - fci["fci_triplet"]),
+            abs(gap.singlet.final_energy - fci["fci_singlet"]),
+            abs(gap.triplet.final_energy - fci["fci_triplet"]),
             abs(gap.gap_ev / HARTREE_TO_EV - (fci["fci_triplet"] - fci["fci_singlet"])),
         )
         _verdict(

@@ -16,7 +16,7 @@ from iqcc.cli import _CONFIG_KEYS, _resolve_config, main
 from iqcc._packed import pack
 from iqcc.driver import IqccConfig
 from iqcc.fcidump import load_fcidump, select_cas
-from iqcc.mapping import jordan_wigner, spin_operators
+from iqcc.mapping import jordan_wigner
 from iqcc.oracle import spin_resolved_spectrum
 from iqcc.pauli import PauliWord
 from iqcc.pauli_sum import from_json_dict, to_json_dict
@@ -149,6 +149,11 @@ JSON_BAD_METADATA = {
     "string_ms2": {"ms2": "0"},
     "bool_electrons": {"n_electrons": True, "ms2": 1},
     "negative_ms2": {"ms2": -2},
+    # the FCIDUMP's checks of NELEC and MS2 (H2 has 4 qubits)
+    "electrons_above_qubits": {"n_electrons": 9, "ms2": 1},
+    "negative_electrons": {"n_electrons": -2, "ms2": 0},
+    "ms2_above_electrons": {"n_electrons": 4, "ms2": 6},
+    "ms2_parity": {"n_electrons": 2, "ms2": 1},
 }
 JSON_DEFECTS = {
     "negative_qubits": "negative qubit count -4",
@@ -163,6 +168,10 @@ JSON_DEFECTS = {
     "string_ms2": "ms2 needs a JSON integer: '0'",
     "bool_electrons": "n_electrons needs a JSON integer: True",
     "negative_ms2": "ms2 -2 must be >= 0",
+    "electrons_above_qubits": "n_electrons 9 outside 0..4 for 4 qubits",
+    "negative_electrons": "n_electrons -2 outside 0..4 for 4 qubits",
+    "ms2_above_electrons": "ms2 6 exceeds the 4 electrons",
+    "ms2_parity": "ms2 1 and the 2 electrons differ in parity",
 }
 
 # qubit JSON of a bad structure, and the start of the domain error it gives
@@ -549,7 +558,7 @@ class TestPenaltyTarget:
         if want == "quintet":
             # four alpha electrons in four orbitals: the one quintet determinant
             h = jordan_wigner(load_fcidump(FIXTURES / "h4.fcidump"))
-            target = spin_resolved_spectrum(h, *spin_operators(8), (2.0, 2.0))
+            target = spin_resolved_spectrum(h, (2.0, 2.0))
             assert target == pytest.approx(-0.9660440, abs=1e-7)
         else:
             target = reference_values["h4"][want]
@@ -801,9 +810,8 @@ class TestGap:
         report = json.loads(out.read_text())["result"]
         mi = load_fcidump(FIXTURES / "lih.fcidump")
         h = jordan_wigner(select_cas(mi, 1, 2))
-        s2, sz = spin_operators(6)
-        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
-        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
+        e_s = spin_resolved_spectrum(h, (0.0, 0.0))
+        e_t = spin_resolved_spectrum(h, (1.0, 1.0))
         assert abs(report["e_singlet"] - e_s) < 2e-5
         assert abs(report["e_triplet"] - e_t) < 2e-5
         assert abs(report["gap_ev"] / report["hartree_to_ev"] - (e_t - e_s)) < 2e-5
@@ -1060,6 +1068,26 @@ class TestDeterminism:
         digests = [r["manifest"]["determinism"]["numeric_digest"] for r in outs]
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["gap", "h2.fcidump", "--generators", "2"],
+             "9b38c290a3cc0e3d3a0de4466f40193a0685fb6fa8e2b05adcc832cb9d7a0b96"),
+            (["run", "lih.fcidump", "--max-iterations", "2"],
+             "ca7eec25b80b98bd1d1abc09d9f7d7c069e9a8418d67dd16a3503fc6b1284736"),
+        ],
+        ids=["h2_gap", "lih_run"],
+    )
+    def test_result_layout(self, runner, tmp_path, argv, want):
+        # the result object as written, key order and float reprs included,
+        # without its wall times: the digest pins the numbers, this their layout
+        out = tmp_path / "report.json"
+        argv = [argv[0], str(FIXTURES / argv[1])] + argv[2:] + ["-o", str(out)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        text = json.dumps(_strip_volatile(json.loads(out.read_text()))["result"], indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
     def test_digest_independent_of_float_type(self, h2_problem):
         # the digests hash each float's bits, not its repr, which differs
         # between numpy and Python floats of equal value
@@ -1068,7 +1096,7 @@ class TestDeterminism:
         import numpy as np
 
         from iqcc.cli import _digest_gap, _digest_run
-        from iqcc.driver import gap_from_runs, run_iqcc
+        from iqcc.driver import GapResult, run_iqcc
 
         _, h, ref = h2_problem
         res = run_iqcc(h, ref, IqccConfig(generators_per_iteration=2))
@@ -1080,13 +1108,11 @@ class TestDeterminism:
                         dropped_weight=kind(rec.dropped_weight))
                 for rec in r.records
             )
-            return replace(r, records=records, initial_energy=kind(r.initial_energy),
-                           final_energy=kind(r.final_energy),
-                           final_energy_with_pt=kind(r.final_energy_with_pt))
+            return replace(r, records=records, initial_energy=kind(r.initial_energy))
 
         as_float, as_numpy = retyped(res, float), retyped(res, np.float64)
         assert repr(as_float.initial_energy) != repr(as_numpy.initial_energy)
         assert _digest_run(as_float) == _digest_run(as_numpy)
-        assert _digest_gap(gap_from_runs(as_float, as_float)) == _digest_gap(
-            gap_from_runs(as_numpy, as_numpy)
+        assert _digest_gap(GapResult(as_float, as_float)) == _digest_gap(
+            GapResult(as_numpy, as_numpy)
         )

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from iqcc import ReferenceState, _packed, driver
 from iqcc._packed import pack
 from iqcc.driver import (
     HARTREE_TO_EV,
+    GapResult,
     IqccConfig,
-    gap_from_runs,
     pt_correction,
     resource_estimate,
     run_iqcc,
@@ -117,7 +118,7 @@ class TestRunIqcc:
         _, h, ref = h2_problem
         res = run_iqcc(h, ref, IqccConfig(max_iterations=0))
         assert res.records == ()
-        assert res.final_energy == res.initial_energy
+        assert res.final_energy == res.final_energy_with_pt == res.initial_energy
         assert not res.converged
 
     def test_capacity_abort_carries_partial_records(self, h4_problem):
@@ -486,7 +487,7 @@ class TestGap:
     def test_degenerate_runs_give_zero_gap(self, h2_problem):
         _, h, ref = h2_problem
         res = run_iqcc(h, ref, IqccConfig(generators_per_iteration=2))
-        gap = gap_from_runs(res, res)
+        gap = GapResult(res, res)
         assert gap.gap_ev == 0.0
         assert gap.gap_with_pt_ev == 0.0
 
@@ -494,18 +495,24 @@ class TestGap:
         mi, _, _ = h2_problem
         cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         gap = singlet_triplet_gap(mi, cfg)
-        assert abs(gap.gap_ev - (gap.e_triplet - gap.e_singlet) * HARTREE_TO_EV) < 1e-12
-        assert gap.singlet.records and gap.triplet.records
+        s, t = gap.singlet, gap.triplet
+        assert gap.gap_ev == (t.final_energy - s.final_energy) * HARTREE_TO_EV
+        assert gap.gap_with_pt_ev == (t.final_energy_with_pt - s.final_energy_with_pt) * HARTREE_TO_EV
+        assert s.records and t.records
+        # the energies are read off the runs, not stored beside them
+        assert [f.name for f in fields(GapResult)] == ["singlet", "triplet"]
+        assert s.final_energy == s.records[-1].energy
+        assert s.final_energy_with_pt == s.records[-1].energy_with_pt
+        assert not {"final_energy", "final_energy_with_pt"} & {f.name for f in fields(s)}
 
     def test_h2_gap_matches_spin_resolved_oracle(self, h2_problem):
         mi, h, _ = h2_problem
         cfg = IqccConfig(generators_per_iteration=2, mu=0.25)
         gap = singlet_triplet_gap(mi, cfg)
-        s2, sz = spin_operators(4)
-        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
-        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
-        assert abs(gap.e_singlet - e_s) < 2e-5
-        assert abs(gap.e_triplet - e_t) < 2e-5
+        e_s = spin_resolved_spectrum(h, (0.0, 0.0))
+        e_t = spin_resolved_spectrum(h, (1.0, 1.0))
+        assert abs(gap.singlet.final_energy - e_s) < 2e-5
+        assert abs(gap.triplet.final_energy - e_t) < 2e-5
         assert abs(gap.gap_ev / HARTREE_TO_EV - (e_t - e_s)) < 2e-5
 
     # a window that freezes the core (6 qubits) and one that discards
@@ -519,11 +526,10 @@ class TestGap:
         gap = singlet_triplet_gap(cas, cfg)
         h = jordan_wigner(cas)
         assert h.n_qubits == 2 * (occ + virt)
-        s2, sz = spin_operators(h.n_qubits)
-        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
-        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
-        assert abs(gap.e_singlet - e_s) < 2e-5
-        assert abs(gap.e_triplet - e_t) < 2e-5
+        e_s = spin_resolved_spectrum(h, (0.0, 0.0))
+        e_t = spin_resolved_spectrum(h, (1.0, 1.0))
+        assert abs(gap.singlet.final_energy - e_s) < 2e-5
+        assert abs(gap.triplet.final_energy - e_t) < 2e-5
         assert abs(gap.gap_ev / HARTREE_TO_EV - (e_t - e_s)) < 2e-5
 
     def test_odd_electron_count_rejected(self, h2_problem):

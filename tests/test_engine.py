@@ -255,7 +255,7 @@ class TestRanking:
         # the remainder's statistics are read from the blocks by x-support
         blocks = _blocks(h, ref)
         rest = [blocks[x] for x in remainder.tolist()]
-        assert all(top.importance >= abs(estimate_amplitude(w, d)[0]) for w, d in rest)
+        assert all(abs(top.t_estimate) >= abs(estimate_amplitude(w, d)[0]) for w, d in rest)
         # the top importance also carries the deepest exact lowering here
         lowerings = [estimate_amplitude(w, d)[1] for w, d in rest]
         top_low = estimate_amplitude(top.omega_signed, top.d_value)[1]
@@ -267,9 +267,10 @@ class TestRanking:
             h = random_hermitian_sum(6, 40, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
             sel, _ = rank_sum(h, ref, 16)
-            for r in sel:
-                assert r.importance >= 0.0
-                assert r.omega == abs(r.omega_signed)
+            for r in sel:  # the report's omega and importance, the same bits
+                report = r.to_json_dict()
+                assert report["omega"].hex() == abs(r.omega_signed).hex()
+                assert report["importance"].hex() == abs(r.t_estimate).hex()
             # every block, selected or not, from the ranking statistics
             for omega_signed, d in _blocks(h, ref).values():
                 _, de = estimate_amplitude(omega_signed, d)
@@ -308,12 +309,12 @@ class TestRankingReference:
             want_sel, want_rest = reference_rank_generators(blocks, n, top_l)
             assert selected == want_sel
             for got, want in zip(selected, want_sel):  # the same bits, as Python floats
-                for name in ("omega", "omega_signed", "d_value", "t_estimate", "importance"):
+                for name in ("omega_signed", "d_value", "t_estimate"):
                     assert type(getattr(got, name)) is float
                     assert getattr(got, name).hex() == getattr(want, name).hex()
             assert remainder.dtype == np.uint64
             assert remainder.tolist() == [r.generator.x for r in want_rest]
-            importances = [r.importance for r in want_sel + want_rest]
+            importances = [abs(r.t_estimate) for r in want_sel + want_rest]
             ties += len(importances) - len(set(importances))
         assert ties > 0  # equal importances break on the generator order
 
@@ -354,7 +355,7 @@ class TestQccEnergy:
             h = random_hermitian_sum(6, 30, rng)
             ref = ReferenceState(int(rng.integers(64)), 6)
             sel, _ = rank_sum(h, ref, 1)
-            if not sel or sel[0].omega == 0.0:
+            if not sel or sel[0].omega_signed == 0.0:
                 continue
             r = sel[0]
             _, delta_e = estimate_amplitude(r.omega_signed, r.d_value)

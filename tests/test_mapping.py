@@ -8,11 +8,12 @@ from iqcc.errors import CapacityError, HermiticityError
 from iqcc.fcidump import MolecularIntegrals, load_fcidump, select_cas
 from iqcc.mapping import (
     jordan_wigner,
+    occupation_ms2,
     penalize,
     reference_state,
     spin_operators,
 )
-from iqcc.oracle import ground_state
+from iqcc.oracle import ground_state, to_sparse
 from iqcc.pauli import PauliWord, parse_word
 
 from helpers import (
@@ -288,6 +289,21 @@ class TestSpinOperators:
     def test_odd_qubits_rejected(self):
         with pytest.raises(ValueError):
             spin_operators(5)
+
+    @pytest.mark.parametrize("n_qubits", range(2, 13, 2))
+    def test_occupation_ms2_is_twice_s_z(self, n_qubits):
+        # the MS2 the oracle and the penalty read off the bits, on every basis
+        # state, as an array and as one int each
+        diag = to_sparse(spin_operators(n_qubits)[1]).diagonal()
+        states = np.arange(1 << n_qubits)
+        ms2 = occupation_ms2(states)
+        assert not diag.imag.any() and np.array_equal(ms2, 2 * diag.real)
+        assert [occupation_ms2(b) for b in states.tolist()] == ms2.tolist()
+
+    @pytest.mark.parametrize("n_e, ms2", [(64, 0), (33, 1), (34, 2), (32, 32)])
+    def test_occupation_ms2_of_64_qubit_references(self, n_e, ms2):
+        # the top qubit (beta) is bit 63
+        assert occupation_ms2(reference_state(n_e, 64, ms2).occupation) == ms2
 
     def test_hermitian_real(self):
         s2, sz = spin_operators(6)

@@ -81,9 +81,8 @@ class TestToMatrix:
             to_sparse(pack([], 20))
         with pytest.raises(CapacityError):
             ground_state(pack([], 20))
-        s2, sz = spin_operators(18)
         with pytest.raises(CapacityError):
-            spin_resolved_spectrum(pack([], 17), s2, sz, (0.0, 0.0))
+            spin_resolved_spectrum(pack([], 17), (0.0, 0.0))
 
 
 class TestGroundState:
@@ -145,31 +144,27 @@ class TestGroundState:
 class TestSpinResolved:
     def test_h2_singlet_is_ground(self, h2_problem, reference_values):
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
-        e_s = spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+        e_s = spin_resolved_spectrum(h, (0.0, 0.0))
         e0, _ = ground_state(h)
         assert abs(e_s - e0) < 1e-10
 
     def test_h2_triplet_above_singlet(self, h2_problem, reference_values):
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
-        e_t = spin_resolved_spectrum(h, s2, sz, (1.0, 1.0))
+        e_t = spin_resolved_spectrum(h, (1.0, 1.0))
         assert e_t > reference_values["h2"]["fci_singlet"]
         assert abs(e_t - reference_values["h2"]["fci_triplet"]) < 1e-9
 
     def test_triplet_degenerate_in_ms(self, h2_problem):
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
         energies = [
-            spin_resolved_spectrum(h, s2, sz, (1.0, m)) for m in (-1.0, 0.0, 1.0)
+            spin_resolved_spectrum(h, (1.0, m)) for m in (-1.0, 0.0, 1.0)
         ]
         assert max(energies) - min(energies) < 1e-9
 
     def test_empty_sector(self, h2_problem):
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
         with pytest.raises(IqccError):
-            spin_resolved_spectrum(h, s2, sz, (5.0, 5.0))
+            spin_resolved_spectrum(h, (5.0, 5.0))
 
     @pytest.mark.parametrize(
         "sector", [(-1.0, 0.0), (-2.0, 1.0), (0.0, 1.0), (1.0, -2.0), (float("nan"), 0.0)],
@@ -179,9 +174,8 @@ class TestSpinResolved:
         # s(s+1) is the same for s and -s-1: (-1, 0) and (-2, 1) would alias
         # the singlet and the triplet
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
         with pytest.raises(IqccError, match=r"needs s >= 0 and \|m_s\| <= s"):
-            spin_resolved_spectrum(h, s2, sz, sector)
+            spin_resolved_spectrum(h, sector)
 
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "seed0", "seed1", "seed2"])
     def test_blocks_match_whole_space(self, request, name):
@@ -193,63 +187,51 @@ class TestSpinResolved:
             _, h, _ = request.getfixturevalue(f"{name}_problem")
         s2, sz = spin_operators(h.n_qubits)
         for sector in SECTORS:
-            e_blocks = spin_resolved_spectrum(h, s2, sz, sector)
+            e_blocks = spin_resolved_spectrum(h, sector)
             e_whole = reference_spin_resolved_spectrum(h, s2, sz, sector)
             assert abs(e_blocks - e_whole) < 1e-12, (sector, e_blocks, e_whole)
 
     @pytest.mark.parametrize("name", ["h2", "h2_stretched", "h4", "lih"])
     def test_stored_singlet_and_triplet(self, request, reference_values, name):
         _, h, _ = request.getfixturevalue(f"{name}_problem")
-        s2, sz = spin_operators(h.n_qubits)
         stored = reference_values[name]
-        assert abs(spin_resolved_spectrum(h, s2, sz, (0.0, 0.0)) - stored["fci_singlet"]) < 1e-12
-        assert abs(spin_resolved_spectrum(h, s2, sz, (1.0, 1.0)) - stored["fci_triplet"]) < 1e-12
+        assert abs(spin_resolved_spectrum(h, (0.0, 0.0)) - stored["fci_singlet"]) < 1e-12
+        assert abs(spin_resolved_spectrum(h, (1.0, 1.0)) - stored["fci_triplet"]) < 1e-12
 
     def test_number_breaking_hamiltonian_rejected(self, h2_problem):
         # commutes with neither N nor the block structure: an error, not a number
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
         bad = pack(unpack(h) + [(parse_word("X0", 4), 0.1)], 4)
         with pytest.raises(IqccError, match="leaves the sector block"):
-            spin_resolved_spectrum(bad, s2, sz, (0.0, 0.0))
-
-    def test_off_diagonal_s_z_rejected(self, h2_problem):
-        _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
-        bad = pack(unpack(sz) + [(parse_word("X0 X2", 4), 0.1)], 4)
-        with pytest.raises(IqccError, match="off-diagonal"):
-            spin_resolved_spectrum(h, s2, bad, (0.0, 0.0))
+            spin_resolved_spectrum(bad, (0.0, 0.0))
 
     def test_non_finite_block_rejected(self):
         # an infinite diagonal entry: eigh returns -inf or NaN there, no error
         hop = [(parse_word("X0 Z1 X2", 4), 0.5), (parse_word("Y0 Z1 Y2", 4), 0.5)]
         h = pack([(parse_word("Z0", 4), np.inf)] + hop, 4)
-        s2, sz = spin_operators(4)
         with np.errstate(invalid="ignore"), pytest.raises(IqccError, match="not finite"):
-            spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+            spin_resolved_spectrum(h, (0.0, 0.0))
 
     def test_block_solver_failure_is_domain_error(self, h2_problem, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         _, h, _ = h2_problem
-        s2, sz = spin_operators(4)
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(IqccError, match="eigensolver failed"):
-            spin_resolved_spectrum(h, s2, sz, (0.0, 0.0))
+            spin_resolved_spectrum(h, (0.0, 0.0))
 
     def test_entries_independent_of_chunk_size(self, monkeypatch):
         # words with one x mask share a row: each x-group's entries are summed
         # in key order, so no number depends on how the states are chunked
         h = jordan_wigner(random_symmetric_integrals(4, np.random.default_rng(3)))
         assert len(np.unique(h.x)) < len(h)
-        s2, sz = spin_operators(h.n_qubits)
         seen = []
         for chunk in (oracle._CHUNK_ENTRIES, 7, 3 * len(h), 10_000):
             monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk)
             seen.append((
                 to_sparse(h).toarray().tobytes(),
-                [spin_resolved_spectrum(h, s2, sz, sector).hex() for sector in SECTORS],
+                [spin_resolved_spectrum(h, sector).hex() for sector in SECTORS],
             ))
         assert all(got == seen[0] for got in seen[1:])
 
@@ -262,8 +244,7 @@ class TestSpinResolved:
         g2 = np.zeros((n_sites,) * 4)
         g2[site, site, site, site] = 4.0  # on-site repulsion U = 4 |t|
         h = jordan_wigner(MolecularIntegrals(0.0, -(ring + ring.T), g2, n_sites, n_sites, 1))
-        s2, sz = spin_operators(14)
-        e_up, e_down = (spin_resolved_spectrum(h, s2, sz, (1.0, m)) for m in (1.0, -1.0))
+        e_up, e_down = (spin_resolved_spectrum(h, (1.0, m)) for m in (1.0, -1.0))
         assert np.isfinite(e_up) and abs(e_up - e_down) < 1e-9
 
 
